@@ -270,7 +270,13 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError("config file must hold a JSON object")
+        mle = overrides.get("mle", {})
+        if not isinstance(mle, dict):
+            raise ValueError("config key 'mle' must be an object")
         unknown = set(overrides) - set(settings)
+        unknown |= {f"mle.{k}" for k in set(mle) - set(settings["mle"])}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         settings.update(overrides)

@@ -86,9 +86,6 @@ class PipelineConfig:
             "demean_scope": self.demean_scope,
             "mle": {
                 "max_iter": self.mle.max_iter,
-                "grad_tol": self.mle.grad_tol,
-                "rel_tol": self.mle.rel_tol,
-                "fd_scale": self.mle.fd_scale,
                 "estimate_gamma": self.mle.estimate_gamma,
             },
             "seed": self.seed,

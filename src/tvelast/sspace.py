@@ -7,9 +7,13 @@ The model is the univariate pair
 
 with gamma fixed at 1 by default, so the coefficient follows a random walk.
 Estimation maximizes the prediction-error-decomposition log-likelihood over
-the two log-variances with a quasi-Newton optimizer; parameter uncertainty
-is reported with a Huber-White sandwich built from the observed Hessian and
-per-observation numerical scores.
+the two log-variances. The measurement variance is concentrated out: a
+filter pass with measurement variance 1 and state variance q gives its
+closed-form estimate, so the search is over the signal-to-noise ratio
+log q alone (Brent), or over (log q, gamma) with Nelder-Mead when gamma is
+estimated. Parameter uncertainty is reported with a Huber-White sandwich
+built from the observed Hessian and per-observation numerical scores of the
+full likelihood at the optimum.
 
 Initialization is an approximate diffuse prior: the state starts at zero
 with a very large variance scaled to the data, and the first innovation is
@@ -22,11 +26,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+from scipy import optimize
 
-from . import _optim
 from .errors import (
     EmptySeries,
     MismatchedOutput,
@@ -41,6 +45,10 @@ _DIFFUSE_FACTOR = 1e14
 _LOG_VAR_MIN = -40.0
 _LOG_VAR_MAX = 40.0
 _BOUND_MARGIN = 1.0  # estimates closer than this to a bound are not trusted
+_FD_SCALE = 1e-4  # relative step of the finite differences behind the SEs
+# Nelder-Mead stops when the simplex spans less than this in every
+# coordinate and in the objective; loose defaults would stop 1e-4 short.
+_SIMPLEX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,7 +104,8 @@ class KalmanOutput:
     """Per-period filter moments plus the decomposition log-likelihood.
 
     Index t holds the one-step prediction for observation t, so
-    innovations[t] == y_t - x_t * pred_mean[t] exactly.
+    innovations[t] == y_t - x_t * pred_mean[t] exactly. `source` is the
+    (model, params, init) the pass ran on, which kalman_smoother checks.
     """
 
     pred_mean: tuple[float, ...]
@@ -109,6 +118,7 @@ class KalmanOutput:
     n_diffuse_dropped: int
     start: MonthDate
     gamma: float
+    source: tuple = field(default=(), repr=False, compare=False)
 
 
 def _diffuse_p0(yv, xv) -> float:
@@ -119,12 +129,22 @@ def _diffuse_p0(yv, xv) -> float:
 
 
 def _filter_core(yv, xv, gamma, var_meas, var_state, a0, p0, n_drop, store):
-    """One filter pass; identical arithmetic with or without storage."""
+    """The forward recursion, the only one in the module.
+
+    Returns (sum log F_t, sum v_t^2 / F_t, moments), the sums over t >= n_drop,
+    so the log-likelihood is -(n log 2pi + sum log F + sum v^2/F) / 2 with
+    n = len(yv) - n_drop. moments is None unless store, else the lists
+    (pred_mean, pred_var, filt_mean, filt_var, innovations, innov_var); the
+    arithmetic is the same either way.
+    """
     a = a0
     p = p0
-    ll = 0.0
+    sum_log_f = 0.0
+    sum_v2_f = 0.0
+    moments = None
     if store:
-        pred_mean, pred_var, filt_mean, filt_var, innov, innov_var = [], [], [], [], [], []
+        moments = pred_mean, pred_var, filt_mean, filt_var, innov, innov_var = (
+            [], [], [], [], [], [])
     for t in range(len(yv)):
         a_pred = gamma * a
         p_pred = gamma * gamma * p + var_state
@@ -135,7 +155,8 @@ def _filter_core(yv, xv, gamma, var_meas, var_state, a0, p0, n_drop, store):
         a = a_pred + k * v
         p = p_pred * (var_meas / f)
         if t >= n_drop:
-            ll -= 0.5 * (_LOG_2PI + math.log(f) + v * v / f)
+            sum_log_f += math.log(f)
+            sum_v2_f += v * v / f
         if store:
             pred_mean.append(a_pred)
             pred_var.append(p_pred)
@@ -143,9 +164,11 @@ def _filter_core(yv, xv, gamma, var_meas, var_state, a0, p0, n_drop, store):
             filt_var.append(p)
             innov.append(v)
             innov_var.append(f)
-    if store:
-        return ll, pred_mean, pred_var, filt_mean, filt_var, innov, innov_var
-    return ll
+    return sum_log_f, sum_v2_f, moments
+
+
+def _loglik(sum_log_f: float, sum_v2_f: float, n: int) -> float:
+    return -0.5 * (n * _LOG_2PI + sum_log_f + sum_v2_f)
 
 
 def _resolve_init(model: TvpModel, init) -> tuple[float, float, int]:
@@ -162,7 +185,7 @@ def kalman_filter(model: TvpModel, params: VarianceParams,
     if len(model) == 0:
         raise EmptySeries("cannot filter an empty model")
     a0, p0, n_drop = _resolve_init(model, init)
-    ll, pm, pv, fm, fv, iv, ivv = _filter_core(
+    sum_log_f, sum_v2_f, (pm, pv, fm, fv, iv, ivv) = _filter_core(
         model.y.values, model.x.values, model.gamma,
         params.var_meas, params.var_state, a0, p0, n_drop, store=True,
     )
@@ -172,8 +195,10 @@ def kalman_filter(model: TvpModel, params: VarianceParams,
         pred_mean=tuple(pm), pred_var=tuple(pv),
         filt_mean=tuple(fm), filt_var=tuple(fv),
         innovations=tuple(iv), innov_var=tuple(ivv),
-        log_lik=ll, n_diffuse_dropped=n_drop,
+        log_lik=_loglik(sum_log_f, sum_v2_f, len(model) - n_drop),
+        n_diffuse_dropped=n_drop,
         start=model.y.start, gamma=model.gamma,
+        source=(model, params, init),
     )
 
 
@@ -183,10 +208,11 @@ def log_likelihood(model: TvpModel, params: VarianceParams,
     if len(model) == 0:
         raise EmptySeries("cannot filter an empty model")
     a0, p0, n_drop = _resolve_init(model, init)
-    return _filter_core(
+    sum_log_f, sum_v2_f, _ = _filter_core(
         model.y.values, model.x.values, model.gamma,
         params.var_meas, params.var_state, a0, p0, n_drop, store=False,
     )
+    return _loglik(sum_log_f, sum_v2_f, len(model) - n_drop)
 
 
 def kalman_smoother(model: TvpModel, params: VarianceParams,
@@ -195,14 +221,15 @@ def kalman_smoother(model: TvpModel, params: VarianceParams,
     """Fixed-interval (RTS) smoother over a previously computed filter pass.
 
     The output must come from kalman_filter on the same model, parameters,
-    and initialization; this is verified by replaying the likelihood.
+    and initialization; this is checked against the record the output
+    carries, without another filter pass.
     """
     n = len(model)
     if len(output.innovations) != n:
         raise MismatchedOutput(
             f"filter output has {len(output.innovations)} periods, model has {n}"
         )
-    if log_likelihood(model, params, init) != output.log_lik or output.gamma != model.gamma:
+    if output.source != (model, params, init):
         raise MismatchedOutput("output was not produced by this model/params/init")
     gamma = model.gamma
     sm = list(output.filt_mean)
@@ -233,9 +260,6 @@ def innovation_shocks(output: KalmanOutput) -> MonthlySeries:
 @dataclass(frozen=True)
 class MleOptions:
     max_iter: int = 500
-    grad_tol: float = 1e-6
-    rel_tol: float = 1e-9
-    fd_scale: float = 1e-4
     estimate_gamma: bool = False
 
 
@@ -285,7 +309,8 @@ class MleResult:
 
     def to_text(self) -> str:
         lines = [
-            "State-space fit by maximum likelihood (quasi-Newton)",
+            "State-space fit by maximum likelihood (concentrated, "
+            f"{'Nelder-Mead' if len(self.robust_se) > 2 else 'Brent'} search)",
             f"Included observations        {self.n_obs}",
             f"Convergence {'achieved' if self.converged else 'NOT achieved'} "
             f"after {self.n_iter} iterations",
@@ -325,102 +350,179 @@ def _default_init(model: TvpModel) -> VarianceParams:
     return VarianceParams(math.log(vm), math.log(vs))
 
 
-def _per_obs_loglik(model: TvpModel, theta: np.ndarray, estimate_gamma: bool) -> np.ndarray:
-    gamma = theta[2] if estimate_gamma else model.gamma
-    a0, p0, n_drop = 0.0, _diffuse_p0(model.y.values, model.x.values), 1
-    _, _, _, _, _, iv, ivv = _filter_core(
-        model.y.values, model.x.values, gamma,
-        math.exp(theta[0]), math.exp(theta[1]), a0, p0, n_drop, store=True,
-    )
-    v = np.asarray(iv[n_drop:])
-    f = np.asarray(ivv[n_drop:])
-    return -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
+def _profile(yv, xv, gamma: float, log_q: float, p0: float) -> tuple[float, float, float]:
+    """Log-likelihood with the measurement variance concentrated out.
+
+    One diffuse pass with measurement variance 1 and state variance q gives
+    sigma2_hat = sum(v^2/F) / n, the maximizing measurement variance for that
+    q. Both are kept inside the box that bounds each log-variance, so this
+    is the 2-D likelihood maximized over the measurement variance on the
+    box. Returns (log-likelihood, log_var_meas, log_var_state).
+    """
+    log_q = min(max(log_q, _LOG_VAR_MIN - _LOG_VAR_MAX), _LOG_VAR_MAX - _LOG_VAR_MIN)
+    sum_log_f, sum_v2_f, _ = _filter_core(yv, xv, gamma, 1.0, math.exp(log_q), 0.0, p0, 1, False)
+    n = len(yv) - 1
+    log_s2 = math.log(sum_v2_f / n) if sum_v2_f > 0.0 else -math.inf
+    log_s2 = min(max(log_s2, _LOG_VAR_MIN, _LOG_VAR_MIN - log_q),
+                 _LOG_VAR_MAX, _LOG_VAR_MAX - log_q)
+    ll = _loglik(sum_log_f + n * log_s2, sum_v2_f * math.exp(-log_s2), n)
+    return ll, log_s2, log_q + log_s2
 
 
 def fit_mle(model: TvpModel, init_params: VarianceParams | None = None,
             options: MleOptions | None = None) -> MleResult:
     """Estimate the log-variances (and optionally gamma) by ML.
 
-    Raises NoConvergence when the iteration cap is reached or an estimate
-    is pinned at the log-variance box bound; the exception carries the best
-    iterate as .result so callers can still inspect it.
+    init_params only sets where the search starts, through its ratio
+    var_state / var_meas. Raises NoConvergence when the iteration cap is
+    reached, an estimate is pinned at the log-variance box bound, or the
+    observed Hessian is not negative definite; the exception carries the
+    best point found as .result, with converged=False, so callers can still
+    inspect it.
     """
     opts = options or MleOptions()
+    if len(model) < 2:
+        raise EmptySeries("ML needs two observations: the first is absorbed by the diffuse start")
     start = init_params or _default_init(model)
-    theta0 = [start.log_var_meas, start.log_var_state]
-    if opts.estimate_gamma:
-        theta0.append(model.gamma)
-    theta0 = np.asarray(theta0, dtype=float)
-
-    def objective(theta: np.ndarray) -> float:
-        if theta[0] < _LOG_VAR_MIN or theta[0] > _LOG_VAR_MAX:
-            return math.inf
-        if theta[1] < _LOG_VAR_MIN or theta[1] > _LOG_VAR_MAX:
-            return math.inf
-        gamma = theta[2] if opts.estimate_gamma else model.gamma
-        try:
-            params = VarianceParams(theta[0], theta[1])
-        except ValueError:
-            return math.inf
-        model_g = TvpModel(model.y, model.x, gamma) if opts.estimate_gamma else model
-        ll = log_likelihood(model_g, params)
-        return -ll if math.isfinite(ll) else math.inf
-
-    f0 = objective(theta0)
-    if not math.isfinite(f0):
-        raise NonFiniteObjective(
-            f"log-likelihood is non-finite at the starting values {theta0.tolist()}"
-        )
-    opt = _optim.minimize(
-        objective, theta0, max_iter=opts.max_iter, grad_tol=opts.grad_tol,
-        f_rel_tol=opts.rel_tol, fd_scale=opts.fd_scale,
-    )
-    result = _build_result(model, opt, opts)
-    if not opt.converged:
-        raise NoConvergence(
-            f"no convergence after {opt.n_iter} iterations "
-            f"(gradient inf-norm {float(np.max(np.abs(opt.grad))):.3g})",
-            result=result,
-        )
-    for i in range(2):
-        if opt.x[i] < _LOG_VAR_MIN + _BOUND_MARGIN or opt.x[i] > _LOG_VAR_MAX - _BOUND_MARGIN:
-            raise NoConvergence(
-                f"log-variance estimate {opt.x[i]:.2f} is pinned at the parameter bound; "
-                "the variance is not identified on this data",
-                result=result,
+    for v in (start.log_var_meas, start.log_var_state):
+        if not _LOG_VAR_MIN <= v <= _LOG_VAR_MAX:
+            raise NonFiniteObjective(
+                f"log-likelihood is non-finite at the starting values "
+                f"{[start.log_var_meas, start.log_var_state]}: outside the box "
+                f"[{_LOG_VAR_MIN}, {_LOG_VAR_MAX}]"
             )
+    yv, xv = model.y.values, model.x.values
+    p0 = _diffuse_p0(yv, xv)
+    log_q0 = start.log_var_state - start.log_var_meas
+    best = [-math.inf, None]  # log-likelihood and (log_var_meas, log_var_state, gamma)
+    path = []
+
+    def objective(z) -> float:
+        log_q, gamma = (z[0], z[1]) if opts.estimate_gamma else (z, model.gamma)
+        ll, log_vm, log_vs = _profile(yv, xv, gamma, log_q, p0)
+        if not math.isfinite(ll):
+            return math.inf
+        if ll > best[0]:
+            best[:] = [ll, (log_vm, log_vs, gamma)]
+        path.append(best[0])
+        return -ll
+
+    if opts.estimate_gamma:
+        res = optimize.minimize(
+            objective, [log_q0, model.gamma], method="Nelder-Mead",
+            options={"maxiter": opts.max_iter, "xatol": _SIMPLEX_TOL, "fatol": _SIMPLEX_TOL},
+        )
+    else:
+        # a likelihood flat in log q gives no bracket and success=False
+        res = optimize.minimize_scalar(
+            objective, bracket=(log_q0, log_q0 + 1.0), method="brent",
+            options={"maxiter": opts.max_iter},
+        )
+    n_iter = int(res.nit)
+    problem = None
+    if not res.success:
+        problem = f"no convergence after {n_iter} iterations: {res.message.strip()}"
+    if best[1] is None:
+        raise NonFiniteObjective("log-likelihood is non-finite everywhere the search looked")
+    theta = np.asarray(best[1] if opts.estimate_gamma else best[1][:2], dtype=float)
+    result = _build_result(model, theta, p0, n_iter, tuple(path), opts.estimate_gamma)
+    if problem is None:
+        for v in theta[:2]:
+            if v < _LOG_VAR_MIN + _BOUND_MARGIN or v > _LOG_VAR_MAX - _BOUND_MARGIN:
+                problem = (f"log-variance estimate {v:.2f} is pinned at the parameter bound; "
+                           "the variance is not identified on this data")
+                break
+    if problem is None and not result.converged:
+        problem = "the observed Hessian is not negative definite at the estimate"
+    if problem is not None:
+        raise NoConvergence(problem, result=replace(result, converged=False))
     return result
 
 
-def _build_result(model: TvpModel, opt: _optim.OptResult, opts: MleOptions) -> MleResult:
-    theta = opt.x
-    gamma = float(theta[2]) if opts.estimate_gamma else model.gamma
+def _loglik_at(model: TvpModel, theta: np.ndarray, p0: float, per_obs: bool = False):
+    """Full log-likelihood at theta = (log_var_meas, log_var_state[, gamma]).
+
+    With per_obs, the terms -(log 2pi + log F_t + v_t^2/F_t)/2 of the
+    included observations as an array.
+    """
+    gamma = theta[2] if len(theta) > 2 else model.gamma
+    sum_log_f, sum_v2_f, moments = _filter_core(
+        model.y.values, model.x.values, gamma,
+        math.exp(theta[0]), math.exp(theta[1]), 0.0, p0, 1, per_obs,
+    )
+    if not per_obs:
+        return _loglik(sum_log_f, sum_v2_f, len(model) - 1)
+    v = np.asarray(moments[4][1:])
+    f = np.asarray(moments[5][1:])
+    return -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
+
+
+def _fd_step(x: np.ndarray) -> np.ndarray:
+    """Per-coordinate central-difference step: _FD_SCALE * max(1, |x_i|)."""
+    return _FD_SCALE * np.maximum(1.0, np.abs(x))
+
+
+def _fd_hessian(fun, x: np.ndarray) -> np.ndarray:
+    """Observed Hessian by central differences (symmetric by construction)."""
+    n = len(x)
+    h = _fd_step(x)
+    hess = np.empty((n, n))
+    f0 = fun(x)
+    for i in range(n):
+        xp = x.copy(); xp[i] += h[i]
+        xm = x.copy(); xm[i] -= h[i]
+        hess[i, i] = (fun(xp) - 2.0 * f0 + fun(xm)) / (h[i] * h[i])
+        for j in range(i + 1, n):
+            xpp = x.copy(); xpp[i] += h[i]; xpp[j] += h[j]
+            xpm = x.copy(); xpm[i] += h[i]; xpm[j] -= h[j]
+            xmp = x.copy(); xmp[i] -= h[i]; xmp[j] += h[j]
+            xmm = x.copy(); xmm[i] -= h[i]; xmm[j] -= h[j]
+            hess[i, j] = hess[j, i] = (
+                fun(xpp) - fun(xpm) - fun(xmp) + fun(xmm)
+            ) / (4.0 * h[i] * h[j])
+    return hess
+
+
+def _score_matrix(model: TvpModel, theta: np.ndarray, p0: float) -> np.ndarray:
+    """Per-observation numerical scores (central differences)."""
+    h = _fd_step(theta)
+    cols = []
+    for i in range(len(theta)):
+        tp = theta.copy(); tp[i] += h[i]
+        tm = theta.copy(); tm[i] -= h[i]
+        cols.append((_loglik_at(model, tp, p0, per_obs=True)
+                     - _loglik_at(model, tm, p0, per_obs=True)) / (2.0 * h[i]))
+    return np.column_stack(cols)
+
+
+def _build_result(model: TvpModel, theta: np.ndarray, p0: float, n_iter: int,
+                  path: tuple[float, ...], estimate_gamma: bool) -> MleResult:
+    """The fit at theta; converged is False when the Hessian is not negative definite."""
+    gamma = float(theta[2]) if estimate_gamma else model.gamma
     params = VarianceParams(float(theta[0]), float(theta[1]))
-    model_g = TvpModel(model.y, model.x, gamma) if opts.estimate_gamma else model
-    out = kalman_filter(model_g, params)
-
-    def loglik_of(t: np.ndarray) -> float:
-        g = t[2] if opts.estimate_gamma else model.gamma
-        m = TvpModel(model.y, model.x, g) if opts.estimate_gamma else model
-        return log_likelihood(m, VarianceParams(t[0], t[1]))
-
-    hess = _optim.fd_hessian(loglik_of, theta, opts.fd_scale)
-    scores = _score_matrix(model, theta, opts)
-    g_outer = scores.T @ scores
-    try:
-        hinv = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        hinv = np.linalg.pinv(hess)
-    cov = hinv @ g_outer @ hinv
-    se = tuple(math.sqrt(abs(float(cov[i, i]))) for i in range(len(theta)))
-    z = tuple(float(theta[i]) / se[i] if se[i] > 0 else math.inf for i in range(len(theta)))
-    pvals = tuple(math.erfc(abs(zi) / math.sqrt(2.0)) for zi in z)
-
+    sum_log_f, sum_v2_f, (_, _, filt_mean, filt_var, _, _) = _filter_core(
+        model.y.values, model.x.values, gamma,
+        params.var_meas, params.var_state, 0.0, p0, 1, store=True,
+    )
+    if not (math.isfinite(filt_mean[-1]) and math.isfinite(filt_var[-1])):
+        raise NonFiniteState("filter recursion produced a non-finite state at the estimate")
     n = len(model)
     k = len(theta)
-    ll = out.log_lik
-    final_state = out.filt_mean[-1]
-    final_rmse = math.sqrt(out.filt_var[-1])
+    ll = _loglik(sum_log_f, sum_v2_f, n - 1)
+
+    hess = _fd_hessian(lambda t: _loglik_at(model, t, p0), theta)
+    negative_definite = bool(np.all(np.linalg.eigvalsh(hess) < 0.0))
+    if negative_definite:
+        # sandwich H^-1 (S'S) H^-1, as column norms of S H^-1 so it stays >= 0
+        se = tuple(float(s) for s in np.linalg.norm(
+            _score_matrix(model, theta, p0) @ np.linalg.inv(hess), axis=0))
+        z = tuple(float(theta[i]) / se[i] if se[i] > 0 else math.inf for i in range(k))
+        pvals = tuple(math.erfc(abs(zi) / math.sqrt(2.0)) for zi in z)
+    else:
+        se = z = pvals = (math.nan,) * k
+
+    final_state = filt_mean[-1]
+    final_rmse = math.sqrt(filt_var[-1])
     final_z = final_state / final_rmse if final_rmse > 0 else math.inf
     return MleResult(
         params=params,
@@ -435,27 +537,13 @@ def _build_result(model: TvpModel, opt: _optim.OptResult, opts: MleOptions) -> M
         final_z=final_z,
         final_p=math.erfc(abs(final_z) / math.sqrt(2.0)),
         forecast_state=gamma * final_state,
-        forecast_rmse=math.sqrt(gamma * gamma * out.filt_var[-1] + params.var_state),
+        forecast_rmse=math.sqrt(gamma * gamma * filt_var[-1] + params.var_state),
         log_lik=ll,
         aic=(-2.0 * ll + 2.0 * k) / n,
         sic=(-2.0 * ll + k * math.log(n)) / n,
         hq=(-2.0 * ll + 2.0 * k * math.log(math.log(n))) / n,
         n_obs=n,
-        n_iter=opt.n_iter,
-        converged=opt.converged,
-        loglik_path=tuple(-f for f in opt.accepted_f),
+        n_iter=n_iter,
+        converged=negative_definite,
+        loglik_path=path,
     )
-
-
-def _score_matrix(model: TvpModel, theta: np.ndarray, opts: MleOptions) -> np.ndarray:
-    """Per-observation numerical scores (central differences)."""
-    h = _optim.fd_step(theta, opts.fd_scale)
-    cols = []
-    for i in range(len(theta)):
-        tp = theta.copy(); tp[i] += h[i]
-        tm = theta.copy(); tm[i] -= h[i]
-        cols.append(
-            (_per_obs_loglik(model, tp, opts.estimate_gamma)
-             - _per_obs_loglik(model, tm, opts.estimate_gamma)) / (2.0 * h[i])
-        )
-    return np.column_stack(cols)

@@ -90,3 +90,15 @@ def state_space_oracle(yv, xv, gamma, var_meas, var_state, a0, p0):
             cross_full @ np.linalg.solve(cov_y, cross_full)
         ))
     return loglik, np.array(filt_m), np.array(filt_v), np.array(sm_m), np.array(sm_v)
+
+
+def central_gradient(fun, x, scale=1e-4):
+    """Central-difference gradient with step scale * max(1, |x_i|) per coordinate."""
+    x = np.asarray(x, dtype=float)
+    g = np.empty_like(x)
+    for i in range(len(x)):
+        h = scale * max(1.0, abs(x[i]))
+        xp = x.copy(); xp[i] += h
+        xm = x.copy(); xm[i] -= h
+        g[i] = (fun(xp) - fun(xm)) / (2.0 * h)
+    return g

@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from tvelast import _optim, regress, sspace, unitroot
+from tvelast import regress, sspace, unitroot
 from tvelast.pipeline import PipelineConfig, run_pipeline
 from tvelast.series import Dataset, MonthDate, parse_csv, window
 from tvelast.simlab import (
@@ -117,7 +117,7 @@ def mle_recovery_fits():
         dgp = TvpDgp(T=543, sigma2_meas=0.016, sigma2_state=0.359, seed=derive_seed(SEED, r))
         model, _ = gen_tvp(dgp)
         fit = sspace.fit_mle(model)
-        grad = _optim.fd_gradient(
+        grad = _oracles.central_gradient(
             lambda t: sspace.log_likelihood(model, sspace.VarianceParams(t[0], t[1])),
             np.array([fit.params.log_var_meas, fit.params.log_var_state]),
         )

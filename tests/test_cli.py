@@ -158,6 +158,28 @@ class TestOutputs:
         assert code == EXIT_USAGE
         assert "unknown config keys" in err
 
+    def test_unknown_mle_config_keys_rejected(self, csv_path, tmp_path):
+        # grad_tol, rel_tol and fd_scale are keys that older configs carry
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mle": {"max_iter": 300, "bogus": 1, "grad_tol": 1e-6,
+                                           "rel_tol": 1e-9, "fd_scale": 1e-4}}))
+        code, _, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        for key in ("mle.bogus", "mle.grad_tol", "mle.rel_tol", "mle.fd_scale"):
+            assert key in err
+        assert "max_iter" not in err
+        cfg.write_text(json.dumps({"mle": 5}))
+        code, _, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
+        assert code == EXIT_USAGE
+
+    def test_mle_config_block_applies(self, csv_path, tmp_path):
+        # one iteration cannot finish the likelihood search
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mle": {"max_iter": 1}}))
+        code, _, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
+        assert code == EXIT_ESTIMATION
+        assert "no convergence" in err
+
 
 class TestHelp:
     def test_snapshot(self):

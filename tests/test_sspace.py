@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import optimize
+
+from tvelast import sspace
 
 from tvelast.errors import (
     MismatchedOutput,
@@ -21,7 +25,6 @@ from tvelast.sspace import (
     log_likelihood,
     variance_from_log,
 )
-from tvelast import _optim
 
 import _oracles
 from conftest import make_series
@@ -193,6 +196,43 @@ class TestSmoother:
             kalman_smoother(model, VarianceParams(0.0, 0.0), out)
 
 
+_unit = st.floats(-3.0, 3.0, allow_nan=False)
+_variance = st.floats(0.2, 2.0)
+
+
+@st.composite
+def _small_models(draw):
+    t = draw(st.integers(1, 8))
+    return (
+        _model(draw(st.lists(_unit, min_size=t, max_size=t)),
+               draw(st.lists(_unit, min_size=t, max_size=t)),
+               gamma=draw(st.floats(0.5, 1.0))),
+        draw(_variance),                 # var_meas
+        draw(_variance),                 # var_state
+        draw(st.floats(-2.0, 2.0)),      # a0
+        draw(st.floats(0.5, 3.0)),       # p0
+    )
+
+
+class TestAgainstOracleProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_small_models())
+    def test_filter_smoother_likelihood_match_joint_gaussian(self, case):
+        model, vm, vs, a0, p0 = case
+        params = VarianceParams(math.log(vm), math.log(vs))
+        init = ExplicitInit(a0, p0)
+        out = kalman_filter(model, params, init=init)
+        sm, sv = kalman_smoother(model, params, out, init=init)
+        ll, fm, fv, sm_o, sv_o = _oracles.state_space_oracle(
+            model.y.values, model.x.values, model.gamma, vm, vs, a0, p0)
+        assert log_likelihood(model, params, init) == out.log_lik
+        assert out.log_lik == pytest.approx(ll, abs=1e-8)
+        np.testing.assert_allclose(out.filt_mean, fm, atol=1e-8)
+        np.testing.assert_allclose(out.filt_var, fv, atol=1e-8)
+        np.testing.assert_allclose(sm, sm_o, atol=1e-8)
+        np.testing.assert_allclose(sv, sv_o, atol=1e-8)
+
+
 class TestInnovationShocks:
     def test_definitional_recompute(self, rng):
         model, _ = gen_tvp(TvpDgp(T=50, sigma2_meas=0.2, sigma2_state=0.1, seed=6))
@@ -229,7 +269,7 @@ class TestFitMle:
         model, _ = gen_tvp(TvpDgp(T=300, sigma2_meas=0.1, sigma2_state=0.2, seed=9))
         fit = fit_mle(model)
         theta = np.array([fit.params.log_var_meas, fit.params.log_var_state])
-        grad = _optim.fd_gradient(
+        grad = _oracles.central_gradient(
             lambda t: log_likelihood(model, VarianceParams(t[0], t[1])), theta
         )
         assert np.max(np.abs(grad)) < 1e-4
@@ -278,9 +318,10 @@ class TestFitMle:
                 return math.inf
             return -log_likelihood(model, VarianceParams(math.log(v[0]), math.log(v[1])))
 
-        opt = _optim.minimize(neg_ll_direct, np.array([0.3, 0.3]))
-        assert opt.converged
-        assert -opt.f == pytest.approx(fit.log_lik, abs=1e-6)
+        opt = optimize.minimize(neg_ll_direct, [0.3, 0.3], method="Nelder-Mead",
+                                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
+        assert opt.success
+        assert -opt.fun == pytest.approx(fit.log_lik, abs=1e-6)
 
     def test_estimate_gamma_near_unity_on_random_walk_data(self):
         model, _ = gen_tvp(TvpDgp(T=400, sigma2_meas=0.05, sigma2_state=0.3, seed=16))
@@ -306,3 +347,23 @@ class TestFitMle:
         assert "Final State" in fit.to_text()
         import json
         assert json.loads(fit.to_json())["converged"] is True
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(log_q=st.floats(-8.0, 8.0), gamma=st.floats(0.5, 1.0), seed=st.integers(0, 3))
+    def test_concentrated_loglik_is_the_profile(self, log_q, gamma, seed):
+        base, _ = gen_tvp(TvpDgp(T=150, sigma2_meas=0.2, sigma2_state=0.3, seed=seed))
+        model = TvpModel(base.y, base.x, gamma)
+        yv, xv = model.y.values, model.x.values
+        ll, log_vm, log_vs = sspace._profile(yv, xv, gamma, log_q, sspace._diffuse_p0(yv, xv))
+        assert log_vs - log_vm == pytest.approx(log_q, abs=1e-12)
+        assert ll == pytest.approx(log_likelihood(model, VarianceParams(log_vm, log_vs)), abs=1e-9)
+
+    @pytest.mark.parametrize("hessian", [np.eye(2), np.diag([-1.0, 1.0])])
+    def test_hessian_not_negative_definite_raises(self, monkeypatch, hessian):
+        model, _ = gen_tvp(TvpDgp(T=100, sigma2_meas=0.2, sigma2_state=0.3, seed=19))
+        monkeypatch.setattr(sspace, "_fd_hessian", lambda fun, x: hessian)
+        with pytest.raises(NoConvergence, match="not negative definite") as info:
+            fit_mle(model)
+        result = info.value.result
+        assert result.converged is False
+        assert all(math.isnan(v) for v in result.robust_se + result.z_stats + result.p_values)
