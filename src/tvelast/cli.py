@@ -170,9 +170,8 @@ def _load(args):
         return parse_csv(fh, schema)
 
 
-def _growth_pair(args, data):
-    mode = _GROWTH_MODES[args.growth_mode or "logdiff"]
-    return yoy_growth(data.y_raw, mode), yoy_growth(data.x_raw, mode)
+def _growth_pair(cfg: pipeline.PipelineConfig, data):
+    return yoy_growth(data.y_raw, cfg.growth_mode), yoy_growth(data.x_raw, cfg.growth_mode)
 
 
 def _emit(args, payload: dict, text: str | None = None) -> int:
@@ -213,12 +212,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_adf(args) -> int:
     data = _load(args)
-    gy, gx = _growth_pair(args, data)
-    cfg = pipeline.PipelineConfig(
-        adf_levels_deterministic=args.deterministic_levels or "constant+trend",
-        adf_diff_deterministic=args.deterministic_diffs or "constant",
-        adf_max_lags=args.max_lags,
-    )
+    cfg = _pipeline_config(args)
+    gy, gx = _growth_pair(cfg, data)
     rows = pipeline.adf_battery(gy, gx, cfg)
     if args.format == "csv":
         rep = pipeline.Report(adf_table=rows)
@@ -234,14 +229,15 @@ def _cmd_adf(args) -> int:
 
 def _cmd_single(args) -> int:
     data = _load(args)
-    gy, gx = _growth_pair(args, data)
+    cfg = _pipeline_config(args)
+    gy, gx = _growth_pair(cfg, data)
     dm_y, _ = demean(gy)
     dm_x, _ = demean(gx)
     if args.command == "ols":
         res = regress.ols_no_intercept(dm_y, dm_x)
         return _emit(args, res.to_dict(), res.to_text())
     if args.command == "cusum":
-        res = regress.cusum(dm_y, dm_x, args.cusum_sig if args.cusum_sig is not None else 0.05)
+        res = regress.cusum(dm_y, dm_x, cfg.cusum_significance)
         text = (f"CUSUM at {res.significance:.0%}: "
                 + ("stable (no boundary crossing)" if res.stable
                    else f"unstable; first crossing {res.first_crossing}"))
@@ -253,11 +249,7 @@ def _cmd_single(args) -> int:
                 f"[{res.bands_lo[-1]:.6f}, {res.bands_hi[-1]:.6f}]")
         return _emit(args, res.to_dict(), text)
     # sspace
-    opts = sspace.MleOptions(
-        max_iter=args.max_iter if args.max_iter is not None else 500,
-        estimate_gamma=args.estimate_gamma,
-    )
-    res = sspace.fit_mle(sspace.TvpModel(dm_y, dm_x), options=opts)
+    res = sspace.fit_mle(sspace.TvpModel(dm_y, dm_x), options=cfg.mle)
     return _emit(args, res.to_dict(), res.to_text())
 
 
@@ -286,6 +278,14 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
         settings["cusum_significance"] = args.cusum_sig
     if getattr(args, "max_lags", None) is not None:
         settings["adf_max_lags"] = args.max_lags
+    if getattr(args, "deterministic_levels", None) is not None:
+        settings["adf_levels_deterministic"] = args.deterministic_levels
+    if getattr(args, "deterministic_diffs", None) is not None:
+        settings["adf_diff_deterministic"] = args.deterministic_diffs
+    if getattr(args, "max_iter", None) is not None:
+        settings["mle"]["max_iter"] = args.max_iter
+    if getattr(args, "estimate_gamma", False):
+        settings["mle"]["estimate_gamma"] = True
     if getattr(args, "subsample_ends", None):
         settings["subsample_end_dates"] = [str(d) for d in _parse_ends(args.subsample_ends)]
     if getattr(args, "seed", None) is not None:

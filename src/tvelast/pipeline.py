@@ -35,19 +35,6 @@ from .series import (
 
 MIN_MONTHS_FOR_ADF = 60  # five years of monthly data before unit-root pretests
 
-FIGURE_FILES = {
-    "table1": "table1_adf.csv",
-    "table2": "table2_ols.csv",
-    "table3": "table3_sspace.csv",
-    "fig3": "fig3_cusum.csv",
-    "fig4": "fig4_recursive.csv",
-    "fig5": "fig5_state_path.csv",
-    "fig6": "fig6_decades.csv",
-    "fig7": "fig7_subsample.csv",
-    "fig8": "fig8_shocks.csv",
-    "appendixA1": "appendixA1_subsamples.csv",
-}
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -244,8 +231,9 @@ def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig()) -> Repor
         report.recursive = regress.recursive_coefficients(dm_y, dm_x)
 
     with _stage("sspace"):
-        model = sspace.TvpModel(dm_y, dm_x)
-        report.mle = sspace.fit_mle(model, options=cfg.mle)
+        report.mle = sspace.fit_mle(sspace.TvpModel(dm_y, dm_x), options=cfg.mle)
+        # the paths use the fitted gamma, which differs from 1 when it is estimated
+        model = sspace.TvpModel(dm_y, dm_x, gamma=report.mle.gamma)
         out = sspace.kalman_filter(model, report.mle.params)
         smoothed, _ = sspace.kalman_smoother(model, report.mle.params, out)
         report.state_paths = StatePaths(
@@ -369,21 +357,9 @@ def subsample_final_states(data: Dataset, end_dates: list[MonthDate],
 
 def emit_figure_data(report: Report, which: str) -> str:
     """Plot-ready CSV text for one figure or table id (see FIGURE_FILES)."""
-    if which not in FIGURE_FILES:
-        raise ValueError(f"unknown figure id {which!r}; know {sorted(FIGURE_FILES)}")
-    builder = {
-        "table1": _emit_table1,
-        "table2": _emit_table2,
-        "table3": _emit_table3,
-        "fig3": _emit_fig3,
-        "fig4": _emit_fig4,
-        "fig5": _emit_fig5,
-        "fig6": _emit_fig6,
-        "fig7": _emit_fig7,
-        "fig8": _emit_fig8,
-        "appendixA1": _emit_appendix,
-    }[which]
-    return builder(report)
+    if which not in _FIGURES:
+        raise ValueError(f"unknown figure id {which!r}; know {sorted(_FIGURES)}")
+    return _FIGURES[which][1](report)
 
 
 def write_report(report: Report, outdir) -> list[str]:
@@ -396,9 +372,9 @@ def write_report(report: Report, outdir) -> list[str]:
     path = out / "report.json"
     path.write_text(report.to_json(), encoding="utf-8")
     written.append(str(path))
-    for which, fname in FIGURE_FILES.items():
+    for fname, build in _FIGURES.values():
         try:
-            text = emit_figure_data(report, which)
+            text = build(report)
         except SectionMissing:
             continue
         path = out / fname
@@ -533,6 +509,22 @@ def _emit_appendix(report: Report) -> str:
         [[str(r.sample_start), str(r.sample_end), r.final_state, r.final_rmse,
           r.z, r.p_value, 1 if r.converged else 0] for r in rows],
     )
+
+
+# figure/table id -> (file name, CSV builder), in the order files are written
+_FIGURES = {
+    "table1": ("table1_adf.csv", _emit_table1),
+    "table2": ("table2_ols.csv", _emit_table2),
+    "table3": ("table3_sspace.csv", _emit_table3),
+    "fig3": ("fig3_cusum.csv", _emit_fig3),
+    "fig4": ("fig4_recursive.csv", _emit_fig4),
+    "fig5": ("fig5_state_path.csv", _emit_fig5),
+    "fig6": ("fig6_decades.csv", _emit_fig6),
+    "fig7": ("fig7_subsample.csv", _emit_fig7),
+    "fig8": ("fig8_shocks.csv", _emit_fig8),
+    "appendixA1": ("appendixA1_subsamples.csv", _emit_appendix),
+}
+FIGURE_FILES = {which: fname for which, (fname, _) in _FIGURES.items()}
 
 
 def adf_table_text(rows: list[AdfTableRow]) -> str:

@@ -170,6 +170,20 @@ def ols_no_intercept(y: MonthlySeries, x: MonthlySeries) -> OlsResult:
     )
 
 
+def _expanding_sums(yv: np.ndarray, xv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Running sums (S_xx, S_xy, S_yy) over the first t observations, t = 1..T.
+
+    np.cumsum adds left to right, so entry t - 1 is the sum a sequential
+    loop would hold after t observations. S_xx never decreases, so a
+    positive first entry makes every prefix sum positive.
+    """
+    sxx = np.cumsum(xv * xv)
+    if sxx[0] == 0.0:
+        raise DegenerateRegressor(
+            "first observation of x squares to zero (zero or underflow); recursion cannot start")
+    return sxx, np.cumsum(xv * yv), np.cumsum(yv * yv)
+
+
 def recursive_residuals(y: MonthlySeries, x: MonthlySeries) -> MonthlySeries:
     """Standardized one-step-ahead prediction errors from expanding OLS.
 
@@ -178,18 +192,10 @@ def recursive_residuals(y: MonthlySeries, x: MonthlySeries) -> MonthlySeries:
     with iid N(0, sigma^2) errors the w_t are iid N(0, sigma^2).
     """
     yv, xv = _check_pair(y, x, min_len=N_REGRESSORS + 1)
-    if xv[0] == 0.0:
-        raise DegenerateRegressor("first observation of x is zero; recursion cannot start")
-    sxx = xv[0] * xv[0]
-    sxy = xv[0] * yv[0]
-    w = []
-    for t in range(1, len(yv)):
-        beta = sxy / sxx
-        err = yv[t] - xv[t] * beta
-        w.append(err / math.sqrt(1.0 + xv[t] * xv[t] / sxx))
-        sxx += xv[t] * xv[t]
-        sxy += xv[t] * yv[t]
-    return MonthlySeries(y.start.plus(N_REGRESSORS), tuple(w), name="recursive_residuals")
+    sxx, sxy, _ = _expanding_sums(yv, xv)
+    beta = sxy[:-1] / sxx[:-1]
+    w = (yv[1:] - xv[1:] * beta) / np.sqrt(1.0 + xv[1:] * xv[1:] / sxx[:-1])
+    return MonthlySeries(y.start.plus(N_REGRESSORS), tuple(w.tolist()), name="recursive_residuals")
 
 
 def recursive_coefficients(y: MonthlySeries, x: MonthlySeries) -> RecursivePath:
@@ -199,30 +205,16 @@ def recursive_coefficients(y: MonthlySeries, x: MonthlySeries) -> RecursivePath:
     residual degree of freedom); the last equals the full-sample estimate.
     """
     yv, xv = _check_pair(y, x, min_len=N_REGRESSORS + 1)
-    sxx = xv[0] * xv[0]
-    sxy = xv[0] * yv[0]
-    syy = yv[0] * yv[0]
-    if sxx == 0.0:
-        raise DegenerateRegressor("first observation of x is zero; recursion cannot start")
-    coefs, lo, hi = [], [], []
-    for t in range(1, len(yv)):
-        sxx += xv[t] * xv[t]
-        sxy += xv[t] * yv[t]
-        syy += yv[t] * yv[t]
-        if sxx == 0.0:
-            raise DegenerateRegressor("prefix of x is identically zero")
-        beta = float(sxy / sxx)
-        n_used = t + 1
-        ssr = max(float(syy - beta * sxy), 0.0)
-        se = math.sqrt(ssr / (n_used - N_REGRESSORS) / sxx)
-        coefs.append(beta)
-        lo.append(beta - 2.0 * se)
-        hi.append(beta + 2.0 * se)
+    sxx, sxy, syy = (s[1:] for s in _expanding_sums(yv, xv))
+    beta = sxy / sxx
+    ssr = np.maximum(syy - beta * sxy, 0.0)
+    n_used = np.arange(N_REGRESSORS + 1, len(yv) + 1)
+    se = np.sqrt(ssr / (n_used - N_REGRESSORS) / sxx)
     return RecursivePath(
         start_index=N_REGRESSORS + 1,
-        coefs=tuple(coefs),
-        bands_lo=tuple(lo),
-        bands_hi=tuple(hi),
+        coefs=tuple(beta.tolist()),
+        bands_lo=tuple((beta - 2.0 * se).tolist()),
+        bands_hi=tuple((beta + 2.0 * se).tolist()),
     )
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
+    DataError,
     DuplicateDate,
     GapInDates,
     MissingValue,
@@ -236,6 +237,12 @@ def yoy_growth(s: MonthlySeries, mode: str = "log-diff") -> MonthlySeries:
     else:
         out = tuple(100.0 * (vals[i] / vals[i - 12] - 1.0)
                     for i in range(12, len(vals)))
+    for i, g in enumerate(out):
+        if not math.isfinite(g):
+            raise DataError(
+                f"{s.name or 'series'} growth at {s.date_at(i + 12)} overflows: "
+                f"{vals[i + 12]!r} against {vals[i]!r} twelve months before"
+            )
     suffix = "_yoy" if mode == "log-diff" else "_yoy_pct"
     return MonthlySeries(s.start.plus(12), out, name=s.name + suffix)
 

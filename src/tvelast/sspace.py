@@ -13,7 +13,8 @@ closed-form estimate, so the search is over the signal-to-noise ratio
 log q alone (Brent), or over (log q, gamma) with Nelder-Mead when gamma is
 estimated. Parameter uncertainty is reported with a Huber-White sandwich
 built from the observed Hessian and per-observation numerical scores of the
-full likelihood at the optimum.
+full likelihood at the optimum; both come from one central-difference
+stencil in which every point is filtered once.
 
 Initialization is an approximate diffuse prior: the state starts at zero
 with a very large variance scaled to the data, and the first innovation is
@@ -347,6 +348,11 @@ def _default_init(model: TvpModel) -> VarianceParams:
     vx = float(np.var(np.asarray(model.x.values))) if len(model) > 1 else 1.0
     vm = max(0.5 * vy, 1e-6)
     vs = max(0.1 * vy / max(vx, 1e-12), 1e-6)
+    if not (math.isfinite(vm) and math.isfinite(vs)):
+        raise NonFiniteObjective(
+            f"the sample variance of y is {vy}: the data overflow double precision, "
+            "so the likelihood has no finite starting point"
+        )
     return VarianceParams(math.log(vm), math.log(vs))
 
 
@@ -439,60 +445,51 @@ def fit_mle(model: TvpModel, init_params: VarianceParams | None = None,
     return result
 
 
-def _loglik_at(model: TvpModel, theta: np.ndarray, p0: float, per_obs: bool = False):
-    """Full log-likelihood at theta = (log_var_meas, log_var_state[, gamma]).
+def _sandwich_stencil(model: TvpModel, theta: np.ndarray, p0: float,
+                      ll0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Observed Hessian and per-observation scores of the full log-likelihood.
 
-    With per_obs, the terms -(log 2pi + log F_t + v_t^2/F_t)/2 of the
-    included observations as an array.
+    theta = (log_var_meas, log_var_state[, gamma]) and ll0 is the
+    log-likelihood at theta. One central-difference stencil with step
+    h_i = _FD_SCALE * max(1, |theta_i|) serves both: the theta +/- h_i passes
+    give the Hessian diagonal from their sums and score column i from their
+    per-observation terms -(log 2pi + log F_t + v_t^2/F_t)/2; each cross point
+    is filtered once without moments. Every point is filtered exactly once.
     """
-    gamma = theta[2] if len(theta) > 2 else model.gamma
-    sum_log_f, sum_v2_f, moments = _filter_core(
-        model.y.values, model.x.values, gamma,
-        math.exp(theta[0]), math.exp(theta[1]), 0.0, p0, 1, per_obs,
-    )
-    if not per_obs:
-        return _loglik(sum_log_f, sum_v2_f, len(model) - 1)
-    v = np.asarray(moments[4][1:])
-    f = np.asarray(moments[5][1:])
-    return -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
+    yv, xv = model.y.values, model.x.values
+    k = len(theta)
+    n = len(model) - 1
+    h = _FD_SCALE * np.maximum(1.0, np.abs(theta))
 
+    def loglik(steps: dict, store: bool = False):
+        """Log-likelihood at theta shifted by steps {i: step}; with store,
+        also the per-observation terms."""
+        t = theta.copy()
+        for i, step in steps.items():
+            t[i] += step
+        gamma = t[2] if k > 2 else model.gamma
+        sum_log_f, sum_v2_f, moments = _filter_core(
+            yv, xv, gamma, math.exp(t[0]), math.exp(t[1]), 0.0, p0, 1, store)
+        ll = _loglik(sum_log_f, sum_v2_f, n)
+        if not store:
+            return ll
+        v = np.asarray(moments[4][1:])
+        f = np.asarray(moments[5][1:])
+        return ll, -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
 
-def _fd_step(x: np.ndarray) -> np.ndarray:
-    """Per-coordinate central-difference step: _FD_SCALE * max(1, |x_i|)."""
-    return _FD_SCALE * np.maximum(1.0, np.abs(x))
-
-
-def _fd_hessian(fun, x: np.ndarray) -> np.ndarray:
-    """Observed Hessian by central differences (symmetric by construction)."""
-    n = len(x)
-    h = _fd_step(x)
-    hess = np.empty((n, n))
-    f0 = fun(x)
-    for i in range(n):
-        xp = x.copy(); xp[i] += h[i]
-        xm = x.copy(); xm[i] -= h[i]
-        hess[i, i] = (fun(xp) - 2.0 * f0 + fun(xm)) / (h[i] * h[i])
-        for j in range(i + 1, n):
-            xpp = x.copy(); xpp[i] += h[i]; xpp[j] += h[j]
-            xpm = x.copy(); xpm[i] += h[i]; xpm[j] -= h[j]
-            xmp = x.copy(); xmp[i] -= h[i]; xmp[j] += h[j]
-            xmm = x.copy(); xmm[i] -= h[i]; xmm[j] -= h[j]
+    hess = np.empty((k, k))
+    scores = np.empty((n, k))
+    for i in range(k):
+        ll_p, obs_p = loglik({i: h[i]}, store=True)
+        ll_m, obs_m = loglik({i: -h[i]}, store=True)
+        hess[i, i] = (ll_p - 2.0 * ll0 + ll_m) / (h[i] * h[i])
+        scores[:, i] = (obs_p - obs_m) / (2.0 * h[i])
+        for j in range(i + 1, k):
             hess[i, j] = hess[j, i] = (
-                fun(xpp) - fun(xpm) - fun(xmp) + fun(xmm)
+                loglik({i: h[i], j: h[j]}) - loglik({i: h[i], j: -h[j]})
+                - loglik({i: -h[i], j: h[j]}) + loglik({i: -h[i], j: -h[j]})
             ) / (4.0 * h[i] * h[j])
-    return hess
-
-
-def _score_matrix(model: TvpModel, theta: np.ndarray, p0: float) -> np.ndarray:
-    """Per-observation numerical scores (central differences)."""
-    h = _fd_step(theta)
-    cols = []
-    for i in range(len(theta)):
-        tp = theta.copy(); tp[i] += h[i]
-        tm = theta.copy(); tm[i] -= h[i]
-        cols.append((_loglik_at(model, tp, p0, per_obs=True)
-                     - _loglik_at(model, tm, p0, per_obs=True)) / (2.0 * h[i]))
-    return np.column_stack(cols)
+    return hess, scores
 
 
 def _build_result(model: TvpModel, theta: np.ndarray, p0: float, n_iter: int,
@@ -500,29 +497,23 @@ def _build_result(model: TvpModel, theta: np.ndarray, p0: float, n_iter: int,
     """The fit at theta; converged is False when the Hessian is not negative definite."""
     gamma = float(theta[2]) if estimate_gamma else model.gamma
     params = VarianceParams(float(theta[0]), float(theta[1]))
-    sum_log_f, sum_v2_f, (_, _, filt_mean, filt_var, _, _) = _filter_core(
-        model.y.values, model.x.values, gamma,
-        params.var_meas, params.var_state, 0.0, p0, 1, store=True,
-    )
-    if not (math.isfinite(filt_mean[-1]) and math.isfinite(filt_var[-1])):
-        raise NonFiniteState("filter recursion produced a non-finite state at the estimate")
+    out = kalman_filter(replace(model, gamma=gamma), params)
     n = len(model)
     k = len(theta)
-    ll = _loglik(sum_log_f, sum_v2_f, n - 1)
+    ll = out.log_lik
 
-    hess = _fd_hessian(lambda t: _loglik_at(model, t, p0), theta)
+    hess, scores = _sandwich_stencil(model, theta, p0, ll)
     negative_definite = bool(np.all(np.linalg.eigvalsh(hess) < 0.0))
     if negative_definite:
         # sandwich H^-1 (S'S) H^-1, as column norms of S H^-1 so it stays >= 0
-        se = tuple(float(s) for s in np.linalg.norm(
-            _score_matrix(model, theta, p0) @ np.linalg.inv(hess), axis=0))
+        se = tuple(float(s) for s in np.linalg.norm(scores @ np.linalg.inv(hess), axis=0))
         z = tuple(float(theta[i]) / se[i] if se[i] > 0 else math.inf for i in range(k))
         pvals = tuple(math.erfc(abs(zi) / math.sqrt(2.0)) for zi in z)
     else:
         se = z = pvals = (math.nan,) * k
 
-    final_state = filt_mean[-1]
-    final_rmse = math.sqrt(filt_var[-1])
+    final_state = out.filt_mean[-1]
+    final_rmse = math.sqrt(out.filt_var[-1])
     final_z = final_state / final_rmse if final_rmse > 0 else math.inf
     return MleResult(
         params=params,
@@ -537,7 +528,7 @@ def _build_result(model: TvpModel, theta: np.ndarray, p0: float, n_iter: int,
         final_z=final_z,
         final_p=math.erfc(abs(final_z) / math.sqrt(2.0)),
         forecast_state=gamma * final_state,
-        forecast_rmse=math.sqrt(gamma * gamma * filt_var[-1] + params.var_state),
+        forecast_rmse=math.sqrt(gamma * gamma * out.filt_var[-1] + params.var_state),
         log_lik=ll,
         aic=(-2.0 * ll + 2.0 * k) / n,
         sic=(-2.0 * ll + k * math.log(n)) / n,

@@ -102,3 +102,30 @@ def central_gradient(fun, x, scale=1e-4):
         xm = x.copy(); xm[i] -= h
         g[i] = (fun(xp) - fun(xm)) / (2.0 * h)
     return g
+
+
+def central_hessian(fun, x, scale=1e-4):
+    """Central-difference Hessian with step scale * max(1, |x_i|) per coordinate.
+
+    The diagonal is the three-point second difference, each off-diagonal
+    entry the four-point cross difference.
+    """
+    x = np.asarray(x, dtype=float)
+    h = [scale * max(1.0, abs(v)) for v in x]
+
+    def at(*steps):
+        z = x.copy()
+        for i, step in steps:
+            z[i] += step
+        return fun(z)
+
+    n = len(x)
+    hess = np.empty((n, n))
+    for i in range(n):
+        hess[i, i] = (at((i, h[i])) - 2.0 * fun(x) + at((i, -h[i]))) / (h[i] * h[i])
+        for j in range(i + 1, n):
+            hess[i, j] = hess[j, i] = (
+                at((i, h[i]), (j, h[j])) - at((i, h[i]), (j, -h[j]))
+                - at((i, -h[i]), (j, h[j])) + at((i, -h[i]), (j, -h[j]))
+            ) / (4.0 * h[i] * h[j])
+    return hess

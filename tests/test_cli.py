@@ -65,6 +65,17 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert "stage 'adf'" in err
 
+    def test_growth_overflow_is_data_error(self, tmp_path):
+        # valid positive levels whose 12-month ratio overflows in pct mode
+        path = tmp_path / "overflow.csv"
+        rows = [f"{1971 + i // 12}-{i % 12 + 1:02d},{1e-300 if i < 12 else 1e300!r},"
+                f"{50.0 + i!r}" for i in range(80)]
+        path.write_text("date,cpi,m2\n" + "\n".join(rows) + "\n")
+        for command in ("ols", "pipeline"):
+            code, _, err = run_cli([command, "--input", str(path), "--growth-mode", "pct"])
+            assert code == EXIT_DATA, command
+            assert "overflows" in err
+
     def test_estimation_failure_exit_code(self, tmp_path):
         # constant CPI: demeaned inflation is identically zero, the filter
         # drives both variances to the bound and the fit must not pretend

@@ -79,6 +79,12 @@ class TestRunPipeline:
         assert len(report.provenance["config_sha256"]) == 64
         assert "created_at" in report.provenance
 
+    def test_state_paths_use_estimated_gamma(self):
+        cfg = PipelineConfig(mle=sspace.MleOptions(estimate_gamma=True))
+        report = run_pipeline(make_dataset(n_months=555, seed=42), cfg)
+        assert report.mle.gamma != 1.0
+        assert report.state_paths.filtered[-1] == report.mle.final_state
+
     def test_growth_mode_flag_respected(self, dataset):
         cfg = PipelineConfig(growth_mode="pct-change")
         report = run_pipeline(dataset, cfg)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvelast.errors import DegenerateRegressor, LengthMismatch
 from tvelast.regress import (
@@ -125,8 +126,12 @@ class TestRecursiveResiduals:
         assert np.var(w.values) == pytest.approx(sigma ** 2, rel=0.15)
 
     def test_zero_first_regressor(self):
-        with pytest.raises(DegenerateRegressor):
-            recursive_residuals(*_pair([1.0, 2.0, 3.0], [0.0, 1.0, 1.0]))
+        # 1e-170 squares to zero, so the recursion cannot start from it either
+        for x1 in (0.0, 1e-170):
+            pair = _pair([1.0, 2.0, 3.0], [x1, 1.0, 1.0])
+            for fn in (recursive_residuals, recursive_coefficients, cusum):
+                with pytest.raises(DegenerateRegressor):
+                    fn(*pair)
 
 
 class TestRecursiveCoefficients:
@@ -212,3 +217,50 @@ class TestCusum:
         y, x = _pair(rng.normal(0, 1, 30), rng.normal(1, 1, 30))
         with pytest.raises(ValueError):
             cusum(y, x, significance=0.025)
+
+
+def _scaled_draw(seed, t, log_sx, log_sy):
+    """y and x of length t on the given scales, with |x_1| kept off zero."""
+    gen = np.random.default_rng(seed)
+    xv = gen.normal(0.0, 1.0, t)
+    xv[0] = math.copysign(0.1 + abs(xv[0]), xv[0])
+    yv = 0.7 * xv + gen.normal(0.0, 1.0, t)
+    return yv * 10.0 ** log_sy, xv * 10.0 ** log_sx
+
+
+_draws = dict(seed=st.integers(0, 2 ** 32 - 1), t=st.integers(3, 40),
+              log_sx=st.integers(-6, 6), log_sy=st.integers(-6, 6))
+
+
+class TestRecursiveProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(**_draws)
+    def test_residuals_match_refit_on_every_prefix(self, seed, t, log_sx, log_sy):
+        yv, xv = _scaled_draw(seed, t, log_sx, log_sy)
+        w = recursive_residuals(*_pair(yv, xv))
+        ref = _oracles.recursive_residuals_brute(yv, xv)
+        np.testing.assert_allclose(w.values, ref, rtol=1e-9, atol=1e-9 * 10.0 ** log_sy)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(**_draws)
+    def test_coefficients_match_ols_on_every_prefix(self, seed, t, log_sx, log_sy):
+        yv, xv = _scaled_draw(seed, t, log_sx, log_sy)
+        path = recursive_coefficients(*_pair(yv, xv))
+        assert len(path.coefs) == t - 1
+        scale = 10.0 ** (log_sy - log_sx)
+        for i, (lo, c, hi) in enumerate(zip(path.bands_lo, path.coefs, path.bands_hi)):
+            ref = _oracles.ols_brute(yv[:i + 2], xv[:i + 2])
+            assert c == pytest.approx(ref["coef"], rel=1e-9, abs=1e-9 * scale)
+            assert (hi - lo) / 4.0 == pytest.approx(ref["std_err"], rel=1e-6, abs=1e-6 * scale)
+
+
+class TestCusumBandProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), t=st.integers(3, 200),
+           significance=st.sampled_from(sorted(CUSUM_BAND_CONSTANTS)))
+    def test_bands_symmetric_and_increasing(self, seed, t, significance):
+        yv, xv = _scaled_draw(seed, t, 0, 0)
+        res = cusum(*_pair(yv, xv), significance=significance)
+        assert len(res.band_hi) == t
+        assert all(lo == -hi for lo, hi in zip(res.band_lo, res.band_hi))
+        assert all(b > a for a, b in zip(res.band_hi, res.band_hi[1:]))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvelast.errors import (
     DuplicateDate,
@@ -13,6 +14,7 @@ from tvelast.errors import (
 )
 from tvelast.series import (
     CsvSchema,
+    Dataset,
     MonthDate,
     MonthlySeries,
     decade_averages,
@@ -95,6 +97,22 @@ class TestParseCsv:
             ds = make_dataset(n_months=40, seed=seed)
             again = parse_csv(write_csv(ds))
             assert again == ds
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_roundtrip_identity_property(self, data):
+        n = data.draw(st.integers(1, 30))
+        start = MonthDate(data.draw(st.integers(1800, 2100)), data.draw(st.integers(1, 12)))
+        name = st.text("abcxyzABCXYZ019_", min_size=1, max_size=8).filter(
+            lambda s: s.lower() != "date")
+        level = st.floats(1e-300, 1e300)
+        ds = Dataset(
+            MonthlySeries(start, tuple(data.draw(st.lists(level, min_size=n, max_size=n))),
+                          data.draw(name)),
+            MonthlySeries(start, tuple(data.draw(st.lists(level, min_size=n, max_size=n))),
+                          data.draw(name)),
+        )
+        assert parse_csv(write_csv(ds)) == ds
 
     def test_crlf_and_bom_tolerated(self):
         text = "﻿date,cpi,m2\r\n1971-01,100,50\r\n1971-02,101,51\r\n"

@@ -334,6 +334,10 @@ class TestFitMle:
         model = _model(rng.normal(0, 1, 50), rng.normal(0, 1, 50))
         with pytest.raises(NonFiniteObjective):
             fit_mle(model, init_params=VarianceParams(100.0, 100.0))
+        # var(y) overflows, so the default start has no finite log-variance
+        huge = _model(rng.normal(0, 1e160, 50), rng.normal(0, 1, 50))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteObjective):
+            fit_mle(huge)
 
     def test_robust_se_positive(self):
         model, _ = gen_tvp(TvpDgp(T=250, sigma2_meas=0.1, sigma2_state=0.2, seed=17))
@@ -361,9 +365,37 @@ class TestFitMle:
     @pytest.mark.parametrize("hessian", [np.eye(2), np.diag([-1.0, 1.0])])
     def test_hessian_not_negative_definite_raises(self, monkeypatch, hessian):
         model, _ = gen_tvp(TvpDgp(T=100, sigma2_meas=0.2, sigma2_state=0.3, seed=19))
-        monkeypatch.setattr(sspace, "_fd_hessian", lambda fun, x: hessian)
+        monkeypatch.setattr(sspace, "_sandwich_stencil",
+                            lambda model, theta, p0, ll0: (hessian, None))
         with pytest.raises(NoConvergence, match="not negative definite") as info:
             fit_mle(model)
         result = info.value.result
         assert result.converged is False
         assert all(math.isnan(v) for v in result.robust_se + result.z_stats + result.p_values)
+
+
+class TestSandwichStencil:
+    @staticmethod
+    def _full_loglik(model):
+        def fun(t):
+            gamma = t[2] if len(t) > 2 else model.gamma
+            return log_likelihood(TvpModel(model.y, model.x, gamma), VarianceParams(t[0], t[1]))
+        return fun
+
+    @pytest.mark.parametrize("estimate_gamma", [False, True])
+    def test_matches_plain_central_differences(self, estimate_gamma):
+        model, _ = gen_tvp(TvpDgp(T=300, sigma2_meas=0.05, sigma2_state=0.3, seed=21))
+        fit = fit_mle(model, options=MleOptions(estimate_gamma=estimate_gamma))
+        theta = [fit.params.log_var_meas, fit.params.log_var_state]
+        if estimate_gamma:
+            theta.append(fit.gamma)
+        fun = self._full_loglik(model)
+        p0 = sspace._diffuse_p0(model.y.values, model.x.values)
+        # at the estimate and away from it, where the gradient is not ~0
+        for shift in (0.0, 0.3):
+            at = np.array(theta) + shift
+            hess, scores = sspace._sandwich_stencil(model, at, p0, fun(at))
+            np.testing.assert_allclose(hess, _oracles.central_hessian(fun, at), rtol=1e-8)
+            assert scores.shape == (len(model) - 1, len(at))
+            np.testing.assert_allclose(scores.sum(axis=0), _oracles.central_gradient(fun, at),
+                                       rtol=1e-6, atol=1e-6)
