@@ -18,7 +18,7 @@ import sys
 
 from . import __version__, pipeline, regress, simlab, sspace, unitroot
 from .errors import DataError, EstimationError, StageError, TvelastError
-from .series import CsvSchema, MonthDate, demean, parse_csv, yoy_growth
+from .series import CsvSchema, MonthDate, demean, parse_csv
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -26,6 +26,15 @@ EXIT_ESTIMATION = 2
 EXIT_USAGE = 64
 
 _GROWTH_MODES = {"logdiff": "log-diff", "pct": "pct-change"}
+
+# simulate study -> (estimator id, default sample size, DGP for a sample size)
+_STUDIES = {
+    "mle": ("mle", 543, lambda t: simlab.TvpDgp(T=t, sigma2_meas=0.016, sigma2_state=0.359)),
+    "adf-size": ("adf", 500, lambda t: simlab.UnitRootDgp(T=t)),
+    "adf-power": ("adf", 500, lambda t: simlab.Ar1Dgp(T=t, phi=0.5)),
+    "cusum-size": ("cusum", 200, lambda t: simlab.BreakRegressionDgp(T=t)),
+    "cusum-power": ("cusum", 200, lambda t: simlab.BreakRegressionDgp(T=t, beta2=4.0)),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write appendixA1_subsamples.csv here")
 
     p = sub.add_parser("simulate", help="Monte Carlo studies of the estimators")
-    p.add_argument("study", choices=["mle", "adf-size", "adf-power", "cusum-size", "cusum-power"])
+    p.add_argument("study", choices=list(_STUDIES))
     p.add_argument("--reps", type=int, default=200, help="number of replications")
     p.add_argument("--seed", type=int, default=0, help="master seed; replication r uses seed XOR r")
     p.add_argument("--t", type=int, default=None, help="sample size per replication")
@@ -129,6 +138,10 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except FileNotFoundError as exc:
         print(f"tvelast: no such file: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        print(f"tvelast: {exc.filename}: {exc.strerror}" if exc.filename and exc.strerror
+              else f"tvelast: {exc}", file=sys.stderr)
         return EXIT_DATA
     except StageError as exc:
         print(f"tvelast: {exc}", file=sys.stderr)
@@ -170,10 +183,6 @@ def _load(args):
         return parse_csv(fh, schema)
 
 
-def _growth_pair(cfg: pipeline.PipelineConfig, data):
-    return yoy_growth(data.y_raw, cfg.growth_mode), yoy_growth(data.x_raw, cfg.growth_mode)
-
-
 def _emit(args, payload: dict, text: str | None = None) -> int:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -213,7 +222,7 @@ def _cmd_validate(args) -> int:
 def _cmd_adf(args) -> int:
     data = _load(args)
     cfg = _pipeline_config(args)
-    gy, gx = _growth_pair(cfg, data)
+    gy, gx = pipeline.growth_pair(data, cfg)
     rows = pipeline.adf_battery(gy, gx, cfg)
     if args.format == "csv":
         rep = pipeline.Report(adf_table=rows)
@@ -230,7 +239,7 @@ def _cmd_adf(args) -> int:
 def _cmd_single(args) -> int:
     data = _load(args)
     cfg = _pipeline_config(args)
-    gy, gx = _growth_pair(cfg, data)
+    gy, gx = pipeline.growth_pair(data, cfg)
     dm_y, _ = demean(gy)
     dm_x, _ = demean(gx)
     if args.command == "ols":
@@ -251,10 +260,6 @@ def _cmd_single(args) -> int:
     # sspace
     res = sspace.fit_mle(sspace.TvpModel(dm_y, dm_x), options=cfg.mle)
     return _emit(args, res.to_dict(), res.to_text())
-
-
-def _parse_ends(text: str) -> tuple[MonthDate, ...]:
-    return tuple(MonthDate.parse(part) for part in text.split(",") if part.strip())
 
 
 def _pipeline_config(args) -> pipeline.PipelineConfig:
@@ -287,7 +292,8 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
     if getattr(args, "estimate_gamma", False):
         settings["mle"]["estimate_gamma"] = True
     if getattr(args, "subsample_ends", None):
-        settings["subsample_end_dates"] = [str(d) for d in _parse_ends(args.subsample_ends)]
+        settings["subsample_end_dates"] = [
+            part for part in args.subsample_ends.split(",") if part.strip()]
     if getattr(args, "seed", None) is not None:
         settings["seed"] = args.seed
     mle = settings.pop("mle")
@@ -314,7 +320,8 @@ def _cmd_pipeline(args) -> int:
 def _cmd_subsample(args) -> int:
     data = _load(args)
     cfg = _pipeline_config(args)
-    rows = pipeline.subsample_final_states(data, list(_parse_ends(args.subsample_ends)), cfg)
+    rows = pipeline.subsample_final_states(
+        data, pipeline.growth_pair(data, cfg), list(cfg.subsample_end_dates), cfg)
     report = pipeline.Report(subsample_table=rows)
     if args.out:
         from pathlib import Path
@@ -337,22 +344,9 @@ def _cmd_subsample(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.study == "mle":
-        t = args.t or 543
-        dgp = simlab.TvpDgp(T=t, sigma2_meas=0.016, sigma2_state=0.359)
-        summary = simlab.monte_carlo("mle", dgp, args.reps, args.seed, dump_path=args.dump)
-    elif args.study == "adf-size":
-        dgp = simlab.UnitRootDgp(T=args.t or 500)
-        summary = simlab.monte_carlo("adf", dgp, args.reps, args.seed, dump_path=args.dump)
-    elif args.study == "adf-power":
-        dgp = simlab.Ar1Dgp(T=args.t or 500, phi=0.5)
-        summary = simlab.monte_carlo("adf", dgp, args.reps, args.seed, dump_path=args.dump)
-    elif args.study == "cusum-size":
-        dgp = simlab.BreakRegressionDgp(T=args.t or 200)
-        summary = simlab.monte_carlo("cusum", dgp, args.reps, args.seed, dump_path=args.dump)
-    else:  # cusum-power
-        dgp = simlab.BreakRegressionDgp(T=args.t or 200, beta2=4.0)
-        summary = simlab.monte_carlo("cusum", dgp, args.reps, args.seed, dump_path=args.dump)
+    estimator, default_t, make_dgp = _STUDIES[args.study]
+    dgp = make_dgp(default_t if args.t is None else args.t)
+    summary = simlab.monte_carlo(estimator, dgp, args.reps, args.seed, dump_path=args.dump)
     if args.format == "text":
         print(f"{summary.estimator}: {summary.n_reps} reps, {summary.n_failed} failed")
         if summary.rejection_rate is not None:

@@ -74,10 +74,6 @@ class NonFiniteState(EstimationError):
     """The filter recursion overflowed to a non-finite state."""
 
 
-class MismatchedOutput(EstimationError):
-    """Filter output does not correspond to the given model and parameters."""
-
-
 class NonFiniteObjective(EstimationError):
     """The likelihood is non-finite at the starting point."""
 

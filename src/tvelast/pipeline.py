@@ -3,10 +3,11 @@
 run_pipeline executes, in order: twelve-month growth transform, ADF tests on
 the growth series and their first differences, demeaning, the no-intercept
 OLS with CUSUM and recursive-coefficient diagnostics, the ML state-space
-fit, the derived state paths / decade averages / shock series, and the
-expanding sub-sample table. Every failure is re-raised annotated with the
-stage that produced it. The Report serializes to one JSON document plus
-fixed-name CSV files per table and figure.
+fit, the state paths / decade averages / shock series derived from the
+fit's own filter pass, and the expanding sub-sample table on the same
+growth series. Every failure is re-raised annotated with the stage that
+produced it. The Report serializes to one JSON document plus fixed-name CSV
+files per table and figure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__, regress, sspace, unitroot
@@ -61,22 +62,9 @@ class PipelineConfig:
         object.__setattr__(self, "subsample_end_dates", dates)
 
     def to_dict(self) -> dict:
-        return {
-            "growth_mode": self.growth_mode,
-            "adf_levels_deterministic": self.adf_levels_deterministic,
-            "adf_diff_deterministic": self.adf_diff_deterministic,
-            "adf_max_lags": self.adf_max_lags,
-            "adf_selection": self.adf_selection,
-            "cusum_significance": self.cusum_significance,
-            "subsample_end_dates": [str(d) for d in self.subsample_end_dates],
-            "decade_path": self.decade_path,
-            "demean_scope": self.demean_scope,
-            "mle": {
-                "max_iter": self.mle.max_iter,
-                "estimate_gamma": self.mle.estimate_gamma,
-            },
-            "seed": self.seed,
-        }
+        d = asdict(self)
+        d["subsample_end_dates"] = [str(e) for e in self.subsample_end_dates]
+        return d
 
 
 @dataclass(frozen=True)
@@ -205,8 +193,7 @@ def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig()) -> Repor
     }
 
     with _stage("transform"):
-        growth_y = yoy_growth(data.y_raw, cfg.growth_mode)
-        growth_x = yoy_growth(data.x_raw, cfg.growth_mode)
+        growth_y, growth_x = growth_pair(data, cfg)
         report.growth_y, report.growth_x = growth_y, growth_x
 
     with _stage("adf"):
@@ -232,10 +219,8 @@ def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig()) -> Repor
 
     with _stage("sspace"):
         report.mle = sspace.fit_mle(sspace.TvpModel(dm_y, dm_x), options=cfg.mle)
-        # the paths use the fitted gamma, which differs from 1 when it is estimated
-        model = sspace.TvpModel(dm_y, dm_x, gamma=report.mle.gamma)
-        out = sspace.kalman_filter(model, report.mle.params)
-        smoothed, _ = sspace.kalman_smoother(model, report.mle.params, out)
+        out = report.mle.filter_output
+        smoothed, _ = sspace.kalman_smoother(out)
         report.state_paths = StatePaths(
             start=dm_y.start,
             onestep=out.pred_mean,
@@ -258,10 +243,14 @@ def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig()) -> Repor
     else:
         with _stage("subsample"):
             report.subsample_table = subsample_final_states(
-                data, list(cfg.subsample_end_dates), cfg
+                data, (growth_y, growth_x), list(cfg.subsample_end_dates), cfg
             )
     return report
 
+
+def growth_pair(data: Dataset, cfg: PipelineConfig) -> tuple[MonthlySeries, MonthlySeries]:
+    """Twelve-month growth of the price index and of the money stock (cfg.growth_mode)."""
+    return yoy_growth(data.y_raw, cfg.growth_mode), yoy_growth(data.x_raw, cfg.growth_mode)
 
 
 class _stage:
@@ -301,22 +290,22 @@ def adf_battery(growth_y: MonthlySeries, growth_x: MonthlySeries,
     return rows
 
 
-def subsample_final_states(data: Dataset, end_dates: list[MonthDate],
+def subsample_final_states(data: Dataset, growth: tuple[MonthlySeries, MonthlySeries],
+                           end_dates: list[MonthDate],
                            cfg: PipelineConfig = PipelineConfig()) -> list[SubSampleRow]:
     """Expanding-window final states: one ML fit per end date.
 
-    Each window spans the dataset start through the end date; the growth
-    series is re-demeaned inside the window unless cfg.demean_scope is
-    "full". A failed fit is recorded in its row with converged=False and
-    never aborts the table.
+    growth is growth_pair(data, cfg). Each window spans the dataset start
+    through the end date; the growth series is re-demeaned inside the window
+    unless cfg.demean_scope is "full". A failed fit is recorded in its row
+    with converged=False and never aborts the table.
     """
     for e in end_dates:
         if data.start.months_until(e) < 24:
             raise OutOfRange(f"end date {e} is less than 24 months after {data.start}")
         if e > data.end:
             raise OutOfRange(f"end date {e} is beyond the data span ({data.end})")
-    growth_y = yoy_growth(data.y_raw, cfg.growth_mode)
-    growth_x = yoy_growth(data.x_raw, cfg.growth_mode)
+    growth_y, growth_x = growth
     _, full_y_mean = demean(growth_y)
     _, full_x_mean = demean(growth_x)
 

@@ -294,18 +294,23 @@ def decade_averages(s: MonthlySeries) -> list[DecadeAverage]:
 
 def _read_text(source) -> str:
     # utf-8-sig strips the BOM Excel likes to prepend
-    if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
-    if isinstance(source, str):
-        # a path unless it contains a newline (then treat as CSV content)
-        if "\n" in source:
-            return source.lstrip("﻿")
-        with open(source, "r", encoding="utf-8-sig") as fh:
-            return fh.read()
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8-sig")
-    return data.lstrip("﻿")
+    try:
+        if isinstance(source, bytes):
+            return source.decode("utf-8-sig")
+        if isinstance(source, str):
+            # a path unless it contains a newline (then treat as CSV content)
+            if "\n" in source:
+                return source.lstrip("\ufeff")
+            with open(source, "r", encoding="utf-8-sig") as fh:
+                return fh.read()
+        data = source.read()
+        if isinstance(data, bytes):
+            return data.decode("utf-8-sig")
+        return data.lstrip("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"input is not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x}"
+        ) from None
 
 
 def _find_column(header: Sequence[str], name: str) -> int:
@@ -320,6 +325,9 @@ def _cell(raw: str, lineno: int, col: str) -> float:
     if not text:
         raise MissingValue(f"row {lineno}: empty cell in column {col!r}")
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise MissingValue(f"row {lineno}: non-numeric cell {raw!r} in column {col!r}") from None
+    if not math.isfinite(value):
+        raise MissingValue(f"row {lineno}: non-finite cell {raw!r} in column {col!r}")
+    return value

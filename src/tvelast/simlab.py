@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +32,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = np.uint64
 _DEFAULT_START = MonthDate(1971, 1)
+# test levels with both an ADF critical value and a CUSUM band constant
+_LEVELS = (0.01, 0.05, 0.10)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -288,6 +290,8 @@ def monte_carlo(estimator: str, dgp, n_reps: int, seed: int,
     """
     if n_reps < 10:
         raise ValueError("n_reps must be >= 10")
+    if level not in _LEVELS:
+        raise ValueError(f"level must be one of {list(_LEVELS)}, got {level}")
     records: list[dict | None] = [None] * n_reps
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -334,7 +338,7 @@ class Ar1Dgp:
 
 def _run_one(estimator: str, dgp, rep_seed: int, level: float) -> dict:
     if estimator == "mle":
-        model, _ = gen_tvp(_reseed(dgp, rep_seed))
+        model, _ = gen_tvp(replace(dgp, seed=rep_seed))
         fit = sspace.fit_mle(model)
         return {
             "log_var_meas": fit.params.log_var_meas,
@@ -369,11 +373,6 @@ def _study_targets(estimator: str, dgp) -> tuple[dict[str, float], str | None]:
             "log_var_state": math.log(dgp.sigma2_state),
         }, None)
     return ({}, "reject")
-
-
-def _reseed(dgp: TvpDgp, seed: int) -> TvpDgp:
-    return TvpDgp(T=dgp.T, sigma2_meas=dgp.sigma2_meas, sigma2_state=dgp.sigma2_state,
-                  alpha0=dgp.alpha0, x_process=dgp.x_process, seed=seed)
 
 
 def _dump_records(path: str, records: list[dict | None]) -> None:

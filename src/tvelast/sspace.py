@@ -14,7 +14,9 @@ log q alone (Brent), or over (log q, gamma) with Nelder-Mead when gamma is
 estimated. Parameter uncertainty is reported with a Huber-White sandwich
 built from the observed Hessian and per-observation numerical scores of the
 full likelihood at the optimum; both come from one central-difference
-stencil in which every point is filtered once.
+stencil in which every point is filtered once. The fit keeps its filter pass
+at the estimate (MleResult.filter_output), so the state paths, the smoother
+and the shocks read that pass instead of filtering again.
 
 Initialization is an approximate diffuse prior: the state starts at zero
 with a very large variance scaled to the data, and the first innovation is
@@ -27,18 +29,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy import optimize
 
-from .errors import (
-    EmptySeries,
-    MismatchedOutput,
-    NoConvergence,
-    NonFiniteObjective,
-    NonFiniteState,
-)
+from .errors import EmptySeries, NoConvergence, NonFiniteObjective, NonFiniteState
 from .series import MonthDate, MonthlySeries
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -105,8 +101,9 @@ class KalmanOutput:
     """Per-period filter moments plus the decomposition log-likelihood.
 
     Index t holds the one-step prediction for observation t, so
-    innovations[t] == y_t - x_t * pred_mean[t] exactly. `source` is the
-    (model, params, init) the pass ran on, which kalman_smoother checks.
+    innovations[t] == y_t - x_t * pred_mean[t] exactly. Together with gamma
+    these moments are all the RTS smoother needs, so kalman_smoother takes
+    the output alone.
     """
 
     pred_mean: tuple[float, ...]
@@ -119,7 +116,6 @@ class KalmanOutput:
     n_diffuse_dropped: int
     start: MonthDate
     gamma: float
-    source: tuple = field(default=(), repr=False, compare=False)
 
 
 def _diffuse_p0(yv, xv) -> float:
@@ -199,7 +195,6 @@ def kalman_filter(model: TvpModel, params: VarianceParams,
         log_lik=_loglik(sum_log_f, sum_v2_f, len(model) - n_drop),
         n_diffuse_dropped=n_drop,
         start=model.y.start, gamma=model.gamma,
-        source=(model, params, init),
     )
 
 
@@ -216,26 +211,12 @@ def log_likelihood(model: TvpModel, params: VarianceParams,
     return _loglik(sum_log_f, sum_v2_f, len(model) - n_drop)
 
 
-def kalman_smoother(model: TvpModel, params: VarianceParams,
-                    output: KalmanOutput,
-                    init="diffuse") -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Fixed-interval (RTS) smoother over a previously computed filter pass.
-
-    The output must come from kalman_filter on the same model, parameters,
-    and initialization; this is checked against the record the output
-    carries, without another filter pass.
-    """
-    n = len(model)
-    if len(output.innovations) != n:
-        raise MismatchedOutput(
-            f"filter output has {len(output.innovations)} periods, model has {n}"
-        )
-    if output.source != (model, params, init):
-        raise MismatchedOutput("output was not produced by this model/params/init")
-    gamma = model.gamma
+def kalman_smoother(output: KalmanOutput) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Fixed-interval (RTS) smoother over a filter pass: (means, variances)."""
+    gamma = output.gamma
     sm = list(output.filt_mean)
     sv = list(output.filt_var)
-    for t in range(n - 2, -1, -1):
+    for t in range(len(sm) - 2, -1, -1):
         pp = output.pred_var[t + 1]
         j = output.filt_var[t] * gamma / pp if pp > 0.0 else 0.0
         sm[t] = output.filt_mean[t] + j * (sm[t + 1] - output.pred_mean[t + 1])
@@ -272,7 +253,8 @@ class MleResult:
     include gamma as a third entry when it was estimated. The headline
     final_state is the last filtered mean a_{T|T}; the one-step forecast
     gamma * a_{T|T} is also reported since the two readings of "final" are
-    both in circulation.
+    both in circulation. filter_output is the filter pass at the estimate
+    (with the fitted gamma); it is not serialized.
     """
 
     params: VarianceParams
@@ -295,12 +277,12 @@ class MleResult:
     n_obs: int
     n_iter: int
     converged: bool
+    filter_output: KalmanOutput = field(repr=False, compare=False)
     loglik_path: tuple[float, ...] = field(repr=False, default=())
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["params"] = {"log_var_meas": self.params.log_var_meas,
-                       "log_var_state": self.params.log_var_state}
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "filter_output"}
+        d["params"] = asdict(self.params)
         for key in ("robust_se", "z_stats", "p_values", "loglik_path"):
             d[key] = list(d[key])
         return d
@@ -536,5 +518,6 @@ def _build_result(model: TvpModel, theta: np.ndarray, p0: float, n_iter: int,
         n_obs=n,
         n_iter=n_iter,
         converged=negative_definite,
+        filter_output=out,
         loglik_path=path,
     )

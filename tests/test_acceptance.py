@@ -67,7 +67,7 @@ def test_criterion_03_filter_oracle_equivalence():
         params = sspace.VarianceParams(math.log(vm), math.log(vs))
         init = sspace.ExplicitInit(a0, p0)
         out = sspace.kalman_filter(model, params, init=init)
-        sm, sv = sspace.kalman_smoother(model, params, out, init=init)
+        sm, sv = sspace.kalman_smoother(out)
         ll, fm, fv, sm_o, sv_o = _oracles.state_space_oracle(yv, xv, gamma, vm, vs, a0, p0)
         worst = max(
             worst,

@@ -76,6 +76,37 @@ class TestExitCodes:
             assert code == EXIT_DATA, command
             assert "overflows" in err
 
+    def test_bad_csv_cells_are_data_errors(self, tmp_path):
+        cases = {
+            "nan.csv": b"date,cpi,m2\n1971-01,nan,1\n1971-02,2,2\n",
+            "inf.csv": b"date,cpi,m2\n1971-01,1,1\n1971-02,2,-inf\n",
+            "latin1.csv": b"date,cpi,m\xe9\n1971-01,1,1\n1971-02,2,2\n",
+        }
+        errs = {}
+        for name, content in cases.items():
+            path = tmp_path / name
+            path.write_bytes(content)
+            code, _, errs[name] = run_cli(["validate", "--input", str(path)])
+            assert code == EXIT_DATA, name
+            assert "Traceback" not in errs[name]
+        assert "row 3" in errs["inf.csv"] and "'m2'" in errs["inf.csv"]
+
+    def test_os_errors_are_one_line_data_errors(self, csv_path, tmp_path):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("x")
+        for argv in (["validate", "--input", str(tmp_path)],
+                     ["pipeline", "--input", csv_path, "--out", str(a_file)]):
+            code, _, err = run_cli(argv)
+            assert code == EXIT_DATA, argv
+            assert "Traceback" not in err
+            assert len(err.strip().splitlines()) == 1, err
+
+    def test_zero_sample_size_is_usage_error(self):
+        for study in ("mle", "adf-size", "adf-power", "cusum-size", "cusum-power"):
+            code, out, _ = run_cli(["simulate", study, "--t", "0", "--reps", "10"])
+            assert code == EXIT_USAGE, study
+            assert out == ""
+
     def test_estimation_failure_exit_code(self, tmp_path):
         # constant CPI: demeaned inflation is identically zero, the filter
         # drives both variances to the bound and the fit must not pretend

@@ -1,16 +1,18 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from tvelast import regress, sspace
+from tvelast import pipeline, regress, sspace
 from tvelast.errors import OutOfRange, SectionMissing, StageError
 from tvelast.pipeline import (
     FIGURE_FILES,
     PipelineConfig,
     Report,
     emit_figure_data,
+    growth_pair,
     run_pipeline,
     subsample_final_states,
     write_report,
@@ -93,6 +95,71 @@ class TestRunPipeline:
         assert report.growth_y.values == expect.values
 
 
+class TestEachIntermediateComputedOnce:
+    """A report filters once per fit and takes the growth transform once per series."""
+
+    @pytest.fixture(scope="class")
+    def counted(self):
+        calls = {"kalman_filter": 0, "yoy_growth": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sspace, "kalman_filter", counting("kalman_filter", sspace.kalman_filter))
+            mp.setattr(pipeline, "yoy_growth", counting("yoy_growth", pipeline.yoy_growth))
+            ends = tuple(MonthDate.parse(e) for e in ("1990-12", "2000-12", "2005-12", "2010-12"))
+            report = run_pipeline(make_dataset(555, seed=42),
+                                  PipelineConfig(subsample_end_dates=ends))
+        return report, calls
+
+    def test_one_filter_pass_per_fit(self, counted):
+        report, calls = counted
+        assert len(report.subsample_table) == 4
+        assert calls["kalman_filter"] == 5
+
+    def test_one_growth_transform_per_series(self, counted):
+        _, calls = counted
+        assert calls["yoy_growth"] == 2
+
+    def test_state_paths_are_the_fits_own_pass(self, counted):
+        report, _ = counted
+        out = report.mle.filter_output
+        assert report.state_paths.onestep == out.pred_mean
+        assert report.state_paths.filtered == out.filt_mean
+        assert report.state_paths.smoothed == sspace.kalman_smoother(out)[0]
+        assert report.shocks == sspace.innovation_shocks(out)
+
+    def test_mle_serialization_leaves_out_the_pass(self, counted):
+        report, _ = counted
+        assert set(report.mle.to_dict()) == {
+            "params", "gamma", "robust_se", "z_stats", "p_values", "var_meas", "var_state",
+            "final_state", "final_rmse", "final_z", "final_p", "forecast_state",
+            "forecast_rmse", "log_lik", "aic", "sic", "hq", "n_obs", "n_iter", "converged",
+            "loglik_path",
+        }
+
+
+class TestPipelineConfig:
+    def test_default_config_hash_is_pinned(self):
+        text = json.dumps(PipelineConfig().to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "319baee4555200a781e6198931939ba2f65e4fcbb79ca1c20b066216cecd62b3")
+
+    def test_non_default_config_hash_is_pinned(self):
+        cfg = PipelineConfig(
+            growth_mode="pct-change", adf_max_lags=3,
+            subsample_end_dates=(MonthDate(1990, 12), MonthDate(2000, 12)),
+            mle=sspace.MleOptions(max_iter=7, estimate_gamma=True),
+        )
+        text = json.dumps(cfg.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "df3ea3e407fd947b7f6a4d749b4780003df6d15f0410e32655216807e3fcc055")
+
+
 class TestSubsampleFinalStates:
     def test_full_span_row_equals_headline(self, report_and_inputs):
         report, data, cfg = report_and_inputs
@@ -111,11 +178,13 @@ class TestSubsampleFinalStates:
 
     def test_end_date_too_early_rejected(self, dataset):
         with pytest.raises(OutOfRange):
-            subsample_final_states(dataset, [dataset.start.plus(23)])
+            subsample_final_states(dataset, growth_pair(dataset, PipelineConfig()),
+                                   [dataset.start.plus(23)])
 
     def test_end_date_beyond_span_rejected(self, dataset):
         with pytest.raises(OutOfRange):
-            subsample_final_states(dataset, [dataset.end.plus(1)])
+            subsample_final_states(dataset, growth_pair(dataset, PipelineConfig()),
+                                   [dataset.end.plus(1)])
 
     def test_constant_coefficient_dgp_recovers_truth(self):
         # y growth = alpha * x growth + small noise in logs: the final state
@@ -131,7 +200,7 @@ class TestSubsampleFinalStates:
             MonthlySeries(MonthDate(1971, 1), tuple(float(v) for v in 50 * np.exp(logm)), "m2"),
         )
         ends = [MonthDate(1980, 12), MonthDate(1985, 12), MonthDate(1990, 12)]
-        rows = subsample_final_states(data, ends)
+        rows = subsample_final_states(data, growth_pair(data, PipelineConfig()), ends)
         for row in rows:
             assert row.converged
             assert abs(row.final_state - alpha) <= 2.0 * row.final_rmse
@@ -143,7 +212,8 @@ class TestSubsampleFinalStates:
             raise sspace.NonFiniteObjective("forced failure")
 
         monkeypatch.setattr(sspace, "fit_mle", boom)
-        rows = subsample_final_states(data, [MonthDate(1975, 12)])
+        rows = subsample_final_states(data, growth_pair(data, PipelineConfig()),
+                                      [MonthDate(1975, 12)])
         assert len(rows) == 1
         assert not rows[0].converged
         assert math.isnan(rows[0].final_state)

@@ -163,6 +163,18 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo("adf", UnitRootDgp(T=100), n_reps=5, seed=1)
 
+    def test_level_without_tables_rejected_before_any_replication(self, monkeypatch):
+        import tvelast.simlab as simlab
+
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simlab, "_safe_run_one", no_replication)
+        for estimator, dgp in (("adf", UnitRootDgp(T=100)),
+                               ("cusum", BreakRegressionDgp(T=100))):
+            with pytest.raises(ValueError, match="level"):
+                monte_carlo(estimator, dgp, n_reps=10, seed=1, level=0.2)
+
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
             monte_carlo("bogus", UnitRootDgp(T=100), n_reps=10, seed=1)

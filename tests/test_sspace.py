@@ -7,11 +7,7 @@ from scipy import optimize
 
 from tvelast import sspace
 
-from tvelast.errors import (
-    MismatchedOutput,
-    NoConvergence,
-    NonFiniteObjective,
-)
+from tvelast.errors import NoConvergence, NonFiniteObjective
 from tvelast.simlab import TvpDgp, gen_tvp
 from tvelast.sspace import (
     ExplicitInit,
@@ -151,7 +147,7 @@ class TestSmoother:
         params = VarianceParams(math.log(vm), math.log(vs))
         init = ExplicitInit(a0, p0)
         out = kalman_filter(model, params, init=init)
-        sm, sv = kalman_smoother(model, params, out, init=init)
+        sm, sv = kalman_smoother(out)
         assert sm[-1] == out.filt_mean[-1]
         assert sv[-1] == out.filt_var[-1]
 
@@ -161,7 +157,7 @@ class TestSmoother:
         model = _model(yv, np.ones(t))
         params = VarianceParams(0.0, -700.0)
         out = kalman_filter(model, params)
-        sm, _ = kalman_smoother(model, params, out)
+        sm, _ = kalman_smoother(out)
         np.testing.assert_allclose(sm, np.mean(yv), atol=1e-8)
 
     def test_matches_oracle(self, rng):
@@ -170,7 +166,7 @@ class TestSmoother:
             params = VarianceParams(math.log(vm), math.log(vs))
             init = ExplicitInit(a0, p0)
             out = kalman_filter(model, params, init=init)
-            sm, sv = kalman_smoother(model, params, out, init=init)
+            sm, sv = kalman_smoother(out)
             yv = np.asarray(model.y.values)
             xv = np.asarray(model.x.values)
             _, _, _, sm_o, sv_o = _oracles.state_space_oracle(yv, xv, model.gamma, vm, vs, a0, p0)
@@ -181,19 +177,9 @@ class TestSmoother:
         model, _ = gen_tvp(TvpDgp(T=120, sigma2_meas=0.4, sigma2_state=0.3, seed=8))
         params = VarianceParams(math.log(0.4), math.log(0.3))
         out = kalman_filter(model, params)
-        _, sv = kalman_smoother(model, params, out)
+        _, sv = kalman_smoother(out)
         for s, f in zip(sv, out.filt_var):
             assert s <= f + 1e-12
-
-    def test_mismatched_output_rejected(self, rng):
-        model, _ = gen_tvp(TvpDgp(T=30, sigma2_meas=0.4, sigma2_state=0.3, seed=1))
-        other, _ = gen_tvp(TvpDgp(T=30, sigma2_meas=0.4, sigma2_state=0.3, seed=2))
-        params = VarianceParams(math.log(0.4), math.log(0.3))
-        out = kalman_filter(model, params)
-        with pytest.raises(MismatchedOutput):
-            kalman_smoother(other, params, out)
-        with pytest.raises(MismatchedOutput):
-            kalman_smoother(model, VarianceParams(0.0, 0.0), out)
 
 
 _unit = st.floats(-3.0, 3.0, allow_nan=False)
@@ -222,7 +208,7 @@ class TestAgainstOracleProperty:
         params = VarianceParams(math.log(vm), math.log(vs))
         init = ExplicitInit(a0, p0)
         out = kalman_filter(model, params, init=init)
-        sm, sv = kalman_smoother(model, params, out, init=init)
+        sm, sv = kalman_smoother(out)
         ll, fm, fv, sm_o, sv_o = _oracles.state_space_oracle(
             model.y.values, model.x.values, model.gamma, vm, vs, a0, p0)
         assert log_likelihood(model, params, init) == out.log_lik
