@@ -188,20 +188,10 @@ def _emit(args, payload: dict, text: str | None = None) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif args.format == "csv":
         keys = sorted(payload)
-        print(",".join(keys))
-        print(",".join(_csv_cell(payload[k]) for k in keys))
+        print(pipeline._csv_text(keys, [[payload[k] for k in keys]]), end="")
     else:
         print(text if text is not None else json.dumps(payload, sort_keys=True, indent=2))
     return EXIT_OK
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(float(v))
-    if v is None:
-        return ""
-    text = str(v)
-    return '"' + text.replace('"', '""') + '"' if "," in text else text
 
 
 def _cmd_validate(args) -> int:
@@ -297,8 +287,11 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
     if getattr(args, "seed", None) is not None:
         settings["seed"] = args.seed
     mle = settings.pop("mle")
+    ends = settings.pop("subsample_end_dates")
+    if not isinstance(ends, list) or not all(isinstance(e, str) for e in ends):
+        raise ValueError(f"subsample_end_dates must be a list of 'YYYY-MM' months, got {ends!r}")
     return pipeline.PipelineConfig(
-        subsample_end_dates=tuple(MonthDate.parse(d) for d in settings.pop("subsample_end_dates")),
+        subsample_end_dates=tuple(MonthDate.parse(e) for e in ends),
         mle=sspace.MleOptions(**mle),
         **settings,
     )
@@ -355,9 +348,10 @@ def _cmd_simulate(args) -> int:
             print(f"{name}: bias={summary.bias[name]:+.4f} rmse={summary.rmse[name]:.4f} "
                   f"median={summary.median[name]:.4f} "
                   f"coverage95={summary.coverage95.get(name, float('nan')):.3f}")
+    elif args.format == "json":
+        print(summary.to_json())
     else:
-        print(summary.to_json() if args.format == "json"
-              else _summary_csv(summary))
+        print(_summary_csv(summary), end="")
     return EXIT_OK
 
 
@@ -369,7 +363,7 @@ def _summary_csv(summary: simlab.McSummary) -> str:
         for k, v in d[group].items():
             flat[f"{group}_{k}"] = v
     keys = sorted(flat)
-    return ",".join(keys) + "\n" + ",".join(_csv_cell(flat[k]) for k in keys)
+    return pipeline._csv_text(keys, [[flat[k] for k in keys]])
 
 
 def render_all_help(width: int = 100) -> str:

@@ -23,6 +23,7 @@ from datetime import datetime, timezone
 from . import __version__, regress, sspace, unitroot
 from .errors import NoConvergence, OutOfRange, SectionMissing, StageError, TooShort, TvelastError
 from .series import (
+    GROWTH_MODES,
     Dataset,
     DecadeAverage,
     MonthDate,
@@ -43,28 +44,42 @@ class PipelineConfig:
     adf_levels_deterministic: str = "constant+trend"
     adf_diff_deterministic: str = "constant"
     adf_max_lags: int | None = None
-    adf_selection: str = "schwarz"
     cusum_significance: float = 0.05
     subsample_end_dates: tuple[MonthDate, ...] = ()
-    decade_path: str = "filtered"  # or "onestep" / "smoothed"
-    demean_scope: str = "window"  # sub-samples re-demean; "full" reuses the full mean
     mle: sspace.MleOptions = sspace.MleOptions()
     seed: int = 0
 
     def __post_init__(self):
+        """Reject a bad setting, naming its key, before any stage runs."""
         dates = tuple(self.subsample_end_dates)
-        if any(b <= a for a, b in zip(dates, dates[1:])):
-            raise ValueError("subsample_end_dates must be strictly increasing")
-        if self.decade_path not in ("onestep", "filtered", "smoothed"):
-            raise ValueError(f"unknown decade_path {self.decade_path!r}")
-        if self.demean_scope not in ("window", "full"):
-            raise ValueError(f"unknown demean_scope {self.demean_scope!r}")
+        _require("growth_mode", self.growth_mode in GROWTH_MODES,
+                 f"one of {GROWTH_MODES}", self.growth_mode)
+        for key in ("adf_levels_deterministic", "adf_diff_deterministic"):
+            _require(key, getattr(self, key) in unitroot.DETERMINISTIC_CASES,
+                     f"one of {unitroot.DETERMINISTIC_CASES}", getattr(self, key))
+        # type() rather than isinstance(): a bool is not a count
+        _require("adf_max_lags", self.adf_max_lags is None
+                 or (type(self.adf_max_lags) is int and self.adf_max_lags >= 0),
+                 "a non-negative integer or null", self.adf_max_lags)
+        _require("cusum_significance", isinstance(self.cusum_significance, float)
+                 and self.cusum_significance in regress.CUSUM_BAND_CONSTANTS,
+                 f"one of {sorted(regress.CUSUM_BAND_CONSTANTS)}", self.cusum_significance)
+        _require("subsample_end_dates", all(isinstance(d, MonthDate) for d in dates)
+                 and all(a < b for a, b in zip(dates, dates[1:])),
+                 "strictly increasing months", [str(d) for d in dates])
+        _require("mle", isinstance(self.mle, sspace.MleOptions), "MleOptions", self.mle)
+        _require("seed", type(self.seed) is int, "an integer", self.seed)
         object.__setattr__(self, "subsample_end_dates", dates)
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["subsample_end_dates"] = [str(e) for e in self.subsample_end_dates]
         return d
+
+
+def _require(key: str, ok: bool, expected: str, value) -> None:
+    if not ok:
+        raise ValueError(f"{key} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -227,13 +242,8 @@ def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig()) -> Repor
             filtered=out.filt_mean,
             smoothed=smoothed,
         )
-        path_values = {
-            "onestep": out.pred_mean,
-            "filtered": out.filt_mean,
-            "smoothed": smoothed,
-        }[cfg.decade_path]
         report.decades = decade_averages(
-            MonthlySeries(dm_y.start, path_values, name=f"elasticity_{cfg.decade_path}")
+            MonthlySeries(dm_y.start, out.filt_mean, name="elasticity_filtered")
         )
         report.shocks = sspace.innovation_shocks(out)
         report.shock_burn_in = out.n_diffuse_dropped
@@ -270,14 +280,8 @@ class _stage:
 
 def adf_battery(growth_y: MonthlySeries, growth_x: MonthlySeries,
                  cfg: PipelineConfig) -> list[AdfTableRow]:
-    level_spec = unitroot.AdfSpec(
-        deterministic=cfg.adf_levels_deterministic,
-        max_lags=cfg.adf_max_lags, selection=cfg.adf_selection,
-    )
-    diff_spec = unitroot.AdfSpec(
-        deterministic=cfg.adf_diff_deterministic,
-        max_lags=cfg.adf_max_lags, selection=cfg.adf_selection,
-    )
+    level_spec = unitroot.AdfSpec(cfg.adf_levels_deterministic, cfg.adf_max_lags)
+    diff_spec = unitroot.AdfSpec(cfg.adf_diff_deterministic, cfg.adf_max_lags)
     rows = []
     for s in (growth_x, growth_y):
         rows.append(AdfTableRow(s.name, "level", unitroot.adf(s, level_spec)))
@@ -296,9 +300,9 @@ def subsample_final_states(data: Dataset, growth: tuple[MonthlySeries, MonthlySe
     """Expanding-window final states: one ML fit per end date.
 
     growth is growth_pair(data, cfg). Each window spans the dataset start
-    through the end date; the growth series is re-demeaned inside the window
-    unless cfg.demean_scope is "full". A failed fit is recorded in its row
-    with converged=False and never aborts the table.
+    through the end date, and the growth series is re-demeaned inside the
+    window. A failed fit is recorded in its row with converged=False and
+    never aborts the table.
     """
     for e in end_dates:
         if data.start.months_until(e) < 24:
@@ -306,19 +310,10 @@ def subsample_final_states(data: Dataset, growth: tuple[MonthlySeries, MonthlySe
         if e > data.end:
             raise OutOfRange(f"end date {e} is beyond the data span ({data.end})")
     growth_y, growth_x = growth
-    _, full_y_mean = demean(growth_y)
-    _, full_x_mean = demean(growth_x)
-
     rows = []
     for e in sorted(end_dates):
-        wy = window(growth_y, growth_y.start, e)
-        wx = window(growth_x, growth_x.start, e)
-        if cfg.demean_scope == "window":
-            dm_y, _ = demean(wy)
-            dm_x, _ = demean(wx)
-        else:
-            dm_y = MonthlySeries(wy.start, tuple(v - full_y_mean for v in wy.values), wy.name)
-            dm_x = MonthlySeries(wx.start, tuple(v - full_x_mean for v in wx.values), wx.name)
+        dm_y, _ = demean(window(growth_y, growth_y.start, e))
+        dm_x, _ = demean(window(growth_x, growth_x.start, e))
         fit = None
         try:
             fit = sspace.fit_mle(sspace.TvpModel(dm_y, dm_x), options=cfg.mle)

@@ -24,6 +24,7 @@ from .errors import (
     TooShort,
 )
 
+GROWTH_MODES = ("log-diff", "pct-change")
 _MONTH_RE = re.compile(r"^(\d{4})[-:M](\d{1,2})$")
 
 
@@ -87,9 +88,6 @@ class MonthlySeries:
 
     def date_at(self, i: int) -> MonthDate:
         return self.start.plus(i)
-
-    def dates(self) -> list[MonthDate]:
-        return [self.start.plus(i) for i in range(len(self.values))]
 
     def index_of(self, date: MonthDate) -> int:
         i = self.start.months_until(date)
@@ -223,7 +221,7 @@ def yoy_growth(s: MonthlySeries, mode: str = "log-diff") -> MonthlySeries:
     mode 'log-diff' gives 100*(ln s_t - ln s_{t-12}); 'pct-change' gives
     100*(s_t/s_{t-12} - 1). Output starts twelve months after the input.
     """
-    if mode not in ("log-diff", "pct-change"):
+    if mode not in GROWTH_MODES:
         raise ValueError(f"unknown growth mode {mode!r}")
     if len(s) < 13:
         raise TooShort(f"need at least 13 observations for 12-month growth, got {len(s)}")

@@ -244,6 +244,13 @@ class MleOptions:
     max_iter: int = 500
     estimate_gamma: bool = False
 
+    def __post_init__(self):
+        if type(self.max_iter) is not int or self.max_iter < 1:  # a bool is not a count
+            raise ValueError(f"mle.max_iter must be a positive integer, got {self.max_iter!r}")
+        if not isinstance(self.estimate_gamma, bool):
+            raise ValueError(
+                f"mle.estimate_gamma must be true or false, got {self.estimate_gamma!r}")
+
 
 @dataclass(frozen=True)
 class MleResult:

@@ -20,7 +20,6 @@ values, comfortably inside the +/-0.02 documented target.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -38,19 +37,16 @@ _RANK_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class AdfSpec:
-    """Configuration: deterministic terms, lag budget, selection rule."""
+    """Configuration: deterministic terms and the largest candidate lag order."""
 
     deterministic: str = "constant+trend"
     max_lags: int | None = None  # None -> floor(12 * (T/100)^0.25)
-    selection: str = "schwarz"  # or "fixed" (uses max_lags as the order)
 
     def __post_init__(self):
         if self.deterministic not in DETERMINISTIC_CASES:
             raise UnsupportedCase(
                 f"deterministic must be one of {DETERMINISTIC_CASES}, got {self.deterministic!r}"
             )
-        if self.selection not in ("schwarz", "fixed"):
-            raise ValueError(f"selection must be 'schwarz' or 'fixed', got {self.selection!r}")
         if self.max_lags is not None and self.max_lags < 0:
             raise ValueError("max_lags must be >= 0")
 
@@ -69,9 +65,6 @@ class AdfResult:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def stars(self) -> str:
         if self.reject_at == 0.01:
@@ -180,28 +173,25 @@ def adf(s: MonthlySeries, spec: AdfSpec = AdfSpec()) -> AdfResult:
             f"after {max_lags} lags"
         )
 
-    if spec.selection == "fixed":
-        chosen = max_lags
-    else:
-        # common sample: trimmed for the largest candidate order
-        n_common = t_len - 1 - max_lags
-        chosen = 0
-        best_sic = math.inf
-        for p in range(max_lags + 1):
-            design, y = _design(x, p, n_common, spec.deterministic)
-            try:
-                _, ssr, _ = _fit(design, y)
-            except DegenerateDesign:
-                continue
-            if ssr <= 0.0:
-                continue
-            k = design.shape[1]
-            sic = math.log(ssr / n_common) + k * math.log(n_common) / n_common
-            if sic < best_sic:
-                best_sic = sic
-                chosen = p
-        if not math.isfinite(best_sic):
-            raise DegenerateDesign("every candidate regression is degenerate")
+    # common sample: trimmed for the largest candidate order
+    n_common = t_len - 1 - max_lags
+    chosen = 0
+    best_sic = math.inf
+    for p in range(max_lags + 1):
+        design, y = _design(x, p, n_common, spec.deterministic)
+        try:
+            _, ssr, _ = _fit(design, y)
+        except DegenerateDesign:
+            continue
+        if ssr <= 0.0:
+            continue
+        k = design.shape[1]
+        sic = math.log(ssr / n_common) + k * math.log(n_common) / n_common
+        if sic < best_sic:
+            best_sic = sic
+            chosen = p
+    if not math.isfinite(best_sic):
+        raise DegenerateDesign("every candidate regression is degenerate")
 
     n_used = t_len - 1 - chosen
     design, y = _design(x, chosen, n_used, spec.deterministic)

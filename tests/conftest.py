@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tvelast.series import Dataset, MonthDate, MonthlySeries
+
+# Property tests replay the same examples on every run: no example database,
+# no randomness between runs, and no per-example deadline (timings vary by host).
+settings.register_profile("tvelast", deadline=None, derandomize=True, database=None)
+settings.load_profile("tvelast")
 
 
 @pytest.fixture

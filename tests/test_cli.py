@@ -22,6 +22,27 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# one bad value per setting, with the key the error must name
+_BAD_CONFIGS = [
+    ({"adf_max_lags": "x"}, "adf_max_lags"),
+    ({"adf_max_lags": True}, "adf_max_lags"),
+    ({"adf_max_lags": -1}, "adf_max_lags"),
+    ({"adf_levels_deterministic": "bogus"}, "adf_levels_deterministic"),
+    ({"adf_diff_deterministic": 1}, "adf_diff_deterministic"),
+    ({"growth_mode": "ratio"}, "growth_mode"),
+    ({"cusum_significance": 0.2}, "cusum_significance"),
+    ({"cusum_significance": [0.05]}, "cusum_significance"),
+    ({"subsample_end_dates": "1990-12"}, "subsample_end_dates"),
+    ({"subsample_end_dates": [1990]}, "subsample_end_dates"),
+    ({"subsample_end_dates": ["2000-12", "1990-12"]}, "subsample_end_dates"),
+    ({"seed": 1.5}, "seed"),
+    ({"mle": {"max_iter": "5"}}, "mle.max_iter"),
+    ({"mle": {"max_iter": 0}}, "mle.max_iter"),
+    ({"mle": {"max_iter": False}}, "mle.max_iter"),
+    ({"mle": {"estimate_gamma": "no"}}, "mle.estimate_gamma"),
+]
+
+
 @pytest.fixture(scope="module")
 def csv_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "levels.csv"
@@ -194,11 +215,14 @@ class TestOutputs:
         assert payload["cusum"]["significance"] == 0.05
 
     def test_unknown_config_key_rejected(self, csv_path, tmp_path):
+        # decade_path, demean_scope and adf_selection are keys that older configs carry
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"not_a_setting": 1}))
-        code, _, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
-        assert code == EXIT_USAGE
-        assert "unknown config keys" in err
+        for key, value in (("not_a_setting", 1), ("decade_path", "filtered"),
+                           ("demean_scope", "window"), ("adf_selection", "schwarz")):
+            cfg.write_text(json.dumps({key: value}))
+            code, _, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
+            assert code == EXIT_USAGE, key
+            assert "unknown config keys" in err and key in err, key
 
     def test_unknown_mle_config_keys_rejected(self, csv_path, tmp_path):
         # grad_tol, rel_tol and fd_scale are keys that older configs carry
@@ -213,6 +237,19 @@ class TestOutputs:
         cfg.write_text(json.dumps({"mle": 5}))
         code, _, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("config, key", _BAD_CONFIGS,
+                             ids=[json.dumps(c) for c, _ in _BAD_CONFIGS])
+    def test_bad_config_values_rejected_before_any_stage(self, csv_path, tmp_path,
+                                                         config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1, err
+        assert key in err
+        assert "stage '" not in err
 
     def test_mle_config_block_applies(self, csv_path, tmp_path):
         # one iteration cannot finish the likelihood search

@@ -147,7 +147,7 @@ class TestPipelineConfig:
     def test_default_config_hash_is_pinned(self):
         text = json.dumps(PipelineConfig().to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "319baee4555200a781e6198931939ba2f65e4fcbb79ca1c20b066216cecd62b3")
+            "6b73f44896017ac44eed95ca6e8bd28bc44d646b8bf230bbf9cb77758e07c356")
 
     def test_non_default_config_hash_is_pinned(self):
         cfg = PipelineConfig(
@@ -157,7 +157,7 @@ class TestPipelineConfig:
         )
         text = json.dumps(cfg.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "df3ea3e407fd947b7f6a4d749b4780003df6d15f0410e32655216807e3fcc055")
+            "23b0817d6f4f4129ffd05954ba68e1dddbef8c8bcb6fee80cb5b4566dffdee03")
 
 
 class TestSubsampleFinalStates:

@@ -233,7 +233,7 @@ _draws = dict(seed=st.integers(0, 2 ** 32 - 1), t=st.integers(3, 40),
 
 
 class TestRecursiveProperty:
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(**_draws)
     def test_residuals_match_refit_on_every_prefix(self, seed, t, log_sx, log_sy):
         yv, xv = _scaled_draw(seed, t, log_sx, log_sy)
@@ -241,7 +241,7 @@ class TestRecursiveProperty:
         ref = _oracles.recursive_residuals_brute(yv, xv)
         np.testing.assert_allclose(w.values, ref, rtol=1e-9, atol=1e-9 * 10.0 ** log_sy)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(**_draws)
     def test_coefficients_match_ols_on_every_prefix(self, seed, t, log_sx, log_sy):
         yv, xv = _scaled_draw(seed, t, log_sx, log_sy)
@@ -255,7 +255,7 @@ class TestRecursiveProperty:
 
 
 class TestCusumBandProperty:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), t=st.integers(3, 200),
            significance=st.sampled_from(sorted(CUSUM_BAND_CONSTANTS)))
     def test_bands_symmetric_and_increasing(self, seed, t, significance):

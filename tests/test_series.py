@@ -98,7 +98,7 @@ class TestParseCsv:
             again = parse_csv(write_csv(ds))
             assert again == ds
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(data=st.data())
     def test_roundtrip_identity_property(self, data):
         n = data.draw(st.integers(1, 30))

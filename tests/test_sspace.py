@@ -201,7 +201,7 @@ def _small_models(draw):
 
 
 class TestAgainstOracleProperty:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(_small_models())
     def test_filter_smoother_likelihood_match_joint_gaussian(self, case):
         model, vm, vs, a0, p0 = case
@@ -338,7 +338,7 @@ class TestFitMle:
         import json
         assert json.loads(fit.to_json())["converged"] is True
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(log_q=st.floats(-8.0, 8.0), gamma=st.floats(0.5, 1.0), seed=st.integers(0, 3))
     def test_concentrated_loglik_is_the_profile(self, log_q, gamma, seed):
         base, _ = gen_tvp(TvpDgp(T=150, sigma2_meas=0.2, sigma2_state=0.3, seed=seed))
