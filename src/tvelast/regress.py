@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtr
 
 from .errors import DegenerateRegressor, LengthMismatch
 from .series import MonthDate, MonthlySeries
@@ -153,8 +153,14 @@ def ols_no_intercept(y: MonthlySeries, x: MonthlySeries) -> OlsResult:
     df = n - N_REGRESSORS
     s2 = ssr / df
     std_err = math.sqrt(s2 / sxx)
-    t_stat = coef / std_err if std_err > 0 else math.inf
-    p_value = 2.0 * float(sps.t.sf(abs(t_stat), df))
+    if std_err > 0:
+        t_stat = coef / std_err
+    elif coef != 0.0:
+        t_stat = math.copysign(math.inf, coef)  # exact fit: the sign of the slope
+    else:
+        t_stat = math.nan  # y is identically zero: no evidence either way
+    # two-sided Student-t tail; stdtr(df, -|t|) is the lower tail, and nan stays nan
+    p_value = 2.0 * float(stdtr(df, -abs(t_stat)))
     tss = float((yv - yv.mean()) @ (yv - yv.mean()))
     r2 = 1.0 - ssr / tss if tss > 0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df

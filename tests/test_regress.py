@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats as sps  # oracle only: the package must not import scipy.stats
 
 from tvelast.errors import DegenerateRegressor, LengthMismatch
 from tvelast.regress import (
@@ -60,6 +61,21 @@ class TestOls:
         assert res.aic == pytest.approx((-2 * res.log_lik + 2) / n, rel=1e-12)
         assert res.sic == pytest.approx((-2 * res.log_lik + math.log(n)) / n, rel=1e-12)
         assert res.hq == pytest.approx((-2 * res.log_lik + 2 * math.log(math.log(n))) / n, rel=1e-12)
+
+    def test_exact_fit_t_stat_carries_the_slope_sign(self):
+        xv = [1.0, -2.0, 3.0, 0.5]
+        for slope in (-2.0, 2.0):
+            res = ols_no_intercept(*_pair([slope * v for v in xv], xv))
+            assert res.coef == slope
+            assert res.std_err == 0.0
+            assert res.t_stat == math.copysign(math.inf, slope)
+            assert res.p_value == 0.0
+
+    def test_all_zero_y_is_not_significant(self):
+        res = ols_no_intercept(*_pair([0.0, 0.0, 0.0, 0.0], [1.0, -2.0, 3.0, 0.5]))
+        assert res.coef == 0.0
+        assert math.isnan(res.t_stat)
+        assert math.isnan(res.p_value)
 
     def test_degenerate_regressor(self):
         y, x = _pair([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
@@ -264,3 +280,15 @@ class TestCusumBandProperty:
         assert len(res.band_hi) == t
         assert all(lo == -hi for lo, hi in zip(res.band_lo, res.band_hi))
         assert all(b > a for a, b in zip(res.band_hi, res.band_hi[1:]))
+
+
+class TestOlsPValueProperty:
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2 ** 32 - 1), t=st.integers(2, 600),
+           slope=st.floats(-3.0, 3.0), log_sx=st.integers(-6, 6), log_sy=st.integers(-6, 6))
+    def test_p_value_is_the_student_t_two_sided_tail(self, seed, t, slope, log_sx, log_sy):
+        gen = np.random.default_rng(seed)
+        xv = gen.normal(0.0, 1.0, t)
+        yv = slope * xv + gen.normal(0.0, 1.0, t)
+        res = ols_no_intercept(*_pair(yv * 10.0 ** log_sy, xv * 10.0 ** log_sx))
+        assert res.p_value == 2.0 * float(sps.t.sf(abs(res.t_stat), t - 1))
