@@ -168,7 +168,7 @@ def ols_no_intercept(y: MonthlySeries, x: MonthlySeries) -> OlsResult:
     aic = (-2.0 * log_lik + 2.0 * N_REGRESSORS) / n
     sic = (-2.0 * log_lik + N_REGRESSORS * math.log(n)) / n
     hq = (-2.0 * log_lik + 2.0 * N_REGRESSORS * math.log(math.log(n))) / n
-    dw = float(np.sum(np.diff(resid) ** 2)) / ssr if ssr > 0 else 0.0
+    dw = float(np.sum(np.diff(resid) ** 2)) / ssr if ssr > 0 else math.nan  # 0/0
     return OlsResult(
         coef=coef, std_err=std_err, t_stat=t_stat, p_value=p_value,
         r2=r2, adj_r2=adj_r2, se_regression=math.sqrt(s2), ssr=ssr,

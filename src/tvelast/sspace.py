@@ -18,11 +18,12 @@ stencil in which every point is filtered once. The fit keeps its filter pass
 at the estimate (MleResult.filter_output), so the state paths, the smoother
 and the shocks read that pass instead of filtering again.
 
-Initialization is an approximate diffuse prior: the state starts at zero
-with a very large variance scaled to the data, and the first innovation is
-excluded from the likelihood. The filtered-variance update is computed as
-P_pred * var_meas / F (algebraically identical to (1 - K x) P_pred but free
-of cancellation), which keeps the big-variance start numerically exact.
+Initialization is the exact diffuse step (Koopman 1997; Durbin and Koopman
+2012, section 5.2): the first observation alone sets the filtered state
+a_1 = y_1 / x_1, P_1 = var_meas / x_1^2 (DegenerateRegressor if not finite)
+and adds no likelihood term, so the recursion starts at t = 2. The
+filtered-variance update is computed as P_pred * var_meas / F (algebraically
+identical to (1 - K x) P_pred but free of cancellation).
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 from scipy import optimize
 
-from .errors import EmptySeries, NoConvergence, NonFiniteObjective, NonFiniteState
+from .errors import (
+    DegenerateRegressor, EmptySeries, NoConvergence, NonFiniteObjective, NonFiniteState)
 from .series import MonthDate, MonthlySeries
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_DIFFUSE_FACTOR = 1e14
 _LOG_VAR_MIN = -40.0
 _LOG_VAR_MAX = 40.0
 _BOUND_MARGIN = 1.0  # estimates closer than this to a bound are not trusted
@@ -103,7 +104,8 @@ class KalmanOutput:
     Index t holds the one-step prediction for observation t, so
     innovations[t] == y_t - x_t * pred_mean[t] exactly. Together with gamma
     these moments are all the RTS smoother needs, so kalman_smoother takes
-    the output alone.
+    the output alone. Under the diffuse start nothing predicts index 0:
+    pred_mean is 0, pred_var = innov_var = inf and the innovation is y_1.
     """
 
     pred_mean: tuple[float, ...]
@@ -118,31 +120,31 @@ class KalmanOutput:
     gamma: float
 
 
-def _diffuse_p0(yv, xv) -> float:
-    vy = float(np.var(yv)) if len(yv) > 1 else 0.0
-    vx = float(np.var(xv)) if len(xv) > 1 else 0.0
-    scale = vy / vx if vy > 0.0 and vx > 0.0 else 1.0
-    return _DIFFUSE_FACTOR * scale
+def _diffuse_start(yv, xv, var_meas: float) -> tuple[float, float]:
+    """The filtered state (a_1, P_1) after the exact diffuse step."""
+    x1 = xv[0]
+    p1 = var_meas / (x1 * x1) if x1 * x1 > 0.0 else math.inf
+    if p1 == math.inf:
+        raise DegenerateRegressor(f"first observation of x is {x1!r}: var_meas / x_1^2 is not "
+                                  "finite, so the diffuse start cannot identify the state")
+    return yv[0] / x1, p1
 
 
-def _filter_core(yv, xv, gamma, var_meas, var_state, a0, p0, n_drop, store):
+def _filter_core(yv, xv, gamma, var_meas, var_state, a, p, t0, moments=None):
     """The forward recursion, the only one in the module.
 
-    Returns (sum log F_t, sum v_t^2 / F_t, moments), the sums over t >= n_drop,
-    so the log-likelihood is -(n log 2pi + sum log F + sum v^2/F) / 2 with
-    n = len(yv) - n_drop. moments is None unless store, else the lists
-    (pred_mean, pred_var, filt_mean, filt_var, innovations, innov_var); the
-    arithmetic is the same either way.
+    From the filtered state (a, p) of observation t0 - 1 (the prior when
+    t0 = 0), returns (sum log F_t, sum v_t^2 / F_t) over t >= t0, so the
+    log-likelihood is -(n log 2pi + sum log F + sum v^2/F) / 2 with
+    n = len(yv) - t0. Each step appends to moments, when given, the lists
+    (pred_mean, pred_var, filt_mean, filt_var, innovations, innov_var).
     """
-    a = a0
-    p = p0
     sum_log_f = 0.0
     sum_v2_f = 0.0
-    moments = None
+    store = moments is not None
     if store:
-        moments = pred_mean, pred_var, filt_mean, filt_var, innov, innov_var = (
-            [], [], [], [], [], [])
-    for t in range(len(yv)):
+        pred_mean, pred_var, filt_mean, filt_var, innov, innov_var = moments
+    for t in range(t0, len(yv)):
         a_pred = gamma * a
         p_pred = gamma * gamma * p + var_state
         xt = xv[t]
@@ -151,9 +153,8 @@ def _filter_core(yv, xv, gamma, var_meas, var_state, a0, p0, n_drop, store):
         k = p_pred * xt / f
         a = a_pred + k * v
         p = p_pred * (var_meas / f)
-        if t >= n_drop:
-            sum_log_f += math.log(f)
-            sum_v2_f += v * v / f
+        sum_log_f += math.log(f)
+        sum_v2_f += v * v / f
         if store:
             pred_mean.append(a_pred)
             pred_var.append(p_pred)
@@ -161,16 +162,17 @@ def _filter_core(yv, xv, gamma, var_meas, var_state, a0, p0, n_drop, store):
             filt_var.append(p)
             innov.append(v)
             innov_var.append(f)
-    return sum_log_f, sum_v2_f, moments
+    return sum_log_f, sum_v2_f
 
 
 def _loglik(sum_log_f: float, sum_v2_f: float, n: int) -> float:
     return -0.5 * (n * _LOG_2PI + sum_log_f + sum_v2_f)
 
 
-def _resolve_init(model: TvpModel, init) -> tuple[float, float, int]:
+def _resolve_init(yv, xv, var_meas: float, init) -> tuple[float, float, int]:
+    """The filtered state the recursion starts from, and its first index."""
     if init == "diffuse":
-        return 0.0, _diffuse_p0(model.y.values, model.x.values), 1
+        return (*_diffuse_start(yv, xv, var_meas), 1)
     if isinstance(init, ExplicitInit):
         return init.mean, init.var, 0
     raise ValueError(f"init must be 'diffuse' or ExplicitInit, got {init!r}")
@@ -181,19 +183,21 @@ def kalman_filter(model: TvpModel, params: VarianceParams,
     """Run the forward recursion and return all per-period moments."""
     if len(model) == 0:
         raise EmptySeries("cannot filter an empty model")
-    a0, p0, n_drop = _resolve_init(model, init)
-    sum_log_f, sum_v2_f, (pm, pv, fm, fv, iv, ivv) = _filter_core(
-        model.y.values, model.x.values, model.gamma,
-        params.var_meas, params.var_state, a0, p0, n_drop, store=True,
-    )
+    yv, xv = model.y.values, model.x.values
+    a, p, t0 = _resolve_init(yv, xv, params.var_meas, init)
+    moments = ([], [], [], [], [], []) if t0 == 0 else (
+        [0.0], [math.inf], [a], [p], [yv[0]], [math.inf])
+    sum_log_f, sum_v2_f = _filter_core(
+        yv, xv, model.gamma, params.var_meas, params.var_state, a, p, t0, moments)
+    pm, pv, fm, fv, iv, ivv = moments
     if not (math.isfinite(fm[-1]) and math.isfinite(fv[-1])):
         raise NonFiniteState("filter recursion produced a non-finite state")
     return KalmanOutput(
         pred_mean=tuple(pm), pred_var=tuple(pv),
         filt_mean=tuple(fm), filt_var=tuple(fv),
         innovations=tuple(iv), innov_var=tuple(ivv),
-        log_lik=_loglik(sum_log_f, sum_v2_f, len(model) - n_drop),
-        n_diffuse_dropped=n_drop,
+        log_lik=_loglik(sum_log_f, sum_v2_f, len(model) - t0),
+        n_diffuse_dropped=t0,
         start=model.y.start, gamma=model.gamma,
     )
 
@@ -203,12 +207,11 @@ def log_likelihood(model: TvpModel, params: VarianceParams,
     """Prediction-error log-likelihood; equals kalman_filter(...).log_lik."""
     if len(model) == 0:
         raise EmptySeries("cannot filter an empty model")
-    a0, p0, n_drop = _resolve_init(model, init)
-    sum_log_f, sum_v2_f, _ = _filter_core(
-        model.y.values, model.x.values, model.gamma,
-        params.var_meas, params.var_state, a0, p0, n_drop, store=False,
-    )
-    return _loglik(sum_log_f, sum_v2_f, len(model) - n_drop)
+    yv, xv = model.y.values, model.x.values
+    a, p, t0 = _resolve_init(yv, xv, params.var_meas, init)
+    sum_log_f, sum_v2_f = _filter_core(
+        yv, xv, model.gamma, params.var_meas, params.var_state, a, p, t0)
+    return _loglik(sum_log_f, sum_v2_f, len(model) - t0)
 
 
 def kalman_smoother(output: KalmanOutput) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -224,16 +227,12 @@ def kalman_smoother(output: KalmanOutput) -> tuple[tuple[float, ...], tuple[floa
     return tuple(sm), tuple(sv)
 
 
-def variance_from_log(v: float) -> float:
-    """Back-transform an estimated log-variance to the variance scale."""
-    return math.exp(v)
-
-
 def innovation_shocks(output: KalmanOutput) -> MonthlySeries:
     """Standardized innovations v_t / sqrt(F_t), dated like the input.
 
     The first output.n_diffuse_dropped entries belong to the diffuse
-    burn-in and should be flagged or dropped by presentation layers.
+    burn-in, whose infinite innovation variance makes the shock 0;
+    presentation layers flag them.
     """
     vals = tuple(v / math.sqrt(f) for v, f in zip(output.innovations, output.innov_var))
     return MonthlySeries(output.start, vals, name="shocks")
@@ -333,8 +332,8 @@ class MleResult:
 
 
 def _default_init(model: TvpModel) -> VarianceParams:
-    vy = float(np.var(np.asarray(model.y.values))) if len(model) > 1 else 1.0
-    vx = float(np.var(np.asarray(model.x.values))) if len(model) > 1 else 1.0
+    vy = float(np.var(np.asarray(model.y.values)))
+    vx = float(np.var(np.asarray(model.x.values)))
     vm = max(0.5 * vy, 1e-6)
     vs = max(0.1 * vy / max(vx, 1e-12), 1e-6)
     if not (math.isfinite(vm) and math.isfinite(vs)):
@@ -345,7 +344,7 @@ def _default_init(model: TvpModel) -> VarianceParams:
     return VarianceParams(math.log(vm), math.log(vs))
 
 
-def _profile(yv, xv, gamma: float, log_q: float, p0: float) -> tuple[float, float, float]:
+def _profile(yv, xv, gamma: float, log_q: float) -> tuple[float, float, float]:
     """Log-likelihood with the measurement variance concentrated out.
 
     One diffuse pass with measurement variance 1 and state variance q gives
@@ -355,7 +354,8 @@ def _profile(yv, xv, gamma: float, log_q: float, p0: float) -> tuple[float, floa
     box. Returns (log-likelihood, log_var_meas, log_var_state).
     """
     log_q = min(max(log_q, _LOG_VAR_MIN - _LOG_VAR_MAX), _LOG_VAR_MAX - _LOG_VAR_MIN)
-    sum_log_f, sum_v2_f, _ = _filter_core(yv, xv, gamma, 1.0, math.exp(log_q), 0.0, p0, 1, False)
+    sum_log_f, sum_v2_f = _filter_core(
+        yv, xv, gamma, 1.0, math.exp(log_q), *_diffuse_start(yv, xv, 1.0), 1)
     n = len(yv) - 1
     log_s2 = math.log(sum_v2_f / n) if sum_v2_f > 0.0 else -math.inf
     log_s2 = min(max(log_s2, _LOG_VAR_MIN, _LOG_VAR_MIN - log_q),
@@ -387,14 +387,13 @@ def fit_mle(model: TvpModel, init_params: VarianceParams | None = None,
                 f"[{_LOG_VAR_MIN}, {_LOG_VAR_MAX}]"
             )
     yv, xv = model.y.values, model.x.values
-    p0 = _diffuse_p0(yv, xv)
     log_q0 = start.log_var_state - start.log_var_meas
     best = [-math.inf, None]  # log-likelihood and (log_var_meas, log_var_state, gamma)
     path = []
 
     def objective(z) -> float:
         log_q, gamma = (z[0], z[1]) if opts.estimate_gamma else (z, model.gamma)
-        ll, log_vm, log_vs = _profile(yv, xv, gamma, log_q, p0)
+        ll, log_vm, log_vs = _profile(yv, xv, gamma, log_q)
         if not math.isfinite(ll):
             return math.inf
         if ll > best[0]:
@@ -420,7 +419,7 @@ def fit_mle(model: TvpModel, init_params: VarianceParams | None = None,
     if best[1] is None:
         raise NonFiniteObjective("log-likelihood is non-finite everywhere the search looked")
     theta = np.asarray(best[1] if opts.estimate_gamma else best[1][:2], dtype=float)
-    result = _build_result(model, theta, p0, n_iter, tuple(path), opts.estimate_gamma)
+    result = _build_result(model, theta, n_iter, tuple(path), opts.estimate_gamma)
     if problem is None:
         for v in theta[:2]:
             if v < _LOG_VAR_MIN + _BOUND_MARGIN or v > _LOG_VAR_MAX - _BOUND_MARGIN:
@@ -434,7 +433,7 @@ def fit_mle(model: TvpModel, init_params: VarianceParams | None = None,
     return result
 
 
-def _sandwich_stencil(model: TvpModel, theta: np.ndarray, p0: float,
+def _sandwich_stencil(model: TvpModel, theta: np.ndarray,
                       ll0: float) -> tuple[np.ndarray, np.ndarray]:
     """Observed Hessian and per-observation scores of the full log-likelihood.
 
@@ -457,13 +456,14 @@ def _sandwich_stencil(model: TvpModel, theta: np.ndarray, p0: float,
         for i, step in steps.items():
             t[i] += step
         gamma = t[2] if k > 2 else model.gamma
-        sum_log_f, sum_v2_f, moments = _filter_core(
-            yv, xv, gamma, math.exp(t[0]), math.exp(t[1]), 0.0, p0, 1, store)
+        var_meas = math.exp(t[0])
+        moments = ([], [], [], [], [], []) if store else None
+        sum_log_f, sum_v2_f = _filter_core(yv, xv, gamma, var_meas, math.exp(t[1]),
+                                           *_diffuse_start(yv, xv, var_meas), 1, moments)
         ll = _loglik(sum_log_f, sum_v2_f, n)
         if not store:
             return ll
-        v = np.asarray(moments[4][1:])
-        f = np.asarray(moments[5][1:])
+        v, f = np.asarray(moments[4]), np.asarray(moments[5])
         return ll, -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
 
     hess = np.empty((k, k))
@@ -481,7 +481,7 @@ def _sandwich_stencil(model: TvpModel, theta: np.ndarray, p0: float,
     return hess, scores
 
 
-def _build_result(model: TvpModel, theta: np.ndarray, p0: float, n_iter: int,
+def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int,
                   path: tuple[float, ...], estimate_gamma: bool) -> MleResult:
     """The fit at theta; converged is False when the Hessian is not negative definite."""
     gamma = float(theta[2]) if estimate_gamma else model.gamma
@@ -491,7 +491,7 @@ def _build_result(model: TvpModel, theta: np.ndarray, p0: float, n_iter: int,
     k = len(theta)
     ll = out.log_lik
 
-    hess, scores = _sandwich_stencil(model, theta, p0, ll)
+    hess, scores = _sandwich_stencil(model, theta, ll)
     negative_definite = bool(np.all(np.linalg.eigvalsh(hess) < 0.0))
     if negative_definite:
         # sandwich H^-1 (S'S) H^-1, as column norms of S H^-1 so it stays >= 0

@@ -37,8 +37,8 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_exp_transform_anchors():
-    a = sspace.variance_from_log(-4.136491)
-    b = sspace.variance_from_log(-1.025106)
+    params = sspace.VarianceParams(-4.136491, -1.025106)
+    a, b = params.var_meas, params.var_state
     ok = abs(a - 0.015979) < 5e-7 and abs(b - 0.358758) < 5e-7
     _report(1, ok, f"exp(-4.136491)={a:.6f} (want 0.015979), "
                    f"exp(-1.025106)={b:.6f} (want 0.358758), tol 5e-7")

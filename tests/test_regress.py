@@ -77,6 +77,13 @@ class TestOls:
         assert math.isnan(res.t_stat)
         assert math.isnan(res.p_value)
 
+    @pytest.mark.parametrize("slope", [-2.0, 0.0])  # an exact fit, an all-zero y
+    def test_durbin_watson_undefined_without_residuals(self, slope):
+        xv = [1.0, -2.0, 3.0, 0.5]
+        res = ols_no_intercept(*_pair([slope * v for v in xv], xv))
+        assert res.ssr == 0.0
+        assert math.isnan(res.dw)
+
     def test_degenerate_regressor(self):
         y, x = _pair([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
         with pytest.raises(DegenerateRegressor):

@@ -7,7 +7,7 @@ from scipy import optimize
 
 from tvelast import sspace
 
-from tvelast.errors import NoConvergence, NonFiniteObjective
+from tvelast.errors import DegenerateRegressor, NoConvergence, NonFiniteObjective
 from tvelast.simlab import TvpDgp, gen_tvp
 from tvelast.sspace import (
     ExplicitInit,
@@ -19,7 +19,6 @@ from tvelast.sspace import (
     kalman_filter,
     kalman_smoother,
     log_likelihood,
-    variance_from_log,
 )
 
 import _oracles
@@ -43,9 +42,10 @@ def _random_model(rng, max_t=8):
 
 class TestVarianceParams:
     def test_exp_transform_anchors(self):
-        assert variance_from_log(-4.136491) == pytest.approx(0.015979, abs=5e-7)
-        assert variance_from_log(-1.025106) == pytest.approx(0.358758, abs=5e-7)
-        assert variance_from_log(0.0) == 1.0
+        p = VarianceParams(-4.136491, -1.025106)
+        assert p.var_meas == pytest.approx(0.015979, abs=5e-7)
+        assert p.var_state == pytest.approx(0.358758, abs=5e-7)
+        assert VarianceParams(0.0, 0.0).var_meas == 1.0
 
     def test_properties(self):
         p = VarianceParams(math.log(0.25), math.log(4.0))
@@ -72,8 +72,8 @@ class TestKalmanFilter:
         y1, x1 = 1.3, 0.7
         params = VarianceParams(math.log(0.5), math.log(0.2))
         out = kalman_filter(_model([y1], [x1]), params)
-        assert out.filt_mean[0] == pytest.approx(y1 / x1, rel=1e-6)
-        assert out.filt_var[0] == pytest.approx(0.5 / x1 ** 2, rel=1e-6)
+        assert out.filt_mean[0] == y1 / x1
+        assert out.filt_var[0] == 0.5 / (x1 * x1)
         assert out.n_diffuse_dropped == 1
 
     def test_constant_state_reduces_to_running_mean(self, rng):
@@ -219,6 +219,64 @@ class TestAgainstOracleProperty:
         np.testing.assert_allclose(sv, sv_o, atol=1e-8)
 
 
+@st.composite
+def _diffuse_cases(draw):
+    t = draw(st.integers(2, 8))
+    x1 = draw(st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)))
+    return (
+        _model(draw(st.lists(_unit, min_size=t, max_size=t)),
+               [x1] + draw(st.lists(_unit, min_size=t - 1, max_size=t - 1)),
+               gamma=draw(st.floats(0.5, 1.0))),
+        draw(_variance),                 # var_meas
+        draw(_variance),                 # var_state
+    )
+
+
+class TestDiffuseStart:
+    @settings(max_examples=150)
+    @given(_diffuse_cases())
+    def test_is_the_explicit_start_on_the_tail(self, case):
+        model, vm, vs = case
+        params = VarianceParams(math.log(vm), math.log(vs))
+        yv, xv = model.y.values, model.x.values
+        tail = _model(yv[1:], xv[1:], gamma=model.gamma)
+        a1, p1 = yv[0] / xv[0], params.var_meas / (xv[0] * xv[0])
+        out = kalman_filter(model, params)
+        ref = kalman_filter(tail, params, init=ExplicitInit(a1, p1))
+        assert out.log_lik == ref.log_lik
+        assert log_likelihood(model, params) == ref.log_lik
+        assert out.filt_mean[1:] == ref.filt_mean
+        assert out.filt_var[1:] == ref.filt_var
+        ll, fm, fv, sm_o, sv_o = _oracles.state_space_oracle(
+            yv[1:], xv[1:], model.gamma, params.var_meas, params.var_state, a1, p1)
+        sm, sv = kalman_smoother(out)
+        assert out.log_lik == pytest.approx(ll, abs=1e-8)
+        np.testing.assert_allclose(out.filt_mean[1:], fm, atol=1e-8)
+        np.testing.assert_allclose(out.filt_var[1:], fv, atol=1e-8)
+        np.testing.assert_allclose(sm[1:], sm_o, atol=1e-8)
+        np.testing.assert_allclose(sv[1:], sv_o, atol=1e-8)
+
+    def test_diffuse_month_has_no_prediction(self, rng):
+        model, vm, vs, _, _ = _random_model(rng)
+        out = kalman_filter(model, VarianceParams(math.log(vm), math.log(vs)))
+        assert (out.pred_mean[0], out.pred_var[0], out.innov_var[0]) == (0.0, math.inf, math.inf)
+        assert out.innovations[0] == model.y.values[0]
+        assert innovation_shocks(out).values[0] == 0.0
+
+    # 1e-170 squares to zero; 1e-155 squares to a subnormal, so var_meas / x_1^2 overflows
+    @pytest.mark.parametrize("x1", [0.0, 1e-170, 1e-155])
+    def test_degenerate_first_regressor_raises(self, x1):
+        base, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.3, sigma2_state=0.1, seed=5))
+        model = _model(base.y.values, (x1,) + base.x.values[1:])
+        params = VarianceParams(math.log(0.3), math.log(0.1))
+        with pytest.raises(DegenerateRegressor):
+            kalman_filter(model, params)
+        with pytest.raises(DegenerateRegressor):
+            log_likelihood(model, params)
+        with pytest.raises(DegenerateRegressor):
+            fit_mle(model)
+
+
 class TestInnovationShocks:
     def test_definitional_recompute(self, rng):
         model, _ = gen_tvp(TvpDgp(T=50, sigma2_meas=0.2, sigma2_state=0.1, seed=6))
@@ -344,7 +402,7 @@ class TestFitMle:
         base, _ = gen_tvp(TvpDgp(T=150, sigma2_meas=0.2, sigma2_state=0.3, seed=seed))
         model = TvpModel(base.y, base.x, gamma)
         yv, xv = model.y.values, model.x.values
-        ll, log_vm, log_vs = sspace._profile(yv, xv, gamma, log_q, sspace._diffuse_p0(yv, xv))
+        ll, log_vm, log_vs = sspace._profile(yv, xv, gamma, log_q)
         assert log_vs - log_vm == pytest.approx(log_q, abs=1e-12)
         assert ll == pytest.approx(log_likelihood(model, VarianceParams(log_vm, log_vs)), abs=1e-9)
 
@@ -352,7 +410,7 @@ class TestFitMle:
     def test_hessian_not_negative_definite_raises(self, monkeypatch, hessian):
         model, _ = gen_tvp(TvpDgp(T=100, sigma2_meas=0.2, sigma2_state=0.3, seed=19))
         monkeypatch.setattr(sspace, "_sandwich_stencil",
-                            lambda model, theta, p0, ll0: (hessian, None))
+                            lambda model, theta, ll0: (hessian, None))
         with pytest.raises(NoConvergence, match="not negative definite") as info:
             fit_mle(model)
         result = info.value.result
@@ -376,11 +434,10 @@ class TestSandwichStencil:
         if estimate_gamma:
             theta.append(fit.gamma)
         fun = self._full_loglik(model)
-        p0 = sspace._diffuse_p0(model.y.values, model.x.values)
         # at the estimate and away from it, where the gradient is not ~0
         for shift in (0.0, 0.3):
             at = np.array(theta) + shift
-            hess, scores = sspace._sandwich_stencil(model, at, p0, fun(at))
+            hess, scores = sspace._sandwich_stencil(model, at, fun(at))
             np.testing.assert_allclose(hess, _oracles.central_hessian(fun, at), rtol=1e-8)
             assert scores.shape == (len(model) - 1, len(at))
             np.testing.assert_allclose(scores.sum(axis=0), _oracles.central_gradient(fun, at),
