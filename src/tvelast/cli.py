@@ -18,7 +18,7 @@ import sys
 
 from . import __version__, pipeline, regress, simlab, sspace, unitroot
 from .errors import DataError, EstimationError, StageError, TvelastError
-from .series import CsvSchema, MonthDate, demean, parse_csv
+from .series import CsvSchema, MonthDate, demean, json_text, parse_csv
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -183,14 +183,14 @@ def _load(args):
         return parse_csv(fh, schema)
 
 
-def _emit(args, payload: dict, text: str | None = None) -> int:
+def _emit(args, payload: dict, text: str) -> int:
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json_text(payload, indent=2))
     elif args.format == "csv":
         keys = sorted(payload)
         print(pipeline._csv_text(keys, [[payload[k] for k in keys]]), end="")
     else:
-        print(text if text is not None else json.dumps(payload, sort_keys=True, indent=2))
+        print(text)
     return EXIT_OK
 
 
@@ -220,7 +220,7 @@ def _cmd_adf(args) -> int:
         return EXIT_OK
     payload = [{"variable": r.variable, "form": r.form, **r.result.to_dict()} for r in rows]
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json_text(payload, indent=2))
     else:
         print(pipeline.adf_table_text(rows))
     return EXIT_OK
@@ -327,7 +327,7 @@ def _cmd_subsample(args) -> int:
     if args.format == "csv":
         print(pipeline.emit_figure_data(report, "appendixA1"), end="")
     elif args.format == "json":
-        print(json.dumps([r.to_dict() for r in rows], sort_keys=True, indent=2))
+        print(json_text([r.to_dict() for r in rows], indent=2))
     else:
         for r in rows:
             flag = "" if r.converged else "  [no convergence]"

@@ -30,6 +30,7 @@ from .series import (
     MonthlySeries,
     decade_averages,
     demean,
+    json_text,
     window,
     write_csv,
     yoy_growth,
@@ -184,7 +185,7 @@ class Report:
         }
 
     def to_json(self, include_timestamp: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timestamp), sort_keys=True, indent=2)
+        return json_text(self.to_dict(include_timestamp), indent=2)
 
 
 def _maybe(section, render):

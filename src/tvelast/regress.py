@@ -9,15 +9,13 @@ and Evans (1975).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import DegenerateRegressor, LengthMismatch
-from .series import MonthDate, MonthlySeries
+from .series import MonthDate, MonthlySeries, json_text
 
 N_REGRESSORS = 1  # one slope, no intercept, throughout
 
@@ -48,7 +46,7 @@ class OlsResult:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json_text(self.to_dict())
 
     def to_text(self) -> str:
         rows = [
@@ -159,6 +157,7 @@ def ols_no_intercept(y: MonthlySeries, x: MonthlySeries) -> OlsResult:
         t_stat = math.copysign(math.inf, coef)  # exact fit: the sign of the slope
     else:
         t_stat = math.nan  # y is identically zero: no evidence either way
+    from scipy.special import stdtr  # loaded on first use, not at start-up
     # two-sided Student-t tail; stdtr(df, -|t|) is the lower tail, and nan stays nan
     p_value = 2.0 * float(stdtr(df, -abs(t_stat)))
     tss = float((yv - yv.mean()) @ (yv - yv.mean()))

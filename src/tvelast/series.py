@@ -1,4 +1,4 @@
-"""Monthly time-series data model, CSV ingestion, and basic transforms.
+"""Monthly time-series data model, CSV and JSON text, and basic transforms.
 
 Everything downstream (regressions, unit-root tests, the state-space fit)
 consumes the immutable containers defined here. Dates are plain
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -213,6 +214,23 @@ def write_csv(dataset: Dataset) -> str:
             repr(dataset.x_raw.values[i]),
         ])
     return buf.getvalue()
+
+
+def json_text(obj, indent: int | None = None) -> str:
+    """Strict JSON with sorted keys: a nan or inf is written as null, not as
+    the NaN/Infinity tokens of json.dumps, which are not JSON."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError:  # only a payload holding a nan or inf is walked
+        return json.dumps(_finite_or_null(obj), sort_keys=True, indent=indent, allow_nan=False)
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def yoy_growth(s: MonthlySeries, mode: str = "log-diff") -> MonthlySeries:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import regress, sspace, unitroot
 from .errors import TvelastError
-from .series import MonthDate, MonthlySeries
+from .series import MonthDate, MonthlySeries, json_text
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -244,7 +243,7 @@ class McSummary:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json_text(self.to_dict())
 
 
 def _summarize(estimator: str, n_reps: int, records: list[dict | None],

@@ -10,13 +10,15 @@ Estimation maximizes the prediction-error-decomposition log-likelihood over
 the two log-variances. The measurement variance is concentrated out: a
 filter pass with measurement variance 1 and state variance q gives its
 closed-form estimate, so the search is over the signal-to-noise ratio
-log q alone (Brent), or over (log q, gamma) with Nelder-Mead when gamma is
-estimated. Parameter uncertainty is reported with a Huber-White sandwich
-built from the observed Hessian and per-observation numerical scores of the
-full likelihood at the optimum; both come from one central-difference
-stencil in which every point is filtered once. The fit keeps its filter pass
-at the estimate (MleResult.filter_output), so the state paths, the smoother
-and the shocks read that pass instead of filtering again.
+log q alone (Brent, a step-for-step port of scipy's, so the default fit
+imports no scipy), or over (log q, gamma) with scipy's Nelder-Mead when
+gamma is estimated. Parameter uncertainty is reported with a Huber-White
+sandwich built from the observed Hessian and per-observation numerical
+scores of the full likelihood at the optimum; both come from one
+central-difference stencil in which every point is filtered once. The fit
+keeps its filter pass at the estimate (MleResult.filter_output), so the
+state paths, the smoother and the shocks read that pass instead of
+filtering again.
 
 Initialization is the exact diffuse step (Koopman 1997; Durbin and Koopman
 2012, section 5.2): the first observation alone sets the filtered state
@@ -28,16 +30,14 @@ identical to (1 - K x) P_pred but free of cancellation).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     DegenerateRegressor, EmptySeries, NoConvergence, NonFiniteObjective, NonFiniteState)
-from .series import MonthDate, MonthlySeries
+from .series import MonthDate, MonthlySeries, json_text
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_VAR_MIN = -40.0
@@ -47,6 +47,11 @@ _FD_SCALE = 1e-4  # relative step of the finite differences behind the SEs
 # Nelder-Mead stops when the simplex spans less than this in every
 # coordinate and in the objective; loose defaults would stop 1e-4 short.
 _SIMPLEX_TOL = 1e-9
+# scipy.optimize's constants, which _brent ports: the bracket's growth factor
+# (1 + sqrt 5) / 2, its largest parabolic step in widths, iteration cap and
+# near-zero divisor; Brent's golden fraction (3 - sqrt 5) / 2 and x tolerances
+_GOLD, _GROW_LIMIT, _BRACKET_MAX_ITER, _VERY_SMALL = 1.618034, 110.0, 1000, 1e-21
+_CG, _XTOL, _MINTOL = 0.3819660, 1.48e-8, 1.0e-11
 
 
 @dataclass(frozen=True)
@@ -294,7 +299,7 @@ class MleResult:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json_text(self.to_dict())
 
     def to_text(self) -> str:
         lines = [
@@ -402,20 +407,16 @@ def fit_mle(model: TvpModel, init_params: VarianceParams | None = None,
         return -ll
 
     if opts.estimate_gamma:
+        from scipy import optimize  # loaded only here: the default search needs no scipy
         res = optimize.minimize(
             objective, [log_q0, model.gamma], method="Nelder-Mead",
             options={"maxiter": opts.max_iter, "xatol": _SIMPLEX_TOL, "fatol": _SIMPLEX_TOL},
         )
+        n_iter, failure = int(res.nit), None if res.success else res.message.strip()
     else:
-        # a likelihood flat in log q gives no bracket and success=False
-        res = optimize.minimize_scalar(
-            objective, bracket=(log_q0, log_q0 + 1.0), method="brent",
-            options={"maxiter": opts.max_iter},
-        )
-    n_iter = int(res.nit)
-    problem = None
-    if not res.success:
-        problem = f"no convergence after {n_iter} iterations: {res.message.strip()}"
+        # a likelihood flat in log q gives no bracket, hence a failure
+        _, _, n_iter, failure = _brent(objective, log_q0, log_q0 + 1.0, opts.max_iter)
+    problem = None if failure is None else f"no convergence after {n_iter} iterations: {failure}"
     if best[1] is None:
         raise NonFiniteObjective("log-likelihood is non-finite everywhere the search looked")
     theta = np.asarray(best[1] if opts.estimate_gamma else best[1][:2], dtype=float)
@@ -431,6 +432,115 @@ def fit_mle(model: TvpModel, init_params: VarianceParams | None = None,
     if problem is not None:
         raise NoConvergence(problem, result=replace(result, converged=False))
     return result
+
+
+def _brent(f, xa: float, xb: float, max_iter: int) -> tuple[float, float, int, str | None]:
+    """(x, f(x), iterations, failure) of scipy.optimize.minimize_scalar(f,
+    bracket=(xa, xb), method="brent", options={"maxiter": max_iter}).
+
+    A step-for-step port of scipy's bracket and Brent.optimize: f sees the
+    same points in the same order, so the result is the same floats. failure
+    is None on success, else scipy's message; where scipy raises RuntimeError
+    (no bracket within its cap), this returns its message with nan, nan, 0.
+    """
+    # scipy.optimize.bracket: walk downhill until f rises again
+    fa, fb = f(xa), f(xb)
+    if fa < fb:
+        xa, xb, fa, fb = xb, xa, fb, fa
+    xc = xb + _GOLD * (xb - xa)
+    fc = f(xc)
+    it = 0
+    while fc < fb:
+        tmp1 = (xb - xa) * (fb - fc)
+        tmp2 = (xb - xc) * (fb - fa)
+        val = tmp2 - tmp1
+        denom = 2.0 * _VERY_SMALL if abs(val) < _VERY_SMALL else 2.0 * val
+        w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
+        wlim = xb + _GROW_LIMIT * (xc - xb)
+        if it > _BRACKET_MAX_ITER:
+            return (math.nan, math.nan, 0,
+                    "No valid bracket was found before the iteration limit was reached. "
+                    "Consider trying different initial points or increasing `maxiter`.")
+        it += 1
+        if (w - xc) * (xb - w) > 0.0:
+            fw = f(w)
+            if fw < fc:
+                xa, xb, fa, fb = xb, w, fb, fw
+                break
+            if fw > fb:
+                xc, fc = w, fw
+                break
+            w = xc + _GOLD * (xc - xb)
+            fw = f(w)
+        elif (w - wlim) * (wlim - xc) >= 0.0:
+            w = wlim
+            fw = f(w)
+        elif (w - wlim) * (xc - w) > 0.0:
+            fw = f(w)
+            if fw < fc:
+                xb, xc, fb, fc = xc, w, fc, fw
+                w = xc + _GOLD * (xc - xb)
+                fw = f(w)
+        else:
+            w = xc + _GOLD * (xc - xb)
+            fw = f(w)
+        xa, xb, xc, fa, fb, fc = xb, xc, w, fb, fc, fw
+    if not (((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
+            and (xa < xb < xc or xc < xb < xa)
+            and all(map(math.isfinite, (xa, xb, xc)))):
+        xs, fs = (xa, xb, xc), (fa, fb, fc)
+        i = min(range(3), key=fs.__getitem__)
+        x, fx = (math.nan, math.nan) if any(map(math.isnan, xs + fs)) else (xs[i], fs[i])
+        return (x, fx, 0, "The algorithm terminated without finding a valid bracket. "
+                          "Consider trying different initial points.")
+
+    # scipy.optimize.Brent.optimize: parabolic steps, golden sections when they fail
+    x = w = v = xb
+    fx = fw = fv = fb
+    a, b = (xa, xc) if xa < xc else (xc, xa)
+    deltax = rat = 0.0
+    it = 0
+    while it < max_iter:
+        tol1 = _XTOL * abs(x) + _MINTOL
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < tol2 - 0.5 * (b - a):
+            break
+        if abs(deltax) <= tol1:
+            deltax = a - x if x >= xmid else b - x
+            rat = _CG * deltax
+        else:
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp, deltax = deltax, rat
+            if tmp2 * (a - x) < p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp):
+                rat = p / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = _CG * deltax
+        u = (x + tol1 if rat >= 0 else x - tol1) if abs(rat) < tol1 else x + rat  # step >= tol1
+        fu = f(u)
+        if fu > fx:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            a, b = (x, b) if u >= x else (a, x)
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+        it += 1
+    if math.isnan(x) or math.isnan(fx):
+        return x, fx, it, "NaN result encountered."
+    return x, fx, it, None if it < max_iter else "Maximum number of iterations exceeded"
 
 
 def _sandwich_stencil(model: TvpModel, theta: np.ndarray,

@@ -24,7 +24,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ._dftables import PROBS, TABLES
 from .errors import DegenerateDesign, TooShort, UnsupportedCase
@@ -114,6 +113,7 @@ def approx_pvalue(statistic: float, t: int, deterministic: str) -> float:
     quantiles and extrapolates the end segments, so the result is strictly
     monotone in the statistic and well behaved far into either tail.
     """
+    from scipy.special import ndtr, ndtri  # loaded on first use, not at start-up
     q = _interp_quantiles(deterministic, t)
     z_grid = ndtri(np.asarray(PROBS))
     # piecewise-linear map statistic -> normal quantile

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from tvelast import sspace
 from tvelast.cli import EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, main, render_all_help
+from tvelast.errors import NonFiniteObjective
 from tvelast.pipeline import FIGURE_FILES
-from tvelast.series import write_csv
+from tvelast.series import Dataset, MonthlySeries, write_csv
 
 from conftest import make_dataset
 
@@ -258,6 +260,53 @@ class TestOutputs:
         code, _, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
         assert code == EXIT_ESTIMATION
         assert "no convergence" in err
+
+
+def _strict_loads(text):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_ols_on_constant_cpi_writes_null(self, tmp_path):
+        # y is identically zero: log_lik is inf and t_stat nan in memory
+        data = make_dataset(n_months=60, seed=1)
+        path = tmp_path / "flat.csv"
+        path.write_text(write_csv(Dataset(MonthlySeries(data.start, (100.0,) * 60, "cpi"),
+                                          data.x_raw)))
+        code, out, _ = run_cli(["ols", "--input", str(path)])
+        assert code == EXIT_OK
+        payload = _strict_loads(out)
+        for key in ("log_lik", "aic", "sic", "hq", "t_stat", "p_value", "dw"):
+            assert payload[key] is None, key
+        assert payload["coef"] == 0.0
+        code, out, _ = run_cli(["ols", "--input", str(path), "--format", "text"])
+        assert code == EXIT_OK and "inf" in out
+
+    def test_failed_subsample_window_writes_null(self, csv_path, tmp_path, monkeypatch):
+        fit_mle = sspace.fit_mle
+
+        def fail_short_windows(model, init_params=None, options=None):
+            if len(model) < 150:  # the 1980-12 window; the full sample has 188 months
+                raise NonFiniteObjective("forced failure")
+            return fit_mle(model, init_params, options)
+
+        monkeypatch.setattr(sspace, "fit_mle", fail_short_windows)
+        ends = ["--subsample-ends", "1980-12,1985-12"]
+        code, out, _ = run_cli(["pipeline", "--input", csv_path] + ends)
+        assert code == EXIT_OK
+        rows = _strict_loads(out)["subsample_table"]
+        assert [r["final_state"] is None for r in rows] == [True, False]
+        code, _, _ = run_cli(["pipeline", "--input", csv_path, "--out", str(tmp_path)] + ends)
+        assert code == EXIT_OK
+        rows = _strict_loads((tmp_path / "report.json").read_text())["subsample_table"]
+        assert rows[0]["z"] is None and rows[0]["converged"] is False
+        assert ",nan,nan," in (tmp_path / FIGURE_FILES["appendixA1"]).read_text()
+        code, out, _ = run_cli(["subsample", "--input", csv_path, "--format", "json"] + ends)
+        assert code == EXIT_OK
+        assert _strict_loads(out)[0]["final_rmse"] is None
 
 
 class TestHelp:

@@ -34,3 +34,41 @@ def test_bare_package_loads_no_numerics():
     assert "tvelast" in modules
     assert _under(modules, "numpy") == []
     assert _under(modules, "scipy") == []
+
+
+def test_cli_loads_no_scipy():
+    modules = _modules_after("import tvelast.cli")
+    assert "numpy" in modules
+    assert _under(modules, "scipy") == []
+
+
+def test_default_fit_and_mle_study_load_no_scipy():
+    modules = _modules_after(
+        "from tvelast.simlab import TvpDgp, gen_tvp, monte_carlo\n"
+        "from tvelast.sspace import fit_mle\n"
+        "dgp = TvpDgp(T=120, sigma2_meas=0.1, sigma2_state=0.2, seed=3)\n"
+        "assert fit_mle(gen_tvp(dgp)[0]).converged\n"
+        "assert monte_carlo('mle', dgp, 10, 0).n_reps == 10")  # the smallest study
+    assert "tvelast.sspace" in modules
+    assert _under(modules, "scipy") == []
+
+
+def test_gamma_fit_loads_scipy_optimize():
+    modules = _modules_after(
+        "from tvelast.simlab import TvpDgp, gen_tvp\n"
+        "from tvelast.sspace import MleOptions, fit_mle\n"
+        "model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.3, seed=16))\n"
+        "assert fit_mle(model, options=MleOptions(estimate_gamma=True)).converged")
+    assert "scipy.optimize" in modules
+
+
+def test_pvalues_load_scipy_special_only():
+    modules = _modules_after(
+        "from tvelast.regress import ols_no_intercept\n"
+        "from tvelast.simlab import TvpDgp, gen_tvp\n"
+        "from tvelast.unitroot import adf\n"
+        "model, _ = gen_tvp(TvpDgp(T=120, sigma2_meas=0.1, sigma2_state=0.2, seed=3))\n"
+        "assert 0.0 <= ols_no_intercept(model.y, model.x).p_value <= 1.0\n"
+        "assert 0.0 <= adf(model.y).p_value_approx <= 1.0")
+    assert "scipy.special" in modules
+    assert _under(modules, "scipy.optimize") == []

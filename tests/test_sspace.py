@@ -418,6 +418,85 @@ class TestFitMle:
         assert all(math.isnan(v) for v in result.robust_se + result.z_stats + result.p_values)
 
 
+def _recorded(f):
+    """f, plus the list of points it is called at."""
+    calls = []
+
+    def g(x):
+        calls.append(float(x))
+        return f(x)
+    return g, calls
+
+
+def _brent_oracle(f, xa, max_iter):
+    """scipy's search that sspace._brent ports, as (x, f(x), nit, failure)."""
+    res = optimize.minimize_scalar(f, bracket=(xa, xa + 1.0), method="brent",
+                                   options={"maxiter": max_iter})
+    return res.x, res.fun, res.nit, None if res.success else res.message.strip()
+
+
+@st.composite
+def _smooth_functions(draw):
+    c = draw(st.floats(-20.0, 20.0))
+    s = draw(st.floats(1e-3, 1e3))
+    kind = draw(st.sampled_from(("quadratic", "quartic", "quadratic+sine")))
+    if kind == "quadratic":
+        return lambda x: s * (x - c) ** 2
+    if kind == "quartic":
+        t = draw(st.floats(-5.0, 5.0))  # t < 0 gives two wells
+        return lambda x: s * (x - c) ** 4 + t * (x - c) ** 2
+    a, w = draw(st.floats(0.0, 3.0)), draw(st.floats(0.1, 10.0))
+    return lambda x: s * (x - c) ** 2 + a * math.sin(w * x)
+
+
+class TestBrentPort:
+    """sspace._brent against scipy.optimize.minimize_scalar, its oracle: the
+    same points in the same order, and == on x, f(x), nit and the message."""
+
+    @staticmethod
+    def _check(f, xa, max_iter):
+        f_port, port_calls = _recorded(f)
+        f_scipy, scipy_calls = _recorded(f)
+        got = sspace._brent(f_port, xa, xa + 1.0, max_iter)
+        assert got == _brent_oracle(f_scipy, xa, max_iter)
+        assert port_calls == scipy_calls
+        return got
+
+    @settings(max_examples=300)
+    @given(f=_smooth_functions(), xa=st.floats(-30.0, 30.0), max_iter=st.integers(1, 500))
+    def test_smooth_functions(self, f, xa, max_iter):
+        self._check(f, xa, max_iter)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 7), t=st.integers(20, 300), xa=st.floats(-10.0, 10.0),
+           max_iter=st.integers(1, 500))
+    def test_profile_likelihood(self, seed, t, xa, max_iter):
+        model, _ = gen_tvp(TvpDgp(T=t, sigma2_meas=0.1, sigma2_state=0.2, seed=seed))
+        yv, xv = model.y.values, model.x.values
+        self._check(lambda z: -sspace._profile(yv, xv, 1.0, z)[0], xa, max_iter)
+
+    def test_constant_function_fails_the_bracket(self):
+        assert self._check(lambda x: 3.0, 0.25, 500) == (
+            0.25, 3.0, 0, "The algorithm terminated without finding a valid bracket. "
+                          "Consider trying different initial points.")
+
+    def test_bracket_cap_fails_where_scipy_raises(self):
+        def f(x):  # falls forever while golden steps stay finite
+            return -abs(x) ** 1.1
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError) as info:
+            _brent_oracle(f, 0.3, 500)
+        _, _, nit, failure = sspace._brent(f, 0.3, 1.3, 500)
+        assert (nit, failure) == (0, str(info.value))
+
+    def test_bracket_cap_is_no_convergence(self, monkeypatch):
+        model, _ = gen_tvp(TvpDgp(T=100, sigma2_meas=0.2, sigma2_state=0.3, seed=19))
+        monkeypatch.setattr(sspace, "_profile",
+                            lambda yv, xv, gamma, log_q: (abs(log_q) ** 1.1, 0.0, 0.0))
+        with pytest.raises(NoConvergence, match="after 0 iterations: No valid bracket") as info:
+            fit_mle(model)
+        assert info.value.result.converged is False
+
+
 class TestSandwichStencil:
     @staticmethod
     def _full_loglik(model):
