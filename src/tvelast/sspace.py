@@ -13,12 +13,13 @@ closed-form estimate, so the search is over the signal-to-noise ratio
 log q alone (Brent, a step-for-step port of scipy's, so the default fit
 imports no scipy), or over (log q, gamma) with scipy's Nelder-Mead when
 gamma is estimated. Parameter uncertainty is reported with a Huber-White
-sandwich built from the observed Hessian and per-observation numerical
-scores of the full likelihood at the optimum; both come from one
-central-difference stencil in which every point is filtered once. The fit
-keeps its filter pass at the estimate (MleResult.filter_output), so the
-state paths, the smoother and the shocks read that pass instead of
-filtering again.
+sandwich built from the observed Hessian and per-observation scores of the
+full likelihood at the optimum. Scaling both variances scales every F_t and
+leaves every v_t unchanged, so the measurement-scale direction of both is
+closed form in the fit's own pass at the estimate; only log q (and gamma)
+take central differences, 2 filter passes (8 with gamma). The fit keeps
+that pass (MleResult.filter_output), so the state paths, the smoother and
+the shocks read it instead of filtering again.
 
 Initialization is the exact diffuse step (Koopman 1997; Durbin and Koopman
 2012, section 5.2): the first observation alone sets the filtered state
@@ -149,16 +150,17 @@ def _filter_core(yv, xv, gamma, var_meas, var_state, a, p, t0, moments=None):
     store = moments is not None
     if store:
         pred_mean, pred_var, filt_mean, filt_var, innov, innov_var = moments
-    for t in range(t0, len(yv)):
+    log = math.log
+    gamma2 = gamma * gamma
+    for yt, xt in zip(yv[t0:], xv[t0:]):
         a_pred = gamma * a
-        p_pred = gamma * gamma * p + var_state
-        xt = xv[t]
+        p_pred = gamma2 * p + var_state
         f = xt * xt * p_pred + var_meas
-        v = yv[t] - xt * a_pred
+        v = yt - xt * a_pred
         k = p_pred * xt / f
         a = a_pred + k * v
         p = p_pred * (var_meas / f)
-        sum_log_f += math.log(f)
+        sum_log_f += log(f)
         sum_v2_f += v * v / f
         if store:
             pred_mean.append(a_pred)
@@ -264,8 +266,12 @@ class MleResult:
     include gamma as a third entry when it was estimated. The headline
     final_state is the last filtered mean a_{T|T}; the one-step forecast
     gamma * a_{T|T} is also reported since the two readings of "final" are
-    both in circulation. filter_output is the filter pass at the estimate
-    (with the fitted gamma); it is not serialized.
+    both in circulation. n_filter_passes counts every filter pass the fit
+    made (search, the pass at the estimate and the SE stencil), and
+    hessian_cond is the ratio of the largest to the smallest |eigenvalue| of
+    the observed Hessian in the coordinates of robust_se. filter_output is
+    the filter pass at the estimate (with the fitted gamma); it is not
+    serialized.
     """
 
     params: VarianceParams
@@ -287,6 +293,8 @@ class MleResult:
     hq: float
     n_obs: int
     n_iter: int
+    n_filter_passes: int
+    hessian_cond: float
     converged: bool
     filter_output: KalmanOutput = field(repr=False, compare=False)
     loglik_path: tuple[float, ...] = field(repr=False, default=())
@@ -395,8 +403,11 @@ def fit_mle(model: TvpModel, init_params: VarianceParams | None = None,
     log_q0 = start.log_var_state - start.log_var_meas
     best = [-math.inf, None]  # log-likelihood and (log_var_meas, log_var_state, gamma)
     path = []
+    n_evals = 0
 
     def objective(z) -> float:
+        nonlocal n_evals
+        n_evals += 1
         log_q, gamma = (z[0], z[1]) if opts.estimate_gamma else (z, model.gamma)
         ll, log_vm, log_vs = _profile(yv, xv, gamma, log_q)
         if not math.isfinite(ll):
@@ -420,7 +431,7 @@ def fit_mle(model: TvpModel, init_params: VarianceParams | None = None,
     if best[1] is None:
         raise NonFiniteObjective("log-likelihood is non-finite everywhere the search looked")
     theta = np.asarray(best[1] if opts.estimate_gamma else best[1][:2], dtype=float)
-    result = _build_result(model, theta, n_iter, tuple(path), opts.estimate_gamma)
+    result = _build_result(model, theta, n_iter, n_evals, tuple(path), opts.estimate_gamma)
     if problem is None:
         for v in theta[:2]:
             if v < _LOG_VAR_MIN + _BOUND_MARGIN or v > _LOG_VAR_MAX - _BOUND_MARGIN:
@@ -544,15 +555,21 @@ def _brent(f, xa: float, xb: float, max_iter: int) -> tuple[float, float, int, s
 
 
 def _sandwich_stencil(model: TvpModel, theta: np.ndarray,
-                      ll0: float) -> tuple[np.ndarray, np.ndarray]:
+                      out: KalmanOutput) -> tuple[np.ndarray, np.ndarray]:
     """Observed Hessian and per-observation scores of the full log-likelihood.
 
-    theta = (log_var_meas, log_var_state[, gamma]) and ll0 is the
-    log-likelihood at theta. One central-difference stencil with step
-    h_i = _FD_SCALE * max(1, |theta_i|) serves both: the theta +/- h_i passes
-    give the Hessian diagonal from their sums and score column i from their
-    per-observation terms -(log 2pi + log F_t + v_t^2/F_t)/2; each cross point
-    is filtered once without moments. Every point is filtered exactly once.
+    theta = (log_var_meas, log_var_state[, gamma]) and out is the filter
+    pass at theta. Both are built in the coordinates phi = (sigma, rho[,
+    gamma]) with sigma = log_var_meas and rho = log_var_state - log_var_meas,
+    then mapped back. Moving sigma by d scales every F_t (and the diffuse
+    P_1) by e^d and leaves every v_t unchanged, so the sigma direction is
+    closed form: score -(1 - v_t^2/F_t)/2 and curvature -sum(v^2/F)/2 from
+    out, and the cross term with phi_i is sum(v^2/F)'s derivative along phi_i
+    over 2. Only rho (and gamma) take central differences, with step
+    h_i = _FD_SCALE * max(1, |theta_i|): the phi +/- h_i passes give the
+    Hessian diagonal, the sigma cross term and score column i, and each
+    rho-gamma cross point is filtered once without moments. That is 2
+    filter passes, or 8 with gamma.
     """
     yv, xv = model.y.values, model.x.values
     k = len(theta)
@@ -560,8 +577,9 @@ def _sandwich_stencil(model: TvpModel, theta: np.ndarray,
     h = _FD_SCALE * np.maximum(1.0, np.abs(theta))
 
     def loglik(steps: dict, store: bool = False):
-        """Log-likelihood at theta shifted by steps {i: step}; with store,
-        also the per-observation terms."""
+        """Log-likelihood at theta shifted by steps {i: step} (i >= 1, so
+        sigma stays put); with store, also sum(v^2/F) and the
+        per-observation terms."""
         t = theta.copy()
         for i, step in steps.items():
             t[i] += step
@@ -574,26 +592,35 @@ def _sandwich_stencil(model: TvpModel, theta: np.ndarray,
         if not store:
             return ll
         v, f = np.asarray(moments[4]), np.asarray(moments[5])
-        return ll, -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
+        return ll, sum_v2_f, -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
 
+    v, f = np.asarray(out.innovations[1:]), np.asarray(out.innov_var[1:])
+    v2_f = v * v / f
     hess = np.empty((k, k))
     scores = np.empty((n, k))
-    for i in range(k):
-        ll_p, obs_p = loglik({i: h[i]}, store=True)
-        ll_m, obs_m = loglik({i: -h[i]}, store=True)
-        hess[i, i] = (ll_p - 2.0 * ll0 + ll_m) / (h[i] * h[i])
+    hess[0, 0] = -0.5 * v2_f.sum()
+    scores[:, 0] = -0.5 * (1.0 - v2_f)
+    for i in range(1, k):
+        ll_p, s_p, obs_p = loglik({i: h[i]}, store=True)
+        ll_m, s_m, obs_m = loglik({i: -h[i]}, store=True)
+        hess[i, i] = (ll_p - 2.0 * out.log_lik + ll_m) / (h[i] * h[i])
+        hess[0, i] = hess[i, 0] = 0.5 * (s_p - s_m) / (2.0 * h[i])
         scores[:, i] = (obs_p - obs_m) / (2.0 * h[i])
         for j in range(i + 1, k):
             hess[i, j] = hess[j, i] = (
                 loglik({i: h[i], j: h[j]}) - loglik({i: h[i], j: -h[j]})
                 - loglik({i: -h[i], j: h[j]}) + loglik({i: -h[i], j: -h[j]})
             ) / (4.0 * h[i] * h[j])
-    return hess, scores
+    # phi = B theta, so the theta-Hessian is B' H B and the theta-scores S B
+    b = np.eye(k)
+    b[1, 0] = -1.0
+    return b.T @ hess @ b, scores @ b
 
 
-def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int,
+def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int, n_evals: int,
                   path: tuple[float, ...], estimate_gamma: bool) -> MleResult:
-    """The fit at theta; converged is False when the Hessian is not negative definite."""
+    """The fit at theta after n_evals objective evaluations; converged is
+    False when the Hessian is not negative definite."""
     gamma = float(theta[2]) if estimate_gamma else model.gamma
     params = VarianceParams(float(theta[0]), float(theta[1]))
     out = kalman_filter(replace(model, gamma=gamma), params)
@@ -601,8 +628,11 @@ def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int,
     k = len(theta)
     ll = out.log_lik
 
-    hess, scores = _sandwich_stencil(model, theta, ll)
-    negative_definite = bool(np.all(np.linalg.eigvalsh(hess) < 0.0))
+    hess, scores = _sandwich_stencil(model, theta, out)
+    eig = np.linalg.eigvalsh(hess)
+    negative_definite = bool(np.all(eig < 0.0))
+    smallest = float(np.min(np.abs(eig)))
+    hessian_cond = float(np.max(np.abs(eig))) / smallest if smallest > 0.0 else math.inf
     if negative_definite:
         # sandwich H^-1 (S'S) H^-1, as column norms of S H^-1 so it stays >= 0
         se = tuple(float(s) for s in np.linalg.norm(scores @ np.linalg.inv(hess), axis=0))
@@ -634,6 +664,10 @@ def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int,
         hq=(-2.0 * ll + 2.0 * k * math.log(math.log(n))) / n,
         n_obs=n,
         n_iter=n_iter,
+        # one pass per evaluation, the pass at theta, and the stencil's
+        # 2 m^2 over its m = k - 1 differenced coordinates
+        n_filter_passes=n_evals + 1 + 2 * (k - 1) ** 2,
+        hessian_cond=hessian_cond,
         converged=negative_definite,
         filter_output=out,
         loglik_path=path,

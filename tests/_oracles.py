@@ -92,16 +92,35 @@ def state_space_oracle(yv, xv, gamma, var_meas, var_state, a0, p0):
     return loglik, np.array(filt_m), np.array(filt_v), np.array(sm_m), np.array(sm_v)
 
 
+def state_space_innovations(yv, xv, gamma, var_meas, var_state, a0, p0):
+    """One-step prediction errors v_t and their variances F_t, t = 1..T.
+
+    Each prediction is taken from the previous period's filtered moments of
+    state_space_oracle (the prior N(a0, p0) before the first), propagated
+    one step through the transition and the measurement equation.
+    """
+    yv = np.asarray(yv, dtype=float)
+    xv = np.asarray(xv, dtype=float)
+    _, fm, fv, _, _ = state_space_oracle(yv, xv, gamma, var_meas, var_state, a0, p0)
+    prev_m = np.concatenate(([a0], fm[:-1]))
+    prev_v = np.concatenate(([p0], fv[:-1]))
+    pred_v = gamma * gamma * prev_v + var_state
+    return yv - xv * gamma * prev_m, xv * xv * pred_v + var_meas
+
+
 def central_gradient(fun, x, scale=1e-4):
-    """Central-difference gradient with step scale * max(1, |x_i|) per coordinate."""
+    """Central-difference gradient with step scale * max(1, |x_i|) per coordinate.
+
+    A vector-valued fun gives its Jacobian, one column per coordinate.
+    """
     x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
+    cols = []
     for i in range(len(x)):
         h = scale * max(1.0, abs(x[i]))
         xp = x.copy(); xp[i] += h
         xm = x.copy(); xm[i] -= h
-        g[i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return g
+        cols.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2.0 * h))
+    return np.stack(cols, axis=-1)
 
 
 def central_hessian(fun, x, scale=1e-4):

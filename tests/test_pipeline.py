@@ -138,8 +138,8 @@ class TestEachIntermediateComputedOnce:
         assert set(report.mle.to_dict()) == {
             "params", "gamma", "robust_se", "z_stats", "p_values", "var_meas", "var_state",
             "final_state", "final_rmse", "final_z", "final_p", "forecast_state",
-            "forecast_rmse", "log_lik", "aic", "sic", "hq", "n_obs", "n_iter", "converged",
-            "loglik_path",
+            "forecast_rmse", "log_lik", "aic", "sic", "hq", "n_obs", "n_iter", "n_filter_passes",
+            "hessian_cond", "converged", "loglik_path",
         }
 
 

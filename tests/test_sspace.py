@@ -410,7 +410,7 @@ class TestFitMle:
     def test_hessian_not_negative_definite_raises(self, monkeypatch, hessian):
         model, _ = gen_tvp(TvpDgp(T=100, sigma2_meas=0.2, sigma2_state=0.3, seed=19))
         monkeypatch.setattr(sspace, "_sandwich_stencil",
-                            lambda model, theta, ll0: (hessian, None))
+                            lambda model, theta, out: (hessian, None))
         with pytest.raises(NoConvergence, match="not negative definite") as info:
             fit_mle(model)
         result = info.value.result
@@ -498,6 +498,9 @@ class TestBrentPort:
 
 
 class TestSandwichStencil:
+    """The stencil works in phi = (sigma, rho[, gamma]), with sigma = log_var_meas
+    and rho = log_var_state - log_var_meas, and returns theta-coordinates."""
+
     @staticmethod
     def _full_loglik(model):
         def fun(t):
@@ -505,19 +508,112 @@ class TestSandwichStencil:
             return log_likelihood(TvpModel(model.y, model.x, gamma), VarianceParams(t[0], t[1]))
         return fun
 
+    @staticmethod
+    def _obs_terms(model):
+        """Per-observation log-likelihood terms from t = 2, as a function of theta."""
+        def fun(t):
+            gamma = t[2] if len(t) > 2 else model.gamma
+            out = kalman_filter(TvpModel(model.y, model.x, gamma), VarianceParams(t[0], t[1]))
+            v, f = np.asarray(out.innovations[1:]), np.asarray(out.innov_var[1:])
+            return -0.5 * (math.log(2.0 * math.pi) + np.log(f) + v * v / f)
+        return fun
+
+    @staticmethod
+    def _stencil(model, at):
+        gamma = at[2] if len(at) > 2 else model.gamma
+        out = kalman_filter(TvpModel(model.y, model.x, gamma), VarianceParams(at[0], at[1]))
+        return sspace._sandwich_stencil(model, at, out)
+
+    @staticmethod
+    def _points(model, estimate_gamma, gamma_shift):
+        """The estimate, and a point away from it where the gradient is not ~0:
+        both log-variances moved by 0.3 and gamma, when estimated, by gamma_shift."""
+        fit = fit_mle(model, options=MleOptions(estimate_gamma=estimate_gamma))
+        theta = [fit.params.log_var_meas, fit.params.log_var_state]
+        shift = [0.3, 0.3]
+        if estimate_gamma:
+            theta.append(fit.gamma)
+            shift.append(gamma_shift)
+        return [np.array(theta), np.array(theta) + shift]
+
     @pytest.mark.parametrize("estimate_gamma", [False, True])
     def test_matches_plain_central_differences(self, estimate_gamma):
         model, _ = gen_tvp(TvpDgp(T=300, sigma2_meas=0.05, sigma2_state=0.3, seed=21))
-        fit = fit_mle(model, options=MleOptions(estimate_gamma=estimate_gamma))
-        theta = [fit.params.log_var_meas, fit.params.log_var_state]
-        if estimate_gamma:
-            theta.append(fit.gamma)
         fun = self._full_loglik(model)
-        # at the estimate and away from it, where the gradient is not ~0
-        for shift in (0.0, 0.3):
-            at = np.array(theta) + shift
-            hess, scores = sspace._sandwich_stencil(model, at, fun(at))
-            np.testing.assert_allclose(hess, _oracles.central_hessian(fun, at), rtol=1e-8)
+        for at in self._points(model, estimate_gamma, gamma_shift=0.3):
+            hess, scores = self._stencil(model, at)
+            ref = _oracles.central_hessian(fun, at)
+            # rho (and gamma) move theta_1 (and theta_2) alone: the same points
+            # and formulas as plain central differences in theta
+            np.testing.assert_array_equal(hess[1:, 1:], ref[1:, 1:])
             assert scores.shape == (len(model) - 1, len(at))
-            np.testing.assert_allclose(scores.sum(axis=0), _oracles.central_gradient(fun, at),
-                                       rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(
+                scores[:, 1:], _oracles.central_gradient(self._obs_terms(model), at)[:, 1:],
+                rtol=1e-12, atol=0.0)
+            # the sigma entries are exact, so the whole Hessian differs from plain
+            # central differences only by their error
+            np.testing.assert_allclose(hess, ref, rtol=0.0, atol=1e-5 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("estimate_gamma", [False, True])
+    def test_sigma_row_and_column_are_closed_form(self, estimate_gamma):
+        model, _ = gen_tvp(TvpDgp(T=60, sigma2_meas=0.05, sigma2_state=0.3, seed=22))
+        yv, xv = model.y.values, model.x.values
+        k = 3 if estimate_gamma else 2
+        a = np.eye(k)
+        a[1, 0] = 1.0  # theta = A phi
+
+        def sum_v2_f_and_ratios(phi):
+            """sum(v^2/F) over t >= 2 and the ratios v_t^2/F_t, from the dense
+            joint-Gaussian oracle on the tail after the diffuse step."""
+            theta = a @ phi
+            vm, vs = math.exp(theta[0]), math.exp(theta[1])
+            gamma = theta[2] if k > 2 else model.gamma
+            v, f = _oracles.state_space_innovations(
+                yv[1:], xv[1:], gamma, vm, vs, yv[0] / xv[0], vm / (xv[0] * xv[0]))
+            return float(np.sum(v * v / f)), v * v / f
+
+        # gamma moved down, not up: the dense oracle loses accuracy on an
+        # explosive transition
+        for at in self._points(model, estimate_gamma, gamma_shift=-0.1):
+            hess, scores = self._stencil(model, at)
+            hess_phi, scores_phi = a.T @ hess @ a, scores @ a
+            phi = np.linalg.solve(a, at)
+            s0, ratios = sum_v2_f_and_ratios(phi)
+            np.testing.assert_allclose(scores_phi[:, 0], -0.5 * (1.0 - ratios), rtol=1e-9)
+            assert hess_phi[0, 0] == pytest.approx(-0.5 * s0, rel=1e-9)
+            h = 1e-4 * np.maximum(1.0, np.abs(at))
+            for i in range(1, k):
+                step = np.zeros(k)
+                step[i] = h[i]
+                cross = 0.5 * (sum_v2_f_and_ratios(phi + step)[0]
+                               - sum_v2_f_and_ratios(phi - step)[0]) / (2.0 * h[i])
+                assert hess_phi[0, i] == pytest.approx(cross, rel=1e-9)
+                assert hess_phi[i, 0] == hess_phi[0, i]
+
+
+class TestFitDiagnostics:
+    @pytest.mark.parametrize("estimate_gamma, stencil", [(False, 2), (True, 8)])
+    def test_filter_passes_are_search_estimate_and_stencil(
+            self, monkeypatch, estimate_gamma, stencil):
+        model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.3, seed=23))
+        calls = {"_filter_core": 0, "_profile": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(sspace, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(sspace, name, counted)
+        fit = fit_mle(model, options=MleOptions(estimate_gamma=estimate_gamma))
+        # one pass per objective evaluation, one at the estimate, the stencil's
+        assert calls["_filter_core"] == calls["_profile"] + 1 + stencil
+        assert fit.n_filter_passes == calls["_filter_core"]
+
+    def test_hessian_condition_number(self):
+        model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.3, seed=23))
+        fit = fit_mle(model)
+        theta = np.array([fit.params.log_var_meas, fit.params.log_var_state])
+        eig = np.abs(np.linalg.eigvalsh(
+            sspace._sandwich_stencil(model, theta, fit.filter_output)[0]))
+        assert fit.hessian_cond == eig.max() / eig.min()
+        assert fit.hessian_cond >= 1.0
+        d = fit.to_dict()
+        assert (d["n_filter_passes"], d["hessian_cond"]) == (fit.n_filter_passes, fit.hessian_cond)
