@@ -100,6 +100,46 @@ def summarize(pairs: list[dict], metric: str, better: str) -> dict:
     return out
 
 
+def verdicts(workloads: dict, gated: dict, claim_id: str | None) -> tuple[dict | None, dict]:
+    """(claim, bounds): the verdict on the claimed "workload/metric", if any,
+    and one on every other gated metric of every workload against its bound.
+
+    workloads maps a name to {"pairs": [...], "summary": {metric:
+    summarize(...)}}; gated maps a metric name to its BENCHMARK.json entry.
+    """
+    claim = None
+    if claim_id:
+        workload, metric = claim_id.split("/")
+        s = workloads[workload]["summary"][metric]
+        n = len(workloads[workload]["pairs"])
+        gain = -s["median_diff"] if gated[metric]["better"] == "lower" else s["median_diff"]
+        claim = {"workload": workload, "metric": metric, "better": gated[metric]["better"],
+                 "pairs": n, "change_wins": s["change_wins"],
+                 "median_diff": s["median_diff"], "parent_iqr": s["parent"]["iqr"],
+                 "met": s["change_wins"] >= math.ceil(WIN_SHARE * n)
+                 and gain > s["parent"]["iqr"]}
+    bounds = {}
+    for workload, w in workloads.items():
+        for name, m in gated.items():
+            if claim_id == f"{workload}/{name}":
+                continue
+            s = w["summary"][name]
+            rel = s["change"]["median"] / s["parent"]["median"] - 1.0
+            sign = 1.0 if m["better"] == "lower" else -1.0
+            spread = max(s[side]["iqr"] / s[side]["median"] for side in SIDES)
+            runs = {side: [sign * p[side][name] for p in w["pairs"]] for side in SIDES}
+            if spread > m["bound"] and max(runs["change"]) >= min(runs["parent"]):
+                status = "unresolved"
+            else:
+                status = "within" if sign * rel <= m["bound"] else "beyond"
+            bounds[f"{workload}/{name}"] = {"relative_change_of_median": round(rel, 4),
+                                            "widest_relative_spread": round(spread, 4),
+                                            "bound": m["bound"], "status": status}
+        bounds[f"{workload}/fail_ratio"] = {
+            f"{side}_failed": sum(p[side]["failed"] for p in w["pairs"]) for side in SIDES}
+    return claim, bounds
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -145,36 +185,7 @@ def main(argv=None) -> int:
             workloads[workload]["trace_pair"] = {"seed": args.trace_seed, **{
                 side: read(dirs[side], workload, args.trace_seed, 1)[0] for side in SIDES}}
 
-    claim = None
-    if args.claim:
-        workload, metric = args.claim.split("/")
-        s = workloads[workload]["summary"][metric]
-        n = len(args.seeds)
-        gain = -s["median_diff"] if gated[metric]["better"] == "lower" else s["median_diff"]
-        claim = {"workload": workload, "metric": metric, "better": gated[metric]["better"],
-                 "pairs": n, "change_wins": s["change_wins"],
-                 "median_diff": s["median_diff"], "parent_iqr": s["parent"]["iqr"],
-                 "met": s["change_wins"] >= math.ceil(WIN_SHARE * n)
-                 and gain > s["parent"]["iqr"]}
-    bounds = {}
-    for workload, w in workloads.items():
-        for name, m in gated.items():
-            if args.claim == f"{workload}/{name}":
-                continue
-            s = w["summary"][name]
-            rel = s["change"]["median"] / s["parent"]["median"] - 1.0
-            sign = 1.0 if m["better"] == "lower" else -1.0
-            spread = max(s[side]["iqr"] / s[side]["median"] for side in SIDES)
-            runs = {side: [sign * p[side][name] for p in w["pairs"]] for side in SIDES}
-            if spread > m["bound"] and max(runs["change"]) >= min(runs["parent"]):
-                status = "unresolved"
-            else:
-                status = "within" if sign * rel <= m["bound"] else "beyond"
-            bounds[f"{workload}/{name}"] = {"relative_change_of_median": round(rel, 4),
-                                            "widest_relative_spread": round(spread, 4),
-                                            "bound": m["bound"], "status": status}
-        bounds[f"{workload}/fail_ratio"] = {
-            f"{side}_failed": sum(p[side]["failed"] for p in w["pairs"]) for side in SIDES}
+    claim, bounds = verdicts(workloads, gated, args.claim)
 
     keep = ("cpu_model", "nproc", "python", "numpy", "scipy", "blas", "blas_threads", "thread_env")
     provenance = {k: prov["change"].get(k) for k in keep}

@@ -226,6 +226,11 @@ def _cmd_adf(args) -> int:
     return EXIT_OK
 
 
+# single-stage subcommand -> (its Report section, the figure id --format csv prints)
+_SINGLE_CSV = {"ols": ("ols", "table2"), "cusum": ("cusum", "fig3"),
+               "recursive": ("recursive", "fig4"), "sspace": ("mle", "table3")}
+
+
 def _cmd_single(args) -> int:
     data = _load(args)
     cfg = _pipeline_config(args)
@@ -234,22 +239,26 @@ def _cmd_single(args) -> int:
     dm_x, _ = demean(gx)
     if args.command == "ols":
         res = regress.ols_no_intercept(dm_y, dm_x)
-        return _emit(args, res.to_dict(), res.to_text())
-    if args.command == "cusum":
+        text = res.to_text()
+    elif args.command == "cusum":
         res = regress.cusum(dm_y, dm_x, cfg.cusum_significance)
         text = (f"CUSUM at {res.significance:.0%}: "
                 + ("stable (no boundary crossing)" if res.stable
                    else f"unstable; first crossing {res.first_crossing}"))
-        return _emit(args, res.to_dict(), text)
-    if args.command == "recursive":
+    elif args.command == "recursive":
         res = regress.recursive_coefficients(dm_y, dm_x)
         text = (f"recursive coefficients over {len(res.coefs)} expanding samples; "
                 f"final {res.coefs[-1]:.6f} "
                 f"[{res.bands_lo[-1]:.6f}, {res.bands_hi[-1]:.6f}]")
-        return _emit(args, res.to_dict(), text)
-    # sspace
-    res = sspace.fit_mle(sspace.TvpModel(dm_y, dm_x), options=cfg.mle)
-    return _emit(args, res.to_dict(), res.to_text())
+    else:  # sspace
+        res = sspace.fit_mle(sspace.TvpModel(dm_y, dm_x), options=cfg.mle)
+        text = res.to_text()
+    if args.format == "csv":
+        section, which = _SINGLE_CSV[args.command]
+        report = pipeline.Report(demeaned_y=dm_y, **{section: res})
+        print(pipeline.emit_figure_data(report, which), end="")
+        return EXIT_OK
+    return _emit(args, res.to_dict(), text)
 
 
 def _pipeline_config(args) -> pipeline.PipelineConfig:

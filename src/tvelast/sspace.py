@@ -21,12 +21,14 @@ take central differences, 2 filter passes (8 with gamma). The fit keeps
 that pass (MleResult.filter_output), so the state paths, the smoother and
 the shocks read it instead of filtering again.
 
-Initialization is the exact diffuse step (Koopman 1997; Durbin and Koopman
-2012, section 5.2): the first observation alone sets the filtered state
-a_1 = y_1 / x_1, P_1 = var_meas / x_1^2 (DegenerateRegressor if not finite)
-and adds no likelihood term, so the recursion starts at t = 2. The
-filtered-variance update is computed as P_pred * var_meas / F (algebraically
-identical to (1 - K x) P_pred but free of cancellation).
+Every pass runs the one recursion, _filter_core, whose only public door is
+kalman_filter; a pass's log-likelihood is its log_lik. By default the
+recursion starts with the exact diffuse step (Koopman 1997; Durbin and
+Koopman 2012, section 5.2): the first observation alone sets a_1 = y_1 / x_1,
+P_1 = var_meas / x_1^2 (DegenerateRegressor if not finite) and adds no
+likelihood term; an ExplicitInit is a proper prior instead. The filtered-
+variance update is P_pred * var_meas / F (algebraically identical to
+(1 - K x) P_pred but free of cancellation).
 """
 
 from __future__ import annotations
@@ -126,30 +128,33 @@ class KalmanOutput:
     gamma: float
 
 
-def _diffuse_start(yv, xv, var_meas: float) -> tuple[float, float]:
-    """The filtered state (a_1, P_1) after the exact diffuse step."""
-    x1 = xv[0]
-    p1 = var_meas / (x1 * x1) if x1 * x1 > 0.0 else math.inf
-    if p1 == math.inf:
-        raise DegenerateRegressor(f"first observation of x is {x1!r}: var_meas / x_1^2 is not "
-                                  "finite, so the diffuse start cannot identify the state")
-    return yv[0] / x1, p1
-
-
-def _filter_core(yv, xv, gamma, var_meas, var_state, a, p, t0, moments=None):
+def _filter_core(yv, xv, gamma, var_meas, var_state, init=None, moments=None):
     """The forward recursion, the only one in the module.
 
-    From the filtered state (a, p) of observation t0 - 1 (the prior when
-    t0 = 0), returns (sum log F_t, sum v_t^2 / F_t) over t >= t0, so the
-    log-likelihood is -(n log 2pi + sum log F + sum v^2/F) / 2 with
-    n = len(yv) - t0. Each step appends to moments, when given, the lists
-    (pred_mean, pred_var, filt_mean, filt_var, innovations, innov_var).
+    init None starts it with the exact diffuse step (see the module
+    docstring), an ExplicitInit from that prior at t = 1. Returns (sum log
+    F_t, sum v_t^2 / F_t, n) over the n observations that add a term, so the
+    log-likelihood is _loglik of the three. Each step appends to moments,
+    when given, the lists (pred_mean, pred_var, filt_mean, filt_var,
+    innovations, innov_var), the diffuse month as KalmanOutput describes it.
     """
-    sum_log_f = 0.0
-    sum_v2_f = 0.0
     store = moments is not None
     if store:
         pred_mean, pred_var, filt_mean, filt_var, innov, innov_var = moments
+    if init is None:
+        x1 = xv[0]
+        p = var_meas / (x1 * x1) if x1 * x1 > 0.0 else math.inf
+        if p == math.inf:
+            raise DegenerateRegressor(f"first observation of x is {x1!r}: var_meas / x_1^2 is not "
+                                      "finite, so the diffuse start cannot identify the state")
+        a, t0 = yv[0] / x1, 1
+        if store:
+            for column, value in zip(moments, (0.0, math.inf, a, p, yv[0], math.inf)):
+                column.append(value)
+    else:
+        a, p, t0 = init.mean, init.var, 0
+    sum_log_f = 0.0
+    sum_v2_f = 0.0
     log = math.log
     gamma2 = gamma * gamma
     for yt, xt in zip(yv[t0:], xv[t0:]):
@@ -169,33 +174,25 @@ def _filter_core(yv, xv, gamma, var_meas, var_state, a, p, t0, moments=None):
             filt_var.append(p)
             innov.append(v)
             innov_var.append(f)
-    return sum_log_f, sum_v2_f
+    return sum_log_f, sum_v2_f, len(yv) - t0
 
 
 def _loglik(sum_log_f: float, sum_v2_f: float, n: int) -> float:
     return -0.5 * (n * _LOG_2PI + sum_log_f + sum_v2_f)
 
 
-def _resolve_init(yv, xv, var_meas: float, init) -> tuple[float, float, int]:
-    """The filtered state the recursion starts from, and its first index."""
-    if init == "diffuse":
-        return (*_diffuse_start(yv, xv, var_meas), 1)
-    if isinstance(init, ExplicitInit):
-        return init.mean, init.var, 0
-    raise ValueError(f"init must be 'diffuse' or ExplicitInit, got {init!r}")
-
-
 def kalman_filter(model: TvpModel, params: VarianceParams,
-                  init="diffuse") -> KalmanOutput:
-    """Run the forward recursion and return all per-period moments."""
+                  init: ExplicitInit | None = None) -> KalmanOutput:
+    """Run the forward recursion and return all per-period moments.
+
+    init None is the exact diffuse start; an ExplicitInit is a proper prior.
+    The pass's log-likelihood is the output's log_lik.
+    """
     if len(model) == 0:
         raise EmptySeries("cannot filter an empty model")
-    yv, xv = model.y.values, model.x.values
-    a, p, t0 = _resolve_init(yv, xv, params.var_meas, init)
-    moments = ([], [], [], [], [], []) if t0 == 0 else (
-        [0.0], [math.inf], [a], [p], [yv[0]], [math.inf])
-    sum_log_f, sum_v2_f = _filter_core(
-        yv, xv, model.gamma, params.var_meas, params.var_state, a, p, t0, moments)
+    moments = ([], [], [], [], [], [])
+    sum_log_f, sum_v2_f, n = _filter_core(model.y.values, model.x.values, model.gamma,
+                                          params.var_meas, params.var_state, init, moments)
     pm, pv, fm, fv, iv, ivv = moments
     if not (math.isfinite(fm[-1]) and math.isfinite(fv[-1])):
         raise NonFiniteState("filter recursion produced a non-finite state")
@@ -203,22 +200,10 @@ def kalman_filter(model: TvpModel, params: VarianceParams,
         pred_mean=tuple(pm), pred_var=tuple(pv),
         filt_mean=tuple(fm), filt_var=tuple(fv),
         innovations=tuple(iv), innov_var=tuple(ivv),
-        log_lik=_loglik(sum_log_f, sum_v2_f, len(model) - t0),
-        n_diffuse_dropped=t0,
+        log_lik=_loglik(sum_log_f, sum_v2_f, n),
+        n_diffuse_dropped=len(model) - n,
         start=model.y.start, gamma=model.gamma,
     )
-
-
-def log_likelihood(model: TvpModel, params: VarianceParams,
-                   init="diffuse") -> float:
-    """Prediction-error log-likelihood; equals kalman_filter(...).log_lik."""
-    if len(model) == 0:
-        raise EmptySeries("cannot filter an empty model")
-    yv, xv = model.y.values, model.x.values
-    a, p, t0 = _resolve_init(yv, xv, params.var_meas, init)
-    sum_log_f, sum_v2_f = _filter_core(
-        yv, xv, model.gamma, params.var_meas, params.var_state, a, p, t0)
-    return _loglik(sum_log_f, sum_v2_f, len(model) - t0)
 
 
 def kalman_smoother(output: KalmanOutput) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -367,9 +352,7 @@ def _profile(yv, xv, gamma: float, log_q: float) -> tuple[float, float, float]:
     box. Returns (log-likelihood, log_var_meas, log_var_state).
     """
     log_q = min(max(log_q, _LOG_VAR_MIN - _LOG_VAR_MAX), _LOG_VAR_MAX - _LOG_VAR_MIN)
-    sum_log_f, sum_v2_f = _filter_core(
-        yv, xv, gamma, 1.0, math.exp(log_q), *_diffuse_start(yv, xv, 1.0), 1)
-    n = len(yv) - 1
+    sum_log_f, sum_v2_f, n = _filter_core(yv, xv, gamma, 1.0, math.exp(log_q))
     log_s2 = math.log(sum_v2_f / n) if sum_v2_f > 0.0 else -math.inf
     log_s2 = min(max(log_s2, _LOG_VAR_MIN, _LOG_VAR_MIN - log_q),
                  _LOG_VAR_MAX, _LOG_VAR_MAX - log_q)
@@ -377,21 +360,19 @@ def _profile(yv, xv, gamma: float, log_q: float) -> tuple[float, float, float]:
     return ll, log_s2, log_q + log_s2
 
 
-def fit_mle(model: TvpModel, init_params: VarianceParams | None = None,
-            options: MleOptions | None = None) -> MleResult:
+def fit_mle(model: TvpModel, options: MleOptions | None = None) -> MleResult:
     """Estimate the log-variances (and optionally gamma) by ML.
 
-    init_params only sets where the search starts, through its ratio
-    var_state / var_meas. Raises NoConvergence when the iteration cap is
-    reached, an estimate is pinned at the log-variance box bound, or the
-    observed Hessian is not negative definite; the exception carries the
-    best point found as .result, with converged=False, so callers can still
-    inspect it.
+    The search starts at the ratio var_state / var_meas of _default_init.
+    Raises NoConvergence when the iteration cap is reached, an estimate is
+    pinned at the log-variance box bound, or the observed Hessian is not
+    negative definite; the exception carries the best point found as
+    .result, with converged=False, so callers can still inspect it.
     """
     opts = options or MleOptions()
     if len(model) < 2:
         raise EmptySeries("ML needs two observations: the first is absorbed by the diffuse start")
-    start = init_params or _default_init(model)
+    start = _default_init(model)
     for v in (start.log_var_meas, start.log_var_state):
         if not _LOG_VAR_MIN <= v <= _LOG_VAR_MAX:
             raise NonFiniteObjective(
@@ -584,15 +565,13 @@ def _sandwich_stencil(model: TvpModel, theta: np.ndarray,
         for i, step in steps.items():
             t[i] += step
         gamma = t[2] if k > 2 else model.gamma
-        var_meas = math.exp(t[0])
         moments = ([], [], [], [], [], []) if store else None
-        sum_log_f, sum_v2_f = _filter_core(yv, xv, gamma, var_meas, math.exp(t[1]),
-                                           *_diffuse_start(yv, xv, var_meas), 1, moments)
-        ll = _loglik(sum_log_f, sum_v2_f, n)
+        sums = _filter_core(yv, xv, gamma, math.exp(t[0]), math.exp(t[1]), moments=moments)
+        ll = _loglik(*sums)
         if not store:
             return ll
-        v, f = np.asarray(moments[4]), np.asarray(moments[5])
-        return ll, sum_v2_f, -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
+        v, f = np.asarray(moments[4][1:]), np.asarray(moments[5][1:])  # after the diffuse month
+        return ll, sums[1], -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
 
     v, f = np.asarray(out.innovations[1:]), np.asarray(out.innov_var[1:])
     v2_f = v * v / f

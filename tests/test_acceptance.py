@@ -118,7 +118,7 @@ def mle_recovery_fits():
         model, _ = gen_tvp(dgp)
         fit = sspace.fit_mle(model)
         grad = _oracles.central_gradient(
-            lambda t: sspace.log_likelihood(model, sspace.VarianceParams(t[0], t[1])),
+            lambda t: sspace.kalman_filter(model, sspace.VarianceParams(t[0], t[1])).log_lik,
             np.array([fit.params.log_var_meas, fit.params.log_var_state]),
         )
         fits.append(fit)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -8,8 +9,8 @@ import pytest
 from tvelast import sspace
 from tvelast.cli import EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, main, render_all_help
 from tvelast.errors import NonFiniteObjective
-from tvelast.pipeline import FIGURE_FILES
-from tvelast.series import Dataset, MonthlySeries, write_csv
+from tvelast.pipeline import FIGURE_FILES, PipelineConfig, emit_figure_data, run_pipeline
+from tvelast.series import Dataset, MonthlySeries, parse_csv, write_csv
 
 from conftest import make_dataset
 
@@ -262,6 +263,128 @@ class TestOutputs:
         assert "no convergence" in err
 
 
+@pytest.fixture(scope="module")
+def report(csv_path):
+    with open(csv_path, "rb") as fh:
+        return run_pipeline(parse_csv(fh), PipelineConfig())
+
+
+class TestSingleStageSubcommands:
+    @pytest.mark.parametrize("command, which", [
+        ("ols", "table2"), ("sspace", "table3"), ("cusum", "fig3"), ("recursive", "fig4")])
+    def test_csv_is_the_pipeline_figure(self, csv_path, report, command, which):
+        code, out, _ = run_cli([command, "--input", csv_path, "--format", "csv"])
+        assert code == EXIT_OK
+        assert out == emit_figure_data(report, which)
+
+    @pytest.mark.parametrize("command", ["cusum", "recursive"])
+    def test_json_is_the_report_section(self, csv_path, report, command):
+        code, out, _ = run_cli([command, "--input", csv_path])
+        assert code == EXIT_OK
+        assert _strict_loads(out) == _strict_loads(report.to_json())[command]
+
+    def test_cusum_text_and_significance(self, csv_path, report):
+        code, out, _ = run_cli(["cusum", "--input", csv_path, "--format", "text"])
+        assert code == EXIT_OK
+        assert out.startswith("CUSUM at 5%: unstable; first crossing "
+                              f"{report.cusum.first_crossing}")
+        code, out, _ = run_cli(["cusum", "--input", csv_path, "--cusum-sig", "0.1"])
+        assert code == EXIT_OK
+        assert json.loads(out)["significance"] == 0.1
+
+    def test_recursive_text(self, csv_path, report):
+        code, out, _ = run_cli(["recursive", "--input", csv_path, "--format", "text"])
+        assert code == EXIT_OK
+        coefs = report.recursive.coefs
+        assert out.startswith(f"recursive coefficients over {len(coefs)} expanding samples; "
+                              f"final {coefs[-1]:.6f} [")
+
+
+class TestFlagMapping:
+    def test_adf_lag_cap_and_deterministic_terms(self, csv_path):
+        code, out, _ = run_cli(["adf", "--input", csv_path])
+        default = json.loads(out)
+        assert [r["deterministic"] for r in default] == ["constant+trend", "constant"] * 2
+        assert max(r["chosen_lags"] for r in default) > 0
+        code, out, _ = run_cli(["adf", "--input", csv_path, "--max-lags", "0",
+                                "--deterministic-levels", "none",
+                                "--deterministic-diffs", "constant+trend"])
+        assert code == EXIT_OK
+        rows = json.loads(out)
+        assert [r["chosen_lags"] for r in rows] == [0] * 4
+        assert [r["deterministic"] for r in rows] == ["none", "constant+trend"] * 2
+
+    def test_sspace_iteration_cap_and_gamma(self, csv_path):
+        code, _, err = run_cli(["sspace", "--input", csv_path, "--max-iter", "1"])
+        assert code == EXIT_ESTIMATION
+        assert "no convergence after 1 iterations" in err
+        code, out, _ = run_cli(["sspace", "--input", csv_path, "--estimate-gamma"])
+        assert code == EXIT_OK
+        assert len(json.loads(out)["robust_se"]) == 3
+
+    def test_pipeline_seed_enters_the_config_hash(self, csv_path):
+        def config_sha(argv):
+            code, out, _ = run_cli(["pipeline", "--input", csv_path] + argv)
+            assert code == EXIT_OK
+            return json.loads(out)["provenance"]["config_sha256"]
+
+        expected = hashlib.sha256(json.dumps(
+            PipelineConfig(seed=5).to_dict(), sort_keys=True).encode()).hexdigest()
+        assert config_sha(["--seed", "5"]) == expected != config_sha([])
+
+    def test_config_that_is_not_an_object_is_usage_error(self, csv_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code, out, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "config file must hold a JSON object" in err
+
+
+class TestSubsampleAndSimulateFormats:
+    ENDS = ["--subsample-ends", "1980-12,1983-06"]
+
+    def test_subsample_out_writes_the_csv(self, csv_path, tmp_path):
+        code, out, _ = run_cli(["subsample", "--input", csv_path, "--format", "csv"] + self.ENDS)
+        assert code == EXIT_OK
+        code, stdout, err = run_cli(["subsample", "--input", csv_path, "--out",
+                                     str(tmp_path / "sub")] + self.ENDS)
+        assert code == EXIT_OK and stdout == ""
+        path = tmp_path / "sub" / FIGURE_FILES["appendixA1"]
+        assert err.strip() == str(path)
+        assert path.read_text(encoding="utf-8") == out
+
+    def test_subsample_text(self, csv_path):
+        code, out, _ = run_cli(["subsample", "--input", csv_path, "--format", "text"] + self.ENDS)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("1971-01..1980-12  final_state=")
+        assert lines[1].startswith("1971-01..1983-06  final_state=")
+
+    def test_simulate_text_and_csv(self):
+        args = ["simulate", "mle", "--reps", "10", "--seed", "7", "--t", "120"]
+        _, out, _ = run_cli(args)
+        summary = json.loads(out)
+        code, out, _ = run_cli(args + ["--format", "text"])
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == f"mle: 10 reps, {summary['n_failed']} failed"
+        assert len(lines) == 1 + len(summary["bias"])
+        assert lines[1].startswith(f"{next(iter(summary['bias']))}: bias=")
+        code, out, _ = run_cli(args + ["--format", "csv"])
+        assert code == EXIT_OK
+        header, row = out.splitlines()
+        flat = dict(zip(header.split(","), row.split(",")))
+        assert flat["n_reps"] == "10" and flat["estimator"] == "mle"
+        assert float(flat["bias_" + next(iter(summary["bias"]))]) == next(
+            iter(summary["bias"].values()))
+        code, out, _ = run_cli(["simulate", "cusum-size", "--reps", "10", "--seed", "3",
+                                "--t", "100", "--format", "text"])
+        assert code == EXIT_OK
+        assert out.splitlines()[1].startswith("rejection rate: ")
+
+
 def _strict_loads(text):
     """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
     def reject(token):
@@ -288,10 +411,10 @@ class TestStrictJson:
     def test_failed_subsample_window_writes_null(self, csv_path, tmp_path, monkeypatch):
         fit_mle = sspace.fit_mle
 
-        def fail_short_windows(model, init_params=None, options=None):
+        def fail_short_windows(model, options=None):
             if len(model) < 150:  # the 1980-12 window; the full sample has 188 months
                 raise NonFiniteObjective("forced failure")
-            return fit_mle(model, init_params, options)
+            return fit_mle(model, options)
 
         monkeypatch.setattr(sspace, "fit_mle", fail_short_windows)
         ends = ["--subsample-ends", "1980-12,1985-12"]

@@ -208,7 +208,7 @@ class TestSubsampleFinalStates:
     def test_failed_fit_recorded_not_fatal(self, monkeypatch):
         data = make_dataset(n_months=120, seed=3)
 
-        def boom(model, init_params=None, options=None):
+        def boom(model, options=None):
             raise sspace.NonFiniteObjective("forced failure")
 
         monkeypatch.setattr(sspace, "fit_mle", boom)

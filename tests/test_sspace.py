@@ -18,7 +18,6 @@ from tvelast.sspace import (
     innovation_shocks,
     kalman_filter,
     kalman_smoother,
-    log_likelihood,
 )
 
 import _oracles
@@ -128,17 +127,10 @@ class TestKalmanFilter:
 
 
 class TestLogLikelihood:
-    def test_equals_filter_field_exactly(self, rng):
-        model, vm, vs, a0, p0 = _random_model(rng)
-        params = VarianceParams(math.log(vm), math.log(vs))
-        assert log_likelihood(model, params) == kalman_filter(model, params).log_lik
-        init = ExplicitInit(a0, p0)
-        assert log_likelihood(model, params, init) == kalman_filter(model, params, init).log_lik
-
     def test_deterministic(self, rng):
         model, vm, vs, _, _ = _random_model(rng)
         params = VarianceParams(math.log(vm), math.log(vs))
-        assert log_likelihood(model, params) == log_likelihood(model, params)
+        assert kalman_filter(model, params).log_lik == kalman_filter(model, params).log_lik
 
 
 class TestSmoother:
@@ -211,7 +203,6 @@ class TestAgainstOracleProperty:
         sm, sv = kalman_smoother(out)
         ll, fm, fv, sm_o, sv_o = _oracles.state_space_oracle(
             model.y.values, model.x.values, model.gamma, vm, vs, a0, p0)
-        assert log_likelihood(model, params, init) == out.log_lik
         assert out.log_lik == pytest.approx(ll, abs=1e-8)
         np.testing.assert_allclose(out.filt_mean, fm, atol=1e-8)
         np.testing.assert_allclose(out.filt_var, fv, atol=1e-8)
@@ -244,7 +235,6 @@ class TestDiffuseStart:
         out = kalman_filter(model, params)
         ref = kalman_filter(tail, params, init=ExplicitInit(a1, p1))
         assert out.log_lik == ref.log_lik
-        assert log_likelihood(model, params) == ref.log_lik
         assert out.filt_mean[1:] == ref.filt_mean
         assert out.filt_var[1:] == ref.filt_var
         ll, fm, fv, sm_o, sv_o = _oracles.state_space_oracle(
@@ -271,8 +261,6 @@ class TestDiffuseStart:
         params = VarianceParams(math.log(0.3), math.log(0.1))
         with pytest.raises(DegenerateRegressor):
             kalman_filter(model, params)
-        with pytest.raises(DegenerateRegressor):
-            log_likelihood(model, params)
         with pytest.raises(DegenerateRegressor):
             fit_mle(model)
 
@@ -314,7 +302,7 @@ class TestFitMle:
         fit = fit_mle(model)
         theta = np.array([fit.params.log_var_meas, fit.params.log_var_state])
         grad = _oracles.central_gradient(
-            lambda t: log_likelihood(model, VarianceParams(t[0], t[1])), theta
+            lambda t: kalman_filter(model, VarianceParams(t[0], t[1])).log_lik, theta
         )
         assert np.max(np.abs(grad)) < 1e-4
 
@@ -360,7 +348,8 @@ class TestFitMle:
         def neg_ll_direct(v):
             if v[0] <= 1e-12 or v[1] <= 1e-12:
                 return math.inf
-            return -log_likelihood(model, VarianceParams(math.log(v[0]), math.log(v[1])))
+            return -kalman_filter(
+                model, VarianceParams(math.log(v[0]), math.log(v[1]))).log_lik
 
         opt = optimize.minimize(neg_ll_direct, [0.3, 0.3], method="Nelder-Mead",
                                 options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
@@ -375,9 +364,10 @@ class TestFitMle:
         assert fit.gamma == pytest.approx(1.0, abs=0.05)
 
     def test_non_finite_start_rejected(self, rng):
-        model = _model(rng.normal(0, 1, 50), rng.normal(0, 1, 50))
-        with pytest.raises(NonFiniteObjective):
-            fit_mle(model, init_params=VarianceParams(100.0, 100.0))
+        # var(y) ~ 1e20 puts the default start at [45.26, 43.74], outside the box
+        model = _model(1e10 * rng.normal(0, 1, 50), rng.normal(0, 1, 50))
+        with pytest.raises(NonFiniteObjective, match="outside the box"):
+            fit_mle(model)
         # var(y) overflows, so the default start has no finite log-variance
         huge = _model(rng.normal(0, 1e160, 50), rng.normal(0, 1, 50))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteObjective):
@@ -404,7 +394,8 @@ class TestFitMle:
         yv, xv = model.y.values, model.x.values
         ll, log_vm, log_vs = sspace._profile(yv, xv, gamma, log_q)
         assert log_vs - log_vm == pytest.approx(log_q, abs=1e-12)
-        assert ll == pytest.approx(log_likelihood(model, VarianceParams(log_vm, log_vs)), abs=1e-9)
+        assert ll == pytest.approx(
+            kalman_filter(model, VarianceParams(log_vm, log_vs)).log_lik, abs=1e-9)
 
     @pytest.mark.parametrize("hessian", [np.eye(2), np.diag([-1.0, 1.0])])
     def test_hessian_not_negative_definite_raises(self, monkeypatch, hessian):
@@ -505,7 +496,8 @@ class TestSandwichStencil:
     def _full_loglik(model):
         def fun(t):
             gamma = t[2] if len(t) > 2 else model.gamma
-            return log_likelihood(TvpModel(model.y, model.x, gamma), VarianceParams(t[0], t[1]))
+            return kalman_filter(
+                TvpModel(model.y, model.x, gamma), VarianceParams(t[0], t[1])).log_lik
         return fun
 
     @staticmethod
@@ -598,9 +590,9 @@ class TestFitDiagnostics:
         model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.3, seed=23))
         calls = {"_filter_core": 0, "_profile": 0}
         for name in calls:
-            def counted(*args, _name=name, _fn=getattr(sspace, name)):
+            def counted(*args, _name=name, _fn=getattr(sspace, name), **kwargs):
                 calls[_name] += 1
-                return _fn(*args)
+                return _fn(*args, **kwargs)
             monkeypatch.setattr(sspace, name, counted)
         fit = fit_mle(model, options=MleOptions(estimate_gamma=estimate_gamma))
         # one pass per objective evaluation, one at the estimate, the stencil's
