@@ -4,7 +4,8 @@
 Simulates the null distribution of the Dickey-Fuller t-ratio (driftless
 Gaussian random walk started at zero, test regression without lag
 augmentation) for each deterministic case and a ladder of regression sample
-sizes, then freezes the quantile grids into ``src/tvelast/_dftables.py``.
+sizes, then freezes the quantile grids into ``src/tvelast/_dftables.py``
+beside the standard normal quantiles of the tabulated probabilities.
 An asymptotic row (1/T = 0) is added by extrapolating the four largest
 sample sizes linearly in 1/T.
 
@@ -95,6 +96,41 @@ def simulate_size(n: int, reps: int, rng: np.random.Generator) -> dict[str, np.n
     return stats
 
 
+def tables_source(rows) -> str:
+    """The text of _dftables.py for {case: [(inv_t, quantiles), ...]}.
+
+    NORMAL_QUANTILES are scipy.special.ndtri(PROBS), frozen beside PROBS so
+    that the package computes its ADF p-values without scipy.
+    """
+    from scipy.special import ndtri
+
+    lines = [
+        '"""Embedded quantile tables for the Dickey-Fuller t-ratio.',
+        "",
+        "Generated by scripts/gen_adf_tables.py (Monte Carlo under the",
+        f"unit-root null, seed {SEED}); do not edit by hand. Each table row",
+        "is keyed by 1/T for regression sample size T; the 1/T = 0 row is",
+        "the asymptotic limit extrapolated from the largest sizes.",
+        "NORMAL_QUANTILES are the standard normal quantiles of PROBS",
+        "(scipy.special.ndtri).",
+        '"""',
+        "",
+        f"PROBS = {PROBS!r}",
+        "",
+        "NORMAL_QUANTILES = (" + ", ".join(repr(float(v)) for v in ndtri(PROBS)) + ")",
+        "",
+        "TABLES = {",
+    ]
+    for case in CASES:
+        lines.append(f"    {case!r}: (")
+        for inv_t, q in rows[case]:
+            qtup = "(" + ", ".join(repr(float(v)) for v in q) + ")"
+            lines.append(f"        ({inv_t!r}, {qtup}),")
+        lines.append("    ),")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def main() -> None:
     rng = np.random.default_rng(SEED)
     # case -> list of (inv_t, quantile tuple), finite sizes first
@@ -119,22 +155,7 @@ def main() -> None:
         rows[case].sort(key=lambda r: r[0])
 
     out_path = Path(__file__).resolve().parents[1] / "src" / "tvelast" / "_dftables.py"
-    with out_path.open("w") as fh:
-        fh.write('"""Embedded quantile tables for the Dickey-Fuller t-ratio.\n\n')
-        fh.write("Generated by scripts/gen_adf_tables.py (Monte Carlo under the\n")
-        fh.write(f"unit-root null, seed {SEED}); do not edit by hand. Each table row\n")
-        fh.write("is keyed by 1/T for regression sample size T; the 1/T = 0 row is\n")
-        fh.write("the asymptotic limit extrapolated from the largest sizes.\n")
-        fh.write('"""\n\n')
-        fh.write(f"PROBS = {PROBS!r}\n\n")
-        fh.write("TABLES = {\n")
-        for case in CASES:
-            fh.write(f"    {case!r}: (\n")
-            for inv_t, q in rows[case]:
-                qtup = "(" + ", ".join(repr(float(v)) for v in q) + ")"
-                fh.write(f"        ({inv_t!r}, {qtup}),\n")
-            fh.write("    ),\n")
-        fh.write("}\n")
+    out_path.write_text(tables_source(rows))
     print(f"wrote {out_path}", flush=True)
 
 

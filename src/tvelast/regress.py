@@ -133,6 +133,58 @@ def _check_pair(y: MonthlySeries, x: MonthlySeries, min_len: int) -> tuple[np.nd
     return np.asarray(y.values), np.asarray(x.values)
 
 
+_CF_EPS = 1e-16  # a continued-fraction step this close to 1 ends the evaluation
+_CF_TINY = 1e-300  # Lentz's guard against a zero denominator
+_CF_MAX_ITER = 10_000  # far above need: at most 56 steps for df <= 700 and |t| <= 40
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta I_x(a, b) by Lentz's method.
+
+    Numerical Recipes, section 6.4: it converges fast for x < (a+1)/(a+b+2).
+    """
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_MAX_ITER + 1):
+        m2 = 2 * m
+        # the even and the odd step of the fraction
+        for num in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                    -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= _CF_EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def _t_two_sided_tail(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom.
+
+    This is the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df/(df + t^2). nan stays nan, and an infinite t gives 0.
+    """
+    if math.isnan(t):
+        return math.nan
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    if math.isinf(t2):
+        return 0.0
+    a, b = 0.5 * df, 0.5
+    x, y = df / (df + t2), t2 / (df + t2)  # y = 1 - x without the cancellation
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, y) / b  # the symmetry I_x(a, b) = 1 - I_y(b, a)
+
+
 def ols_no_intercept(y: MonthlySeries, x: MonthlySeries) -> OlsResult:
     """Fit y = coef * x by least squares with no constant term.
 
@@ -157,9 +209,7 @@ def ols_no_intercept(y: MonthlySeries, x: MonthlySeries) -> OlsResult:
         t_stat = math.copysign(math.inf, coef)  # exact fit: the sign of the slope
     else:
         t_stat = math.nan  # y is identically zero: no evidence either way
-    from scipy.special import stdtr  # loaded on first use, not at start-up
-    # two-sided Student-t tail; stdtr(df, -|t|) is the lower tail, and nan stays nan
-    p_value = 2.0 * float(stdtr(df, -abs(t_stat)))
+    p_value = _t_two_sided_tail(t_stat, df)
     tss = float((yv - yv.mean()) @ (yv - yv.mean()))
     r2 = 1.0 - ssr / tss if tss > 0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df

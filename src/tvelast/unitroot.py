@@ -13,7 +13,10 @@ the chosen order on its own maximal sample.
 Critical values and approximate p-values interpolate embedded quantile
 tables of the Dickey-Fuller t-ratio (see _dftables.py and
 scripts/gen_adf_tables.py); interpolation is linear in 1/T across sample
-sizes and linear on the normal-quantile scale across probabilities.
+sizes and linear on the normal-quantile scale across probabilities. The
+normal quantiles of the tabulated probabilities are frozen next to the
+tables (scipy.special.ndtri, written by the same script), and the normal
+CDF is taken from math.erf/erfc, so the test needs no scipy at run time.
 Accuracy of the embedded tables is about +/-0.005 on the 1%..10% critical
 values, comfortably inside the +/-0.02 documented target.
 """
@@ -25,13 +28,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._dftables import PROBS, TABLES
+from ._dftables import NORMAL_QUANTILES, PROBS, TABLES
 from .errors import DegenerateDesign, TooShort, UnsupportedCase
 from .series import MonthlySeries
 
 DETERMINISTIC_CASES = ("none", "constant", "constant+trend")
 _MIN_TABLE_T = 25
 _RANK_RTOL = 1e-9
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,10 @@ def approx_pvalue(statistic: float, t: int, deterministic: str) -> float:
     quantiles and extrapolates the end segments, so the result is strictly
     monotone in the statistic and well behaved far into either tail.
     """
-    from scipy.special import ndtr, ndtri  # loaded on first use, not at start-up
+    if math.isnan(statistic):
+        return math.nan
     q = _interp_quantiles(deterministic, t)
-    z_grid = ndtri(np.asarray(PROBS))
+    z_grid = NORMAL_QUANTILES
     # piecewise-linear map statistic -> normal quantile
     if statistic <= q[0]:
         i, j = 0, 1
@@ -126,7 +131,20 @@ def approx_pvalue(statistic: float, t: int, deterministic: str) -> float:
         i = j - 1
     slope = (z_grid[j] - z_grid[i]) / (q[j] - q[i])
     z = z_grid[i] + slope * (statistic - q[i])
-    return float(ndtr(z))
+    return _ndtr(float(z))
+
+
+def _ndtr(z: float) -> float:
+    """Standard normal CDF, split as scipy.special.ndtr splits it.
+
+    erf near the centre and erfc in the tails, so a small lower-tail
+    probability keeps its relative precision.
+    """
+    x = z * _SQRT_HALF
+    if abs(x) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(x)
+    tail = 0.5 * math.erfc(abs(x))
+    return 1.0 - tail if x > 0 else tail
 
 
 def _design(x: np.ndarray, p: int, n_rows: int, deterministic: str) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from tvelast.series import MonthDate, write_csv
+
+from conftest import make_dataset
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -23,12 +27,6 @@ def _under(modules, package):
     return [m for m in modules if m == package or m.startswith(package + ".")]
 
 
-def test_cli_does_not_load_scipy_stats():
-    modules = _modules_after("import tvelast.cli")
-    assert "tvelast.cli" in modules
-    assert _under(modules, "scipy.stats") == []
-
-
 def test_bare_package_loads_no_numerics():
     modules = _modules_after("import tvelast")
     assert "tvelast" in modules
@@ -38,6 +36,7 @@ def test_bare_package_loads_no_numerics():
 
 def test_cli_loads_no_scipy():
     modules = _modules_after("import tvelast.cli")
+    assert "tvelast.cli" in modules
     assert "numpy" in modules
     assert _under(modules, "scipy") == []
 
@@ -62,13 +61,13 @@ def test_gamma_fit_loads_scipy_optimize():
     assert "scipy.optimize" in modules
 
 
-def test_pvalues_load_scipy_special_only():
-    modules = _modules_after(
-        "from tvelast.regress import ols_no_intercept\n"
-        "from tvelast.simlab import TvpDgp, gen_tvp\n"
-        "from tvelast.unitroot import adf\n"
-        "model, _ = gen_tvp(TvpDgp(T=120, sigma2_meas=0.1, sigma2_state=0.2, seed=3))\n"
-        "assert 0.0 <= ols_no_intercept(model.y, model.x).p_value <= 1.0\n"
-        "assert 0.0 <= adf(model.y).p_value_approx <= 1.0")
-    assert "scipy.special" in modules
-    assert _under(modules, "scipy.optimize") == []
+def test_pipeline_report_loads_no_scipy(tmp_path):
+    # a full report: ADF and OLS p-values, the fits, the smoother and the files
+    csv = tmp_path / "in.csv"
+    csv.write_text(write_csv(make_dataset(n_months=555, seed=7, start=MonthDate(1970, 1))))
+    argv = ["pipeline", "--input", str(csv), "--out", str(tmp_path / "out"),
+            "--subsample-ends", "1990-12,2000-12,2005-12,2010-12"]
+    modules = _modules_after(f"from tvelast import cli\nassert cli.main({argv!r}) == 0")
+    assert (tmp_path / "out" / "report.json").is_file()
+    assert "tvelast.unitroot" in modules and "tvelast.regress" in modules
+    assert _under(modules, "scipy") == []

@@ -8,6 +8,7 @@ from scipy import stats as sps  # oracle only: the package must not import scipy
 from tvelast.errors import DegenerateRegressor, LengthMismatch
 from tvelast.regress import (
     CUSUM_BAND_CONSTANTS,
+    _t_two_sided_tail,
     cusum,
     ols_no_intercept,
     recursive_coefficients,
@@ -298,4 +299,45 @@ class TestOlsPValueProperty:
         xv = gen.normal(0.0, 1.0, t)
         yv = slope * xv + gen.normal(0.0, 1.0, t)
         res = ols_no_intercept(*_pair(yv * 10.0 ** log_sy, xv * 10.0 ** log_sx))
-        assert res.p_value == 2.0 * float(sps.t.sf(abs(res.t_stat), t - 1))
+        assert res.p_value == _two_sided_oracle(res.t_stat, t - 1)
+
+
+def _two_sided_oracle(t_stat, df):
+    """scipy's two-sided tail at 1e-10 relative: the package's continued fraction
+    is not scipy's routine, and agrees with it to about 5e-12 for df <= 700."""
+    return pytest.approx(2.0 * float(sps.t.sf(abs(t_stat), df)), rel=1e-10, abs=0.0)
+
+
+class TestStudentTTail:
+    # both signs, df = 1, both sides of the symmetry switch and far tails
+    @pytest.mark.parametrize("t_stat, df", [
+        (0.3, 1), (-0.3, 1), (-12.7, 1), (1e6, 1), (2.5, 2), (-1.0, 7), (0.05, 30), (-2.0, 30),
+        (1.5, 536), (-1.96, 599), (-5.0, 599), (40.0, 600), (-40.0, 600),
+    ])
+    def test_matches_the_oracle(self, t_stat, df):
+        assert _t_two_sided_tail(t_stat, df) == _two_sided_oracle(t_stat, df)
+
+    def test_two_observations_leave_one_degree_of_freedom(self):
+        res = ols_no_intercept(*_pair([1.0, 1.5], [1.0, 2.0]))
+        assert res.coef == pytest.approx(0.8, rel=1e-15)
+        assert res.p_value == _two_sided_oracle(res.t_stat, 1)
+
+    def test_zero_t_is_exactly_one(self):
+        res = ols_no_intercept(*_pair([2.0, -1.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]))
+        assert res.t_stat == 0.0
+        assert res.p_value == 1.0
+        assert _t_two_sided_tail(-0.0, 5) == 1.0
+
+    def test_huge_t_underflows_to_zero(self):
+        xv = np.arange(1.0, 601.0)
+        res = ols_no_intercept(*_pair(2.0 * xv + 1e-9 * (-1.0) ** xv, xv))
+        assert res.t_stat > 1e11
+        assert res.p_value == 0.0
+        assert _t_two_sided_tail(-1e200, 3) == 0.0  # t * t overflows
+
+    @pytest.mark.parametrize("t_stat", [math.inf, -math.inf])
+    def test_infinite_t_is_zero(self, t_stat):
+        assert _t_two_sided_tail(t_stat, 10) == 0.0
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(_t_two_sided_tail(math.nan, 10))

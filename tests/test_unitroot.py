@@ -1,11 +1,18 @@
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special  # oracle only: the package must not import scipy
 
+from tvelast import _dftables
 from tvelast.errors import DegenerateDesign, TooShort, UnsupportedCase
 from tvelast.simlab import Ar1Dgp, UnitRootDgp, gen_ar1, gen_unit_root, monte_carlo
-from tvelast.unitroot import AdfSpec, adf, approx_pvalue, critical_values, default_max_lags
+from tvelast.unitroot import AdfSpec, _ndtr, adf, approx_pvalue, critical_values, default_max_lags
 
 from conftest import make_series
 
@@ -55,6 +62,10 @@ class TestApproxPvalue:
     def test_right_of_distribution(self):
         assert approx_pvalue(0.0, 543, "constant+trend") > 0.90
 
+    def test_nan_statistic_is_nan(self):
+        for case in ("none", "constant", "constant+trend"):
+            assert math.isnan(approx_pvalue(math.nan, 200, case))
+
     def test_monotone_in_statistic(self):
         # more negative statistic -> deeper into the rejection region ->
         # smaller p
@@ -62,6 +73,34 @@ class TestApproxPvalue:
         ps = [approx_pvalue(float(s), 200, "constant") for s in grid]
         assert all(b >= a - 1e-15 for a, b in zip(ps, ps[1:]))
         assert all(0.0 <= p <= 1.0 for p in ps)
+
+
+_GEN_PATH = Path(__file__).resolve().parents[1] / "scripts" / "gen_adf_tables.py"
+
+
+class TestNormalPieces:
+    def test_frozen_quantiles_are_scipy_ndtri(self):
+        expected = tuple(float(v) for v in special.ndtri(np.asarray(_dftables.PROBS)))
+        assert _dftables.NORMAL_QUANTILES == expected
+
+    def test_tables_file_is_what_the_generator_writes(self):
+        spec = importlib.util.spec_from_file_location("gen_adf_tables", _GEN_PATH)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        assert gen.PROBS == _dftables.PROBS
+        assert gen.tables_source(_dftables.TABLES) == Path(_dftables.__file__).read_text()
+
+    def test_ndtr_matches_scipy(self):
+        z = np.linspace(-38.0, 38.0, 76001)  # both tails, down to subnormal results
+        got = np.array([_ndtr(float(v)) for v in z])
+        # subnormals carry no relative precision: below the smallest normal, absolute
+        np.testing.assert_allclose(got, special.ndtr(z), rtol=1e-13, atol=sys.float_info.min)
+
+    def test_ndtr_nan_and_infinities(self):
+        assert math.isnan(_ndtr(math.nan))
+        assert _ndtr(-math.inf) == 0.0
+        assert _ndtr(math.inf) == 1.0
+        assert _ndtr(0.0) == 0.5
 
 
 class TestAdf:
