@@ -8,7 +8,11 @@ and the statistic is the t-ratio on X_{t-1}; the null of a unit root is
 rejected for sufficiently negative values. Lag order is chosen by
 minimizing the Schwarz criterion over 0..max_lags on a common sample
 trimmed for the largest candidate, then the final regression is refit at
-the chosen order on its own maximal sample.
+the chosen order on its own maximal sample. The candidates are nested, so
+every candidate's SSR comes from one QR of the widest augmented design
+on the common sample; a candidate is skipped as degenerate when the
+smallest |R_ii| of its columns is at most _RANK_RTOL times the largest
+(the R-diagonal rule), or when its SSR is not positive.
 
 Critical values and approximate p-values interpolate embedded quantile
 tables of the Dickey-Fuller t-ratio (see _dftables.py and
@@ -179,6 +183,39 @@ def _fit(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, np.ndarr
     return beta, ssr, xtx_inv_diag
 
 
+def _select_lags(x: np.ndarray, max_lags: int, deterministic: str) -> int:
+    """Schwarz-criterion lag order over 0..max_lags on the common sample.
+
+    The candidate designs share their rows and differ only by trailing lag
+    columns, so one QR of the widest design with y appended gives them all:
+    with R's last column r, the candidate with k regressors has
+    SSR = sum(r[k:]**2). Candidate k is skipped as degenerate when the
+    smallest |R_ii| of its first k columns is at most _RANK_RTOL times the
+    largest.
+    """
+    n_common = len(x) - 1 - max_lags  # trimmed for the largest candidate order
+    design, y = _design(x, max_lags, n_common, deterministic)
+    k_widest = design.shape[1]  # adf's length gate leaves n_common > k_widest
+    r = np.linalg.qr(np.column_stack((design, y)), mode="r")
+    diag = np.abs(np.diagonal(r)[:-1])
+    full_rank = np.minimum.accumulate(diag) > _RANK_RTOL * np.maximum.accumulate(diag)
+    tail_ssr = np.cumsum(r[::-1, -1] ** 2)[::-1]  # tail_ssr[k] = sum(r[k:, -1]**2)
+    chosen = 0
+    best_sic = math.inf
+    for p in range(max_lags + 1):
+        k = k_widest - max_lags + p
+        ssr = float(tail_ssr[k])
+        if not full_rank[k - 1] or ssr <= 0.0:
+            continue
+        sic = math.log(ssr / n_common) + k * math.log(n_common) / n_common
+        if sic < best_sic:
+            best_sic = sic
+            chosen = p
+    if not math.isfinite(best_sic):
+        raise DegenerateDesign("every candidate regression is degenerate")
+    return chosen
+
+
 def adf(s: MonthlySeries, spec: AdfSpec = AdfSpec()) -> AdfResult:
     """Run the test on a series; see the module docstring for conventions."""
     x = np.asarray(s.values, dtype=float)
@@ -191,26 +228,7 @@ def adf(s: MonthlySeries, spec: AdfSpec = AdfSpec()) -> AdfResult:
             f"after {max_lags} lags"
         )
 
-    # common sample: trimmed for the largest candidate order
-    n_common = t_len - 1 - max_lags
-    chosen = 0
-    best_sic = math.inf
-    for p in range(max_lags + 1):
-        design, y = _design(x, p, n_common, spec.deterministic)
-        try:
-            _, ssr, _ = _fit(design, y)
-        except DegenerateDesign:
-            continue
-        if ssr <= 0.0:
-            continue
-        k = design.shape[1]
-        sic = math.log(ssr / n_common) + k * math.log(n_common) / n_common
-        if sic < best_sic:
-            best_sic = sic
-            chosen = p
-    if not math.isfinite(best_sic):
-        raise DegenerateDesign("every candidate regression is degenerate")
-
+    chosen = _select_lags(x, max_lags, spec.deterministic)
     n_used = t_len - 1 - chosen
     design, y = _design(x, chosen, n_used, spec.deterministic)
     beta, ssr, xtx_inv_diag = _fit(design, y)

@@ -148,3 +148,67 @@ def central_hessian(fun, x, scale=1e-4):
                 - at((i, -h[i]), (j, h[j])) + at((i, -h[i]), (j, -h[j]))
             ) / (4.0 * h[i] * h[j])
     return hess
+
+
+def adf_design_brute(x, p, n_rows, deterministic):
+    """ADF regression rows for the last n_rows differences, built row by row."""
+    t_end = len(x)
+    rows, y = [], []
+    for t in range(t_end - n_rows, t_end):
+        row = []
+        if deterministic in ("constant", "constant+trend"):
+            row.append(1.0)
+        if deterministic == "constant+trend":
+            row.append(float(t))
+        row.append(x[t - 1])
+        row.extend(x[t - j] - x[t - j - 1] for j in range(1, p + 1))
+        rows.append(row)
+        y.append(x[t] - x[t - 1])
+    return np.array(rows, dtype=float), np.array(y, dtype=float)
+
+
+def _svd_fit(design, y, rtol):
+    """OLS by SVD: (beta, ssr, diag of (X'X)^-1), or None when s_min <= rtol * s_max."""
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if s[-1] <= rtol * s[0]:
+        return None
+    beta = vt.T @ ((u.T @ y) / s)
+    resid = y - design @ beta
+    return beta, float(resid @ resid), np.einsum("ji,j->i", vt ** 2, 1.0 / s ** 2)
+
+
+def adf_brute(values, deterministic, max_lags=None, rtol=1e-9):
+    """ADF lag order and t-ratio with one SVD fit per candidate order.
+
+    Every order 0..max_lags is fitted on the common sample trimmed for the
+    largest order and scored by the Schwarz criterion, skipping a candidate
+    whose singular values have s_min <= rtol * s_max or whose SSR is not
+    positive; the t-ratio on the lagged level comes from a refit at the
+    chosen order on its own maximal sample. Returns (chosen order, t-ratio),
+    or None when every candidate is skipped.
+    """
+    x = [float(v) for v in values]
+    t_len = len(x)
+    if max_lags is None:
+        max_lags = int(math.floor(12.0 * (t_len / 100.0) ** 0.25))
+    max_lags = max(0, min(max_lags, t_len // 3))
+    n_common = t_len - 1 - max_lags
+    chosen, best_sic = 0, math.inf
+    for p in range(max_lags + 1):
+        design, y = adf_design_brute(x, p, n_common, deterministic)
+        fit = _svd_fit(design, y, rtol)
+        if fit is None or fit[1] <= 0.0:
+            continue
+        k = design.shape[1]
+        sic = math.log(fit[1] / n_common) + k * math.log(n_common) / n_common
+        if sic < best_sic:
+            chosen, best_sic = p, sic
+    if not math.isfinite(best_sic):
+        return None
+    n_used = t_len - 1 - chosen
+    design, y = adf_design_brute(x, chosen, n_used, deterministic)
+    beta, ssr, xtx_inv_diag = _svd_fit(design, y, rtol)
+    k = design.shape[1]
+    level_pos = k - 1 - chosen
+    se = math.sqrt(ssr / (n_used - k) * xtx_inv_diag[level_pos])
+    return chosen, float(beta[level_pos]) / se

@@ -12,8 +12,10 @@ from scipy import special  # oracle only: the package must not import scipy
 from tvelast import _dftables
 from tvelast.errors import DegenerateDesign, TooShort, UnsupportedCase
 from tvelast.simlab import Ar1Dgp, UnitRootDgp, gen_ar1, gen_unit_root, monte_carlo
-from tvelast.unitroot import AdfSpec, _ndtr, adf, approx_pvalue, critical_values, default_max_lags
+from tvelast.unitroot import (DETERMINISTIC_CASES, AdfSpec, _ndtr, adf, approx_pvalue,
+                              critical_values, default_max_lags)
 
+import _oracles
 from conftest import make_series
 
 
@@ -162,6 +164,64 @@ class TestAdf:
         with pytest.raises(ValueError):
             AdfSpec(max_lags=-1)
 
+
+class TestLagSearch:
+    """The one-QR lag search against one SVD fit per candidate order."""
+
+    @settings(max_examples=150)
+    @given(t_len=st.integers(60, 600), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["unit_root", "ar1", "ma_differenced"]),
+           phi=st.floats(-0.9, 0.95), deterministic=st.sampled_from(DETERMINISTIC_CASES),
+           max_lags=st.none() | st.integers(0, 24))
+    def test_matches_svd_search(self, t_len, seed, kind, phi, deterministic, max_lags):
+        if kind == "unit_root":
+            values = gen_unit_root(t_len, seed=seed).values
+        elif kind == "ar1":
+            values = gen_ar1(t_len, phi, seed=seed).values
+        else:  # over-differenced AR(1): an MA unit root that wants long lag orders
+            values = np.diff(gen_ar1(t_len + 1, phi, seed=seed).values)
+        res = adf(make_series(values), AdfSpec(deterministic, max_lags))
+        chosen, statistic = _oracles.adf_brute(values, deterministic, max_lags)
+        assert res.chosen_lags == chosen
+        assert res.statistic == statistic
+
+    @pytest.mark.parametrize("deterministic", DETERMINISTIC_CASES)
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "near"])
+    def test_collinear_high_orders_are_skipped(self, exact, deterministic):
+        # the differences repeat with period 5, so from some order up the lag
+        # columns (with any deterministic terms, which periodic lags also span)
+        # are linearly dependent while the lower orders are full rank. Exact:
+        # the last 8 differences are free, which keeps the residuals nonzero.
+        # Near: every difference carries a 1e-11 perturbation, so the higher
+        # orders do lower the SSR and only the rank rule keeps them out.
+        t_len, period, max_lags = 240, 5, 20
+        gen = np.random.default_rng(7)
+        pattern = gen.normal(0.0, 1.0, period)
+        if exact:
+            free = 8
+            steps = np.concatenate((pattern[np.arange(t_len - 1 - free) % period],
+                                    gen.normal(0.0, 1.0, free)))
+        else:
+            steps = pattern[np.arange(t_len - 1) % period] + 1e-11 * gen.normal(0.0, 1.0, t_len - 1)
+        values = np.concatenate(([0.0], np.cumsum(steps)))
+        n_common = t_len - 1 - max_lags
+        ratios = []
+        for p in range(max_lags + 1):
+            design, _ = _oracles.adf_design_brute(list(values), p, n_common, deterministic)
+            sv = np.linalg.svd(design, compute_uv=False)
+            ratios.append(sv[-1] / sv[0])
+        first_collinear = next(p for p, r in enumerate(ratios) if r < 1e-12)
+        assert 0 < first_collinear <= 13
+        assert all(r > 1e-6 for r in ratios[:first_collinear])
+        assert all(r < 1e-12 for r in ratios[first_collinear:])
+
+        res = adf(make_series(values), AdfSpec(deterministic, max_lags))
+        chosen, statistic = _oracles.adf_brute(values, deterministic, max_lags)
+        assert res.chosen_lags == chosen < first_collinear
+        assert res.statistic == statistic
+        if not exact:
+            unskipped, _ = _oracles.adf_brute(values, deterministic, max_lags, rtol=0.0)
+            assert unskipped >= first_collinear
 
 class TestSizePower:
     def test_size_close_to_nominal(self):
