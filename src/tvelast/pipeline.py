@@ -413,15 +413,14 @@ def _emit_table2(report: Report) -> str:
 
 def _emit_table3(report: Report) -> str:
     m = _need(report.mle, "mle", report)
+
+    def coef(i: int, name: str, value: float) -> dict:
+        return {name: value, f"{name}_se": m.robust_se[i], f"{name}_z": m.z_stats[i],
+                f"{name}_p": m.p_values[i]}
+
     row = {
-        "log_var_meas": m.params.log_var_meas,
-        "log_var_meas_se": m.robust_se[0],
-        "log_var_meas_z": m.z_stats[0],
-        "log_var_meas_p": m.p_values[0],
-        "log_var_state": m.params.log_var_state,
-        "log_var_state_se": m.robust_se[1],
-        "log_var_state_z": m.z_stats[1],
-        "log_var_state_p": m.p_values[1],
+        **coef(0, "log_var_meas", m.params.log_var_meas),
+        **coef(1, "log_var_state", m.params.log_var_state),
         "var_meas": m.var_meas,
         "var_state": m.var_state,
         "final_state": m.final_state,
@@ -436,6 +435,8 @@ def _emit_table3(report: Report) -> str:
         "n_iter": m.n_iter,
         "converged": m.converged,
     }
+    if len(m.robust_se) > 2:  # gamma was estimated
+        row.update(coef(2, "gamma", m.gamma))
     keys = list(row)
     return _csv_text(keys, [[row[k] for k in keys]])
 

@@ -9,17 +9,17 @@ with gamma fixed at 1 by default, so the coefficient follows a random walk.
 Estimation maximizes the prediction-error-decomposition log-likelihood over
 the two log-variances. The measurement variance is concentrated out: a
 filter pass with measurement variance 1 and state variance q gives its
-closed-form estimate, so the search is over the signal-to-noise ratio
-log q alone (Brent, a step-for-step port of scipy's, so the default fit
-imports no scipy), or over (log q, gamma) with scipy's Nelder-Mead when
-gamma is estimated. Parameter uncertainty is reported with a Huber-White
-sandwich built from the observed Hessian and per-observation scores of the
-full likelihood at the optimum. Scaling both variances scales every F_t and
-leaves every v_t unchanged, so the measurement-scale direction of both is
-closed form in the fit's own pass at the estimate; only log q (and gamma)
-take central differences, 2 filter passes (8 with gamma). The fit keeps
-that pass (MleResult.filter_output), so the state paths, the smoother and
-the shocks read it instead of filtering again.
+closed-form estimate, so the search is over the signal-to-noise ratio log q
+alone (Brent, a step-for-step port of scipy's, so no fit imports scipy).
+When gamma is estimated, the same Brent searches gamma over the profile: its
+value at a gamma is a log q search's minimum there. Parameter uncertainty is
+reported with a Huber-White sandwich built from the observed Hessian and
+per-observation scores of the full likelihood at the optimum. Scaling both
+variances scales every F_t and leaves every v_t unchanged, so the
+measurement-scale direction of both is closed form in the fit's own pass at
+the estimate; only log q (and gamma) take central differences, 2 filter
+passes (8 with gamma). The fit keeps that pass (MleResult.filter_output), so
+the state paths, the smoother and the shocks need no pass of their own.
 
 Every pass runs the one recursion, _filter_core, whose only public door is
 kalman_filter; a pass's log-likelihood is its log_lik. By default the
@@ -47,9 +47,6 @@ _LOG_VAR_MIN = -40.0
 _LOG_VAR_MAX = 40.0
 _BOUND_MARGIN = 1.0  # estimates closer than this to a bound are not trusted
 _FD_SCALE = 1e-4  # relative step of the finite differences behind the SEs
-# Nelder-Mead stops when the simplex spans less than this in every
-# coordinate and in the objective; loose defaults would stop 1e-4 short.
-_SIMPLEX_TOL = 1e-9
 # scipy.optimize's constants, which _brent ports: the bracket's growth factor
 # (1 + sqrt 5) / 2, its largest parabolic step in widths, iteration cap and
 # near-zero divisor; Brent's golden fraction (3 - sqrt 5) / 2 and x tolerances
@@ -251,12 +248,13 @@ class MleResult:
     include gamma as a third entry when it was estimated. The headline
     final_state is the last filtered mean a_{T|T}; the one-step forecast
     gamma * a_{T|T} is also reported since the two readings of "final" are
-    both in circulation. n_filter_passes counts every filter pass the fit
-    made (search, the pass at the estimate and the SE stencil), and
-    hessian_cond is the ratio of the largest to the smallest |eigenvalue| of
-    the observed Hessian in the coordinates of robust_se. filter_output is
-    the filter pass at the estimate (with the fitted gamma); it is not
-    serialized.
+    both in circulation. n_iter counts Brent iterations, in a gamma fit those
+    of the outer gamma search (about 7-10). n_filter_passes counts every
+    filter pass the fit made (searches, the pass at the estimate and the SE
+    stencil), and hessian_cond is the ratio of the largest to the smallest
+    |eigenvalue| of the observed Hessian in the coordinates of robust_se.
+    filter_output is the filter pass at the estimate (with the fitted
+    gamma); it is not serialized.
     """
 
     params: VarianceParams
@@ -296,23 +294,18 @@ class MleResult:
 
     def to_text(self) -> str:
         lines = [
-            "State-space fit by maximum likelihood (concentrated, "
-            f"{'Nelder-Mead' if len(self.robust_se) > 2 else 'Brent'} search)",
+            "State-space fit by maximum likelihood (concentrated, Brent search)",
             f"Included observations        {self.n_obs}",
             f"Convergence {'achieved' if self.converged else 'NOT achieved'} "
             f"after {self.n_iter} iterations",
             "",
             f"{'':24}{'Coefficient':>12}  {'Std. Error':>10}  {'z-Statistic':>11}  {'Prob.':>7}",
-            f"{'log var (measurement)':24}{self.params.log_var_meas:>12.6f}  "
-            f"{self.robust_se[0]:>10.6f}  {self.z_stats[0]:>11.6f}  {self.p_values[0]:>7.4f}",
-            f"{'log var (state)':24}{self.params.log_var_state:>12.6f}  "
-            f"{self.robust_se[1]:>10.6f}  {self.z_stats[1]:>11.6f}  {self.p_values[1]:>7.4f}",
         ]
-        if len(self.robust_se) > 2:
-            lines.append(
-                f"{'gamma':24}{self.gamma:>12.6f}  "
-                f"{self.robust_se[2]:>10.6f}  {self.z_stats[2]:>11.6f}  {self.p_values[2]:>7.4f}"
-            )
+        rows = zip(("log var (measurement)", "log var (state)", "gamma"),  # gamma if estimated
+                   (self.params.log_var_meas, self.params.log_var_state, self.gamma),
+                   self.robust_se, self.z_stats, self.p_values)
+        lines += [f"{name:24}{c:>12.6f}  {se:>10.6f}  {z:>11.6f}  {p:>7.4f}"
+                  for name, c, se, z, p in rows]
         lines += [
             "",
             f"{'':24}{'Final State':>12}  {'Root MSE':>10}  {'z-Statistic':>11}  {'Prob.':>7}",
@@ -385,11 +378,11 @@ def fit_mle(model: TvpModel, options: MleOptions | None = None) -> MleResult:
     best = [-math.inf, None]  # log-likelihood and (log_var_meas, log_var_state, gamma)
     path = []
     n_evals = 0
+    inner_failures = []  # of log q searches, which the gamma search sees only as inf
 
-    def objective(z) -> float:
+    def objective(log_q: float, gamma: float) -> float:
         nonlocal n_evals
         n_evals += 1
-        log_q, gamma = (z[0], z[1]) if opts.estimate_gamma else (z, model.gamma)
         ll, log_vm, log_vs = _profile(yv, xv, gamma, log_q)
         if not math.isfinite(ll):
             return math.inf
@@ -398,16 +391,21 @@ def fit_mle(model: TvpModel, options: MleOptions | None = None) -> MleResult:
         path.append(best[0])
         return -ll
 
+    def search(gamma: float):  # a likelihood flat in log q gives no bracket, hence a failure
+        return _brent(lambda log_q: objective(log_q, gamma), log_q0, log_q0 + 1.0, opts.max_iter)
+
+    def profile(gamma: float) -> float:  # the 2-D objective minimized over log q
+        _, f, _, failure = search(gamma)
+        if failure is not None:
+            inner_failures.append(f"log q search at gamma={gamma:.6g}: {failure}")
+        return f if failure is None else math.inf
+
     if opts.estimate_gamma:
-        from scipy import optimize  # loaded only here: the default search needs no scipy
-        res = optimize.minimize(
-            objective, [log_q0, model.gamma], method="Nelder-Mead",
-            options={"maxiter": opts.max_iter, "xatol": _SIMPLEX_TOL, "fatol": _SIMPLEX_TOL},
-        )
-        n_iter, failure = int(res.nit), None if res.success else res.message.strip()
+        _, _, n_iter, failure = _brent(profile, model.gamma, model.gamma - 0.01, opts.max_iter)
+        if failure is not None and inner_failures:
+            failure = inner_failures[0]
     else:
-        # a likelihood flat in log q gives no bracket, hence a failure
-        _, _, n_iter, failure = _brent(objective, log_q0, log_q0 + 1.0, opts.max_iter)
+        _, _, n_iter, failure = search(model.gamma)
     problem = None if failure is None else f"no convergence after {n_iter} iterations: {failure}"
     if best[1] is None:
         raise NonFiniteObjective("log-likelihood is non-finite everywhere the search looked")

@@ -18,6 +18,7 @@ from tvelast.pipeline import (
     write_report,
 )
 from tvelast.series import Dataset, MonthDate, MonthlySeries
+from tvelast.simlab import TvpDgp, gen_tvp
 
 from conftest import make_dataset
 
@@ -255,6 +256,22 @@ class TestEmitFigureData:
         flags = [int(line.split(",")[2]) for line in lines]
         assert sum(flags) == report.shock_burn_in
         assert flags[0] == 1
+
+    @pytest.mark.parametrize("estimate_gamma", [False, True])
+    def test_table3_carries_gamma_when_estimated(self, estimate_gamma):
+        model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.3, seed=16))
+        fit = sspace.fit_mle(model, sspace.MleOptions(estimate_gamma=estimate_gamma))
+        header, row = emit_figure_data(Report(mle=fit), "table3").splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        coefs = ["log_var_meas", "log_var_state"] + ["gamma"] * estimate_gamma
+        assert list(cells) == [
+            *(f"{c}{s}" for c in coefs[:2] for s in ("", "_se", "_z", "_p")),
+            "var_meas", "var_state", "final_state", "final_rmse", "final_z", "final_p",
+            "log_lik", "aic", "sic", "hq", "n_obs", "n_iter", "converged",
+            *(f"{c}{s}" for c in coefs[2:] for s in ("", "_se", "_z", "_p"))]
+        if estimate_gamma:
+            assert [float(cells[k]) for k in ("gamma", "gamma_se", "gamma_z", "gamma_p")] == [
+                fit.gamma, fit.robust_se[2], fit.z_stats[2], fit.p_values[2]]
 
     def test_section_missing(self, dataset):
         report = run_pipeline(dataset, PipelineConfig())

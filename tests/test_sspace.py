@@ -409,6 +409,55 @@ class TestFitMle:
         assert all(math.isnan(v) for v in result.robust_se + result.z_stats + result.p_values)
 
 
+def _nelder_mead_gamma_fit(model):
+    """scipy's Nelder-Mead at tight tolerances on fit_mle's concentrated
+    (log q, gamma) objective, from the same start: the gamma fit's oracle,
+    as (log-likelihood, gamma)."""
+    yv, xv = model.y.values, model.x.values
+
+    def neg_ll(z):
+        ll = sspace._profile(yv, xv, z[1], z[0])[0]
+        return -ll if math.isfinite(ll) else math.inf
+
+    start = sspace._default_init(model)
+    res = optimize.minimize(neg_ll, [start.log_var_state - start.log_var_meas, model.gamma],
+                            method="Nelder-Mead",
+                            options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 4000})
+    assert res.success
+    return -res.fun, res.x[1]
+
+
+class TestGammaFit:
+    """The gamma fit is Brent over gamma of the Brent search over log q."""
+
+    @pytest.mark.parametrize("t, sigma2_meas, sigma2_state, seed",
+                             [(543, 0.016, 0.359, seed) for seed in range(8)]
+                             + [(60, 0.1, 0.2, seed) for seed in range(4)])
+    def test_matches_nelder_mead(self, t, sigma2_meas, sigma2_state, seed):
+        model, _ = gen_tvp(TvpDgp(T=t, sigma2_meas=sigma2_meas, sigma2_state=sigma2_state,
+                                  seed=seed))
+        fit = fit_mle(model, options=MleOptions(estimate_gamma=True))
+        ll, gamma = _nelder_mead_gamma_fit(model)
+        assert fit.log_lik >= ll - 1e-9
+        assert abs(fit.gamma - gamma) <= 1e-6
+
+    def test_start_does_not_matter(self):
+        model, _ = gen_tvp(TvpDgp(T=543, sigma2_meas=0.016, sigma2_state=0.359, seed=4))
+        fits = [fit_mle(TvpModel(model.y, model.x, gamma), MleOptions(estimate_gamma=True))
+                for gamma in (0.5, 1.3, 2.0)]
+        for fit in fits[1:]:
+            assert fit.gamma == pytest.approx(fits[0].gamma, abs=1e-6)
+            assert fit.log_lik == pytest.approx(fits[0].log_lik, abs=1e-9)
+
+    @pytest.mark.parametrize("max_iter", [1, 5])
+    def test_capped_fit_names_the_search_that_stopped(self, max_iter):
+        model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.3, seed=16))
+        with pytest.raises(NoConvergence, match="log q search at gamma=1: Maximum number of "
+                                                "iterations exceeded") as info:
+            fit_mle(model, options=MleOptions(max_iter=max_iter, estimate_gamma=True))
+        assert info.value.result.converged is False
+
+
 def _recorded(f):
     """f, plus the list of points it is called at."""
     calls = []
