@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Check that two source trees write byte-identical outputs.
+
+    python3 scripts/same_outputs.py OLD_SRC NEW_SRC [--n 32]
+
+OLD_SRC and NEW_SRC are directories that hold the `tvelast` package (the
+`src/` of a checkout, or of a `git archive` of another commit). Each tree
+runs in a subprocess of its own with that directory first on PYTHONPATH and
+writes, for the first N inputs `benchmark/plan.dataset_csv(k)` of the
+report-555 pool:
+
+- `tvelast pipeline --out` plain and with `{"mle": {"estimate_gamma": true}}`:
+  report.json (without its `created_at` line) and every table and figure CSV;
+- the `--format csv` output of validate, adf, ols, cusum, recursive, sspace
+  and subsample;
+
+and, once, the `--format csv` output and the `--dump` file of `simulate
+mle|adf-size|cusum-power --reps 10`, plus every command's exit code. The
+two output trees are then compared file by file. Exit 0 when every file is
+identical; exit 1 naming the first file that differs or is missing; exit 2
+when a tree fails to write its outputs.
+benchmark/plan.py is read, never modified.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SINGLE = ("validate", "adf", "ols", "cusum", "recursive", "sspace", "subsample")
+STUDIES = ("mle", "adf-size", "cusum-power")
+GAMMA = {"mle": {"estimate_gamma": True}}
+
+
+def _load_plan():
+    spec = importlib.util.spec_from_file_location("plan", ROOT / "benchmark" / "plan.py")
+    plan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plan)
+    return plan
+
+
+def emit(outdir: Path, n: int) -> None:
+    """Write every output of the tvelast found first on sys.path under outdir."""
+    from tvelast import cli
+
+    plan = _load_plan()
+    exits = {}
+
+    def run(name: str, argv: list[str], stdout_file: Path | None = None) -> None:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            exits[name] = cli.main(argv)
+        if stdout_file is not None:
+            stdout_file.parent.mkdir(parents=True, exist_ok=True)
+            stdout_file.write_text(buf.getvalue(), encoding="utf-8")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        gamma_cfg = Path(tmp) / "gamma.json"
+        gamma_cfg.write_text(json.dumps(GAMMA), encoding="utf-8")
+        for k in range(n):
+            csv_path = Path(tmp) / f"dataset_{k:03d}.csv"
+            csv_path.write_text(plan.dataset_csv(k), encoding="utf-8")
+            base = ["--input", str(csv_path)]
+            ends = ["--subsample-ends", plan.SUBSAMPLE_ENDS]
+            for variant, extra in (("plain", []), ("gamma", ["--config", str(gamma_cfg)])):
+                out = outdir / f"k{k:03d}" / variant
+                run(f"k{k}/pipeline/{variant}", ["pipeline", *base, *ends, *extra, "--out", str(out)])
+                report = out / "report.json"
+                if report.exists():
+                    lines = report.read_text(encoding="utf-8").splitlines(keepends=True)
+                    report.write_text("".join(
+                        line for line in lines if not line.lstrip().startswith('"created_at"')),
+                        encoding="utf-8")
+            for cmd in SINGLE:
+                argv = [cmd, *base, "--format", "csv", *(ends if cmd == "subsample" else [])]
+                run(f"k{k}/{cmd}", argv, outdir / f"k{k:03d}" / f"{cmd}.csv")
+        for study in STUDIES:
+            dump = outdir / "simulate" / f"{study}.dump.csv"
+            dump.parent.mkdir(parents=True, exist_ok=True)
+            run(f"simulate/{study}",
+                ["simulate", study, "--reps", "10", "--format", "csv", "--dump", str(dump)],
+                outdir / "simulate" / f"{study}.csv")
+    (outdir / "exit_codes.json").write_text(json.dumps(exits, indent=1, sort_keys=True),
+                                            encoding="utf-8")
+
+
+def first_difference(old: Path, new: Path) -> str | None:
+    """The first relative path whose bytes differ or that only one tree holds."""
+    old_files = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
+    new_files = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
+    for rel in sorted(old_files | new_files):
+        if rel not in old_files or rel not in new_files:
+            return f"{rel} (only in {'NEW' if rel in new_files else 'OLD'})"
+        if (old / rel).read_bytes() != (new / rel).read_bytes():
+            return str(rel)
+    return None
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old_src", nargs="?", help="directory holding the old tvelast package")
+    ap.add_argument("new_src", nargs="?", help="directory holding the new tvelast package")
+    ap.add_argument("--n", type=int, default=32, help="report-555 pool inputs to run (default 32)")
+    ap.add_argument("--emit", default=None, help=argparse.SUPPRESS)  # the per-tree child
+    args = ap.parse_args(argv)
+    if args.emit:
+        emit(Path(args.emit), args.n)
+        return 0
+    if not (args.old_src and args.new_src):
+        ap.error("OLD_SRC and NEW_SRC are required")
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = []
+        for side, src in (("old", args.old_src), ("new", args.new_src)):
+            src = Path(src).resolve()
+            if not (src / "tvelast" / "__init__.py").is_file():
+                ap.error(f"{src} holds no tvelast package")
+            out = Path(tmp) / side
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+            child = subprocess.run(
+                [sys.executable, __file__, "--emit", str(out), "--n", str(args.n)], env=env)
+            if child.returncode != 0:
+                print(f"the {side.upper()} tree failed to write its outputs")
+                return 2
+            outs.append(out)
+        diff = first_difference(*outs)
+        n_files = sum(1 for p in outs[0].rglob("*") if p.is_file())
+    if diff is not None:
+        print(f"differs: {diff}")
+        return 1
+    print(f"identical: {n_files} files")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__, pipeline, regress, simlab, sspace, unitroot
 from .errors import DataError, EstimationError, StageError, TvelastError
-from .series import CsvSchema, MonthDate, demean, json_text, parse_csv
+from .series import CsvSchema, MonthDate, csv_text, demean, json_text, parse_csv
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -188,7 +188,7 @@ def _emit(args, payload: dict, text: str) -> int:
         print(json_text(payload, indent=2))
     elif args.format == "csv":
         keys = sorted(payload)
-        print(pipeline._csv_text(keys, [[payload[k] for k in keys]]), end="")
+        print(csv_text(keys, [[payload[k] for k in keys]]), end="")
     else:
         print(text)
     return EXIT_OK
@@ -372,7 +372,7 @@ def _summary_csv(summary: simlab.McSummary) -> str:
         for k, v in d[group].items():
             flat[f"{group}_{k}"] = v
     keys = sorted(flat)
-    return pipeline._csv_text(keys, [[flat[k] for k in keys]])
+    return csv_text(keys, [[flat[k] for k in keys]])
 
 
 def render_all_help(width: int = 100) -> str:

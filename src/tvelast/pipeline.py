@@ -12,9 +12,7 @@ files per table and figure.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -28,9 +26,11 @@ from .series import (
     DecadeAverage,
     MonthDate,
     MonthlySeries,
+    csv_text,
     decade_averages,
     demean,
     json_text,
+    month_labels,
     window,
     write_csv,
     yoy_growth,
@@ -375,31 +375,14 @@ def _need(section, name: str, report: Report):
     return section
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt_cell(c) for c in row])
-    return buf.getvalue()
-
-
-def _fmt_cell(c):
-    # repr of a plain float is shortest-roundtrip; numpy scalars would
-    # render as np.float64(...), so coerce first
-    if isinstance(c, float):
-        return repr(float(c))
-    return c
-
-
 def _emit_table1(report: Report) -> str:
     rows = _need(report.adf_table, "adf_table", report)
-    return _csv_text(
+    return csv_text(
         ["variable", "form", "statistic", "p_value", "chosen_lags",
          "crit_1", "crit_5", "crit_10", "reject_at", "n_used"],
         [[r.variable, r.form, r.result.statistic, r.result.p_value_approx,
           r.result.chosen_lags, r.result.crit_1, r.result.crit_5, r.result.crit_10,
-          "" if r.result.reject_at is None else r.result.reject_at, r.result.n_used]
+          r.result.reject_at, r.result.n_used]
          for r in rows],
     )
 
@@ -408,7 +391,7 @@ def _emit_table2(report: Report) -> str:
     o = _need(report.ols, "ols", report)
     d = o.to_dict()
     keys = sorted(d)
-    return _csv_text(keys, [[d[k] for k in keys]])
+    return csv_text(keys, [[d[k] for k in keys]])
 
 
 def _emit_table3(report: Report) -> str:
@@ -438,44 +421,41 @@ def _emit_table3(report: Report) -> str:
     if len(m.robust_se) > 2:  # gamma was estimated
         row.update(coef(2, "gamma", m.gamma))
     keys = list(row)
-    return _csv_text(keys, [[row[k] for k in keys]])
+    return csv_text(keys, [[row[k] for k in keys]])
 
 
 def _emit_fig3(report: Report) -> str:
     c = _need(report.cusum, "cusum", report)
     y = _need(report.demeaned_y, "transform", report)
     # statistic index i sits at observation k + i (1-based)
-    start = y.start.plus(regress.N_REGRESSORS - 1)
-    rows = [[str(start.plus(i)), c.statistic[i], c.band_lo[i], c.band_hi[i]]
-            for i in range(len(c.statistic))]
-    return _csv_text(["date", "cusum", "band_lo", "band_hi"], rows)
+    dates = month_labels(y.start.plus(regress.N_REGRESSORS - 1), len(c.statistic))
+    return csv_text(["date", "cusum", "band_lo", "band_hi"],
+                    zip(dates, c.statistic, c.band_lo, c.band_hi))
 
 
 def _emit_fig4(report: Report) -> str:
     r = _need(report.recursive, "recursive", report)
     y = _need(report.demeaned_y, "transform", report)
-    start = y.start.plus(r.start_index - 1)
-    rows = [[str(start.plus(i)), r.coefs[i], r.bands_lo[i], r.bands_hi[i]]
-            for i in range(len(r.coefs))]
-    return _csv_text(["date", "coef", "band_lo", "band_hi"], rows)
+    dates = month_labels(y.start.plus(r.start_index - 1), len(r.coefs))
+    return csv_text(["date", "coef", "band_lo", "band_hi"],
+                    zip(dates, r.coefs, r.bands_lo, r.bands_hi))
 
 
 def _emit_fig5(report: Report) -> str:
     p = _need(report.state_paths, "state_paths", report)
-    rows = [[str(p.start.plus(i)), p.onestep[i], p.filtered[i], p.smoothed[i]]
-            for i in range(len(p.filtered))]
-    return _csv_text(["date", "sv1_onestep", "sv1_filtered", "sv1_smoothed"], rows)
+    return csv_text(["date", "sv1_onestep", "sv1_filtered", "sv1_smoothed"],
+                    zip(month_labels(p.start, len(p.filtered)), p.onestep, p.filtered, p.smoothed))
 
 
 def _emit_fig6(report: Report) -> str:
     ds = _need(report.decades, "decades", report)
     rows = [[d.label, str(d.first), str(d.last), d.mean] for d in ds]
-    return _csv_text(["decade", "first", "last", "mean"], rows)
+    return csv_text(["decade", "first", "last", "mean"], rows)
 
 
 def _emit_fig7(report: Report) -> str:
     rows = _need(report.subsample_table, "subsample_table", report)
-    return _csv_text(
+    return csv_text(
         ["sample_end", "final_state"],
         [[str(r.sample_end), r.final_state] for r in rows],
     )
@@ -483,14 +463,15 @@ def _emit_fig7(report: Report) -> str:
 
 def _emit_fig8(report: Report) -> str:
     s = _need(report.shocks, "shocks", report)
-    rows = [[str(s.start.plus(i)), s.values[i], 1 if i < report.shock_burn_in else 0]
-            for i in range(len(s.values))]
-    return _csv_text(["date", "shock", "in_burn_in"], rows)
+    n = len(s.values)
+    return csv_text(["date", "shock", "in_burn_in"],
+                    zip(month_labels(s.start, n), s.values,
+                        (int(i < report.shock_burn_in) for i in range(n))))
 
 
 def _emit_appendix(report: Report) -> str:
     rows = _need(report.subsample_table, "subsample_table", report)
-    return _csv_text(
+    return csv_text(
         ["sample_start", "sample_end", "final_state", "final_rmse", "z", "p_value", "converged"],
         [[str(r.sample_start), str(r.sample_end), r.final_state, r.final_rmse,
           r.z, r.p_value, 1 if r.converged else 0] for r in rows],

@@ -63,6 +63,12 @@ class MonthDate:
         return f"{self.year:04d}-{self.month:02d}"
 
 
+def month_labels(start: MonthDate, n: int) -> list[str]:
+    """[str(start.plus(i)) for i in range(n)], by arithmetic on the month index."""
+    first = start.index
+    return [f"{i // 12:04d}-{i % 12 + 1:02d}" for i in range(first, first + n)]
+
+
 @dataclass(frozen=True)
 class MonthlySeries:
     """Gap-free monthly observations; values[i] belongs to start + i months."""
@@ -155,10 +161,9 @@ def parse_csv(source, schema: CsvSchema = CsvSchema()) -> Dataset:
     sorted ascending by date before validation; months must then be
     consecutive, unique, and every level strictly positive.
     """
-    text = _read_text(source)
-    reader = csv.reader(io.StringIO(text))
+    records = _csv_rows(_read_text(source))
     try:
-        header = next(reader)
+        _, header = next(records)
     except StopIteration:
         raise MissingValue("empty CSV: no header row") from None
     header = [h.strip() for h in header]
@@ -174,7 +179,7 @@ def parse_csv(source, schema: CsvSchema = CsvSchema()) -> Dataset:
     x_idx = _find_column(header, schema.x) if schema.x else value_cols[1]
 
     rows: list[tuple[MonthDate, float, float]] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in records:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) <= max(date_idx, y_idx, x_idx):
@@ -204,15 +209,22 @@ def parse_csv(source, schema: CsvSchema = CsvSchema()) -> Dataset:
 
 def write_csv(dataset: Dataset) -> str:
     """Serialize a Dataset back to the input CSV schema (round-trippable)."""
+    return csv_text(
+        ["date", dataset.y_raw.name or "y", dataset.x_raw.name or "x"],
+        zip(month_labels(dataset.start, len(dataset)), dataset.y_raw.values, dataset.x_raw.values),
+    )
+
+
+def csv_text(header: Sequence[str], rows) -> str:
+    """The package's one CSV format: excel dialect, minimal quoting, "\n"
+    line ends. A float cell is repr(float(c)), the shortest text that reads
+    back to the same float; None is empty; any other cell is str(c)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", dataset.y_raw.name or "y", dataset.x_raw.name or "x"])
-    for i in range(len(dataset)):
-        writer.writerow([
-            str(dataset.start.plus(i)),
-            repr(dataset.y_raw.values[i]),
-            repr(dataset.x_raw.values[i]),
-        ])
+    writer.writerow(header)
+    # the writer reprs a float itself; np.float64 would repr as np.float64(...)
+    writer.writerows([c if type(c) is float or not isinstance(c, float) else float(c)
+                      for c in row] for row in rows)
     return buf.getvalue()
 
 
@@ -308,16 +320,30 @@ def decade_averages(s: MonthlySeries) -> list[DecadeAverage]:
     return out
 
 
+def _csv_rows(text: str):
+    """(row number, cells) for each CSV row; a malformed row is a DataError.
+
+    newline="" hands csv every line end untranslated, so CR-only, LF and
+    CRLF files read alike, and quoted fields keep their own line breaks.
+    """
+    lineno = 0
+    try:
+        for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            yield lineno, row
+    except csv.Error as exc:
+        raise DataError(f"row {lineno + 1}: {exc}") from None
+
+
 def _read_text(source) -> str:
     # utf-8-sig strips the BOM Excel likes to prepend
     try:
         if isinstance(source, bytes):
             return source.decode("utf-8-sig")
         if isinstance(source, str):
-            # a path unless it contains a newline (then treat as CSV content)
-            if "\n" in source:
+            # a path unless it contains a line break (then treat as CSV content)
+            if "\n" in source or "\r" in source:
                 return source.lstrip("\ufeff")
-            with open(source, "r", encoding="utf-8-sig") as fh:
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
                 return fh.read()
         data = source.read()
         if isinstance(data, bytes):

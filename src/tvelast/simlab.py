@@ -15,8 +15,6 @@ aggregation of replication records is order-independent.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -24,7 +22,7 @@ import numpy as np
 
 from . import regress, sspace, unitroot
 from .errors import TvelastError
-from .series import MonthDate, MonthlySeries, json_text
+from .series import MonthDate, MonthlySeries, csv_text, json_text
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -375,18 +373,8 @@ def _study_targets(estimator: str, dgp) -> tuple[dict[str, float], str | None]:
 
 
 def _dump_records(path: str, records: list[dict | None]) -> None:
-    keys: list[str] = []
-    for r in records:
-        if r is not None:
-            keys = sorted(r)
-            break
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["replication", "failed"] + keys)
-    for i, r in enumerate(records):
-        if r is None:
-            writer.writerow([i, 1] + [""] * len(keys))
-        else:
-            writer.writerow([i, 0] + [repr(r[k]) for k in keys])
+    keys = next((sorted(r) for r in records if r is not None), [])
+    rows = ([i, 1] + [None] * len(keys) if r is None else [i, 0] + [r[k] for k in keys]
+            for i, r in enumerate(records))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+        fh.write(csv_text(["replication", "failed"] + keys, rows))

@@ -7,6 +7,8 @@ recursions, so a test that compares the two is a genuine cross-check.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -212,3 +214,14 @@ def adf_brute(values, deterministic, max_lags=None, rtol=1e-9):
     level_pos = k - 1 - chosen
     se = math.sqrt(ssr / (n_used - k) * xtx_inv_diag[level_pos])
     return chosen, float(beta[level_pos]) / se
+
+
+def csv_text_reference(header, rows):
+    """The per-cell CSV writer the package used before series.csv_text:
+    csv.writer with "\n" line ends, every float cell passed as repr(float(c))."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(c)) if isinstance(c, float) else c for c in row])
+    return buf.getvalue()

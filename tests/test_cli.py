@@ -2,11 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from tvelast import sspace
+from tvelast import simlab, sspace
 from tvelast.cli import EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, main, render_all_help
 from tvelast.errors import NonFiniteObjective
 from tvelast.pipeline import FIGURE_FILES, PipelineConfig, emit_figure_data, run_pipeline
@@ -114,6 +115,23 @@ class TestExitCodes:
             assert code == EXIT_DATA, name
             assert "Traceback" not in errs[name]
         assert "row 3" in errs["inf.csv"] and "'m2'" in errs["inf.csv"]
+
+    def test_cr_only_csv_validates_like_the_path_route(self, tmp_path):
+        path = tmp_path / "mac.csv"
+        path.write_bytes(write_csv(make_dataset(n_months=30)).replace("\n", "\r").encode())
+        code, out, err = run_cli(["validate", "--input", str(path)])
+        assert code == EXIT_OK, err
+        data = parse_csv(str(path))
+        assert json.loads(out)["rows"] == len(data) == 30
+        assert (json.loads(out)["start"], json.loads(out)["end"]) == (str(data.start), str(data.end))
+
+    def test_oversized_csv_field_is_a_data_error(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("date,cpi,m2\n1971-01,1," + "5" * 200_000 + "\n")
+        code, _, err = run_cli(["validate", "--input", str(path)])
+        assert code == EXIT_DATA
+        assert err.startswith("tvelast: row 2: field larger than field limit")
+        assert "Traceback" not in err
 
     def test_os_errors_are_one_line_data_errors(self, csv_path, tmp_path):
         a_file = tmp_path / "a_file"
@@ -383,6 +401,32 @@ class TestSubsampleAndSimulateFormats:
                                 "--t", "100", "--format", "text"])
         assert code == EXIT_OK
         assert out.splitlines()[1].startswith("rejection rate: ")
+
+
+    def test_simulate_dump_writes_one_row_per_replication(self, tmp_path, monkeypatch):
+        run_one, failing = simlab._run_one, simlab.derive_seed(7, 3)
+
+        def fail_replication_3(estimator, dgp, rep_seed, level):
+            if rep_seed == failing:
+                raise NonFiniteObjective("injected failure")
+            return run_one(estimator, dgp, rep_seed, level)
+
+        monkeypatch.setattr(simlab, "_run_one", fail_replication_3)
+        dump = tmp_path / "reps.csv"
+        code, out, _ = run_cli(["simulate", "mle", "--reps", "10", "--seed", "7", "--t", "120",
+                                "--dump", str(dump)])
+        assert code == EXIT_OK
+        assert json.loads(out)["n_failed"] == 1
+        header, *lines = dump.read_text().splitlines()
+        keys = ["converged", "log_var_meas", "log_var_meas_se", "log_var_state",
+                "log_var_state_se"]
+        assert header == ",".join(["replication", "failed", *keys])
+        rows = [line.split(",") for line in lines]
+        assert [r[:2] for r in rows] == [[str(i), "1" if i == 3 else "0"] for i in range(10)]
+        assert rows[3][2:] == [""] * len(keys)
+        for r in rows[:3] + rows[4:]:
+            assert r[2] in ("True", "False")
+            assert all(math.isfinite(float(v)) for v in r[3:])
 
 
 def _strict_loads(text):

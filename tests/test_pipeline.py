@@ -145,6 +145,11 @@ class TestEachIntermediateComputedOnce:
 
 
 class TestPipelineConfig:
+    def test_data_hash_is_pinned(self):
+        # provenance's data_sha256 hashes write_csv's text of the input
+        assert hashlib.sha256(pipeline.write_csv(make_dataset()).encode()).hexdigest() == (
+            "e940b31ad17bfd6e69709df6e9c695b0286d317b5eccb95970e402a45a6520da")
+
     def test_default_config_hash_is_pinned(self):
         text = json.dumps(PipelineConfig().to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (

@@ -1,0 +1,33 @@
+"""scripts/same_outputs.py: the file comparison, and a run of this tree against itself."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_PATH = ROOT / "scripts" / "same_outputs.py"
+_spec = importlib.util.spec_from_file_location("same_outputs", _PATH)
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+
+def test_first_difference_names_a_changed_or_missing_file(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for side in (old, new):
+        (side / "k000").mkdir(parents=True)
+        (side / "k000" / "a.csv").write_text("x\n1\n")
+        (side / "k000" / "b.csv").write_text("x\n2\n")
+    assert same_outputs.first_difference(old, new) is None
+    (new / "k000" / "b.csv").write_text("x\n2.0\n")
+    assert same_outputs.first_difference(old, new) == str(Path("k000") / "b.csv")
+    (old / "k000" / "a.csv").unlink()
+    assert same_outputs.first_difference(old, new) == f"{Path('k000') / 'a.csv'} (only in NEW)"
+
+
+def test_this_tree_matches_itself():
+    src = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, str(_PATH), src, src, "--n", "1"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("identical: ")

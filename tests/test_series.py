@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvelast.errors import (
+    DataError,
     DuplicateDate,
     GapInDates,
     MissingValue,
@@ -17,14 +19,17 @@ from tvelast.series import (
     Dataset,
     MonthDate,
     MonthlySeries,
+    csv_text,
     decade_averages,
     demean,
+    month_labels,
     parse_csv,
     window,
     write_csv,
     yoy_growth,
 )
 
+import _oracles
 from conftest import make_dataset, make_series
 
 
@@ -103,8 +108,9 @@ class TestParseCsv:
     def test_roundtrip_identity_property(self, data):
         n = data.draw(st.integers(1, 30))
         start = MonthDate(data.draw(st.integers(1800, 2100)), data.draw(st.integers(1, 12)))
-        name = st.text("abcxyzABCXYZ019_", min_size=1, max_size=8).filter(
-            lambda s: s.lower() != "date")
+        # commas, quotes and inner spaces make csv quote the header cell
+        name = st.text('abcxyzABCXYZ019_," ', min_size=1, max_size=8).filter(
+            lambda s: s.lower() != "date" and s == s.strip())
         level = st.floats(1e-300, 1e300)
         ds = Dataset(
             MonthlySeries(start, tuple(data.draw(st.lists(level, min_size=n, max_size=n))),
@@ -122,6 +128,54 @@ class TestParseCsv:
         # utf-8 encoding turns the leading U+FEFF into the standard BOM bytes
         ds_bytes = parse_csv(text.encode("utf-8"))
         assert ds_bytes == ds
+
+    @pytest.mark.parametrize("eol", ["\r", "\r\n", "\n"])
+    def test_every_source_reads_line_ends_alike(self, tmp_path, eol):
+        # the quoted header cell keeps its own line break, untranslated
+        text = eol.join(['date,"c' + eol + 'pi",m2', "1971-01,100,50", "1971-02,101,51", ""])
+        path = tmp_path / "levels.csv"
+        path.write_bytes(text.encode())
+        by_path = parse_csv(str(path))
+        assert by_path.y_raw.name == "c" + eol + "pi"
+        assert by_path.x_raw.values == (50.0, 51.0)
+        for source in (text, text.encode(), io.BytesIO(text.encode()), io.StringIO(text)):
+            assert parse_csv(source) == by_path
+
+    def test_malformed_csv_is_a_data_error_naming_the_row(self):
+        oversized = "date,cpi,m2\n1971-01,1," + "5" * 200_000 + "\n"
+        with pytest.raises(DataError, match="^row 2: field larger than field limit"):
+            parse_csv(oversized)
+
+
+# cells of every kind the package writes: text that needs quoting, None,
+# bools, ints, and floats including -0.0, nan, inf, subnormals and np.float64
+_CELL = st.one_of(
+    st.text(st.sampled_from('ab ,"\n\r'), max_size=5),
+    st.none(),
+    st.booleans(),
+    st.integers(-10**20, 10**20),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+
+
+class TestCsvText:
+    @settings(max_examples=300)
+    @given(header=st.lists(st.text(st.sampled_from('ab ,"\n'), max_size=4), min_size=1,
+                           max_size=4),
+           rows=st.lists(st.lists(_CELL, max_size=5), max_size=6))
+    def test_matches_the_per_cell_writer(self, header, rows):
+        assert csv_text(header, rows) == _oracles.csv_text_reference(header, rows)
+
+    def test_rows_may_be_any_iterable_of_tuples(self):
+        rows = zip(["1971-01", "1971-02"], [0.1, np.float64(-0.0)], [None, 3])
+        assert csv_text(["date", "a", "b"], rows) == "date,a,b\n1971-01,0.1,\n1971-02,-0.0,3\n"
+
+    @given(year=st.integers(1, 9999), month=st.integers(1, 12), n=st.integers(0, 400))
+    def test_month_labels_are_the_month_strings(self, year, month, n):
+        start = MonthDate(year, month)
+        assert month_labels(start, n) == [str(start.plus(i)) for i in range(n)]
 
 
 class TestYoyGrowth:
