@@ -4,21 +4,25 @@
     python3 scripts/same_outputs.py OLD_SRC NEW_SRC [--n 32]
 
 OLD_SRC and NEW_SRC are directories that hold the `tvelast` package (the
-`src/` of a checkout, or of a `git archive` of another commit). Each tree
-runs in a subprocess of its own with that directory first on PYTHONPATH and
-writes, for the first N inputs `benchmark/plan.dataset_csv(k)` of the
-report-555 pool:
+`src/` of a checkout, or of a `git archive` of another commit). The first N
+inputs `benchmark/plan.dataset_csv(k)` of the report-555 pool are written
+once, so both trees read the same paths. Each tree then runs in a
+subprocess of its own with its directory first on PYTHONPATH and writes,
+for every input:
 
 - `tvelast pipeline --out` plain and with `{"mle": {"estimate_gamma": true}}`:
-  report.json (without its `created_at` line) and every table and figure CSV;
-- the `--format csv` output of validate, adf, ols, cusum, recursive, sspace
-  and subsample;
+  report.json and every table and figure CSV;
+- the standard output of the plain `tvelast pipeline`;
+- the `--format json|csv|text` output of validate, adf, ols, cusum,
+  recursive, sspace and subsample;
+- the file `subsample --out` writes;
 
-and, once, the `--format csv` output and the `--dump` file of `simulate
-mle|adf-size|cusum-power --reps 10`, plus every command's exit code. The
-two output trees are then compared file by file. Exit 0 when every file is
-identical; exit 1 naming the first file that differs or is missing; exit 2
-when a tree fails to write its outputs.
+and, once, the `--format json|csv|text` output and the `--dump` file of
+`simulate mle|adf-size|cusum-power --reps 10`, plus every command's exit
+code. A report's `created_at` line is dropped. The two output trees are
+then compared file by file. Exit 0 when every file is identical; exit 1
+naming the first file that differs or is missing; exit 2 when a tree fails
+to write its outputs.
 benchmark/plan.py is read, never modified.
 """
 
@@ -37,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SINGLE = ("validate", "adf", "ols", "cusum", "recursive", "sspace", "subsample")
+FORMATS = ("json", "csv", "text")
 STUDIES = ("mle", "adf-size", "cusum-power")
 GAMMA = {"mle": {"estimate_gamma": True}}
 
@@ -48,7 +53,23 @@ def _load_plan():
     return plan
 
 
-def emit(outdir: Path, n: int) -> None:
+def write_inputs(indir: Path, n: int) -> None:
+    """Write the first n pool datasets and the gamma config under indir."""
+    plan = _load_plan()
+    (indir / "gamma.json").write_text(json.dumps(GAMMA), encoding="utf-8")
+    for k in range(n):
+        (indir / f"dataset_{k:03d}.csv").write_text(plan.dataset_csv(k), encoding="utf-8")
+
+
+def _drop_created_at(path: Path) -> None:
+    if path.exists():
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(
+            line for line in lines if not line.lstrip().startswith('"created_at"')),
+            encoding="utf-8")
+
+
+def emit(outdir: Path, indir: Path, n: int) -> None:
     """Write every output of the tvelast found first on sys.path under outdir."""
     from tvelast import cli
 
@@ -63,32 +84,29 @@ def emit(outdir: Path, n: int) -> None:
             stdout_file.parent.mkdir(parents=True, exist_ok=True)
             stdout_file.write_text(buf.getvalue(), encoding="utf-8")
 
-    with tempfile.TemporaryDirectory() as tmp:
-        gamma_cfg = Path(tmp) / "gamma.json"
-        gamma_cfg.write_text(json.dumps(GAMMA), encoding="utf-8")
-        for k in range(n):
-            csv_path = Path(tmp) / f"dataset_{k:03d}.csv"
-            csv_path.write_text(plan.dataset_csv(k), encoding="utf-8")
-            base = ["--input", str(csv_path)]
-            ends = ["--subsample-ends", plan.SUBSAMPLE_ENDS]
-            for variant, extra in (("plain", []), ("gamma", ["--config", str(gamma_cfg)])):
-                out = outdir / f"k{k:03d}" / variant
-                run(f"k{k}/pipeline/{variant}", ["pipeline", *base, *ends, *extra, "--out", str(out)])
-                report = out / "report.json"
-                if report.exists():
-                    lines = report.read_text(encoding="utf-8").splitlines(keepends=True)
-                    report.write_text("".join(
-                        line for line in lines if not line.lstrip().startswith('"created_at"')),
-                        encoding="utf-8")
-            for cmd in SINGLE:
-                argv = [cmd, *base, "--format", "csv", *(ends if cmd == "subsample" else [])]
-                run(f"k{k}/{cmd}", argv, outdir / f"k{k:03d}" / f"{cmd}.csv")
-        for study in STUDIES:
-            dump = outdir / "simulate" / f"{study}.dump.csv"
-            dump.parent.mkdir(parents=True, exist_ok=True)
-            run(f"simulate/{study}",
-                ["simulate", study, "--reps", "10", "--format", "csv", "--dump", str(dump)],
-                outdir / "simulate" / f"{study}.csv")
+    gamma_cfg = indir / "gamma.json"
+    ends = ["--subsample-ends", plan.SUBSAMPLE_ENDS]
+    for k in range(n):
+        kdir = outdir / f"k{k:03d}"
+        base = ["--input", str(indir / f"dataset_{k:03d}.csv")]
+        for variant, extra in (("plain", []), ("gamma", ["--config", str(gamma_cfg)])):
+            out = kdir / variant
+            run(f"k{k}/pipeline/{variant}", ["pipeline", *base, *ends, *extra, "--out", str(out)])
+            _drop_created_at(out / "report.json")
+        run(f"k{k}/pipeline/stdout", ["pipeline", *base, *ends], kdir / "pipeline.stdout.json")
+        _drop_created_at(kdir / "pipeline.stdout.json")
+        for cmd in SINGLE:
+            for fmt in FORMATS:
+                argv = [cmd, *base, "--format", fmt, *(ends if cmd == "subsample" else [])]
+                run(f"k{k}/{cmd}/{fmt}", argv, kdir / f"{cmd}.{fmt}")
+        run(f"k{k}/subsample/out", ["subsample", *base, *ends, "--out", str(kdir / "subsample")])
+    for study in STUDIES:
+        dump = outdir / "simulate" / f"{study}.dump.csv"
+        dump.parent.mkdir(parents=True, exist_ok=True)
+        for fmt in FORMATS:
+            run(f"simulate/{study}/{fmt}",
+                ["simulate", study, "--reps", "10", "--format", fmt, "--dump", str(dump)],
+                outdir / "simulate" / f"{study}.{fmt}")
     (outdir / "exit_codes.json").write_text(json.dumps(exits, indent=1, sort_keys=True),
                                             encoding="utf-8")
 
@@ -110,14 +128,19 @@ def main(argv=None) -> int:
     ap.add_argument("old_src", nargs="?", help="directory holding the old tvelast package")
     ap.add_argument("new_src", nargs="?", help="directory holding the new tvelast package")
     ap.add_argument("--n", type=int, default=32, help="report-555 pool inputs to run (default 32)")
-    ap.add_argument("--emit", default=None, help=argparse.SUPPRESS)  # the per-tree child
+    # the per-tree child: --emit OUTDIR --inputs INDIR
+    ap.add_argument("--emit", default=None, help=argparse.SUPPRESS)
+    ap.add_argument("--inputs", default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.emit:
-        emit(Path(args.emit), args.n)
+        emit(Path(args.emit), Path(args.inputs), args.n)
         return 0
     if not (args.old_src and args.new_src):
         ap.error("OLD_SRC and NEW_SRC are required")
     with tempfile.TemporaryDirectory() as tmp:
+        indir = Path(tmp) / "inputs"
+        indir.mkdir()
+        write_inputs(indir, args.n)
         outs = []
         for side, src in (("old", args.old_src), ("new", args.new_src)):
             src = Path(src).resolve()
@@ -127,7 +150,8 @@ def main(argv=None) -> int:
             env = dict(os.environ, PYTHONPATH=os.pathsep.join(
                 [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
             child = subprocess.run(
-                [sys.executable, __file__, "--emit", str(out), "--n", str(args.n)], env=env)
+                [sys.executable, __file__, "--emit", str(out), "--inputs", str(indir),
+                 "--n", str(args.n)], env=env)
             if child.returncode != 0:
                 print(f"the {side.upper()} tree failed to write its outputs")
                 return 2

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__, pipeline, regress, simlab, sspace, unitroot
 from .errors import DataError, EstimationError, StageError, TvelastError
-from .series import CsvSchema, MonthDate, csv_text, demean, json_text, parse_csv
+from .series import CsvSchema, MonthDate, demean, json_text, parse_csv, row_csv
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -56,11 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
 
-    def add_io(p, need_input=True):
-        if need_input:
-            p.add_argument("--input", required=True, help="CSV of monthly levels (date,y,x)")
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json",
-                       help="output format (default json)")
+    def add_io(p, with_format=True):
+        p.add_argument("--input", required=True, help="CSV of monthly levels (date,y,x)")
+        if with_format:
+            p.add_argument("--format", choices=["json", "csv", "text"], default="json",
+                           help="output format (default json)")
         p.add_argument("--date-col", default="date", help="name of the date column")
         p.add_argument("--y-col", default=None, help="price-index column (default: first value column)")
         p.add_argument("--x-col", default=None, help="money-stock column (default: second value column)")
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also estimate the state transition coefficient")
 
     p = sub.add_parser("pipeline", help="run the full battery and write all outputs")
-    add_io(p)
+    add_io(p, with_format=False)
     add_growth(p)
     p.add_argument("--out", default=None, help="output directory (default: report JSON to stdout)")
     p.add_argument("--config", default=None, help="JSON file with PipelineConfig overrides")
@@ -135,7 +135,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"tvelast: no such file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_DATA
@@ -161,37 +161,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def _dispatch(args) -> int:
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "adf":
-        return _cmd_adf(args)
-    if args.command in ("ols", "cusum", "recursive", "sspace"):
-        return _cmd_single(args)
-    if args.command == "pipeline":
-        return _cmd_pipeline(args)
-    if args.command == "subsample":
-        return _cmd_subsample(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def _load(args):
     schema = CsvSchema(date=args.date_col, y=args.y_col, x=args.x_col)
     with open(args.input, "rb") as fh:
         return parse_csv(fh, schema)
-
-
-def _emit(args, payload: dict, text: str) -> int:
-    if args.format == "json":
-        print(json_text(payload, indent=2))
-    elif args.format == "csv":
-        keys = sorted(payload)
-        print(csv_text(keys, [[payload[k] for k in keys]]), end="")
-    else:
-        print(text)
-    return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
@@ -204,61 +177,90 @@ def _cmd_validate(args) -> int:
         "x_column": data.x_raw.name,
         "valid": True,
     }
-    text = (f"{args.input}: {len(data)} months {data.start}..{data.end} "
-            f"({data.y_raw.name}, {data.x_raw.name}); all checks passed")
-    return _emit(args, payload, text)
-
-
-def _cmd_adf(args) -> int:
-    data = _load(args)
-    cfg = _pipeline_config(args)
-    gy, gx = pipeline.growth_pair(data, cfg)
-    rows = pipeline.adf_battery(gy, gx, cfg)
-    if args.format == "csv":
-        rep = pipeline.Report(adf_table=rows)
-        print(pipeline.emit_figure_data(rep, "table1"), end="")
-        return EXIT_OK
-    payload = [{"variable": r.variable, "form": r.form, **r.result.to_dict()} for r in rows]
     if args.format == "json":
         print(json_text(payload, indent=2))
+    elif args.format == "csv":
+        print(row_csv(payload), end="")
     else:
-        print(pipeline.adf_table_text(rows))
+        print(f"{args.input}: {len(data)} months {data.start}..{data.end} "
+              f"({data.y_raw.name}, {data.x_raw.name}); all checks passed")
     return EXIT_OK
 
 
-# single-stage subcommand -> (its Report section, the figure id --format csv prints)
-_SINGLE_CSV = {"ols": ("ols", "table2"), "cusum": ("cusum", "fig3"),
-               "recursive": ("recursive", "fig4"), "sspace": ("mle", "table3")}
-
-
-def _cmd_single(args) -> int:
+def _cmd_section(args) -> int:
+    """Print one Report section: its JSON, its figure CSV, or its text block."""
+    section, which, run = _SECTIONS[args.command]
     data = _load(args)
     cfg = _pipeline_config(args)
-    gy, gx = pipeline.growth_pair(data, cfg)
-    dm_y, _ = demean(gy)
-    dm_x, _ = demean(gx)
-    if args.command == "ols":
-        res = regress.ols_no_intercept(dm_y, dm_x)
-        text = res.to_text()
-    elif args.command == "cusum":
-        res = regress.cusum(dm_y, dm_x, cfg.cusum_significance)
-        text = (f"CUSUM at {res.significance:.0%}: "
-                + ("stable (no boundary crossing)" if res.stable
-                   else f"unstable; first crossing {res.first_crossing}"))
-    elif args.command == "recursive":
-        res = regress.recursive_coefficients(dm_y, dm_x)
-        text = (f"recursive coefficients over {len(res.coefs)} expanding samples; "
-                f"final {res.coefs[-1]:.6f} "
-                f"[{res.bands_lo[-1]:.6f}, {res.bands_hi[-1]:.6f}]")
-    else:  # sspace
-        res = sspace.fit_mle(sspace.TvpModel(dm_y, dm_x), options=cfg.mle)
-        text = res.to_text()
-    if args.format == "csv":
-        section, which = _SINGLE_CSV[args.command]
-        report = pipeline.Report(demeaned_y=dm_y, **{section: res})
+    report, text = run(data, pipeline.growth_pair(data, cfg), cfg)
+    if getattr(args, "out", None):
+        print(pipeline.write_figure(report, which, args.out), file=sys.stderr)
+    elif args.format == "json":
+        print(json_text(report.to_dict()[section], indent=2))
+    elif args.format == "csv":
         print(pipeline.emit_figure_data(report, which), end="")
-        return EXIT_OK
-    return _emit(args, res.to_dict(), text)
+    elif text:  # an empty sub-sample table has no lines to print
+        print(text)
+    return EXIT_OK
+
+
+def _demeaned(growth):
+    return demean(growth[0])[0], demean(growth[1])[0]
+
+
+# Each runner takes (dataset, growth pair, config) and returns a Report holding
+# its one section, plus that section's text block.
+
+def _run_adf(data, growth, cfg):
+    rows = pipeline.adf_battery(*growth, cfg)
+    return pipeline.Report(adf_table=rows), pipeline.adf_table_text(rows)
+
+
+def _run_ols(data, growth, cfg):
+    res = regress.ols_no_intercept(*_demeaned(growth))
+    return pipeline.Report(ols=res), res.to_text()
+
+
+def _run_cusum(data, growth, cfg):
+    dm_y, dm_x = _demeaned(growth)
+    res = regress.cusum(dm_y, dm_x, cfg.cusum_significance)
+    text = (f"CUSUM at {res.significance:.0%}: "
+            + ("stable (no boundary crossing)" if res.stable
+               else f"unstable; first crossing {res.first_crossing}"))
+    return pipeline.Report(demeaned_y=dm_y, cusum=res), text
+
+
+def _run_recursive(data, growth, cfg):
+    dm_y, dm_x = _demeaned(growth)
+    res = regress.recursive_coefficients(dm_y, dm_x)
+    text = (f"recursive coefficients over {len(res.coefs)} expanding samples; "
+            f"final {res.coefs[-1]:.6f} [{res.bands_lo[-1]:.6f}, {res.bands_hi[-1]:.6f}]")
+    return pipeline.Report(demeaned_y=dm_y, recursive=res), text
+
+
+def _run_sspace(data, growth, cfg):
+    res = sspace.fit_mle(sspace.TvpModel(*_demeaned(growth)), options=cfg.mle)
+    return pipeline.Report(mle=res), res.to_text()
+
+
+def _run_subsample(data, growth, cfg):
+    rows = pipeline.subsample_final_states(data, growth, list(cfg.subsample_end_dates), cfg)
+    text = "\n".join(
+        f"{r.sample_start}..{r.sample_end}  final_state={r.final_state:.4f} "
+        f"rmse={r.final_rmse:.4f} p={r.p_value:.4f}{'' if r.converged else '  [no convergence]'}"
+        for r in rows)
+    return pipeline.Report(subsample_table=rows), text
+
+
+# single-stage subcommand -> (its Report section, the figure --format csv prints, runner)
+_SECTIONS = {
+    "adf": ("adf_table", "table1", _run_adf),
+    "ols": ("ols", "table2", _run_ols),
+    "cusum": ("cusum", "fig3", _run_cusum),
+    "recursive": ("recursive", "fig4", _run_recursive),
+    "sspace": ("mle", "table3", _run_sspace),
+    "subsample": ("subsample_table", "appendixA1", _run_subsample),
+}
 
 
 def _pipeline_config(args) -> pipeline.PipelineConfig:
@@ -319,32 +321,6 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _cmd_subsample(args) -> int:
-    data = _load(args)
-    cfg = _pipeline_config(args)
-    rows = pipeline.subsample_final_states(
-        data, pipeline.growth_pair(data, cfg), list(cfg.subsample_end_dates), cfg)
-    report = pipeline.Report(subsample_table=rows)
-    if args.out:
-        from pathlib import Path
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / pipeline.FIGURE_FILES["appendixA1"]
-        path.write_text(pipeline.emit_figure_data(report, "appendixA1"), encoding="utf-8")
-        print(str(path), file=sys.stderr)
-        return EXIT_OK
-    if args.format == "csv":
-        print(pipeline.emit_figure_data(report, "appendixA1"), end="")
-    elif args.format == "json":
-        print(json_text([r.to_dict() for r in rows], indent=2))
-    else:
-        for r in rows:
-            flag = "" if r.converged else "  [no convergence]"
-            print(f"{r.sample_start}..{r.sample_end}  final_state={r.final_state:.4f} "
-                  f"rmse={r.final_rmse:.4f} p={r.p_value:.4f}{flag}")
-    return EXIT_OK
-
-
 def _cmd_simulate(args) -> int:
     estimator, default_t, make_dgp = _STUDIES[args.study]
     dgp = make_dgp(default_t if args.t is None else args.t)
@@ -360,19 +336,17 @@ def _cmd_simulate(args) -> int:
     elif args.format == "json":
         print(summary.to_json())
     else:
-        print(_summary_csv(summary), end="")
+        d = summary.to_dict()
+        flat = {k: d[k] for k in ("estimator", "n_reps", "n_failed", "rejection_rate")}
+        for group in ("bias", "rmse", "median", "coverage95"):
+            for k, v in d[group].items():
+                flat[f"{group}_{k}"] = v
+        print(row_csv(flat), end="")
     return EXIT_OK
 
 
-def _summary_csv(summary: simlab.McSummary) -> str:
-    d = summary.to_dict()
-    flat = {"estimator": d["estimator"], "n_reps": d["n_reps"], "n_failed": d["n_failed"],
-            "rejection_rate": d["rejection_rate"]}
-    for group in ("bias", "rmse", "median", "coverage95"):
-        for k, v in d[group].items():
-            flat[f"{group}_{k}"] = v
-    keys = sorted(flat)
-    return csv_text(keys, [[flat[k] for k in keys]])
+_COMMANDS = {"validate": _cmd_validate, "pipeline": _cmd_pipeline, "simulate": _cmd_simulate,
+             **dict.fromkeys(_SECTIONS, _cmd_section)}
 
 
 def render_all_help(width: int = 100) -> str:

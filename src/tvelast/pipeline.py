@@ -31,6 +31,7 @@ from .series import (
     demean,
     json_text,
     month_labels,
+    row_csv,
     window,
     write_csv,
     yoy_growth,
@@ -353,19 +354,27 @@ def write_report(report: Report, outdir) -> list[str]:
 
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     path = out / "report.json"
     path.write_text(report.to_json(), encoding="utf-8")
-    written.append(str(path))
-    for fname, build in _FIGURES.values():
+    written = [str(path)]
+    for which in _FIGURES:
         try:
-            text = build(report)
+            written.append(write_figure(report, which, out))
         except SectionMissing:
             continue
-        path = out / fname
-        path.write_text(text, encoding="utf-8")
-        written.append(str(path))
     return written
+
+
+def write_figure(report: Report, which: str, outdir) -> str:
+    """Write one figure or table CSV under its FIGURE_FILES name; returns its path."""
+    from pathlib import Path
+
+    text = emit_figure_data(report, which)
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / _FIGURES[which][0]
+    path.write_text(text, encoding="utf-8")
+    return str(path)
 
 
 def _need(section, name: str, report: Report):
@@ -388,10 +397,7 @@ def _emit_table1(report: Report) -> str:
 
 
 def _emit_table2(report: Report) -> str:
-    o = _need(report.ols, "ols", report)
-    d = o.to_dict()
-    keys = sorted(d)
-    return csv_text(keys, [[d[k] for k in keys]])
+    return row_csv(_need(report.ols, "ols", report).to_dict())
 
 
 def _emit_table3(report: Report) -> str:

@@ -228,6 +228,12 @@ def csv_text(header: Sequence[str], rows) -> str:
     return buf.getvalue()
 
 
+def row_csv(record: dict) -> str:
+    """One record as a one-row CSV, its keys sorted into the header."""
+    keys = sorted(record)
+    return csv_text(keys, [[record[k] for k in keys]])
+
+
 def json_text(obj, indent: int | None = None) -> str:
     """Strict JSON with sorted keys: a nan or inf is written as null, not as
     the NaN/Infinity tokens of json.dumps, which are not JSON."""

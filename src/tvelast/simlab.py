@@ -253,6 +253,9 @@ def _summarize(estimator: str, n_reps: int, records: list[dict | None],
     median: dict[str, float] = {}
     coverage: dict[str, float] = {}
     for name, true_val in truth.items():
+        if not ok:  # numpy warns on the mean and median of an empty set
+            bias[name] = rmse[name] = median[name] = math.nan
+            continue
         est = np.asarray([r[name] for r in ok])
         err = est - true_val
         bias[name] = float(np.mean(err))

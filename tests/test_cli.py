@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ from tvelast import simlab, sspace
 from tvelast.cli import EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, main, render_all_help
 from tvelast.errors import NonFiniteObjective
 from tvelast.pipeline import FIGURE_FILES, PipelineConfig, emit_figure_data, run_pipeline
-from tvelast.series import Dataset, MonthlySeries, parse_csv, write_csv
+from tvelast.series import (Dataset, MonthDate, MonthlySeries, json_text, parse_csv,
+                            write_csv)
 
 from conftest import make_dataset
 
@@ -78,6 +80,13 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, csv_path):
         code, _, _ = run_cli(["ols", "--input", csv_path, "--frobnicate"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_pipeline_has_no_format_option(self, csv_path, fmt):
+        code, out, err = run_cli(["pipeline", "--input", csv_path, "--format", fmt])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unrecognized arguments: --format" in err
 
     def test_unknown_subcommand_is_usage_error(self):
         code, _, _ = run_cli(["transmogrify"])
@@ -281,25 +290,38 @@ class TestOutputs:
         assert "no convergence" in err
 
 
+_ENDS = "1980-12,1983-06"
+
+
 @pytest.fixture(scope="module")
 def report(csv_path):
+    cfg = PipelineConfig(subsample_end_dates=tuple(MonthDate.parse(e) for e in _ENDS.split(",")))
     with open(csv_path, "rb") as fh:
-        return run_pipeline(parse_csv(fh), PipelineConfig())
+        return run_pipeline(parse_csv(fh), cfg)
+
+
+def _section_argv(command, csv_path):
+    return [command, "--input", csv_path] + (
+        ["--subsample-ends", _ENDS] if command == "subsample" else [])
 
 
 class TestSingleStageSubcommands:
     @pytest.mark.parametrize("command, which", [
-        ("ols", "table2"), ("sspace", "table3"), ("cusum", "fig3"), ("recursive", "fig4")])
+        ("adf", "table1"), ("ols", "table2"), ("sspace", "table3"), ("cusum", "fig3"),
+        ("recursive", "fig4"), ("subsample", "appendixA1")])
     def test_csv_is_the_pipeline_figure(self, csv_path, report, command, which):
-        code, out, _ = run_cli([command, "--input", csv_path, "--format", "csv"])
+        code, out, _ = run_cli(_section_argv(command, csv_path) + ["--format", "csv"])
         assert code == EXIT_OK
         assert out == emit_figure_data(report, which)
 
-    @pytest.mark.parametrize("command", ["cusum", "recursive"])
+    @pytest.mark.parametrize("command", ["adf", "ols", "cusum", "recursive", "sspace",
+                                         "subsample"])
     def test_json_is_the_report_section(self, csv_path, report, command):
-        code, out, _ = run_cli([command, "--input", csv_path])
+        section = {"adf": "adf_table", "sspace": "mle",
+                   "subsample": "subsample_table"}.get(command, command)
+        code, out, _ = run_cli(_section_argv(command, csv_path))
         assert code == EXIT_OK
-        assert _strict_loads(out) == _strict_loads(report.to_json())[command]
+        assert out == json_text(report.to_dict()[section], indent=2) + "\n"
 
     def test_cusum_text_and_significance(self, csv_path, report):
         code, out, _ = run_cli(["cusum", "--input", csv_path, "--format", "text"])
@@ -402,6 +424,20 @@ class TestSubsampleAndSimulateFormats:
         assert code == EXIT_OK
         assert out.splitlines()[1].startswith("rejection rate: ")
 
+    def test_simulate_where_every_replication_fails_is_quiet(self, monkeypatch):
+        def fail(estimator, dgp, rep_seed, level):
+            raise NonFiniteObjective("injected failure")
+
+        monkeypatch.setattr(simlab, "_run_one", fail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["simulate", "mle", "--reps", "10"])
+        assert code == EXIT_OK
+        assert err == ""
+        summary = _strict_loads(out)
+        assert summary["n_failed"] == 10
+        for group in ("bias", "rmse", "median"):
+            assert summary[group] and all(v is None for v in summary[group].values()), group
 
     def test_simulate_dump_writes_one_row_per_replication(self, tmp_path, monkeypatch):
         run_one, failing = simlab._run_one, simlab.derive_seed(7, 3)
