@@ -18,8 +18,9 @@ for every input:
 - the file `subsample --out` writes;
 
 and, once, the `--format json|csv|text` output and the `--dump` file of
-`simulate mle|adf-size|cusum-power --reps 10`, plus every command's exit
-code. A report's `created_at` line is dropped. The two output trees are
+every `simulate` study at `--reps 10`, with its replications run in one
+process and again in a pool of 3 (`monte_carlo`'s `n_jobs`), plus every
+command's exit code. A report's `created_at` line is dropped. The two output trees are
 then compared file by file. Exit 0 when every file is identical; exit 1
 naming the first file that differs or is missing; exit 2 when a tree fails
 to write its outputs.
@@ -42,7 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SINGLE = ("validate", "adf", "ols", "cusum", "recursive", "sspace", "subsample")
 FORMATS = ("json", "csv", "text")
-STUDIES = ("mle", "adf-size", "cusum-power")
+STUDIES = ("mle", "adf-size", "adf-power", "cusum-size", "cusum-power")
 GAMMA = {"mle": {"estimate_gamma": True}}
 
 
@@ -71,7 +72,7 @@ def _drop_created_at(path: Path) -> None:
 
 def emit(outdir: Path, indir: Path, n: int) -> None:
     """Write every output of the tvelast found first on sys.path under outdir."""
-    from tvelast import cli
+    from tvelast import cli, simlab
 
     plan = _load_plan()
     exits = {}
@@ -100,13 +101,19 @@ def emit(outdir: Path, indir: Path, n: int) -> None:
                 argv = [cmd, *base, "--format", fmt, *(ends if cmd == "subsample" else [])]
                 run(f"k{k}/{cmd}/{fmt}", argv, kdir / f"{cmd}.{fmt}")
         run(f"k{k}/subsample/out", ["subsample", *base, *ends, "--out", str(kdir / "subsample")])
-    for study in STUDIES:
-        dump = outdir / "simulate" / f"{study}.dump.csv"
-        dump.parent.mkdir(parents=True, exist_ok=True)
-        for fmt in FORMATS:
-            run(f"simulate/{study}/{fmt}",
-                ["simulate", study, "--reps", "10", "--format", fmt, "--dump", str(dump)],
-                outdir / "simulate" / f"{study}.{fmt}")
+    monte_carlo = simlab.monte_carlo
+    for n_jobs in (1, 3):
+        # the CLI has no jobs flag; it calls simlab.monte_carlo through the module
+        simlab.monte_carlo = lambda *a, **kw: monte_carlo(*a, n_jobs=n_jobs, **kw)
+        for study in STUDIES:
+            name = study if n_jobs == 1 else f"{study}.jobs{n_jobs}"
+            dump = outdir / "simulate" / f"{name}.dump.csv"
+            dump.parent.mkdir(parents=True, exist_ok=True)
+            for fmt in FORMATS:
+                run(f"simulate/{name}/{fmt}",
+                    ["simulate", study, "--reps", "10", "--format", fmt, "--dump", str(dump)],
+                    outdir / "simulate" / f"{name}.{fmt}")
+    simlab.monte_carlo = monte_carlo
     (outdir / "exit_codes.json").write_text(json.dumps(exits, indent=1, sort_keys=True),
                                             encoding="utf-8")
 

@@ -27,13 +27,14 @@ EXIT_USAGE = 64
 
 _GROWTH_MODES = {"logdiff": "log-diff", "pct": "pct-change"}
 
-# simulate study -> (estimator id, default sample size, DGP for a sample size)
+# simulate study -> (default sample size, DGP for a sample size); the DGP's
+# type picks the estimator from simlab.STUDIES
 _STUDIES = {
-    "mle": ("mle", 543, lambda t: simlab.TvpDgp(T=t, sigma2_meas=0.016, sigma2_state=0.359)),
-    "adf-size": ("adf", 500, lambda t: simlab.UnitRootDgp(T=t)),
-    "adf-power": ("adf", 500, lambda t: simlab.Ar1Dgp(T=t, phi=0.5)),
-    "cusum-size": ("cusum", 200, lambda t: simlab.BreakRegressionDgp(T=t)),
-    "cusum-power": ("cusum", 200, lambda t: simlab.BreakRegressionDgp(T=t, beta2=4.0)),
+    "mle": (543, lambda t: simlab.TvpDgp(T=t, sigma2_meas=0.016, sigma2_state=0.359)),
+    "adf-size": (500, lambda t: simlab.UnitRootDgp(T=t)),
+    "adf-power": (500, lambda t: simlab.Ar1Dgp(T=t, phi=0.5)),
+    "cusum-size": (200, lambda t: simlab.BreakRegressionDgp(T=t)),
+    "cusum-power": (200, lambda t: simlab.BreakRegressionDgp(T=t, beta2=4.0)),
 }
 
 
@@ -56,11 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
 
+    def add_format(p, default="json"):
+        p.add_argument("--format", choices=["json", "csv", "text"], default=default,
+                       help="output format (default json)")
+
     def add_io(p, with_format=True):
         p.add_argument("--input", required=True, help="CSV of monthly levels (date,y,x)")
         if with_format:
-            p.add_argument("--format", choices=["json", "csv", "text"], default="json",
-                           help="output format (default json)")
+            add_format(p)
         p.add_argument("--date-col", default="date", help="name of the date column")
         p.add_argument("--y-col", default=None, help="price-index column (default: first value column)")
         p.add_argument("--x-col", default=None, help="money-stock column (default: second value column)")
@@ -114,11 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="recorded in provenance")
 
     p = sub.add_parser("subsample", help="expanding-window final-state table")
-    add_io(p)
+    add_io(p, with_format=False)
     add_growth(p)
     p.add_argument("--subsample-ends", required=True,
                    help="comma-separated end months, e.g. 2000-12,2005-12")
-    p.add_argument("--out", default=None, help="write appendixA1_subsamples.csv here")
+    out = p.add_mutually_exclusive_group()
+    add_format(out, default=None)  # None, so that an explicit --format json conflicts
+    out.add_argument("--out", default=None, help="write appendixA1_subsamples.csv here")
 
     p = sub.add_parser("simulate", help="Monte Carlo studies of the estimators")
     p.add_argument("study", choices=list(_STUDIES))
@@ -195,7 +201,7 @@ def _cmd_section(args) -> int:
     report, text = run(data, pipeline.growth_pair(data, cfg), cfg)
     if getattr(args, "out", None):
         print(pipeline.write_figure(report, which, args.out), file=sys.stderr)
-    elif args.format == "json":
+    elif args.format in ("json", None):  # subsample's --format defaults to None
         print(json_text(report.to_dict()[section], indent=2))
     elif args.format == "csv":
         print(pipeline.emit_figure_data(report, which), end="")
@@ -292,9 +298,11 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
         settings["mle"]["max_iter"] = args.max_iter
     if getattr(args, "estimate_gamma", False):
         settings["mle"]["estimate_gamma"] = True
-    if getattr(args, "subsample_ends", None):
+    if getattr(args, "subsample_ends", None) is not None:
         settings["subsample_end_dates"] = [
             part for part in args.subsample_ends.split(",") if part.strip()]
+        if not settings["subsample_end_dates"]:
+            raise ValueError("--subsample-ends names no month")
     if getattr(args, "seed", None) is not None:
         settings["seed"] = args.seed
     mle = settings.pop("mle")
@@ -322,9 +330,10 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    estimator, default_t, make_dgp = _STUDIES[args.study]
+    default_t, make_dgp = _STUDIES[args.study]
     dgp = make_dgp(default_t if args.t is None else args.t)
-    summary = simlab.monte_carlo(estimator, dgp, args.reps, args.seed, dump_path=args.dump)
+    summary = simlab.monte_carlo(simlab.STUDIES[type(dgp)].estimator, dgp, args.reps,
+                                 args.seed, dump_path=args.dump)
     if args.format == "text":
         print(f"{summary.estimator}: {summary.n_reps} reps, {summary.n_failed} failed")
         if summary.rejection_rate is not None:

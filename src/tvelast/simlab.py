@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -211,6 +212,8 @@ class BreakRegressionDgp:
     x_process: IidNormalX | Ar1X | ConstantX = IidNormalX(mean=1.5, var=0.25)
 
     def __post_init__(self):
+        if self.T < 3:  # CUSUM needs two recursive residuals
+            raise ValueError("T must be >= 3")
         if not 0.0 < self.break_frac < 1.0:
             raise ValueError("break_frac must be in (0, 1)")
 
@@ -224,6 +227,30 @@ def gen_break_regression(dgp: BreakRegressionDgp, seed: int,
     y = beta * x + e
     return (MonthlySeries(start, tuple(y), name="y"),
             MonthlySeries(start, tuple(x), name="x"))
+
+
+@dataclass(frozen=True)
+class UnitRootDgp:
+    T: int
+    drift: float = 0.0
+    sigma: float = 1.0
+    deterministic: str = "constant+trend"
+
+    def __post_init__(self):
+        if self.T < 25:
+            raise ValueError("T must be >= 25")
+
+
+@dataclass(frozen=True)
+class Ar1Dgp:
+    T: int
+    phi: float = 0.5
+    var: float = 1.0
+    deterministic: str = "constant+trend"
+
+    def __post_init__(self):
+        if self.T < 25:
+            raise ValueError("T must be >= 25")
 
 
 @dataclass(frozen=True)
@@ -245,9 +272,10 @@ class McSummary:
 
 
 def _summarize(estimator: str, n_reps: int, records: list[dict | None],
-               truth: dict[str, float], reject_key: str | None) -> McSummary:
+               truth: dict[str, float]) -> McSummary:
+    """Bias, RMSE and median of each truth key; coverage where records hold
+    '<key>_se'; a rejection rate where they hold 'reject'."""
     ok = [r for r in records if r is not None]
-    n_failed = n_reps - len(ok)
     bias: dict[str, float] = {}
     rmse: dict[str, float] = {}
     median: dict[str, float] = {}
@@ -262,18 +290,57 @@ def _summarize(estimator: str, n_reps: int, records: list[dict | None],
         rmse[name] = float(np.sqrt(np.mean(err ** 2)))
         median[name] = float(np.median(est))
         se_key = name + "_se"
-        if ok and se_key in ok[0]:
+        if se_key in ok[0]:
             ses = np.asarray([r[se_key] for r in ok])
             hits = np.abs(err) <= 1.959963984540054 * ses
             coverage[name] = float(np.mean(hits))
-    rejection = None
-    if reject_key is not None and ok:
-        rejection = float(np.mean([r[reject_key] for r in ok]))
-    return McSummary(
-        estimator=estimator, n_reps=n_reps, n_failed=n_failed,
-        bias=bias, rmse=rmse, median=median, coverage95=coverage,
-        rejection_rate=rejection,
-    )
+    rejection = float(np.mean([r["reject"] for r in ok])) if ok and "reject" in ok[0] else None
+    return McSummary(estimator=estimator, n_reps=n_reps, n_failed=n_reps - len(ok),
+                     bias=bias, rmse=rmse, median=median, coverage95=coverage,
+                     rejection_rate=rejection)
+
+
+@dataclass(frozen=True)
+class Study:
+    estimator: str
+    draw: Callable  # (dgp, seed) -> one replication's data
+    estimate: Callable  # (data, dgp, level) -> record
+    truth: Callable = lambda dgp: {}  # dgp -> {record key: its true value}
+
+
+def _estimate_mle(model, dgp, level):
+    fit = sspace.fit_mle(model)
+    return {
+        "log_var_meas": fit.params.log_var_meas,
+        "log_var_meas_se": fit.robust_se[0],
+        "log_var_state": fit.params.log_var_state,
+        "log_var_state_se": fit.robust_se[1],
+        "converged": fit.converged,
+    }
+
+
+def _estimate_adf(s, dgp, level):
+    res = unitroot.adf(s, unitroot.AdfSpec(deterministic=dgp.deterministic))
+    crit = {0.01: res.crit_1, 0.05: res.crit_5, 0.10: res.crit_10}[level]
+    return {"statistic": res.statistic, "reject": float(res.statistic < crit)}
+
+
+def _estimate_cusum(yx, dgp, level):
+    res = regress.cusum(*yx, significance=level)
+    return {"reject": 0.0 if res.stable else 1.0}
+
+
+# DGP type -> its study; draws look the generators up by name, so a wrapper on one sees each call
+STUDIES = {
+    TvpDgp: Study("mle", lambda d, seed: gen_tvp(replace(d, seed=seed))[0], _estimate_mle,
+                  lambda d: {"log_var_meas": math.log(d.sigma2_meas),
+                             "log_var_state": math.log(d.sigma2_state)}),
+    UnitRootDgp: Study("adf", lambda d, seed: gen_unit_root(d.T, d.drift, seed, d.sigma),
+                       _estimate_adf),
+    Ar1Dgp: Study("adf", lambda d, seed: gen_ar1(d.T, d.phi, seed, d.var), _estimate_adf),
+    BreakRegressionDgp: Study("cusum", lambda d, seed: gen_break_regression(d, seed),
+                              _estimate_cusum),
+}
 
 
 def monte_carlo(estimator: str, dgp, n_reps: int, seed: int,
@@ -281,98 +348,42 @@ def monte_carlo(estimator: str, dgp, n_reps: int, seed: int,
                 n_jobs: int = 1) -> McSummary:
     """Run n_reps independent replications of one estimator study.
 
-    estimator ids: 'mle' (TvpDgp), 'adf' (MonthlySeries factory via
-    UnitRoot/Ar1 dgp dataclasses below), 'cusum' (BreakRegressionDgp).
+    The study is STUDIES[type(dgp)], and estimator must be its id.
     Replication r draws from the stream seeded with seed XOR r, and the
     aggregation only sees records keyed by r, so results are identical
     whether replications run sequentially or in parallel (n_jobs > 1).
     Replication failures are counted, not fatal.
     """
+    study = STUDIES.get(type(dgp))
+    if study is None or study.estimator != estimator:
+        raise ValueError(f"estimator {estimator!r} does not take a {type(dgp).__name__}")
     if n_reps < 10:
         raise ValueError("n_reps must be >= 10")
     if level not in _LEVELS:
         raise ValueError(f"level must be one of {list(_LEVELS)}, got {level}")
-    records: list[dict | None] = [None] * n_reps
+    seeds = [derive_seed(seed, r) for r in range(n_reps)]
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = {
-                pool.submit(_safe_run_one, estimator, dgp, derive_seed(seed, r), level): r
-                for r in range(n_reps)
-            }
-            for fut, r in futures.items():
-                records[r] = fut.result()
+            records = list(pool.map(_safe_run_one, [dgp] * n_reps, seeds, [level] * n_reps))
     else:
-        for r in range(n_reps):
-            records[r] = _safe_run_one(estimator, dgp, derive_seed(seed, r), level)
-    truth, reject_key = _study_targets(estimator, dgp)
-    summary = _summarize(estimator, n_reps, records, truth, reject_key)
+        records = [_safe_run_one(dgp, s, level) for s in seeds]
     if dump_path:
         _dump_records(dump_path, records)
-    return summary
+    return _summarize(estimator, n_reps, records, study.truth(dgp))
 
 
-def _safe_run_one(estimator: str, dgp, rep_seed: int, level: float) -> dict | None:
+def _safe_run_one(dgp, rep_seed: int, level: float) -> dict | None:
     try:
-        return _run_one(estimator, dgp, rep_seed, level)
+        return _run_one(dgp, rep_seed, level)
     except TvelastError:
         return None
 
 
-@dataclass(frozen=True)
-class UnitRootDgp:
-    T: int
-    drift: float = 0.0
-    sigma: float = 1.0
-    deterministic: str = "constant+trend"
-
-
-@dataclass(frozen=True)
-class Ar1Dgp:
-    T: int
-    phi: float = 0.5
-    var: float = 1.0
-    deterministic: str = "constant+trend"
-
-
-def _run_one(estimator: str, dgp, rep_seed: int, level: float) -> dict:
-    if estimator == "mle":
-        model, _ = gen_tvp(replace(dgp, seed=rep_seed))
-        fit = sspace.fit_mle(model)
-        return {
-            "log_var_meas": fit.params.log_var_meas,
-            "log_var_meas_se": fit.robust_se[0],
-            "log_var_state": fit.params.log_var_state,
-            "log_var_state_se": fit.robust_se[1],
-            "converged": fit.converged,
-        }
-    if estimator == "adf":
-        if isinstance(dgp, UnitRootDgp):
-            s = gen_unit_root(dgp.T, dgp.drift, rep_seed, dgp.sigma)
-        elif isinstance(dgp, Ar1Dgp):
-            s = gen_ar1(dgp.T, dgp.phi, rep_seed, dgp.var)
-        else:
-            raise ValueError(f"adf study needs UnitRootDgp or Ar1Dgp, got {type(dgp)}")
-        res = unitroot.adf(s, unitroot.AdfSpec(deterministic=dgp.deterministic))
-        crit = {0.01: res.crit_1, 0.05: res.crit_5, 0.10: res.crit_10}[level]
-        return {"statistic": res.statistic, "reject": float(res.statistic < crit)}
-    if estimator == "cusum":
-        if not isinstance(dgp, BreakRegressionDgp):
-            raise ValueError(f"cusum study needs BreakRegressionDgp, got {type(dgp)}")
-        y, x = gen_break_regression(dgp, rep_seed)
-        res = regress.cusum(y, x, significance=level)
-        return {"reject": 0.0 if res.stable else 1.0}
-    raise ValueError(f"unknown estimator id {estimator!r}")
-
-
-def _study_targets(estimator: str, dgp) -> tuple[dict[str, float], str | None]:
-    if estimator == "mle":
-        return ({
-            "log_var_meas": math.log(dgp.sigma2_meas),
-            "log_var_state": math.log(dgp.sigma2_state),
-        }, None)
-    return ({}, "reject")
+def _run_one(dgp, rep_seed: int, level: float) -> dict:
+    study = STUDIES[type(dgp)]
+    return study.estimate(study.draw(dgp, rep_seed), dgp, level)
 
 
 def _dump_records(path: str, records: list[dict | None]) -> None:

@@ -153,10 +153,31 @@ class TestExitCodes:
             assert len(err.strip().splitlines()) == 1, err
 
     def test_zero_sample_size_is_usage_error(self):
-        for study in ("mle", "adf-size", "adf-power", "cusum-size", "cusum-power"):
-            code, out, _ = run_cli(["simulate", study, "--t", "0", "--reps", "10"])
-            assert code == EXIT_USAGE, study
+        # 0 for every study, and each DGP's largest T below its minimum
+        for study, t in (("mle", 0), ("adf-size", 0), ("adf-power", 0), ("cusum-size", 0),
+                         ("cusum-power", 0), ("mle", 1), ("adf-size", 24), ("adf-power", 24),
+                         ("cusum-size", 2), ("cusum-power", 2)):
+            code, out, err = run_cli(["simulate", study, "--t", str(t), "--reps", "10"])
+            assert code == EXIT_USAGE, (study, t)
             assert out == ""
+            assert "T must be >= " in err, (study, t)
+
+    @pytest.mark.parametrize("command", ["pipeline", "subsample"])
+    @pytest.mark.parametrize("ends", ["", ",", " , "])
+    def test_empty_subsample_ends_is_usage_error(self, csv_path, command, ends):
+        code, out, err = run_cli([command, "--input", csv_path, "--subsample-ends", ends])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--subsample-ends names no month" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_subsample_out_with_format_is_usage_error(self, csv_path, tmp_path, fmt):
+        code, out, err = run_cli(["subsample", "--input", csv_path, "--subsample-ends", "1980-12",
+                                  "--out", str(tmp_path / "sub"), "--format", fmt])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "not allowed with argument" in err
+        assert not (tmp_path / "sub").exists()
 
     def test_estimation_failure_exit_code(self, tmp_path):
         # constant CPI: demeaned inflation is identically zero, the filter
@@ -425,7 +446,7 @@ class TestSubsampleAndSimulateFormats:
         assert out.splitlines()[1].startswith("rejection rate: ")
 
     def test_simulate_where_every_replication_fails_is_quiet(self, monkeypatch):
-        def fail(estimator, dgp, rep_seed, level):
+        def fail(dgp, rep_seed, level):
             raise NonFiniteObjective("injected failure")
 
         monkeypatch.setattr(simlab, "_run_one", fail)
@@ -442,10 +463,10 @@ class TestSubsampleAndSimulateFormats:
     def test_simulate_dump_writes_one_row_per_replication(self, tmp_path, monkeypatch):
         run_one, failing = simlab._run_one, simlab.derive_seed(7, 3)
 
-        def fail_replication_3(estimator, dgp, rep_seed, level):
+        def fail_replication_3(dgp, rep_seed, level):
             if rep_seed == failing:
                 raise NonFiniteObjective("injected failure")
-            return run_one(estimator, dgp, rep_seed, level)
+            return run_one(dgp, rep_seed, level)
 
         monkeypatch.setattr(simlab, "_run_one", fail_replication_3)
         dump = tmp_path / "reps.csv"

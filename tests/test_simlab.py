@@ -140,11 +140,19 @@ class TestMonteCarlo:
         b = monte_carlo("mle", dgp, n_reps=10, seed=42)
         assert a.to_json() == b.to_json()
 
-    def test_parallel_matches_sequential(self):
-        dgp = TvpDgp(T=100, sigma2_meas=0.1, sigma2_state=0.2)
-        seq = monte_carlo("mle", dgp, n_reps=12, seed=9, n_jobs=1)
-        par = monte_carlo("mle", dgp, n_reps=12, seed=9, n_jobs=3)
-        assert seq.to_json() == par.to_json()
+    def test_parallel_matches_sequential(self, tmp_path):
+        from tvelast.simlab import STUDIES
+
+        dgps = (TvpDgp(T=100, sigma2_meas=0.1, sigma2_state=0.2), UnitRootDgp(T=100),
+                Ar1Dgp(T=100, phi=0.5), BreakRegressionDgp(T=100, beta2=2.0))
+        assert {type(dgp) for dgp in dgps} == set(STUDIES)  # one DGP per table entry
+        for dgp in dgps:
+            estimator = STUDIES[type(dgp)].estimator
+            seq, par = (monte_carlo(estimator, dgp, n_reps=12, seed=9, n_jobs=n_jobs,
+                                    dump_path=str(tmp_path / f"{n_jobs}.csv"))
+                        for n_jobs in (1, 3))
+            assert seq.to_json() == par.to_json(), dgp
+            assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "3.csv").read_bytes(), dgp
 
     def test_mle_study_fields(self):
         dgp = TvpDgp(T=150, sigma2_meas=0.05, sigma2_state=0.3)
@@ -164,16 +172,32 @@ class TestMonteCarlo:
             monte_carlo("adf", UnitRootDgp(T=100), n_reps=5, seed=1)
 
     def test_level_without_tables_rejected_before_any_replication(self, monkeypatch):
+        import concurrent.futures
+
         import tvelast.simlab as simlab
 
         def no_replication(*args):
             raise AssertionError("a replication ran")
 
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool started")
+
         monkeypatch.setattr(simlab, "_safe_run_one", no_replication)
-        for estimator, dgp in (("adf", UnitRootDgp(T=100)),
-                               ("cusum", BreakRegressionDgp(T=100))):
-            with pytest.raises(ValueError, match="level"):
-                monte_carlo(estimator, dgp, n_reps=10, seed=1, level=0.2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        tvp = TvpDgp(T=100, sigma2_meas=0.1, sigma2_state=0.2)
+        for estimator, dgp, level, match in (
+                ("adf", UnitRootDgp(T=100), 0.2, "level"),
+                ("cusum", BreakRegressionDgp(T=100), 0.2, "level"),
+                # an estimator paired with another study's DGP
+                ("mle", UnitRootDgp(T=100), 0.05, "'mle'.*UnitRootDgp"),
+                ("mle", BreakRegressionDgp(T=100), 0.05, "'mle'.*BreakRegressionDgp"),
+                ("adf", tvp, 0.05, "'adf'.*TvpDgp"),
+                ("adf", BreakRegressionDgp(T=100), 0.05, "'adf'.*BreakRegressionDgp"),
+                ("cusum", Ar1Dgp(T=100), 0.05, "'cusum'.*Ar1Dgp"),
+                ("cusum", tvp, 0.05, "'cusum'.*TvpDgp")):
+            for n_jobs in (1, 2):
+                with pytest.raises(ValueError, match=match):
+                    monte_carlo(estimator, dgp, n_reps=10, seed=1, level=level, n_jobs=n_jobs)
 
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
