@@ -18,7 +18,7 @@ import sys
 
 from . import __version__, pipeline, regress, simlab, sspace, unitroot
 from .errors import DataError, EstimationError, StageError, TvelastError
-from .series import CsvSchema, MonthDate, demean, json_text, parse_csv, row_csv
+from .series import CsvSchema, MonthDate, json_text, parse_csv, row_csv
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -194,78 +194,31 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_section(args) -> int:
-    """Print one Report section: its JSON, its figure CSV, or its text block."""
-    section, which, run = _SECTIONS[args.command]
-    data = _load(args)
-    cfg = _pipeline_config(args)
-    report, text = run(data, pipeline.growth_pair(data, cfg), cfg)
+    """Run one pipeline stage and print its Report section: JSON, figure CSV or text."""
+    stage, section, which, render = _SECTIONS[args.command]
+    report = pipeline.run_pipeline(_load(args), _pipeline_config(args), stage)
     if getattr(args, "out", None):
         print(pipeline.write_figure(report, which, args.out), file=sys.stderr)
     elif args.format in ("json", None):  # subsample's --format defaults to None
         print(json_text(report.to_dict()[section], indent=2))
     elif args.format == "csv":
         print(pipeline.emit_figure_data(report, which), end="")
-    elif text:  # an empty sub-sample table has no lines to print
-        print(text)
+    else:
+        text = render(getattr(report, section))
+        if text:  # an empty sub-sample table has no lines to print
+            print(text)
     return EXIT_OK
 
 
-def _demeaned(growth):
-    return demean(growth[0])[0], demean(growth[1])[0]
-
-
-# Each runner takes (dataset, growth pair, config) and returns a Report holding
-# its one section, plus that section's text block.
-
-def _run_adf(data, growth, cfg):
-    rows = pipeline.adf_battery(*growth, cfg)
-    return pipeline.Report(adf_table=rows), pipeline.adf_table_text(rows)
-
-
-def _run_ols(data, growth, cfg):
-    res = regress.ols_no_intercept(*_demeaned(growth))
-    return pipeline.Report(ols=res), res.to_text()
-
-
-def _run_cusum(data, growth, cfg):
-    dm_y, dm_x = _demeaned(growth)
-    res = regress.cusum(dm_y, dm_x, cfg.cusum_significance)
-    text = (f"CUSUM at {res.significance:.0%}: "
-            + ("stable (no boundary crossing)" if res.stable
-               else f"unstable; first crossing {res.first_crossing}"))
-    return pipeline.Report(demeaned_y=dm_y, cusum=res), text
-
-
-def _run_recursive(data, growth, cfg):
-    dm_y, dm_x = _demeaned(growth)
-    res = regress.recursive_coefficients(dm_y, dm_x)
-    text = (f"recursive coefficients over {len(res.coefs)} expanding samples; "
-            f"final {res.coefs[-1]:.6f} [{res.bands_lo[-1]:.6f}, {res.bands_hi[-1]:.6f}]")
-    return pipeline.Report(demeaned_y=dm_y, recursive=res), text
-
-
-def _run_sspace(data, growth, cfg):
-    res = sspace.fit_mle(sspace.TvpModel(*_demeaned(growth)), options=cfg.mle)
-    return pipeline.Report(mle=res), res.to_text()
-
-
-def _run_subsample(data, growth, cfg):
-    rows = pipeline.subsample_final_states(data, growth, list(cfg.subsample_end_dates), cfg)
-    text = "\n".join(
-        f"{r.sample_start}..{r.sample_end}  final_state={r.final_state:.4f} "
-        f"rmse={r.final_rmse:.4f} p={r.p_value:.4f}{'' if r.converged else '  [no convergence]'}"
-        for r in rows)
-    return pipeline.Report(subsample_table=rows), text
-
-
-# single-stage subcommand -> (its Report section, the figure --format csv prints, runner)
+# single-stage subcommand -> (the pipeline stage it runs, its Report section,
+# the figure --format csv prints, its text renderer)
 _SECTIONS = {
-    "adf": ("adf_table", "table1", _run_adf),
-    "ols": ("ols", "table2", _run_ols),
-    "cusum": ("cusum", "fig3", _run_cusum),
-    "recursive": ("recursive", "fig4", _run_recursive),
-    "sspace": ("mle", "table3", _run_sspace),
-    "subsample": ("subsample_table", "appendixA1", _run_subsample),
+    "adf": ("adf", "adf_table", "table1", pipeline.adf_table_text),
+    "ols": ("ols", "ols", "table2", regress.OlsResult.to_text),
+    "cusum": ("stability", "cusum", "fig3", regress.CusumResult.to_text),
+    "recursive": ("stability", "recursive", "fig4", regress.RecursivePath.to_text),
+    "sspace": ("sspace", "mle", "table3", sspace.MleResult.to_text),
+    "subsample": ("subsample", "subsample_table", "appendixA1", pipeline.subsample_table_text),
 }
 
 

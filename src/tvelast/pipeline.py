@@ -5,9 +5,10 @@ the growth series and their first differences, demeaning, the no-intercept
 OLS with CUSUM and recursive-coefficient diagnostics, the ML state-space
 fit, the state paths / decade averages / shock series derived from the
 fit's own filter pass, and the expanding sub-sample table on the same
-growth series. Every failure is re-raised annotated with the stage that
-produced it. The Report serializes to one JSON document plus fixed-name CSV
-files per table and figure.
+growth series. Each stage is one entry of _STAGES, and a single-stage CLI
+subcommand runs its stage and the stages it needs. Every failure is
+re-raised annotated with the stage that produced it. The Report serializes
+to one JSON document plus fixed-name CSV files per table and figure.
 """
 
 from __future__ import annotations
@@ -154,8 +155,9 @@ class Report:
                 "x_mean": self.x_mean,
                 "growth_y": _series_dict(self.growth_y),
                 "growth_x": _series_dict(self.growth_x),
-                "demeaned_y": _series_dict(self.demeaned_y),
-                "demeaned_x": _series_dict(self.demeaned_x),
+                # a run that stops before the demean stage has growth series only
+                "demeaned_y": _maybe(self.demeaned_y, _series_dict),
+                "demeaned_x": _maybe(self.demeaned_x, _series_dict),
             }),
             "adf_table": _maybe(self.adf_table, lambda rows: [
                 {"variable": r.variable, "form": r.form, **r.result.to_dict()}
@@ -197,8 +199,9 @@ def _series_dict(s: MonthlySeries) -> dict:
     return {"start": str(s.start), "name": s.name, "values": list(s.values)}
 
 
-def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig()) -> Report:
-    """Run the full battery on a validated dataset; see the module docstring."""
+def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig(),
+                 stage: str | None = None) -> Report:
+    """Run every stage in order, or only `stage` and the chain of stages it needs."""
     report = Report()
     report.provenance = {
         "data_sha256": hashlib.sha256(write_csv(data).encode()).hexdigest(),
@@ -208,55 +211,11 @@ def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig()) -> Repor
         "created_at": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
     }
-
-    with _stage("transform"):
-        growth_y, growth_x = growth_pair(data, cfg)
-        report.growth_y, report.growth_x = growth_y, growth_x
-
-    with _stage("adf"):
-        if len(data) < MIN_MONTHS_FOR_ADF:
-            raise TooShort(
-                f"dataset has {len(data)} months; unit-root pretesting "
-                f"requires at least {MIN_MONTHS_FOR_ADF}"
-            )
-        report.adf_table = adf_battery(growth_y, growth_x, cfg)
-
-    with _stage("demean"):
-        dm_y, y_mean = demean(growth_y)
-        dm_x, x_mean = demean(growth_x)
-        report.demeaned_y, report.demeaned_x = dm_y, dm_x
-        report.y_mean, report.x_mean = y_mean, x_mean
-
-    with _stage("ols"):
-        report.ols = regress.ols_no_intercept(dm_y, dm_x)
-
-    with _stage("stability"):
-        report.cusum = regress.cusum(dm_y, dm_x, cfg.cusum_significance)
-        report.recursive = regress.recursive_coefficients(dm_y, dm_x)
-
-    with _stage("sspace"):
-        report.mle = sspace.fit_mle(sspace.TvpModel(dm_y, dm_x), options=cfg.mle)
-        out = report.mle.filter_output
-        smoothed, _ = sspace.kalman_smoother(out)
-        report.state_paths = StatePaths(
-            start=dm_y.start,
-            onestep=out.pred_mean,
-            filtered=out.filt_mean,
-            smoothed=smoothed,
-        )
-        report.decades = decade_averages(
-            MonthlySeries(dm_y.start, out.filt_mean, name="elasticity_filtered")
-        )
-        report.shocks = sspace.innovation_shocks(out)
-        report.shock_burn_in = out.n_diffuse_dropped
-
-    if not cfg.subsample_end_dates:
-        report.skipped["subsample_table"] = "no end dates configured"
-    else:
-        with _stage("subsample"):
-            report.subsample_table = subsample_final_states(
-                data, (growth_y, growth_x), list(cfg.subsample_end_dates), cfg
-            )
+    for name in list(_STAGES) if stage is None else _chain(stage):
+        try:
+            _STAGES[name][1](report, data, cfg)
+        except TvelastError as exc:
+            raise StageError(name, str(exc)) from exc
     return report
 
 
@@ -265,19 +224,69 @@ def growth_pair(data: Dataset, cfg: PipelineConfig) -> tuple[MonthlySeries, Mont
     return yoy_growth(data.y_raw, cfg.growth_mode), yoy_growth(data.x_raw, cfg.growth_mode)
 
 
-class _stage:
-    """Re-raise any package error with the pipeline stage attached."""
+def _chain(stage: str) -> list[str]:
+    """The stage, preceded by the stages it needs, in run order."""
+    need = _STAGES[stage][0]
+    return ([] if need is None else _chain(need)) + [stage]
 
-    def __init__(self, name: str):
-        self.name = name
 
-    def __enter__(self):
-        return self
+def _transform(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
+    report.growth_y, report.growth_x = growth_pair(data, cfg)
 
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, TvelastError):
-            raise StageError(self.name, str(exc)) from exc
-        return False
+
+def _adf(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
+    if len(data) < MIN_MONTHS_FOR_ADF:
+        raise TooShort(f"dataset has {len(data)} months; unit-root pretesting "
+                       f"requires at least {MIN_MONTHS_FOR_ADF}")
+    report.adf_table = adf_battery(report.growth_y, report.growth_x, cfg)
+
+
+def _demean(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
+    report.demeaned_y, report.y_mean = demean(report.growth_y)
+    report.demeaned_x, report.x_mean = demean(report.growth_x)
+
+
+def _ols(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
+    report.ols = regress.ols_no_intercept(report.demeaned_y, report.demeaned_x)
+
+
+def _stability(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
+    report.cusum = regress.cusum(report.demeaned_y, report.demeaned_x, cfg.cusum_significance)
+    report.recursive = regress.recursive_coefficients(report.demeaned_y, report.demeaned_x)
+
+
+def _sspace(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
+    dm_y = report.demeaned_y
+    report.mle = sspace.fit_mle(sspace.TvpModel(dm_y, report.demeaned_x), options=cfg.mle)
+    out = report.mle.filter_output
+    smoothed, _ = sspace.kalman_smoother(out)
+    report.state_paths = StatePaths(dm_y.start, out.pred_mean, out.filt_mean, smoothed)
+    report.decades = decade_averages(
+        MonthlySeries(dm_y.start, out.filt_mean, name="elasticity_filtered"))
+    report.shocks = sspace.innovation_shocks(out)
+    report.shock_burn_in = out.n_diffuse_dropped
+
+
+def _subsample(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
+    if not cfg.subsample_end_dates:
+        report.skipped["subsample_table"] = "no end dates configured"
+        return
+    report.subsample_table = subsample_final_states(
+        data, (report.growth_y, report.growth_x), list(cfg.subsample_end_dates), cfg
+    )
+
+
+# stage -> (the stage it needs, a runner (report, data, cfg) that fills its
+# Report fields), in the order run_pipeline runs them
+_STAGES = {
+    "transform": (None, _transform),
+    "adf": ("transform", _adf),
+    "demean": ("transform", _demean),
+    "ols": ("demean", _ols),
+    "stability": ("demean", _stability),
+    "sspace": ("demean", _sspace),
+    "subsample": ("transform", _subsample),
+}
 
 
 def adf_battery(growth_y: MonthlySeries, growth_x: MonthlySeries,
@@ -522,3 +531,11 @@ def adf_table_text(rows: list[AdfTableRow]) -> str:
         f"1% {crit.crit_1:.4f}; 5% {crit.crit_5:.4f}; 10% {crit.crit_10:.4f}"
     )
     return "\n".join(lines)
+
+
+def subsample_table_text(rows: list[SubSampleRow]) -> str:
+    """One line per sub-sample; empty for an empty table."""
+    return "\n".join(
+        f"{r.sample_start}..{r.sample_end}  final_state={r.final_state:.4f} "
+        f"rmse={r.final_rmse:.4f} p={r.p_value:.4f}{'' if r.converged else '  [no convergence]'}"
+        for r in rows)

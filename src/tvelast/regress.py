@@ -96,6 +96,10 @@ class RecursivePath:
             "bands_hi": list(self.bands_hi),
         }
 
+    def to_text(self) -> str:
+        return (f"recursive coefficients over {len(self.coefs)} expanding samples; "
+                f"final {self.coefs[-1]:.6f} [{self.bands_lo[-1]:.6f}, {self.bands_hi[-1]:.6f}]")
+
 
 @dataclass(frozen=True)
 class CusumResult:
@@ -123,6 +127,11 @@ class CusumResult:
             "stable": self.stable,
             "sigma_w": self.sigma_w,
         }
+
+    def to_text(self) -> str:
+        return (f"CUSUM at {self.significance:.0%}: "
+                + ("stable (no boundary crossing)" if self.stable
+                   else f"unstable; first crossing {self.first_crossing}"))
 
 
 def _check_pair(y: MonthlySeries, x: MonthlySeries, min_len: int) -> tuple[np.ndarray, np.ndarray]:

@@ -146,7 +146,8 @@ class CsvSchema:
     """Column mapping for CSV ingestion.
 
     When y/x are None the first and second non-date columns are used, in
-    header order.
+    header order; when only one is named, the other is the first non-date
+    column it does not name.
     """
 
     date: str = "date"
@@ -168,15 +169,17 @@ def parse_csv(source, schema: CsvSchema = CsvSchema()) -> Dataset:
         raise MissingValue("empty CSV: no header row") from None
     header = [h.strip() for h in header]
 
-    try:
-        date_idx = _find_column(header, schema.date)
-    except KeyError:
-        raise MissingValue(f"no {schema.date!r} column in header {header}") from None
+    date_idx = _find_column(header, schema.date)
     value_cols = [i for i in range(len(header)) if i != date_idx]
     if len(value_cols) < 2:
         raise MissingValue("need at least two numeric columns besides the date")
-    y_idx = _find_column(header, schema.y) if schema.y else value_cols[0]
-    x_idx = _find_column(header, schema.x) if schema.x else value_cols[1]
+    y_idx = _find_column(header, schema.y) if schema.y else None
+    x_idx = _find_column(header, schema.x) if schema.x else None
+    if y_idx is not None and y_idx == x_idx:
+        raise MissingValue(f"column {header[y_idx]!r} is named for both y and x")
+    unnamed = (i for i in value_cols if i not in (y_idx, x_idx))
+    y_idx = next(unnamed) if y_idx is None else y_idx
+    x_idx = next(unnamed) if x_idx is None else x_idx
 
     rows: list[tuple[MonthDate, float, float]] = []
     for lineno, row in records:
@@ -364,7 +367,7 @@ def _read_text(source) -> str:
 def _find_column(header: Sequence[str], name: str) -> int:
     lowered = [h.lower() for h in header]
     if name.lower() not in lowered:
-        raise KeyError(name)
+        raise MissingValue(f"no {name!r} column in header {header}")
     return lowered.index(name.lower())
 
 

@@ -140,8 +140,8 @@ class TvpDgp:
     seed: int = 0
 
     def __post_init__(self):
-        if self.T < 2:
-            raise ValueError("T must be >= 2")
+        if self.T < 3:  # fit_mle's minimum
+            raise ValueError("T must be >= 3")
         if self.sigma2_meas <= 0 or self.sigma2_state <= 0:
             raise ValueError("variances must be positive")
 
@@ -237,8 +237,8 @@ class UnitRootDgp:
     deterministic: str = "constant+trend"
 
     def __post_init__(self):
-        if self.T < 25:
-            raise ValueError("T must be >= 25")
+        if self.T < unitroot.MIN_DEFAULT_LAGS_T:
+            raise ValueError(f"T must be >= {unitroot.MIN_DEFAULT_LAGS_T}")
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,8 @@ class Ar1Dgp:
     deterministic: str = "constant+trend"
 
     def __post_init__(self):
-        if self.T < 25:
-            raise ValueError("T must be >= 25")
+        if self.T < unitroot.MIN_DEFAULT_LAGS_T:
+            raise ValueError(f"T must be >= {unitroot.MIN_DEFAULT_LAGS_T}")
 
 
 @dataclass(frozen=True)

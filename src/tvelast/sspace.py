@@ -363,8 +363,9 @@ def fit_mle(model: TvpModel, options: MleOptions | None = None) -> MleResult:
     .result, with converged=False, so callers can still inspect it.
     """
     opts = options or MleOptions()
-    if len(model) < 2:
-        raise EmptySeries("ML needs two observations: the first is absorbed by the diffuse start")
+    if len(model) < 3:
+        raise EmptySeries("ML needs three observations: the diffuse start absorbs the first, "
+                          "and one likelihood term alone is the same at every q")
     start = _default_init(model)
     for v in (start.log_var_meas, start.log_var_state):
         if not _LOG_VAR_MIN <= v <= _LOG_VAR_MAX:

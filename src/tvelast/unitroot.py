@@ -27,6 +27,7 @@ values, comfortably inside the +/-0.02 documented target.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -86,6 +87,18 @@ class AdfResult:
 def default_max_lags(t: int) -> int:
     """Common rule of thumb: floor(12 * (T/100)^(1/4))."""
     return int(math.floor(12.0 * (t / 100.0) ** 0.25))
+
+
+def _lag_cap(t: int, max_lags: int | None) -> int:
+    """The largest candidate order adf searches for a series of length t."""
+    return max(0, min(default_max_lags(t) if max_lags is None else max_lags, t // 3))
+
+
+# Shortest series whose default-lag test the tables always cover: the final
+# regression keeps t - 1 - chosen >= t - 1 - _lag_cap(t, None) rows, and
+# that bound never falls as t grows.
+MIN_DEFAULT_LAGS_T = next(t for t in itertools.count(_MIN_TABLE_T)
+                          if t - 1 - _lag_cap(t, None) >= _MIN_TABLE_T)
 
 
 def _interp_quantiles(case: str, t: int) -> np.ndarray:
@@ -220,8 +233,7 @@ def adf(s: MonthlySeries, spec: AdfSpec = AdfSpec()) -> AdfResult:
     """Run the test on a series; see the module docstring for conventions."""
     x = np.asarray(s.values, dtype=float)
     t_len = len(x)
-    max_lags = spec.max_lags if spec.max_lags is not None else default_max_lags(t_len)
-    max_lags = max(0, min(max_lags, t_len // 3))
+    max_lags = _lag_cap(t_len, spec.max_lags)
     if t_len - max_lags - 2 < 10:
         raise TooShort(
             f"{t_len} observations leave fewer than 10 effective rows "

@@ -95,9 +95,31 @@ class TestExitCodes:
     def test_short_data_is_data_error_from_stage(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text(write_csv(make_dataset(n_months=59)))
-        code, _, err = run_cli(["pipeline", "--input", str(path)])
-        assert code == EXIT_DATA
-        assert "stage 'adf'" in err
+        for command in ("pipeline", "adf"):  # a loop keeps the test id
+            code, out, err = run_cli([command, "--input", str(path)])
+            assert code == EXIT_DATA, command
+            assert out == ""
+            assert "stage 'adf'" in err
+
+    def test_ols_skips_the_adf_gate(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(write_csv(make_dataset(n_months=40)))
+        code, out, _ = run_cli(["ols", "--input", str(path)])
+        assert code == EXIT_OK
+        assert "coef" in json.loads(out)
+
+    def test_subcommands_run_only_the_stages_they_need(self, csv_path, monkeypatch):
+        def no_fit(model, options=None):
+            raise NonFiniteObjective("fit refused")
+
+        monkeypatch.setattr(sspace, "fit_mle", no_fit)
+        for command in ("adf", "ols", "cusum", "recursive"):
+            code, _, err = run_cli([command, "--input", csv_path])
+            assert code == EXIT_OK, (command, err)
+        code, out, err = run_cli(["sspace", "--input", csv_path])
+        assert code == EXIT_ESTIMATION
+        assert out == ""
+        assert "tvelast: stage 'sspace': fit refused" in err
 
     def test_growth_overflow_is_data_error(self, tmp_path):
         # valid positive levels whose 12-month ratio overflows in pct mode
@@ -155,7 +177,8 @@ class TestExitCodes:
     def test_zero_sample_size_is_usage_error(self):
         # 0 for every study, and each DGP's largest T below its minimum
         for study, t in (("mle", 0), ("adf-size", 0), ("adf-power", 0), ("cusum-size", 0),
-                         ("cusum-power", 0), ("mle", 1), ("adf-size", 24), ("adf-power", 24),
+                         ("cusum-power", 0), ("mle", 1), ("mle", 2), ("adf-size", 24),
+                         ("adf-power", 24), ("adf-size", 34), ("adf-power", 34),
                          ("cusum-size", 2), ("cusum-power", 2)):
             code, out, err = run_cli(["simulate", study, "--t", str(t), "--reps", "10"])
             assert code == EXIT_USAGE, (study, t)

@@ -97,6 +97,17 @@ class TestParseCsv:
         assert ds.y_raw.values == (100.0, 101.0)
         assert ds.x_raw.values == (50.0, 51.0)
 
+    def test_one_named_column_leaves_the_other_to_the_rest(self):
+        text = "date,cpi,m2\n1971-01,100,50\n1971-02,101,51\n"
+        ds = parse_csv(text, CsvSchema(y="m2"))
+        assert (ds.y_raw.name, ds.x_raw.name) == ("m2", "cpi")
+        ds = parse_csv(text, CsvSchema(x="cpi"))
+        assert (ds.y_raw.name, ds.x_raw.name) == ("m2", "cpi")
+        with pytest.raises(MissingValue, match="'m2' is named for both y and x"):
+            parse_csv(text, CsvSchema(y="m2", x="M2"))
+        with pytest.raises(MissingValue, match="no 'm3' column"):
+            parse_csv(text, CsvSchema(y="m3"))
+
     def test_roundtrip_identity(self):
         for seed in range(5):
             ds = make_dataset(n_months=40, seed=seed)

@@ -7,8 +7,8 @@ from scipy import optimize
 
 from tvelast import sspace
 
-from tvelast.errors import DegenerateRegressor, NoConvergence, NonFiniteObjective
-from tvelast.simlab import TvpDgp, gen_tvp
+from tvelast.errors import DegenerateRegressor, EmptySeries, NoConvergence, NonFiniteObjective
+from tvelast.simlab import TvpDgp, derive_seed, gen_tvp
 from tvelast.sspace import (
     ExplicitInit,
     MleOptions,
@@ -290,6 +290,16 @@ class TestInnovationShocks:
 
 
 class TestFitMle:
+    def test_two_observations_are_refused(self):
+        # one likelihood term is left after the diffuse month, flat in q;
+        # TvpDgp refuses T=2 itself, so the fit's own guard is set past it
+        for r in range(10):
+            dgp = TvpDgp(T=3, sigma2_meas=0.016, sigma2_state=0.359, seed=derive_seed(0, r))
+            object.__setattr__(dgp, "T", 2)
+            model, _ = gen_tvp(dgp)
+            with pytest.raises(EmptySeries, match="three observations"):
+                fit_mle(model)
+
     def test_recovers_known_variances(self):
         model, _ = gen_tvp(TvpDgp(T=543, sigma2_meas=0.016, sigma2_state=0.359, seed=7))
         fit = fit_mle(model)

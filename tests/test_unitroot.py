@@ -12,8 +12,8 @@ from scipy import special  # oracle only: the package must not import scipy
 from tvelast import _dftables
 from tvelast.errors import DegenerateDesign, TooShort, UnsupportedCase
 from tvelast.simlab import Ar1Dgp, UnitRootDgp, gen_ar1, gen_unit_root, monte_carlo
-from tvelast.unitroot import (DETERMINISTIC_CASES, AdfSpec, _ndtr, adf, approx_pvalue,
-                              critical_values, default_max_lags)
+from tvelast.unitroot import (DETERMINISTIC_CASES, MIN_DEFAULT_LAGS_T, AdfSpec, _ndtr, adf,
+                              approx_pvalue, critical_values, default_max_lags)
 
 import _oracles
 from conftest import make_series
@@ -157,6 +157,14 @@ class TestAdf:
     def test_default_max_lags_rule(self):
         assert default_max_lags(100) == 12
         assert default_max_lags(543) == 18
+
+    def test_default_lags_keep_table_coverage_from_the_study_minimum(self):
+        # the final regression keeps at least t - 1 - max_lags rows
+        assert MIN_DEFAULT_LAGS_T == 35
+        rows = [t - 1 - min(default_max_lags(t), t // 3) for t in range(34, 5000)]
+        assert rows[0] < 25 <= min(rows[1:])
+        for seed in range(20):
+            assert adf(gen_unit_root(MIN_DEFAULT_LAGS_T, seed=seed)).n_used >= 25
 
     def test_spec_validation(self):
         with pytest.raises(UnsupportedCase):
