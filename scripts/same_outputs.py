@@ -17,8 +17,11 @@ for every input:
   recursive, sspace and subsample;
 - the file `subsample --out` writes;
 
-and, once, the `--format json|csv|text` output and the `--dump` file of
-every `simulate` study at `--reps 10`, with its replications run in one
+and, once, for a 60-month input whose price index is constant (so the
+OLS fit has no residuals and its log-likelihood, t statistic and p-value
+are inf or nan), the `--format json|csv|text` output of ols and the
+output of `tvelast pipeline`; and, once, the `--format json|csv|text`
+output and the `--dump` file of every `simulate` study at `--reps 10`, with its replications run in one
 process and again in a pool of 3 (`monte_carlo`'s `n_jobs`), plus every
 command's exit code. A report's `created_at` line is dropped. The two output trees are
 then compared file by file. Exit 0 when every file is identical; exit 1
@@ -54,10 +57,25 @@ def _load_plan():
     return plan
 
 
+def constant_cpi_csv() -> str:
+    """60 months from 1971-01: cpi 100.0 throughout, m2 a drifting random walk
+    in logs (numpy seed 1), the levels `tests/conftest.make_dataset(60, 1)`
+    holds for m2."""
+    import numpy as np
+
+    gen = np.random.default_rng(1)
+    gen.normal(0.004, 0.01, 60)  # make_dataset's cpi draw, replaced by the constant
+    m2 = 50.0 * np.exp(np.cumsum(gen.normal(0.006, 0.02, 60)))
+    return "".join(["date,cpi,m2\n"] + [f"{1971 + i // 12}-{i % 12 + 1:02d},100.0,{float(v)!r}\n"
+                                          for i, v in enumerate(m2)])
+
+
 def write_inputs(indir: Path, n: int) -> None:
-    """Write the first n pool datasets and the gamma config under indir."""
+    """Write the first n pool datasets, the constant-cpi input and the gamma
+    config under indir."""
     plan = _load_plan()
     (indir / "gamma.json").write_text(json.dumps(GAMMA), encoding="utf-8")
+    (indir / "constant_cpi.csv").write_text(constant_cpi_csv(), encoding="utf-8")
     for k in range(n):
         (indir / f"dataset_{k:03d}.csv").write_text(plan.dataset_csv(k), encoding="utf-8")
 
@@ -101,6 +119,10 @@ def emit(outdir: Path, indir: Path, n: int) -> None:
                 argv = [cmd, *base, "--format", fmt, *(ends if cmd == "subsample" else [])]
                 run(f"k{k}/{cmd}/{fmt}", argv, kdir / f"{cmd}.{fmt}")
         run(f"k{k}/subsample/out", ["subsample", *base, *ends, "--out", str(kdir / "subsample")])
+    flat, flat_dir = ["--input", str(indir / "constant_cpi.csv")], outdir / "constant_cpi"
+    for fmt in FORMATS:
+        run(f"constant_cpi/ols/{fmt}", ["ols", *flat, "--format", fmt], flat_dir / f"ols.{fmt}")
+    run("constant_cpi/pipeline/stdout", ["pipeline", *flat], flat_dir / "pipeline.stdout.json")
     monte_carlo = simlab.monte_carlo
     for n_jobs in (1, 3):
         # the CLI has no jobs flag; it calls simlab.monte_carlo through the module

@@ -14,7 +14,6 @@ to one JSON document plus fixed-name CSV files per table and figure.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -30,9 +29,11 @@ from .series import (
     csv_text,
     decade_averages,
     demean,
+    float_texts,
     json_text,
     month_labels,
     row_csv,
+    shared_float_texts,
     window,
     write_csv,
     yoy_growth,
@@ -146,6 +147,8 @@ class Report:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self, include_timestamp: bool = True) -> dict:
+        # float columns are the sections' own tuples, not copies, so that
+        # write_report's figure CSVs reuse the texts report.json made
         prov = dict(self.provenance)
         if not include_timestamp:
             prov.pop("created_at", None)
@@ -169,9 +172,9 @@ class Report:
             "mle": _maybe(self.mle, lambda m: m.to_dict()),
             "state_paths": _maybe(self.state_paths, lambda p: {
                 "start": str(p.start),
-                "onestep": list(p.onestep),
-                "filtered": list(p.filtered),
-                "smoothed": list(p.smoothed),
+                "onestep": p.onestep,
+                "filtered": p.filtered,
+                "smoothed": p.smoothed,
             }),
             "decades": _maybe(self.decades, lambda ds: [
                 {"label": d.label, "first": str(d.first), "last": str(d.last), "mean": d.mean}
@@ -196,7 +199,7 @@ def _maybe(section, render):
 
 
 def _series_dict(s: MonthlySeries) -> dict:
-    return {"start": str(s.start), "name": s.name, "values": list(s.values)}
+    return {"start": str(s.start), "name": s.name, "values": s.values}
 
 
 def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig(),
@@ -205,9 +208,7 @@ def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig(),
     report = Report()
     report.provenance = {
         "data_sha256": hashlib.sha256(write_csv(data).encode()).hexdigest(),
-        "config_sha256": hashlib.sha256(
-            json.dumps(cfg.to_dict(), sort_keys=True).encode()
-        ).hexdigest(),
+        "config_sha256": hashlib.sha256(json_text(cfg.to_dict()).encode()).hexdigest(),
         "created_at": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
     }
@@ -358,19 +359,24 @@ def emit_figure_data(report: Report, which: str) -> str:
 
 
 def write_report(report: Report, outdir) -> list[str]:
-    """Write report.json plus every available table/figure CSV; returns paths."""
+    """Write report.json plus every available table/figure CSV; returns paths.
+
+    A float column that report.json and a figure CSV both hold is formatted
+    once, and the texts are dropped when the call ends.
+    """
     from pathlib import Path
 
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "report.json"
-    path.write_text(report.to_json(), encoding="utf-8")
-    written = [str(path)]
-    for which in _FIGURES:
-        try:
-            written.append(write_figure(report, which, out))
-        except SectionMissing:
-            continue
+    with shared_float_texts():
+        out.mkdir(parents=True, exist_ok=True)
+        path = out / "report.json"
+        path.write_text(report.to_json(), encoding="utf-8")
+        written = [str(path)]
+        for which in _FIGURES:
+            try:
+                written.append(write_figure(report, which, out))
+            except SectionMissing:
+                continue
     return written
 
 
@@ -445,7 +451,7 @@ def _emit_fig3(report: Report) -> str:
     # statistic index i sits at observation k + i (1-based)
     dates = month_labels(y.start.plus(regress.N_REGRESSORS - 1), len(c.statistic))
     return csv_text(["date", "cusum", "band_lo", "band_hi"],
-                    zip(dates, c.statistic, c.band_lo, c.band_hi))
+                    zip(dates, *map(float_texts, (c.statistic, c.band_lo, c.band_hi))))
 
 
 def _emit_fig4(report: Report) -> str:
@@ -453,13 +459,14 @@ def _emit_fig4(report: Report) -> str:
     y = _need(report.demeaned_y, "transform", report)
     dates = month_labels(y.start.plus(r.start_index - 1), len(r.coefs))
     return csv_text(["date", "coef", "band_lo", "band_hi"],
-                    zip(dates, r.coefs, r.bands_lo, r.bands_hi))
+                    zip(dates, *map(float_texts, (r.coefs, r.bands_lo, r.bands_hi))))
 
 
 def _emit_fig5(report: Report) -> str:
     p = _need(report.state_paths, "state_paths", report)
     return csv_text(["date", "sv1_onestep", "sv1_filtered", "sv1_smoothed"],
-                    zip(month_labels(p.start, len(p.filtered)), p.onestep, p.filtered, p.smoothed))
+                    zip(month_labels(p.start, len(p.filtered)),
+                        *map(float_texts, (p.onestep, p.filtered, p.smoothed))))
 
 
 def _emit_fig6(report: Report) -> str:
@@ -480,7 +487,7 @@ def _emit_fig8(report: Report) -> str:
     s = _need(report.shocks, "shocks", report)
     n = len(s.values)
     return csv_text(["date", "shock", "in_burn_in"],
-                    zip(month_labels(s.start, n), s.values,
+                    zip(month_labels(s.start, n), float_texts(s.values),
                         (int(i < report.shock_burn_in) for i in range(n))))
 
 

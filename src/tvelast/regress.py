@@ -91,9 +91,9 @@ class RecursivePath:
     def to_dict(self) -> dict:
         return {
             "start_index": self.start_index,
-            "coefs": list(self.coefs),
-            "bands_lo": list(self.bands_lo),
-            "bands_hi": list(self.bands_hi),
+            "coefs": self.coefs,
+            "bands_lo": self.bands_lo,
+            "bands_hi": self.bands_hi,
         }
 
     def to_text(self) -> str:
@@ -119,9 +119,9 @@ class CusumResult:
 
     def to_dict(self) -> dict:
         return {
-            "statistic": list(self.statistic),
-            "band_lo": list(self.band_lo),
-            "band_hi": list(self.band_hi),
+            "statistic": self.statistic,
+            "band_lo": self.band_lo,
+            "band_hi": self.band_hi,
             "significance": self.significance,
             "first_crossing": None if self.first_crossing is None else str(self.first_crossing),
             "stable": self.stable,

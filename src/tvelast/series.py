@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .errors import (
@@ -238,20 +239,87 @@ def row_csv(record: dict) -> str:
 
 
 def json_text(obj, indent: int | None = None) -> str:
-    """Strict JSON with sorted keys: a nan or inf is written as null, not as
-    the NaN/Infinity tokens of json.dumps, which are not JSON."""
+    """The package's one JSON writer: the text of the standard json module
+    with sorted keys and this indent, byte for byte, except that a nan or
+    inf is written as null, not as its NaN/Infinity tokens, which are not
+    JSON. Dict keys must be str. A list or tuple of finite floats is
+    written as one join of its float_texts."""
+    chunks: list[str] = []
+    _json_chunks(obj, chunks, None if indent is None else "\n", " " * (indent or 0))
+    return "".join(chunks)
+
+
+def _json_chunks(obj, out: list[str], nl: str | None, step: str) -> None:
+    # nl is the line break and indent before a top-level item of obj, or
+    # None for one-line output; step is one level of indent
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = None if nl is None else nl + step
+        sep = ", " if inner is None else "," + inner
+        if isinstance(obj, dict):
+            out.append("{" + (inner or ""))
+            for i, key in enumerate(sorted(obj)):
+                if i:
+                    out.append(sep)
+                out.append(encode_basestring_ascii(key) + ": ")
+                _json_chunks(obj[key], out, inner, step)
+            out.append((nl or "") + "}")
+            return
+        out.append("[" + (inner or ""))
+        # a finite sum means every item is finite
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            out.append(sep.join(float_texts(obj)))
+        else:
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(sep)
+                _json_chunks(item, out, inner, step)
+        out.append((nl or "") + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# id(values) -> (values, their texts) while shared_float_texts() is open, else
+# None; holding values keeps its id from being reused by another object
+_float_memo: dict[int, tuple[object, tuple[str, ...]]] | None = None
+
+
+def float_texts(values) -> tuple[str, ...]:
+    """repr(float(v)) for each item; made once per sequence object while
+    shared_float_texts() is open, so report.json and a figure CSV that
+    write the same column format it once."""
+    if _float_memo is None:
+        return tuple(map(float.__repr__, values))
+    hit = _float_memo.get(id(values))
+    if hit is None:
+        hit = _float_memo[id(values)] = (values, tuple(map(float.__repr__, values)))
+    return hit[1]
+
+
+@contextmanager
+def shared_float_texts():
+    """Memoize float_texts for the block; the memo is dropped when it exits,
+    by return or by exception."""
+    global _float_memo
+    _float_memo = {}
     try:
-        return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
-    except ValueError:  # only a payload holding a nan or inf is walked
-        return json.dumps(_finite_or_null(obj), sort_keys=True, indent=indent, allow_nan=False)
-
-
-def _finite_or_null(obj):
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+        yield
+    finally:
+        _float_memo = None
 
 
 def yoy_growth(s: MonthlySeries, mode: str = "log-diff") -> MonthlySeries:

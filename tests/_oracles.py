@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -225,3 +226,20 @@ def csv_text_reference(header, rows):
     for row in rows:
         writer.writerow([repr(float(c)) if isinstance(c, float) else c for c in row])
     return buf.getvalue()
+
+
+def json_text_stdlib(obj, indent=None):
+    """The JSON writer the package used before series.json_text encoded on
+    its own: json.dumps with sorted keys, a nan or inf rewritten as null."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError:  # only a payload holding a nan or inf is walked
+        return json.dumps(_finite_or_null(obj), sort_keys=True, indent=indent, allow_nan=False)
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tvelast import pipeline, regress, sspace
+from tvelast import pipeline, regress, series, sspace
 from tvelast.errors import OutOfRange, SectionMissing, StageError
 from tvelast.pipeline import (
     FIGURE_FILES,
@@ -314,3 +314,47 @@ class TestWriteReport:
         names = {p.split("/")[-1] for p in written}
         assert "fig7_subsample.csv" not in names
         assert "appendixA1_subsamples.csv" not in names
+
+
+class TestWriteReportFloatTexts:
+    def test_figures_reuse_the_json_texts_and_the_memo_is_dropped(
+            self, report_and_inputs, tmp_path, monkeypatch):
+        report, _, _ = report_and_inputs
+        memo_sizes = {}
+        write_figure = pipeline.write_figure
+
+        def spy(report, which, outdir):
+            path = write_figure(report, which, outdir)
+            memo_sizes[which] = len(series._float_memo)
+            return path
+
+        monkeypatch.setattr(pipeline, "write_figure", spy)
+        written = write_report(report, tmp_path)
+        assert series._float_memo is None
+        # report.json filled the memo; fig3, fig4, fig5 and fig8 added nothing to it
+        assert min(memo_sizes.values()) > 0
+        assert len(set(memo_sizes.values())) == 1, memo_sizes
+        # and the shared texts change no byte
+        assert (tmp_path / "report.json").read_text() == report.to_json()
+        for which, name in FIGURE_FILES.items():
+            assert (tmp_path / name).read_text() == emit_figure_data(report, which), which
+        assert len(written) == 1 + len(FIGURE_FILES)
+
+    def test_memo_is_dropped_when_writing_raises(self, report_and_inputs, tmp_path, monkeypatch):
+        report, _, _ = report_and_inputs
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        with pytest.raises(FileExistsError):
+            write_report(report, taken)
+        assert series._float_memo is None
+
+        def fail_at_fig5(report, which, outdir):
+            assert series._float_memo  # raised after report.json filled the memo
+            if which == "fig5":
+                raise OSError("disk full")
+            return str(outdir)
+
+        monkeypatch.setattr(pipeline, "write_figure", fail_at_fig5)
+        with pytest.raises(OSError, match="disk full"):
+            write_report(report, tmp_path / "out")
+        assert series._float_memo is None

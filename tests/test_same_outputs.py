@@ -5,6 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from tvelast.series import Dataset, MonthlySeries, parse_csv
+
+from conftest import make_dataset
+
 ROOT = Path(__file__).resolve().parents[1]
 _PATH = ROOT / "scripts" / "same_outputs.py"
 _spec = importlib.util.spec_from_file_location("same_outputs", _PATH)
@@ -31,3 +35,10 @@ def test_this_tree_matches_itself():
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("identical: ")
+
+
+def test_the_constant_cpi_input_is_the_strict_json_tests_data():
+    # tests/test_cli.py TestStrictJson.test_ols_on_constant_cpi_writes_null
+    data = make_dataset(n_months=60, seed=1)
+    flat = Dataset(MonthlySeries(data.start, (100.0,) * 60, "cpi"), data.x_raw)
+    assert parse_csv(same_outputs.constant_cpi_csv()) == flat

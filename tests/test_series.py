@@ -14,6 +14,7 @@ from tvelast.errors import (
     OutOfRange,
     TooShort,
 )
+from tvelast import series
 from tvelast.series import (
     CsvSchema,
     Dataset,
@@ -22,8 +23,11 @@ from tvelast.series import (
     csv_text,
     decade_averages,
     demean,
+    float_texts,
+    json_text,
     month_labels,
     parse_csv,
+    shared_float_texts,
     window,
     write_csv,
     yoy_growth,
@@ -187,6 +191,84 @@ class TestCsvText:
     def test_month_labels_are_the_month_strings(self, year, month, n):
         start = MonthDate(year, month)
         assert month_labels(start, n) == [str(start.plus(i)) for i in range(n)]
+
+
+# JSON leaves: text that needs escaping (quotes, backslashes, control
+# characters, non-ASCII), ints, bools, None, floats including nan and
+# +-inf, np.float64, empty containers, and float columns of 0-600 items
+_JSON_STR = st.text(st.one_of(st.sampled_from('a"\\/\b\n\t\x00\x1f\x7f\u00e9\u2028'),
+                              st.characters()), max_size=8)
+
+
+def _float_column(n: int, seed: int, special: float | None, as_tuple: bool):
+    """n exact floats over many magnitudes, with `special` at a seeded place."""
+    rng = np.random.default_rng(seed)
+    col = (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
+    if special is not None and n:
+        col[int(rng.integers(n))] = special
+    return tuple(col) if as_tuple else col
+
+
+_JSON_LEAF = st.one_of(
+    _JSON_STR,
+    st.integers(-10**20, 10**20),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from([[], {}, ()]),
+    st.builds(_float_column, st.integers(0, 600), st.integers(0, 2**32 - 1),
+              st.sampled_from([None, None, math.nan, math.inf, -math.inf, -0.0, 1.7e308]),
+              st.booleans()),
+)
+_JSON_PAYLOAD = st.recursive(_JSON_LEAF, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_JSON_STR, children, max_size=4),
+), max_leaves=12)
+
+
+class TestJsonText:
+    @settings(max_examples=300)
+    @given(payload=_JSON_PAYLOAD)
+    def test_matches_the_stdlib_writer(self, payload):
+        for indent in (None, 2):
+            assert json_text(payload, indent) == _oracles.json_text_stdlib(payload, indent)
+
+    @pytest.mark.parametrize("leaf", [set(), {1.5}, np.float32(1.5)], ids=repr)
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_a_set_or_float32_leaf_is_a_type_error(self, leaf, indent):
+        for payload in ({"a": [math.nan, {"b": leaf}]}, [1.0, leaf, 2.0]):
+            for encode in (json_text, _oracles.json_text_stdlib):
+                with pytest.raises(TypeError, match="is not JSON serializable"):
+                    encode(payload, indent)
+
+    @pytest.mark.parametrize("key", [7, None, (1, 2)], ids=repr)
+    def test_a_key_that_is_not_a_string_is_a_type_error(self, key):
+        with pytest.raises(TypeError):
+            json_text({key: 1.0})
+
+
+class TestFloatTexts:
+    def test_each_text_is_the_float_repr(self):
+        values = (-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1,
+                  np.float64(-0.0), np.float64(1e16), np.float64(math.nan))
+        assert float_texts(values) == tuple(repr(float(v)) for v in values)
+
+    def test_the_memo_lives_only_inside_its_block(self):
+        column = (0.5, -0.0)
+        with shared_float_texts():
+            first = float_texts(column)
+            assert float_texts(column) is first
+            # equal values in another object are formatted on their own
+            assert float_texts((0.5, 0.0)) == ("0.5", "0.0")
+        assert series._float_memo is None
+        assert float_texts(column) == first and float_texts(column) is not first
+        with pytest.raises(RuntimeError):
+            with shared_float_texts():
+                float_texts(column)
+                raise RuntimeError
+        assert series._float_memo is None
 
 
 class TestYoyGrowth:
