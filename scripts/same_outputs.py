@@ -21,9 +21,10 @@ and, once, for a 60-month input whose price index is constant (so the
 OLS fit has no residuals and its log-likelihood, t statistic and p-value
 are inf or nan), the `--format json|csv|text` output of ols and the
 output of `tvelast pipeline`; and, once, the `--format json|csv|text`
-output and the `--dump` file of every `simulate` study at `--reps 10`, with its replications run in one
-process and again in a pool of 3 (`monte_carlo`'s `n_jobs`), plus every
-command's exit code. A report's `created_at` line is dropped. The two output trees are
+output and the `--dump` file of every `simulate` study at `--reps 10`, at
+its default `--t` and at a small one (SMALL_T), with its replications run
+in one process and again in a pool of 3 (`monte_carlo`'s `n_jobs`), plus
+every command's exit code. A report's `created_at` line is dropped. The two output trees are
 then compared file by file. Exit 0 when every file is identical; exit 1
 naming the first file that differs or is missing; exit 2 when a tree fails
 to write its outputs.
@@ -46,7 +47,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SINGLE = ("validate", "adf", "ols", "cusum", "recursive", "sspace", "subsample")
 FORMATS = ("json", "csv", "text")
-STUDIES = ("mle", "adf-size", "adf-power", "cusum-size", "cusum-power")
+# each simulate study, with a small --t near its estimator's shortest sample
+SMALL_T = {"mle": 60, "adf-size": 40, "adf-power": 40, "cusum-size": 30, "cusum-power": 30}
 GAMMA = {"mle": {"estimate_gamma": True}}
 
 
@@ -127,14 +129,18 @@ def emit(outdir: Path, indir: Path, n: int) -> None:
     for n_jobs in (1, 3):
         # the CLI has no jobs flag; it calls simlab.monte_carlo through the module
         simlab.monte_carlo = lambda *a, **kw: monte_carlo(*a, n_jobs=n_jobs, **kw)
-        for study in STUDIES:
-            name = study if n_jobs == 1 else f"{study}.jobs{n_jobs}"
-            dump = outdir / "simulate" / f"{name}.dump.csv"
-            dump.parent.mkdir(parents=True, exist_ok=True)
-            for fmt in FORMATS:
-                run(f"simulate/{name}/{fmt}",
-                    ["simulate", study, "--reps", "10", "--format", fmt, "--dump", str(dump)],
-                    outdir / "simulate" / f"{name}.{fmt}")
+        for study, small_t in SMALL_T.items():
+            for t in (None, small_t):
+                t_args = [] if t is None else ["--t", str(t)]
+                name = (study if t is None else f"{study}.t{t}") + (
+                    "" if n_jobs == 1 else f".jobs{n_jobs}")
+                dump = outdir / "simulate" / f"{name}.dump.csv"
+                dump.parent.mkdir(parents=True, exist_ok=True)
+                for fmt in FORMATS:
+                    run(f"simulate/{name}/{fmt}",
+                        ["simulate", study, "--reps", "10", *t_args, "--format", fmt,
+                         "--dump", str(dump)],
+                        outdir / "simulate" / f"{name}.{fmt}")
     simlab.monte_carlo = monte_carlo
     (outdir / "exit_codes.json").write_text(json.dumps(exits, indent=1, sort_keys=True),
                                             encoding="utf-8")

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DegenerateRegressor, LengthMismatch
-from .series import MonthDate, MonthlySeries, json_text
+from .series import MonthDate, MonthlySeries
 
 N_REGRESSORS = 1  # one slope, no intercept, throughout
 
@@ -44,9 +44,6 @@ class OlsResult:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json_text(self.to_dict())
 
     def to_text(self) -> str:
         rows = [

@@ -30,8 +30,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = np.uint64
 _DEFAULT_START = MonthDate(1971, 1)
-# test levels with both an ADF critical value and a CUSUM band constant
-_LEVELS = (0.01, 0.05, 0.10)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -108,133 +106,85 @@ def derive_seed(master: int, replication: int) -> int:
 
 
 @dataclass(frozen=True)
-class IidNormalX:
-    mean: float = 0.0
-    var: float = 1.0
-
-
-@dataclass(frozen=True)
-class Ar1X:
-    phi: float = 0.5
-    var: float = 1.0
-
-    def __post_init__(self):
-        if not abs(self.phi) < 1:
-            raise ValueError("ar1 regressor needs |phi| < 1")
-
-
-@dataclass(frozen=True)
-class ConstantX:
-    value: float = 1.0
-
-
-@dataclass(frozen=True)
 class TvpDgp:
-    """Random-walk-coefficient DGP matching the state-space model."""
+    """Random-walk-coefficient DGP matching the state-space model: x is iid
+    N(0, 1) and the state starts at 0."""
 
     T: int
     sigma2_meas: float
     sigma2_state: float
-    alpha0: float = 0.0
-    x_process: IidNormalX | Ar1X | ConstantX = IidNormalX()
     seed: int = 0
 
     def __post_init__(self):
         if self.T < 3:  # fit_mle's minimum
             raise ValueError("T must be >= 3")
-        if self.sigma2_meas <= 0 or self.sigma2_state <= 0:
-            raise ValueError("variances must be positive")
+        for name, value in (("sigma2_meas", self.sigma2_meas), ("sigma2_state", self.sigma2_state)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _gen_x(proc, T: int, rng: SplitMix64) -> np.ndarray:
-    if isinstance(proc, IidNormalX):
-        return proc.mean + math.sqrt(proc.var) * rng.normals(T)
-    if isinstance(proc, Ar1X):
-        z = rng.normals(T + 1)
-        sd = math.sqrt(proc.var)
-        x = np.empty(T)
-        prev = z[0] * sd / math.sqrt(1.0 - proc.phi ** 2)  # stationary start
-        for t in range(T):
-            prev = proc.phi * prev + sd * z[t + 1]
-            x[t] = prev
-        return x
-    if isinstance(proc, ConstantX):
-        return np.full(T, proc.value)
-    raise ValueError(f"unknown x process {proc!r}")
-
-
-def gen_tvp(dgp: TvpDgp, start: MonthDate = _DEFAULT_START) -> tuple[sspace.TvpModel, MonthlySeries]:
+def gen_tvp(dgp: TvpDgp) -> tuple[sspace.TvpModel, MonthlySeries]:
     """Simulate (y, x) from the TVP model; returns the model and true state."""
     rng = SplitMix64(dgp.seed)
-    x = _gen_x(dgp.x_process, dgp.T, rng)
-    state_noise = math.sqrt(dgp.sigma2_state) * rng.normals(dgp.T)
-    alpha = dgp.alpha0 + np.cumsum(state_noise)
+    x = rng.normals(dgp.T)
+    alpha = np.cumsum(math.sqrt(dgp.sigma2_state) * rng.normals(dgp.T))
     y = x * alpha + math.sqrt(dgp.sigma2_meas) * rng.normals(dgp.T)
     model = sspace.TvpModel(
-        y=MonthlySeries(start, tuple(y), name="y"),
-        x=MonthlySeries(start, tuple(x), name="x"),
+        y=MonthlySeries(_DEFAULT_START, tuple(y), name="y"),
+        x=MonthlySeries(_DEFAULT_START, tuple(x), name="x"),
     )
-    true_state = MonthlySeries(start, tuple(alpha), name="alpha")
-    return model, true_state
+    return model, MonthlySeries(_DEFAULT_START, tuple(alpha), name="alpha")
 
 
-def gen_unit_root(T: int, drift: float = 0.0, seed: int = 0, sigma: float = 1.0,
-                  start: MonthDate = _DEFAULT_START) -> MonthlySeries:
-    """Gaussian random walk with optional drift, X_0 = 0, length T."""
+def gen_unit_root(T: int, seed: int = 0) -> MonthlySeries:
+    """Gaussian random walk with unit-variance steps, X_0 = 0, length T."""
     if T < 25:
         raise ValueError("T must be >= 25")
-    rng = SplitMix64(seed)
-    steps = drift + sigma * rng.normals(T)
-    return MonthlySeries(start, tuple(np.cumsum(steps)), name="random_walk")
+    steps = SplitMix64(seed).normals(T)
+    return MonthlySeries(_DEFAULT_START, tuple(np.cumsum(steps)), name="random_walk")
 
 
-def gen_ar1(T: int, phi: float, seed: int = 0, var: float = 1.0,
-            start: MonthDate = _DEFAULT_START) -> MonthlySeries:
-    """Stationary Gaussian AR(1) path of length T."""
+def gen_ar1(T: int, phi: float, seed: int = 0) -> MonthlySeries:
+    """Stationary Gaussian AR(1) path of length T, unit-variance innovations."""
     if T < 25:
         raise ValueError("T must be >= 25")
-    x = _gen_x(Ar1X(phi=phi, var=var), T, SplitMix64(seed))
-    return MonthlySeries(start, tuple(x), name="ar1")
-
-
-# --- Monte Carlo harness --------------------------------------------------------
+    z = SplitMix64(seed).normals(T + 1)
+    x = np.empty(T)
+    prev = z[0] / math.sqrt(1.0 - phi ** 2)  # stationary start
+    for t in range(T):
+        prev = phi * prev + z[t + 1]
+        x[t] = prev
+    return MonthlySeries(_DEFAULT_START, tuple(x), name="ar1")
 
 
 @dataclass(frozen=True)
 class BreakRegressionDgp:
-    """y = beta * x + e with an optional coefficient break at break_frac."""
+    """y = beta * x + e, x = 1.5 + 0.5 z and e iid N(0, 1); the slope is 1
+    and beta2 from T // 2 on (beta2 = 1 is the stable model)."""
 
     T: int
-    beta1: float = 1.0
-    beta2: float = 1.0  # equal to beta1 -> stable model
-    break_frac: float = 0.5
-    noise_sd: float = 1.0
-    x_process: IidNormalX | Ar1X | ConstantX = IidNormalX(mean=1.5, var=0.25)
+    beta2: float = 1.0
 
     def __post_init__(self):
         if self.T < 3:  # CUSUM needs two recursive residuals
             raise ValueError("T must be >= 3")
-        if not 0.0 < self.break_frac < 1.0:
-            raise ValueError("break_frac must be in (0, 1)")
+        if not math.isfinite(self.beta2):
+            raise ValueError(f"beta2 must be finite, got {self.beta2}")
 
 
-def gen_break_regression(dgp: BreakRegressionDgp, seed: int,
-                         start: MonthDate = _DEFAULT_START) -> tuple[MonthlySeries, MonthlySeries]:
+def gen_break_regression(dgp: BreakRegressionDgp, seed: int) -> tuple[MonthlySeries, MonthlySeries]:
     rng = SplitMix64(seed)
-    x = _gen_x(dgp.x_process, dgp.T, rng)
-    e = dgp.noise_sd * rng.normals(dgp.T)
-    beta = np.where(np.arange(dgp.T) < int(dgp.break_frac * dgp.T), dgp.beta1, dgp.beta2)
+    x = 1.5 + 0.5 * rng.normals(dgp.T)
+    e = rng.normals(dgp.T)
+    beta = np.where(np.arange(dgp.T) < dgp.T // 2, 1.0, dgp.beta2)
     y = beta * x + e
-    return (MonthlySeries(start, tuple(y), name="y"),
-            MonthlySeries(start, tuple(x), name="x"))
+    return (MonthlySeries(_DEFAULT_START, tuple(y), name="y"),
+            MonthlySeries(_DEFAULT_START, tuple(x), name="x"))
 
 
 @dataclass(frozen=True)
 class UnitRootDgp:
     T: int
-    drift: float = 0.0
-    sigma: float = 1.0
-    deterministic: str = "constant+trend"
 
     def __post_init__(self):
         if self.T < unitroot.MIN_DEFAULT_LAGS_T:
@@ -245,12 +195,15 @@ class UnitRootDgp:
 class Ar1Dgp:
     T: int
     phi: float = 0.5
-    var: float = 1.0
-    deterministic: str = "constant+trend"
 
     def __post_init__(self):
         if self.T < unitroot.MIN_DEFAULT_LAGS_T:
             raise ValueError(f"T must be >= {unitroot.MIN_DEFAULT_LAGS_T}")
+        if not abs(self.phi) < 1:
+            raise ValueError(f"phi must satisfy |phi| < 1, got {self.phi}")
+
+
+# --- Monte Carlo harness --------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -304,11 +257,11 @@ def _summarize(estimator: str, n_reps: int, records: list[dict | None],
 class Study:
     estimator: str
     draw: Callable  # (dgp, seed) -> one replication's data
-    estimate: Callable  # (data, dgp, level) -> record
+    estimate: Callable  # one replication's data -> record
     truth: Callable = lambda dgp: {}  # dgp -> {record key: its true value}
 
 
-def _estimate_mle(model, dgp, level):
+def _estimate_mle(model):
     fit = sspace.fit_mle(model)
     return {
         "log_var_meas": fit.params.log_var_meas,
@@ -319,14 +272,13 @@ def _estimate_mle(model, dgp, level):
     }
 
 
-def _estimate_adf(s, dgp, level):
-    res = unitroot.adf(s, unitroot.AdfSpec(deterministic=dgp.deterministic))
-    crit = {0.01: res.crit_1, 0.05: res.crit_5, 0.10: res.crit_10}[level]
-    return {"statistic": res.statistic, "reject": float(res.statistic < crit)}
+def _estimate_adf(s):
+    res = unitroot.adf(s)
+    return {"statistic": res.statistic, "reject": float(res.statistic < res.crit_5)}
 
 
-def _estimate_cusum(yx, dgp, level):
-    res = regress.cusum(*yx, significance=level)
+def _estimate_cusum(yx):
+    res = regress.cusum(*yx)
     return {"reject": 0.0 if res.stable else 1.0}
 
 
@@ -335,20 +287,19 @@ STUDIES = {
     TvpDgp: Study("mle", lambda d, seed: gen_tvp(replace(d, seed=seed))[0], _estimate_mle,
                   lambda d: {"log_var_meas": math.log(d.sigma2_meas),
                              "log_var_state": math.log(d.sigma2_state)}),
-    UnitRootDgp: Study("adf", lambda d, seed: gen_unit_root(d.T, d.drift, seed, d.sigma),
-                       _estimate_adf),
-    Ar1Dgp: Study("adf", lambda d, seed: gen_ar1(d.T, d.phi, seed, d.var), _estimate_adf),
+    UnitRootDgp: Study("adf", lambda d, seed: gen_unit_root(d.T, seed), _estimate_adf),
+    Ar1Dgp: Study("adf", lambda d, seed: gen_ar1(d.T, d.phi, seed), _estimate_adf),
     BreakRegressionDgp: Study("cusum", lambda d, seed: gen_break_regression(d, seed),
                               _estimate_cusum),
 }
 
 
 def monte_carlo(estimator: str, dgp, n_reps: int, seed: int,
-                level: float = 0.05, dump_path: str | None = None,
-                n_jobs: int = 1) -> McSummary:
+                dump_path: str | None = None, n_jobs: int = 1) -> McSummary:
     """Run n_reps independent replications of one estimator study.
 
-    The study is STUDIES[type(dgp)], and estimator must be its id.
+    The study is STUDIES[type(dgp)], and estimator must be its id. Every
+    test study rejects at 5%.
     Replication r draws from the stream seeded with seed XOR r, and the
     aggregation only sees records keyed by r, so results are identical
     whether replications run sequentially or in parallel (n_jobs > 1).
@@ -359,31 +310,29 @@ def monte_carlo(estimator: str, dgp, n_reps: int, seed: int,
         raise ValueError(f"estimator {estimator!r} does not take a {type(dgp).__name__}")
     if n_reps < 10:
         raise ValueError("n_reps must be >= 10")
-    if level not in _LEVELS:
-        raise ValueError(f"level must be one of {list(_LEVELS)}, got {level}")
     seeds = [derive_seed(seed, r) for r in range(n_reps)]
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(_safe_run_one, [dgp] * n_reps, seeds, [level] * n_reps))
+            records = list(pool.map(_safe_run_one, [dgp] * n_reps, seeds))
     else:
-        records = [_safe_run_one(dgp, s, level) for s in seeds]
+        records = [_safe_run_one(dgp, s) for s in seeds]
     if dump_path:
         _dump_records(dump_path, records)
     return _summarize(estimator, n_reps, records, study.truth(dgp))
 
 
-def _safe_run_one(dgp, rep_seed: int, level: float) -> dict | None:
+def _safe_run_one(dgp, rep_seed: int) -> dict | None:
     try:
-        return _run_one(dgp, rep_seed, level)
+        return _run_one(dgp, rep_seed)
     except TvelastError:
         return None
 
 
-def _run_one(dgp, rep_seed: int, level: float) -> dict:
+def _run_one(dgp, rep_seed: int) -> dict:
     study = STUDIES[type(dgp)]
-    return study.estimate(study.draw(dgp, rep_seed), dgp, level)
+    return study.estimate(study.draw(dgp, rep_seed))
 
 
 def _dump_records(path: str, records: list[dict | None]) -> None:

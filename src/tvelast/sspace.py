@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (
     DegenerateRegressor, EmptySeries, NoConvergence, NonFiniteObjective, NonFiniteState)
-from .series import MonthDate, MonthlySeries, json_text
+from .series import MonthDate, MonthlySeries
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_VAR_MIN = -40.0
@@ -185,8 +185,6 @@ def kalman_filter(model: TvpModel, params: VarianceParams,
     init None is the exact diffuse start; an ExplicitInit is a proper prior.
     The pass's log-likelihood is the output's log_lik.
     """
-    if len(model) == 0:
-        raise EmptySeries("cannot filter an empty model")
     moments = ([], [], [], [], [], [])
     sum_log_f, sum_v2_f, n = _filter_core(model.y.values, model.x.values, model.gamma,
                                           params.var_meas, params.var_state, init, moments)
@@ -288,9 +286,6 @@ class MleResult:
         for key in ("robust_se", "z_stats", "p_values", "loglik_path"):
             d[key] = list(d[key])
         return d
-
-    def to_json(self) -> str:
-        return json_text(self.to_dict())
 
     def to_text(self) -> str:
         lines = [

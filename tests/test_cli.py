@@ -469,7 +469,7 @@ class TestSubsampleAndSimulateFormats:
         assert out.splitlines()[1].startswith("rejection rate: ")
 
     def test_simulate_where_every_replication_fails_is_quiet(self, monkeypatch):
-        def fail(dgp, rep_seed, level):
+        def fail(dgp, rep_seed):
             raise NonFiniteObjective("injected failure")
 
         monkeypatch.setattr(simlab, "_run_one", fail)
@@ -486,10 +486,10 @@ class TestSubsampleAndSimulateFormats:
     def test_simulate_dump_writes_one_row_per_replication(self, tmp_path, monkeypatch):
         run_one, failing = simlab._run_one, simlab.derive_seed(7, 3)
 
-        def fail_replication_3(dgp, rep_seed, level):
+        def fail_replication_3(dgp, rep_seed):
             if rep_seed == failing:
                 raise NonFiniteObjective("injected failure")
-            return run_one(dgp, rep_seed, level)
+            return run_one(dgp, rep_seed)
 
         monkeypatch.setattr(simlab, "_run_one", fail_replication_3)
         dump = tmp_path / "reps.csv"

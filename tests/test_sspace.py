@@ -8,6 +8,7 @@ from scipy import optimize
 from tvelast import sspace
 
 from tvelast.errors import DegenerateRegressor, EmptySeries, NoConvergence, NonFiniteObjective
+from tvelast.series import json_text
 from tvelast.simlab import TvpDgp, derive_seed, gen_tvp
 from tvelast.sspace import (
     ExplicitInit,
@@ -394,7 +395,7 @@ class TestFitMle:
         fit = fit_mle(model)
         assert "Final State" in fit.to_text()
         import json
-        assert json.loads(fit.to_json())["converged"] is True
+        assert json.loads(json_text(fit.to_dict()))["converged"] is True
 
     @settings(max_examples=60)
     @given(log_q=st.floats(-8.0, 8.0), gamma=st.floats(0.5, 1.0), seed=st.integers(0, 3))
