@@ -12,6 +12,7 @@ then a JSON --config file, then explicit command-line flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -137,9 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on the first call and reused: a parse leaves no state
+# in it, and building it costs more than most parses
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:

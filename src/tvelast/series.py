@@ -14,6 +14,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -46,8 +47,12 @@ class MonthDate:
         return 12 * self.year + (self.month - 1)
 
     def plus(self, months: int) -> "MonthDate":
-        idx = self.index + months
-        return MonthDate(idx // 12, idx % 12 + 1)
+        return MonthDate.from_index(self.index + months)
+
+    @classmethod
+    def from_index(cls, index: int) -> "MonthDate":
+        """The month whose index is 12*year + month - 1."""
+        return cls(index // 12, index % 12 + 1)
 
     def months_until(self, other: "MonthDate") -> int:
         return other.index - self.index
@@ -64,10 +69,17 @@ class MonthDate:
         return f"{self.year:04d}-{self.month:02d}"
 
 
+_MONTH_TEXTS = tuple(f"{m:02d}" for m in range(1, 13))
+
+
 def month_labels(start: MonthDate, n: int) -> list[str]:
-    """[str(start.plus(i)) for i in range(n)], by arithmetic on the month index."""
+    """[str(start.plus(i)) for i in range(n)]: each year's prefix formatted
+    once and joined to the twelve month texts, then the span cut out."""
     first = start.index
-    return [f"{i // 12:04d}-{i % 12 + 1:02d}" for i in range(first, first + n)]
+    labels: list[str] = []
+    for year in range(first // 12, (first + n + 11) // 12):
+        labels += map(f"{year:04d}-".__add__, _MONTH_TEXTS)
+    return labels[first % 12:first % 12 + n]
 
 
 @dataclass(frozen=True)
@@ -81,10 +93,10 @@ class MonthlySeries:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("series must be non-empty")
-        vals = tuple(float(v) for v in self.values)
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValueError(f"series {self.name!r} contains non-finite value {v}")
+        vals = tuple(map(float, self.values))
+        if not all(map(math.isfinite, vals)):
+            bad = next(v for v in vals if not math.isfinite(v))
+            raise ValueError(f"series {self.name!r} contains non-finite value {bad}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -115,12 +127,12 @@ class Dataset:
         if self.y_raw.start != self.x_raw.start or len(self.y_raw) != len(self.x_raw):
             raise ValueError("y_raw and x_raw must share start and length")
         for s in (self.y_raw, self.x_raw):
-            for i, v in enumerate(s.values):
-                if v <= 0:
-                    raise NonPositiveLevel(
-                        f"{s.name or 'level'} at {s.date_at(i)} is {v}; "
-                        "levels must be strictly positive"
-                    )
+            i = _first_non_positive(s.values)
+            if i is not None:
+                raise NonPositiveLevel(
+                    f"{s.name or 'level'} at {s.date_at(i)} is {s.values[i]}; "
+                    "levels must be strictly positive"
+                )
 
     def __len__(self) -> int:
         return len(self.y_raw)
@@ -182,32 +194,42 @@ def parse_csv(source, schema: CsvSchema = CsvSchema()) -> Dataset:
     y_idx = next(unnamed) if y_idx is None else y_idx
     x_idx = next(unnamed) if x_idx is None else x_idx
 
-    rows: list[tuple[MonthDate, float, float]] = []
+    # (month index, y, x) per row; a MonthDate is built only for the start
+    # and to word an error
+    rows: list[tuple[int, float, float]] = []
+    last_idx = max(date_idx, y_idx, x_idx)
     for lineno, row in records:
-        if not row or all(not c.strip() for c in row):
+        if not any(map(str.strip, row)):  # a blank row
             continue
-        if len(row) <= max(date_idx, y_idx, x_idx):
+        if len(row) <= last_idx:
             raise MissingValue(f"row {lineno}: too few cells")
-        try:
-            date = MonthDate.parse(row[date_idx])
-        except ValueError as exc:
-            raise MissingValue(f"row {lineno}: {exc}") from None
-        rows.append((date, _cell(row[y_idx], lineno, header[y_idx]),
+        m = _MONTH_RE.match(row[date_idx].strip())
+        month = int(m[2]) if m else 0
+        if not 0 < month < 13:
+            try:
+                MonthDate.parse(row[date_idx])  # raises, and words the error
+            except ValueError as exc:
+                raise MissingValue(f"row {lineno}: {exc}") from None
+        rows.append((12 * int(m[1]) + month - 1,
+                     _cell(row[y_idx], lineno, header[y_idx]),
                      _cell(row[x_idx], lineno, header[x_idx])))
     if not rows:
         raise MissingValue("CSV has no data rows")
 
-    rows.sort(key=lambda r: r[0])
-    for (d1, _, _), (d2, _, _) in zip(rows, rows[1:]):
-        step = d1.months_until(d2)
-        if step == 0:
-            raise DuplicateDate(f"{d2} appears more than once")
-        if step != 1:
-            raise GapInDates(f"gap between {d1} and {d2}")
+    rows.sort(key=itemgetter(0))
+    months, ys, xs = zip(*rows)
+    first = months[0]
+    if months != tuple(range(first, first + len(months))):
+        for a, b in zip(months, months[1:]):
+            if b == a:
+                raise DuplicateDate(f"{MonthDate.from_index(b)} appears more than once")
+            if b != a + 1:
+                raise GapInDates(
+                    f"gap between {MonthDate.from_index(a)} and {MonthDate.from_index(b)}")
 
-    start = rows[0][0]
-    y = MonthlySeries(start, tuple(r[1] for r in rows), name=header[y_idx])
-    x = MonthlySeries(start, tuple(r[2] for r in rows), name=header[x_idx])
+    start = MonthDate.from_index(first)
+    y = MonthlySeries(start, ys, name=header[y_idx])
+    x = MonthlySeries(start, xs, name=header[x_idx])
     return Dataset(y_raw=y, x_raw=x)
 
 
@@ -221,14 +243,13 @@ def write_csv(dataset: Dataset) -> str:
 
 def csv_text(header: Sequence[str], rows) -> str:
     """The package's one CSV format: excel dialect, minimal quoting, "\n"
-    line ends. A float cell is repr(float(c)), the shortest text that reads
-    back to the same float; None is empty; any other cell is str(c)."""
+    line ends. None is empty and any other cell is str(c), so a float or
+    np.float64 cell is repr(float(c)), the shortest text that reads back to
+    the same float."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    # the writer reprs a float itself; np.float64 would repr as np.float64(...)
-    writer.writerows([c if type(c) is float or not isinstance(c, float) else float(c)
-                      for c in row] for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -333,21 +354,20 @@ def yoy_growth(s: MonthlySeries, mode: str = "log-diff") -> MonthlySeries:
     if len(s) < 13:
         raise TooShort(f"need at least 13 observations for 12-month growth, got {len(s)}")
     vals = s.values
-    for i, v in enumerate(vals):
-        if v <= 0:
-            raise NonPositiveLevel(f"{s.name or 'series'} at {s.date_at(i)} is {v}")
+    i = _first_non_positive(vals)
+    if i is not None:
+        raise NonPositiveLevel(f"{s.name or 'series'} at {s.date_at(i)} is {vals[i]}")
     if mode == "log-diff":
-        out = tuple(100.0 * (math.log(vals[i]) - math.log(vals[i - 12]))
-                    for i in range(12, len(vals)))
+        logs = list(map(math.log, vals))
+        out = tuple(100.0 * (b - a) for a, b in zip(logs, logs[12:]))
     else:
-        out = tuple(100.0 * (vals[i] / vals[i - 12] - 1.0)
-                    for i in range(12, len(vals)))
-    for i, g in enumerate(out):
-        if not math.isfinite(g):
-            raise DataError(
-                f"{s.name or 'series'} growth at {s.date_at(i + 12)} overflows: "
-                f"{vals[i + 12]!r} against {vals[i]!r} twelve months before"
-            )
+        out = tuple(100.0 * (b / a - 1.0) for a, b in zip(vals, vals[12:]))
+    if not all(map(math.isfinite, out)):
+        i = next(i for i, g in enumerate(out) if not math.isfinite(g))
+        raise DataError(
+            f"{s.name or 'series'} growth at {s.date_at(i + 12)} overflows: "
+            f"{vals[i + 12]!r} against {vals[i]!r} twelve months before"
+        )
     suffix = "_yoy" if mode == "log-diff" else "_yoy_pct"
     return MonthlySeries(s.start.plus(12), out, name=s.name + suffix)
 
@@ -359,7 +379,7 @@ def demean(s: MonthlySeries) -> tuple[MonthlySeries, float]:
     so it is treated as zero; this makes centering exactly idempotent.
     """
     mean = math.fsum(s.values) / len(s)
-    scale = max(abs(v) for v in s.values)
+    scale = max(map(abs, s.values))
     if abs(mean) <= 2.0 ** -52 * scale:
         return s, 0.0
     centered = tuple(v - mean for v in s.values)
@@ -382,19 +402,27 @@ def decade_averages(s: MonthlySeries) -> list[DecadeAverage]:
     their true first/last dates.
     """
     out: list[DecadeAverage] = []
-    by_decade: dict[int, list[int]] = {}
-    for i in range(len(s)):
-        by_decade.setdefault(s.date_at(i).year // 10 * 10, []).append(i)
-    for decade in sorted(by_decade):
-        idx = by_decade[decade]
-        mean = math.fsum(s.values[i] for i in idx) / len(idx)
+    first = s.start.index
+    lo = 0
+    while lo < len(s):
+        decade = (first + lo) // 120 * 10  # the year is the month index // 12
+        hi = min(len(s), 12 * (decade + 10) - first)
         out.append(DecadeAverage(
             label=f"{decade}s",
-            first=s.date_at(idx[0]),
-            last=s.date_at(idx[-1]),
-            mean=mean,
+            first=s.date_at(lo),
+            last=s.date_at(hi - 1),
+            mean=math.fsum(s.values[lo:hi]) / (hi - lo),
         ))
+        lo = hi
     return out
+
+
+def _first_non_positive(values: tuple[float, ...]) -> int | None:
+    """Index of the first value <= 0, or None; values hold no nan, so min
+    finds one when there is one."""
+    if min(values) > 0:
+        return None
+    return next(i for i, v in enumerate(values) if v <= 0)
 
 
 def _csv_rows(text: str):

@@ -125,15 +125,15 @@ class TvpDgp:
 
 def gen_tvp(dgp: TvpDgp) -> tuple[sspace.TvpModel, MonthlySeries]:
     """Simulate (y, x) from the TVP model; returns the model and true state."""
-    rng = SplitMix64(dgp.seed)
-    x = rng.normals(dgp.T)
-    alpha = np.cumsum(math.sqrt(dgp.sigma2_state) * rng.normals(dgp.T))
-    y = x * alpha + math.sqrt(dgp.sigma2_meas) * rng.normals(dgp.T)
+    # one draw of 3T normals is the three draws of T, in order
+    x, steps, noise = SplitMix64(dgp.seed).normals(3 * dgp.T).reshape(3, dgp.T)
+    alpha = np.cumsum(math.sqrt(dgp.sigma2_state) * steps)
+    y = x * alpha + math.sqrt(dgp.sigma2_meas) * noise
     model = sspace.TvpModel(
-        y=MonthlySeries(_DEFAULT_START, tuple(y), name="y"),
-        x=MonthlySeries(_DEFAULT_START, tuple(x), name="x"),
+        y=MonthlySeries(_DEFAULT_START, y.tolist(), name="y"),
+        x=MonthlySeries(_DEFAULT_START, x.tolist(), name="x"),
     )
-    return model, MonthlySeries(_DEFAULT_START, tuple(alpha), name="alpha")
+    return model, MonthlySeries(_DEFAULT_START, alpha.tolist(), name="alpha")
 
 
 def gen_unit_root(T: int, seed: int = 0) -> MonthlySeries:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tvelast import simlab, sspace
+from tvelast import cli, simlab, sspace
 from tvelast.cli import EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, main, render_all_help
 from tvelast.errors import NonFiniteObjective
 from tvelast.pipeline import FIGURE_FILES, PipelineConfig, emit_figure_data, run_pipeline
@@ -554,6 +554,42 @@ class TestStrictJson:
         code, out, _ = run_cli(["subsample", "--input", csv_path, "--format", "json"] + ends)
         assert code == EXIT_OK
         assert _strict_loads(out)[0]["final_rmse"] is None
+
+
+class TestParserReuse:
+    """main parses every call with one parser; no call may leave a value behind."""
+
+    def test_one_parser_per_process(self, csv_path):
+        cli._parser.cache_clear()
+        for argv in (["validate", "--input", csv_path], ["validate", "--input", csv_path,
+                                                           "--format", "text"]):
+            assert run_cli(argv)[0] == EXIT_OK
+        assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 1)
+
+    def test_a_seed_is_not_kept_for_the_next_pipeline(self, csv_path):
+        def config_sha(argv):
+            code, out, _ = run_cli(["pipeline", "--input", csv_path] + argv)
+            assert code == EXIT_OK
+            return json.loads(out)["provenance"]["config_sha256"]
+
+        cli._parser.cache_clear()
+        first_call = config_sha([])
+        assert config_sha(["--seed", "3"]) != first_call
+        assert config_sha([]) == first_call == hashlib.sha256(json.dumps(
+            PipelineConfig().to_dict(), sort_keys=True).encode()).hexdigest()
+
+    def test_a_lag_cap_is_not_kept_for_the_next_adf(self, csv_path):
+        cli._parser.cache_clear()
+        fresh = run_cli(["adf", "--input", csv_path])
+        capped = run_cli(["adf", "--input", csv_path, "--max-lags", "2"])
+        assert capped != fresh
+        assert run_cli(["adf", "--input", csv_path]) == fresh
+
+    def test_help_after_parses_is_the_snapshot(self, csv_path):
+        snapshot = Path(__file__).parent / "data" / "cli_help_snapshot.txt"
+        assert run_cli(["adf", "--input", csv_path, "--max-lags", "2"])[0] == EXIT_OK
+        assert run_cli(["simulate", "bogus"])[0] == EXIT_USAGE
+        assert render_all_help() == snapshot.read_text()
 
 
 class TestHelp:

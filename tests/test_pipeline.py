@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from tvelast.pipeline import (
     subsample_final_states,
     write_report,
 )
-from tvelast.series import Dataset, MonthDate, MonthlySeries
+from tvelast.series import Dataset, MonthDate, MonthlySeries, parse_csv
 from tvelast.simlab import TvpDgp, gen_tvp
 
 from conftest import make_dataset
@@ -223,6 +225,27 @@ class TestSubsampleFinalStates:
         assert len(rows) == 1
         assert not rows[0].converged
         assert math.isnan(rows[0].final_state)
+
+    def test_fit_that_does_not_converge_keeps_its_best_point(self):
+        # report-555 pool item 3; one iteration stops every fit short
+        spec = importlib.util.spec_from_file_location(
+            "plan", Path(__file__).resolve().parents[1] / "benchmark" / "plan.py")
+        plan = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(plan)
+        data = parse_csv(plan.dataset_csv(3))
+        ends = [MonthDate.parse(e) for e in plan.SUBSAMPLE_ENDS.split(",")]
+        cfg = PipelineConfig(subsample_end_dates=tuple(ends), mle=sspace.MleOptions(max_iter=1))
+        rows = subsample_final_states(data, growth_pair(data, cfg), ends, cfg)
+        assert [r.sample_end for r in rows] == ends
+        for r in rows:
+            assert not r.converged
+            assert math.isfinite(r.final_state) and math.isfinite(r.final_rmse)
+            assert r.final_rmse > 0
+        report = run_pipeline(data, cfg, "subsample")
+        assert report.subsample_table == rows
+        lines = emit_figure_data(report, "appendixA1").splitlines()
+        assert lines[0].endswith(",converged")
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["0"] * len(ends)
 
 
 class TestEmitFigureData:

@@ -156,6 +156,60 @@ class TestParseCsv:
         for source in (text, text.encode(), io.BytesIO(text.encode()), io.StringIO(text)):
             assert parse_csv(source) == by_path
 
+    @pytest.mark.parametrize("source, error, message", [
+        (io.StringIO(""), MissingValue, "empty CSV: no header row"),
+        (b"", MissingValue, "empty CSV: no header row"),
+        ("date,a\n1971-01,1\n", MissingValue,
+         "need at least two numeric columns besides the date"),
+        ("date,a,b\n1971-01,1\n", MissingValue, "row 2: too few cells"),
+        # the blank line is row 2, so the short row is row 3
+        ("date,a,b\n\n1971-01,1\n", MissingValue, "row 3: too few cells"),
+        ("date,a,b\n1971-01,1,1\n 1971/02 ,2,2\n", MissingValue,
+         "row 3: unparseable month ' 1971/02 '; expected YYYY-MM"),
+        ("date,a,b\n1971-1-1,1,1\n", MissingValue,
+         "row 2: unparseable month '1971-1-1'; expected YYYY-MM"),
+        ("date,a,b\n71-01,1,1\n", MissingValue,
+         "row 2: unparseable month '71-01'; expected YYYY-MM"),
+        ("date,a,b\n1971-13,1,1\n", MissingValue, "row 2: month must be in 1..12, got 13"),
+        ("date,a,b\n1971M0,1,1\n", MissingValue, "row 2: month must be in 1..12, got 0"),
+        ("date,a,b\n", MissingValue, "CSV has no data rows"),
+        ("date,a,b\n\n , ,\n", MissingValue, "CSV has no data rows"),
+        ("date,a,b\n1971-01,1,1\n1971-01,2,2\n", DuplicateDate,
+         "1971-01 appears more than once"),
+        ("date,a,b\n1971-01,1,1\n1971-03,1,1\n", GapInDates, "gap between 1971-01 and 1971-03"),
+        # unsorted: the checks see the rows in date order
+        ("date,a,b\n1972-02,1,1\n1971-12,1,1\n1972-01,1,1\n1971-12,2,2\n", DuplicateDate,
+         "1971-12 appears more than once"),
+        ("date,a,b\n1980-01,1,1\n1979-11,1,1\n1979-12,1,1\n1979-08,1,1\n", GapInDates,
+         "gap between 1979-08 and 1979-11"),
+        # a duplicate sorts before a later gap, and a gap before a later duplicate
+        ("date,a,b\n1971-03,1,1\n1971-01,1,1\n1971-01,1,1\n", DuplicateDate,
+         "1971-01 appears more than once"),
+        ("date,a,b\n1971-03,1,1\n1971-01,1,1\n1971-03,1,1\n", GapInDates,
+         "gap between 1971-01 and 1971-03"),
+        ("date,a,b\n1971-01,1,nan\n1971-13,1,1\n", MissingValue,
+         "row 2: non-finite cell 'nan' in column 'b'"),
+        ("date,a,b\n1971-01,-1,1\n1971-02,1,1\n", NonPositiveLevel,
+         "a at 1971-01 is -1.0; levels must be strictly positive"),
+        ("date,a,b\n1971-01,1,1\n1971-02,1,0\n", NonPositiveLevel,
+         "b at 1971-02 is 0.0; levels must be strictly positive"),
+    ])
+    def test_row_level_errors_keep_their_type_and_text(self, source, error, message):
+        with pytest.raises(DataError) as caught:
+            parse_csv(source)
+        assert (type(caught.value), str(caught.value)) == (error, message)
+
+    def test_blank_rows_are_skipped(self):
+        ds = parse_csv("date,a,b\n\n1971-01,1,1\n , ,\n,,\n1971-02,2,2\n\n")
+        assert ds.start == MonthDate(1971, 1)
+        assert ds.y_raw.values == (1.0, 2.0)
+
+    def test_every_month_form_reads_alike(self):
+        ds = parse_csv("date,a,b\n1971:12,1,1\n1971M11,2,2\n 1972-1 ,3,3\n1971-10,4,4\n")
+        assert ds.start == MonthDate(1971, 10)
+        assert ds.end == MonthDate(1972, 1)
+        assert ds.y_raw.values == (4.0, 2.0, 1.0, 3.0)
+
     def test_malformed_csv_is_a_data_error_naming_the_row(self):
         oversized = "date,cpi,m2\n1971-01,1," + "5" * 200_000 + "\n"
         with pytest.raises(DataError, match="^row 2: field larger than field limit"):
@@ -312,6 +366,20 @@ class TestYoyGrowth:
         with pytest.raises(ValueError):
             yoy_growth(make_series([1.0] * 20), "geometric")
 
+    def test_errors_name_the_first_bad_month(self):
+        levels = [1.0] * 20
+        levels[5], levels[9] = -2.0, 0.0
+        s = MonthlySeries(MonthDate(1999, 11), tuple(levels), "cpi")
+        with pytest.raises(NonPositiveLevel) as caught:
+            yoy_growth(s)
+        assert str(caught.value) == "cpi at 2000-04 is -2.0"
+        levels = [1e-300] * 12 + [1.0, 1e300, 1e300] + [1.0] * 5
+        s = MonthlySeries(MonthDate(1999, 11), tuple(levels), "m2")
+        with pytest.raises(DataError) as caught:
+            yoy_growth(s, "pct-change")
+        assert str(caught.value) == ("m2 growth at 2000-12 overflows: "
+                                     "1e+300 against 1e-300 twelve months before")
+
 
 class TestDemean:
     def test_simple_case(self):
@@ -391,6 +459,31 @@ class TestInvariants:
     def test_series_rejects_nan(self):
         with pytest.raises(ValueError):
             MonthlySeries(MonthDate(2000, 1), (1.0, float("nan")))
+
+    def test_series_names_its_first_non_finite_value(self):
+        for values, text in (((1.0, math.inf, math.nan), "inf"),
+                             ((np.float64(-math.inf), 1.0), "-inf"),
+                             ((2, math.nan), "nan")):
+            with pytest.raises(ValueError) as caught:
+                MonthlySeries(MonthDate(2000, 1), values, "y")
+            assert str(caught.value) == f"series 'y' contains non-finite value {text}"
+
+    def test_series_values_are_exact_floats(self):
+        s = MonthlySeries(MonthDate(2000, 1), [1, np.float64(2.5), 3.0])
+        assert s.values == (1.0, 2.5, 3.0)
+        assert set(map(type, s.values)) == {float}
+
+    def test_dataset_names_its_first_non_positive_level(self):
+        y = make_series([1.0, 2.0, 3.0])
+        for levels, text in (((1.0, -0.0, -1.0), "x at 2000-02 is -0.0"),
+                             ((1.0, 1.0, 5e-324 - 5e-324), "x at 2000-03 is 0.0")):
+            x = MonthlySeries(y.start, levels, "x")
+            with pytest.raises(NonPositiveLevel) as caught:
+                Dataset(y, x)
+            assert str(caught.value) == text + "; levels must be strictly positive"
+        unnamed = MonthlySeries(y.start, (0.5, 0.0, 1.0))
+        with pytest.raises(NonPositiveLevel, match="^level at 2000-02 is 0.0;"):
+            Dataset(y, unnamed)
 
     def test_series_rejects_empty(self):
         with pytest.raises(ValueError):
