@@ -10,8 +10,7 @@ once, so both trees read the same paths. Each tree then runs in a
 subprocess of its own with its directory first on PYTHONPATH and writes,
 for every input:
 
-- `tvelast pipeline --out` plain and with `{"mle": {"estimate_gamma": true}}`:
-  report.json and every table and figure CSV;
+- `tvelast pipeline --out`: report.json and every table and figure CSV;
 - the standard output of the plain `tvelast pipeline`;
 - the `--format json|csv|text` output of validate, adf, ols, cusum,
   recursive, sspace and subsample;
@@ -52,7 +51,6 @@ FORMATS = ("json", "csv", "text")
 # at mle's T=6, 1 fit of the 10 at seed 0 raises
 SMALL_T = {"mle": (60, 6), "adf-size": (40,), "adf-power": (40,), "cusum-size": (30,),
            "cusum-power": (30,)}
-GAMMA = {"mle": {"estimate_gamma": True}}
 
 
 def _load_plan():
@@ -76,10 +74,8 @@ def constant_cpi_csv() -> str:
 
 
 def write_inputs(indir: Path, n: int) -> None:
-    """Write the first n pool datasets, the constant-cpi input and the gamma
-    config under indir."""
+    """Write the first n pool datasets and the constant-cpi input under indir."""
     plan = _load_plan()
-    (indir / "gamma.json").write_text(json.dumps(GAMMA), encoding="utf-8")
     (indir / "constant_cpi.csv").write_text(constant_cpi_csv(), encoding="utf-8")
     for k in range(n):
         (indir / f"dataset_{k:03d}.csv").write_text(plan.dataset_csv(k), encoding="utf-8")
@@ -108,15 +104,12 @@ def emit(outdir: Path, indir: Path, n: int) -> None:
             stdout_file.parent.mkdir(parents=True, exist_ok=True)
             stdout_file.write_text(buf.getvalue(), encoding="utf-8")
 
-    gamma_cfg = indir / "gamma.json"
     ends = ["--subsample-ends", plan.SUBSAMPLE_ENDS]
     for k in range(n):
         kdir = outdir / f"k{k:03d}"
         base = ["--input", str(indir / f"dataset_{k:03d}.csv")]
-        for variant, extra in (("plain", []), ("gamma", ["--config", str(gamma_cfg)])):
-            out = kdir / variant
-            run(f"k{k}/pipeline/{variant}", ["pipeline", *base, *ends, *extra, "--out", str(out)])
-            _drop_created_at(out / "report.json")
+        run(f"k{k}/pipeline/out", ["pipeline", *base, *ends, "--out", str(kdir / "pipeline")])
+        _drop_created_at(kdir / "pipeline" / "report.json")
         run(f"k{k}/pipeline/stdout", ["pipeline", *base, *ends], kdir / "pipeline.stdout.json")
         _drop_created_at(kdir / "pipeline.stdout.json")
         for cmd in SINGLE:

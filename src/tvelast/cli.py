@@ -104,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     add_growth(p)
     p.add_argument("--max-iter", type=int, default=None, help="optimizer iteration cap")
-    p.add_argument("--estimate-gamma", action="store_true",
-                   help="also estimate the state transition coefficient")
 
     p = sub.add_parser("pipeline", help="run the full battery and write all outputs")
     add_io(p, with_format=False)
@@ -254,8 +252,6 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
         settings["adf_diff_deterministic"] = args.deterministic_diffs
     if getattr(args, "max_iter", None) is not None:
         settings["mle"]["max_iter"] = args.max_iter
-    if getattr(args, "estimate_gamma", False):
-        settings["mle"]["estimate_gamma"] = True
     if getattr(args, "subsample_ends", None) is not None:
         settings["subsample_end_dates"] = [
             part for part in args.subsample_ends.split(",") if part.strip()]

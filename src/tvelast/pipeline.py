@@ -439,8 +439,6 @@ def _emit_table3(report: Report) -> str:
         "n_iter": m.n_iter,
         "converged": m.converged,
     }
-    if len(m.robust_se) > 2:  # gamma was estimated
-        row.update(coef(2, "gamma", m.gamma))
     keys = list(row)
     return csv_text(keys, [[row[k] for k in keys]])
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -171,9 +172,10 @@ class CsvSchema:
 def parse_csv(source, schema: CsvSchema = CsvSchema()) -> Dataset:
     """Parse a header-ed CSV of monthly levels into an aligned Dataset.
 
-    `source` may be a path, a text/byte stream, or a CSV string. Rows are
-    sorted ascending by date before validation; months must then be
-    consecutive, unique, and every level strictly positive.
+    `source` may be a path (an os.PathLike such as pathlib.Path), a text or
+    byte stream, bytes, or CSV text: a str is always the text, never a file
+    name. Rows are sorted ascending by date before validation; months must
+    then be consecutive, unique, and every level strictly positive.
     """
     records = _csv_rows(_read_text(source))
     try:
@@ -442,15 +444,10 @@ def _csv_rows(text: str):
 def _read_text(source) -> str:
     # utf-8-sig strips the BOM Excel likes to prepend
     try:
-        if isinstance(source, bytes):
-            return source.decode("utf-8-sig")
-        if isinstance(source, str):
-            # a path unless it contains a line break (then treat as CSV content)
-            if "\n" in source or "\r" in source:
-                return source.lstrip("\ufeff")
+        if isinstance(source, os.PathLike):
             with open(source, "r", encoding="utf-8-sig", newline="") as fh:
                 return fh.read()
-        data = source.read()
+        data = source if isinstance(source, (str, bytes)) else source.read()
         if isinstance(data, bytes):
             return data.decode("utf-8-sig")
         return data.lstrip("\ufeff")

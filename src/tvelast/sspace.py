@@ -7,19 +7,18 @@ The model is the univariate pair
 
 with gamma fixed at 1 by default, so the coefficient follows a random walk.
 Estimation maximizes the prediction-error-decomposition log-likelihood over
-the two log-variances. The measurement variance is concentrated out: a
-filter pass with measurement variance 1 and state variance q gives its
-closed-form estimate, so the search is over the signal-to-noise ratio log q
-alone (Brent, a step-for-step port of scipy's, so no fit imports scipy).
-When gamma is estimated, the same Brent searches gamma over the profile: its
-value at a gamma is a log q search's minimum there. Parameter uncertainty is
-reported with a Huber-White sandwich built from the observed Hessian and
-per-observation scores of the full likelihood at the optimum. Scaling both
-variances scales every F_t and leaves every v_t unchanged, so the
-measurement-scale direction of both is closed form in the fit's own pass at
-the estimate; only log q (and gamma) take central differences, 2 filter
-passes (8 with gamma). The fit keeps that pass (MleResult.filter_output), so
-the state paths, the smoother and the shocks need no pass of their own.
+the two log-variances at the model's gamma. The measurement variance is
+concentrated out: a filter pass with measurement variance 1 and state
+variance q gives its closed-form estimate, so the search is over the
+signal-to-noise ratio log q alone (Brent, a step-for-step port of scipy's,
+so no fit imports scipy). Parameter uncertainty is reported with a
+Huber-White sandwich built from the observed Hessian and per-observation
+scores of the full likelihood at the optimum. Scaling both variances scales
+every F_t and leaves every v_t unchanged, so the measurement-scale direction
+of both is closed form in the fit's own pass at the estimate; only log q
+takes central differences, 2 filter passes. The fit keeps that pass
+(MleResult.filter_output), so the state paths, the smoother and the shocks
+need no pass of their own.
 
 Every pass runs the one recursion, _filter_core, whose only public door is
 kalman_filter; a pass's log-likelihood is its log_lik. By default the
@@ -228,31 +227,26 @@ def innovation_shocks(output: KalmanOutput) -> MonthlySeries:
 @dataclass(frozen=True)
 class MleOptions:
     max_iter: int = 500
-    estimate_gamma: bool = False
 
     def __post_init__(self):
         if type(self.max_iter) is not int or self.max_iter < 1:  # a bool is not a count
             raise ValueError(f"mle.max_iter must be a positive integer, got {self.max_iter!r}")
-        if not isinstance(self.estimate_gamma, bool):
-            raise ValueError(
-                f"mle.estimate_gamma must be true or false, got {self.estimate_gamma!r}")
 
 
 @dataclass(frozen=True)
 class MleResult:
     """Maximum-likelihood estimates in the shape of a state-space summary.
 
-    robust_se / z_stats / p_values are ordered (measurement, state) and
-    include gamma as a third entry when it was estimated. The headline
-    final_state is the last filtered mean a_{T|T}; the one-step forecast
-    gamma * a_{T|T} is also reported since the two readings of "final" are
-    both in circulation. n_iter counts Brent iterations, in a gamma fit those
-    of the outer gamma search (about 7-10). n_filter_passes counts every
-    filter pass the fit made (searches, the pass at the estimate and the SE
-    stencil), and hessian_cond is the ratio of the largest to the smallest
-    |eigenvalue| of the observed Hessian in the coordinates of robust_se.
-    filter_output is the filter pass at the estimate (with the fitted
-    gamma); it is not serialized.
+    robust_se / z_stats / p_values are ordered (measurement, state); gamma
+    is the model's, not estimated. The headline final_state is the last
+    filtered mean a_{T|T}; the one-step forecast gamma * a_{T|T} is also
+    reported since the two readings of "final" are both in circulation.
+    n_iter counts Brent iterations of the log q search. n_filter_passes
+    counts every filter pass the fit made (the search, the pass at the
+    estimate and the SE stencil), and hessian_cond is the ratio of the
+    largest to the smallest |eigenvalue| of the observed Hessian in the
+    coordinates of robust_se. filter_output is the filter pass at the
+    estimate; it is not serialized.
     """
 
     params: VarianceParams
@@ -296,8 +290,8 @@ class MleResult:
             "",
             f"{'':24}{'Coefficient':>12}  {'Std. Error':>10}  {'z-Statistic':>11}  {'Prob.':>7}",
         ]
-        rows = zip(("log var (measurement)", "log var (state)", "gamma"),  # gamma if estimated
-                   (self.params.log_var_meas, self.params.log_var_state, self.gamma),
+        rows = zip(("log var (measurement)", "log var (state)"),
+                   (self.params.log_var_meas, self.params.log_var_state),
                    self.robust_se, self.z_stats, self.p_values)
         lines += [f"{name:24}{c:>12.6f}  {se:>10.6f}  {z:>11.6f}  {p:>7.4f}"
                   for name, c, se, z, p in rows]
@@ -349,13 +343,13 @@ def _profile(yv, xv, gamma: float, log_q: float) -> tuple[float, float, float]:
 
 
 def fit_mle(model: TvpModel, options: MleOptions | None = None) -> MleResult:
-    """Estimate the log-variances (and optionally gamma) by ML.
+    """Estimate the log-variances by ML at the model's gamma.
 
-    The search starts at the ratio var_state / var_meas of _default_init.
-    Raises NoConvergence when the iteration cap is reached, an estimate is
-    pinned at the log-variance box bound, or the observed Hessian is not
-    negative definite; the exception carries the best point found as
-    .result, with converged=False, so callers can still inspect it.
+    The Brent search over log q starts at the ratio var_state / var_meas of
+    _default_init. Raises NoConvergence when the iteration cap is reached,
+    an estimate is pinned at the log-variance box bound, or the observed
+    Hessian is not negative definite; the exception carries the best point
+    found as .result, with converged=False, so callers can still inspect it.
     """
     opts = options or MleOptions()
     if len(model) < 3:
@@ -371,44 +365,30 @@ def fit_mle(model: TvpModel, options: MleOptions | None = None) -> MleResult:
             )
     yv, xv = model.y.values, model.x.values
     log_q0 = start.log_var_state - start.log_var_meas
-    best = [-math.inf, None]  # log-likelihood and (log_var_meas, log_var_state, gamma)
+    best = [-math.inf, None]  # log-likelihood and (log_var_meas, log_var_state)
     path = []
     n_evals = 0
-    inner_failures = []  # of log q searches, which the gamma search sees only as inf
 
-    def objective(log_q: float, gamma: float) -> float:
+    def objective(log_q: float) -> float:
         nonlocal n_evals
         n_evals += 1
-        ll, log_vm, log_vs = _profile(yv, xv, gamma, log_q)
+        ll, log_vm, log_vs = _profile(yv, xv, model.gamma, log_q)
         if not math.isfinite(ll):
             return math.inf
         if ll > best[0]:
-            best[:] = [ll, (log_vm, log_vs, gamma)]
+            best[:] = [ll, (log_vm, log_vs)]
         path.append(best[0])
         return -ll
 
-    def search(gamma: float):  # a likelihood flat in log q gives no bracket, hence a failure
-        return _brent(lambda log_q: objective(log_q, gamma), log_q0, log_q0 + 1.0, opts.max_iter)
-
-    def profile(gamma: float) -> float:  # the 2-D objective minimized over log q
-        _, f, _, failure = search(gamma)
-        if failure is not None:
-            inner_failures.append(f"log q search at gamma={gamma:.6g}: {failure}")
-        return f if failure is None else math.inf
-
-    if opts.estimate_gamma:
-        _, _, n_iter, failure = _brent(profile, model.gamma, model.gamma - 0.01, opts.max_iter)
-        if failure is not None and inner_failures:
-            failure = inner_failures[0]
-    else:
-        _, _, n_iter, failure = search(model.gamma)
+    # a likelihood flat in log q gives no bracket, hence a failure
+    _, _, n_iter, failure = _brent(objective, log_q0, log_q0 + 1.0, opts.max_iter)
     problem = None if failure is None else f"no convergence after {n_iter} iterations: {failure}"
     if best[1] is None:
         raise NonFiniteObjective("log-likelihood is non-finite everywhere the search looked")
-    theta = np.asarray(best[1] if opts.estimate_gamma else best[1][:2], dtype=float)
-    result = _build_result(model, theta, n_iter, n_evals, tuple(path), opts.estimate_gamma)
+    theta = np.asarray(best[1], dtype=float)
+    result = _build_result(model, theta, n_iter, n_evals, tuple(path))
     if problem is None:
-        for v in theta[:2]:
+        for v in theta:
             if v < _LOG_VAR_MIN + _BOUND_MARGIN or v > _LOG_VAR_MAX - _BOUND_MARGIN:
                 problem = (f"log-variance estimate {v:.2f} is pinned at the parameter bound; "
                            "the variance is not identified on this data")
@@ -533,70 +513,51 @@ def _sandwich_stencil(model: TvpModel, theta: np.ndarray,
                       out: KalmanOutput) -> tuple[np.ndarray, np.ndarray]:
     """Observed Hessian and per-observation scores of the full log-likelihood.
 
-    theta = (log_var_meas, log_var_state[, gamma]) and out is the filter
-    pass at theta. Both are built in the coordinates phi = (sigma, rho[,
-    gamma]) with sigma = log_var_meas and rho = log_var_state - log_var_meas,
-    then mapped back. Moving sigma by d scales every F_t (and the diffuse
-    P_1) by e^d and leaves every v_t unchanged, so the sigma direction is
-    closed form: score -(1 - v_t^2/F_t)/2 and curvature -sum(v^2/F)/2 from
-    out, and the cross term with phi_i is sum(v^2/F)'s derivative along phi_i
-    over 2. Only rho (and gamma) take central differences, with step
-    h_i = _FD_SCALE * max(1, |theta_i|): the phi +/- h_i passes give the
-    Hessian diagonal, the sigma cross term and score column i, and each
-    rho-gamma cross point is filtered once without moments. That is 2
-    filter passes, or 8 with gamma.
+    theta = (log_var_meas, log_var_state) and out is the filter pass at
+    theta. Both are built in the coordinates phi = (sigma, rho) with sigma =
+    log_var_meas and rho = log_var_state - log_var_meas, then mapped back.
+    Moving sigma by d scales every F_t (and the diffuse P_1) by e^d and
+    leaves every v_t unchanged, so the sigma direction is closed form: score
+    -(1 - v_t^2/F_t)/2 and curvature -sum(v^2/F)/2 from out, and the cross
+    term is sum(v^2/F)'s derivative in rho over 2. Only rho takes central
+    differences, with step h = _FD_SCALE * max(1, |log_var_state|): the
+    passes at rho +/- h give the rho-rho entry, the cross term and the rho
+    scores. That is 2 filter passes.
     """
     yv, xv = model.y.values, model.x.values
-    k = len(theta)
-    n = len(model) - 1
-    h = _FD_SCALE * np.maximum(1.0, np.abs(theta))
+    var_meas = math.exp(theta[0])
+    h = _FD_SCALE * max(1.0, abs(theta[1]))
 
-    def loglik(steps: dict, store: bool = False):
-        """Log-likelihood at theta shifted by steps {i: step} (i >= 1, so
-        sigma stays put); with store, also sum(v^2/F) and the
-        per-observation terms."""
-        t = theta.copy()
-        for i, step in steps.items():
-            t[i] += step
-        gamma = t[2] if k > 2 else model.gamma
-        moments = ([], [], [], [], [], []) if store else None
-        sums = _filter_core(yv, xv, gamma, math.exp(t[0]), math.exp(t[1]), moments=moments)
-        ll = _loglik(*sums)
-        if not store:
-            return ll
-        v, f = np.asarray(moments[4][1:]), np.asarray(moments[5][1:])  # after the diffuse month
-        return ll, sums[1], -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
+    def moved(log_var_state: float):
+        """Log-likelihood, sum(v^2/F) and the per-observation terms after the
+        diffuse month, at log_var_state and the measurement variance of theta."""
+        moments = ([], [], [], [], [], [])
+        sums = _filter_core(yv, xv, model.gamma, var_meas, math.exp(log_var_state),
+                            moments=moments)
+        v, f = np.asarray(moments[4][1:]), np.asarray(moments[5][1:])
+        return _loglik(*sums), sums[1], -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
 
+    ll_p, s_p, obs_p = moved(theta[1] + h)
+    ll_m, s_m, obs_m = moved(theta[1] - h)
     v, f = np.asarray(out.innovations[1:]), np.asarray(out.innov_var[1:])
     v2_f = v * v / f
-    hess = np.empty((k, k))
-    scores = np.empty((n, k))
-    hess[0, 0] = -0.5 * v2_f.sum()
-    scores[:, 0] = -0.5 * (1.0 - v2_f)
-    for i in range(1, k):
-        ll_p, s_p, obs_p = loglik({i: h[i]}, store=True)
-        ll_m, s_m, obs_m = loglik({i: -h[i]}, store=True)
-        hess[i, i] = (ll_p - 2.0 * out.log_lik + ll_m) / (h[i] * h[i])
-        hess[0, i] = hess[i, 0] = 0.5 * (s_p - s_m) / (2.0 * h[i])
-        scores[:, i] = (obs_p - obs_m) / (2.0 * h[i])
-        for j in range(i + 1, k):
-            hess[i, j] = hess[j, i] = (
-                loglik({i: h[i], j: h[j]}) - loglik({i: h[i], j: -h[j]})
-                - loglik({i: -h[i], j: h[j]}) + loglik({i: -h[i], j: -h[j]})
-            ) / (4.0 * h[i] * h[j])
-    # phi = B theta, so the theta-Hessian is B' H B and the theta-scores S B
-    b = np.eye(k)
-    b[1, 0] = -1.0
-    return b.T @ hess @ b, scores @ b
+    h_ss = -0.5 * v2_f.sum()
+    h_rr = (ll_p - 2.0 * out.log_lik + ll_m) / (h * h)
+    h_sr = 0.5 * (s_p - s_m) / (2.0 * h)
+    score_r = (obs_p - obs_m) / (2.0 * h)
+    # phi = B theta with B = [[1, 0], [-1, 1]], so the theta-Hessian is B' H B
+    # and the theta-scores S B
+    hess = np.array([[(h_ss - h_sr) - (h_sr - h_rr), h_sr - h_rr], [h_sr - h_rr, h_rr]])
+    return hess, np.column_stack((-0.5 * (1.0 - v2_f) - score_r, score_r))
 
 
 def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int, n_evals: int,
-                  path: tuple[float, ...], estimate_gamma: bool) -> MleResult:
+                  path: tuple[float, ...]) -> MleResult:
     """The fit at theta after n_evals objective evaluations; converged is
     False when the Hessian is not negative definite."""
-    gamma = float(theta[2]) if estimate_gamma else model.gamma
+    gamma = model.gamma
     params = VarianceParams(float(theta[0]), float(theta[1]))
-    out = kalman_filter(replace(model, gamma=gamma), params)
+    out = kalman_filter(model, params)
     n = len(model)
     k = len(theta)
     ll = out.log_lik
@@ -637,9 +598,8 @@ def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int, n_evals: int,
         hq=(-2.0 * ll + 2.0 * k * math.log(math.log(n))) / n,
         n_obs=n,
         n_iter=n_iter,
-        # one pass per evaluation, the pass at theta, and the stencil's
-        # 2 m^2 over its m = k - 1 differenced coordinates
-        n_filter_passes=n_evals + 1 + 2 * (k - 1) ** 2,
+        # one pass per evaluation, the pass at theta and the stencil's 2
+        n_filter_passes=n_evals + 3,
         hessian_cond=hessian_cond,
         converged=negative_definite,
         filter_output=out,

@@ -45,7 +45,7 @@ _BAD_CONFIGS = [
     ({"mle": {"max_iter": "5"}}, "mle.max_iter"),
     ({"mle": {"max_iter": 0}}, "mle.max_iter"),
     ({"mle": {"max_iter": False}}, "mle.max_iter"),
-    ({"mle": {"estimate_gamma": "no"}}, "mle.estimate_gamma"),
+    ({"mle": {"estimate_gamma": "no"}}, "mle.estimate_gamma"),  # a key older configs carry
 ]
 
 
@@ -152,7 +152,7 @@ class TestExitCodes:
         path.write_bytes(write_csv(make_dataset(n_months=30)).replace("\n", "\r").encode())
         code, out, err = run_cli(["validate", "--input", str(path)])
         assert code == EXIT_OK, err
-        data = parse_csv(str(path))
+        data = parse_csv(path)
         assert json.loads(out)["rows"] == len(data) == 30
         assert (json.loads(out)["start"], json.loads(out)["end"]) == (str(data.start), str(data.end))
 
@@ -325,6 +325,14 @@ class TestOutputs:
         assert key in err
         assert "stage '" not in err
 
+    def test_estimate_gamma_config_key_is_unknown(self, csv_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mle": {"estimate_gamma": True}}))
+        code, out, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unknown config keys: ['mle.estimate_gamma']" in err
+
     def test_mle_config_block_applies(self, csv_path, tmp_path):
         # one iteration cannot finish the likelihood search
         cfg = tmp_path / "cfg.json"
@@ -402,9 +410,11 @@ class TestFlagMapping:
         code, _, err = run_cli(["sspace", "--input", csv_path, "--max-iter", "1"])
         assert code == EXIT_ESTIMATION
         assert "no convergence after 1 iterations" in err
-        code, out, _ = run_cli(["sspace", "--input", csv_path, "--estimate-gamma"])
-        assert code == EXIT_OK
-        assert len(json.loads(out)["robust_se"]) == 3
+        # the fit takes the model's gamma; it has no option to estimate it
+        code, out, err = run_cli(["sspace", "--input", csv_path, "--estimate-gamma"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unrecognized arguments: --estimate-gamma" in err
 
     def test_pipeline_seed_enters_the_config_hash(self, csv_path):
         def config_sha(argv):

@@ -52,16 +52,6 @@ def test_default_fit_and_mle_study_load_no_scipy():
     assert _under(modules, "scipy") == []
 
 
-def test_gamma_fit_loads_no_scipy():
-    modules = _modules_after(
-        "from tvelast.simlab import TvpDgp, gen_tvp\n"
-        "from tvelast.sspace import MleOptions, fit_mle\n"
-        "model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.3, seed=16))\n"
-        "assert fit_mle(model, options=MleOptions(estimate_gamma=True)).converged")
-    assert "tvelast.sspace" in modules
-    assert _under(modules, "scipy") == []
-
-
 def test_pipeline_report_loads_no_scipy(tmp_path):
     # a full report: ADF and OLS p-values, the fits, the smoother and the files
     csv = tmp_path / "in.csv"

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as sps  # oracle only
 
 from tvelast import pipeline, regress, series, sspace
 from tvelast.errors import OutOfRange, SectionMissing, StageError
@@ -84,12 +85,6 @@ class TestRunPipeline:
         assert len(report.provenance["config_sha256"]) == 64
         assert "created_at" in report.provenance
 
-    def test_state_paths_use_estimated_gamma(self):
-        cfg = PipelineConfig(mle=sspace.MleOptions(estimate_gamma=True))
-        report = run_pipeline(make_dataset(n_months=555, seed=42), cfg)
-        assert report.mle.gamma != 1.0
-        assert report.state_paths.filtered[-1] == report.mle.final_state
-
     def test_growth_mode_flag_respected(self, dataset):
         cfg = PipelineConfig(growth_mode="pct-change")
         report = run_pipeline(dataset, cfg)
@@ -155,17 +150,17 @@ class TestPipelineConfig:
     def test_default_config_hash_is_pinned(self):
         text = json.dumps(PipelineConfig().to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "6b73f44896017ac44eed95ca6e8bd28bc44d646b8bf230bbf9cb77758e07c356")
+            "536743b4d006a8d2fe4a7b0c2015df6293dbb7baf8016285f5d775f6e4874762")
 
     def test_non_default_config_hash_is_pinned(self):
         cfg = PipelineConfig(
             growth_mode="pct-change", adf_max_lags=3,
             subsample_end_dates=(MonthDate(1990, 12), MonthDate(2000, 12)),
-            mle=sspace.MleOptions(max_iter=7, estimate_gamma=True),
+            mle=sspace.MleOptions(max_iter=7),
         )
         text = json.dumps(cfg.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "23b0817d6f4f4129ffd05954ba68e1dddbef8c8bcb6fee80cb5b4566dffdee03")
+            "41b0bbcc76f22c666a65ffb4fa55ba4aa9c08a8ea181077831e05f618e3c977c")
 
 
 class TestSubsampleFinalStates:
@@ -177,6 +172,13 @@ class TestSubsampleFinalStates:
         assert last.final_rmse == report.mle.final_rmse
         assert last.z == report.mle.final_z
         assert last.p_value == report.mle.final_p
+
+    def test_row_p_value_is_the_two_sided_normal_tail(self, report_and_inputs):
+        report, data, _ = report_and_inputs
+        rows = [r for r in report.subsample_table if r.sample_end != data.end]
+        assert rows and all(r.converged for r in rows)
+        for r in rows:
+            assert r.p_value == pytest.approx(2.0 * sps.norm.sf(abs(r.z)), rel=1e-12)
 
     def test_rows_ordered_and_prefix_extending(self, report_and_inputs):
         report, data, _ = report_and_inputs
@@ -285,21 +287,19 @@ class TestEmitFigureData:
         assert sum(flags) == report.shock_burn_in
         assert flags[0] == 1
 
-    @pytest.mark.parametrize("estimate_gamma", [False, True])
-    def test_table3_carries_gamma_when_estimated(self, estimate_gamma):
+    def test_table3_columns(self):
         model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.3, seed=16))
-        fit = sspace.fit_mle(model, sspace.MleOptions(estimate_gamma=estimate_gamma))
+        fit = sspace.fit_mle(model)
         header, row = emit_figure_data(Report(mle=fit), "table3").splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
-        coefs = ["log_var_meas", "log_var_state"] + ["gamma"] * estimate_gamma
+        coefs = ["log_var_meas", "log_var_state"]
         assert list(cells) == [
-            *(f"{c}{s}" for c in coefs[:2] for s in ("", "_se", "_z", "_p")),
+            *(f"{c}{s}" for c in coefs for s in ("", "_se", "_z", "_p")),
             "var_meas", "var_state", "final_state", "final_rmse", "final_z", "final_p",
-            "log_lik", "aic", "sic", "hq", "n_obs", "n_iter", "converged",
-            *(f"{c}{s}" for c in coefs[2:] for s in ("", "_se", "_z", "_p"))]
-        if estimate_gamma:
-            assert [float(cells[k]) for k in ("gamma", "gamma_se", "gamma_z", "gamma_p")] == [
-                fit.gamma, fit.robust_se[2], fit.z_stats[2], fit.p_values[2]]
+            "log_lik", "aic", "sic", "hq", "n_obs", "n_iter", "converged"]
+        for i, c in enumerate(coefs):
+            assert [float(cells[f"{c}{s}"]) for s in ("", "_se", "_z", "_p")] == [
+                fit.to_dict()["params"][c], fit.robust_se[i], fit.z_stats[i], fit.p_values[i]]
 
     def test_section_missing(self, dataset):
         report = run_pipeline(dataset, PipelineConfig())

@@ -63,6 +63,19 @@ class TestOls:
         assert res.sic == pytest.approx((-2 * res.log_lik + math.log(n)) / n, rel=1e-12)
         assert res.hq == pytest.approx((-2 * res.log_lik + 2 * math.log(math.log(n))) / n, rel=1e-12)
 
+    def test_log_likelihood_is_the_gaussian_at_the_ml_variance(self, rng):
+        # the concentrated Gaussian log-likelihood: residuals scored at sigma^2 = SSR / n
+        xv = rng.normal(0, 1, 60)
+        yv = 0.4 * xv + rng.normal(0, 0.7, 60)
+        res = ols_no_intercept(*_pair(yv, xv))
+        n = 60
+        resid = yv - res.coef * xv
+        ll = float(sps.norm.logpdf(resid, scale=math.sqrt(float(resid @ resid) / n)).sum())
+        assert res.log_lik == pytest.approx(ll, rel=1e-12)
+        assert res.aic == pytest.approx((-2 * ll + 2) / n, rel=1e-12)
+        assert res.sic == pytest.approx((-2 * ll + math.log(n)) / n, rel=1e-12)
+        assert res.hq == pytest.approx((-2 * ll + 2 * math.log(math.log(n))) / n, rel=1e-12)
+
     def test_exact_fit_t_stat_carries_the_slope_sign(self):
         xv = [1.0, -2.0, 3.0, 0.5]
         for slope in (-2.0, 2.0):
@@ -236,6 +249,18 @@ class TestCusum:
         base = cusum(*_pair(yv, xv))
         scaled = cusum(*_pair(7.0 * yv, xv))
         np.testing.assert_allclose(scaled.statistic, base.statistic, atol=1e-10)
+
+    def test_scale_is_the_sample_sd_of_the_recursive_residuals(self, rng):
+        # Brown, Durbin & Evans (1975): W_t divides by the standard deviation of
+        # the w_t with denominator T - k - 1
+        xv = rng.normal(1, 1, 50)
+        yv = xv + rng.normal(0, 1, 50)
+        res = cusum(*_pair(yv, xv))
+        w = _oracles.recursive_residuals_brute(yv, xv)
+        mean = math.fsum(w) / len(w)
+        sd = math.sqrt(math.fsum((v - mean) ** 2 for v in w) / (len(w) - 1))
+        assert res.sigma_w == pytest.approx(sd, rel=1e-10)
+        np.testing.assert_allclose(res.statistic[1:], np.cumsum(w) / sd, rtol=1e-9)
 
     def test_unsupported_significance(self, rng):
         y, x = _pair(rng.normal(0, 1, 30), rng.normal(1, 1, 30))

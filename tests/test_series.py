@@ -150,7 +150,7 @@ class TestParseCsv:
         text = eol.join(['date,"c' + eol + 'pi",m2', "1971-01,100,50", "1971-02,101,51", ""])
         path = tmp_path / "levels.csv"
         path.write_bytes(text.encode())
-        by_path = parse_csv(str(path))
+        by_path = parse_csv(path)
         assert by_path.y_raw.name == "c" + eol + "pi"
         assert by_path.x_raw.values == (50.0, 51.0)
         for source in (text, text.encode(), io.BytesIO(text.encode()), io.StringIO(text)):
@@ -198,6 +198,16 @@ class TestParseCsv:
         with pytest.raises(DataError) as caught:
             parse_csv(source)
         assert (type(caught.value), str(caught.value)) == (error, message)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV: no header row"),
+        ("date,cpi,m2", "CSV has no data rows"),
+    ])
+    def test_a_str_without_a_line_break_is_text_not_a_path(self, text, message):
+        for source in (text, io.StringIO(text)):
+            with pytest.raises(DataError) as caught:
+                parse_csv(source)
+            assert (type(caught.value), str(caught.value)) == (MissingValue, message)
 
     def test_blank_rows_are_skipped(self):
         ds = parse_csv("date,a,b\n\n1971-01,1,1\n , ,\n,,\n1971-02,2,2\n\n")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import optimize
+from scipy import optimize, stats
 
 from tvelast import sspace
 
@@ -12,7 +12,6 @@ from tvelast.series import json_text
 from tvelast.simlab import TvpDgp, derive_seed, gen_tvp
 from tvelast.sspace import (
     ExplicitInit,
-    MleOptions,
     TvpModel,
     VarianceParams,
     fit_mle,
@@ -367,12 +366,15 @@ class TestFitMle:
         assert opt.success
         assert -opt.fun == pytest.approx(fit.log_lik, abs=1e-6)
 
-    def test_estimate_gamma_near_unity_on_random_walk_data(self):
-        model, _ = gen_tvp(TvpDgp(T=400, sigma2_meas=0.05, sigma2_state=0.3, seed=16))
-        fit = fit_mle(model, options=MleOptions(estimate_gamma=True))
-        assert fit.converged
-        assert len(fit.robust_se) == 3
-        assert fit.gamma == pytest.approx(1.0, abs=0.05)
+    @pytest.mark.parametrize("sigma2_meas, sigma2_state, seed",
+                             [(0.8, 3.6e-4, 0), (0.8, 3.6e-4, 3), (1.0, 1.0, 3)])
+    def test_p_values_are_two_sided_normal_tails(self, sigma2_meas, sigma2_state, seed):
+        model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=sigma2_meas, sigma2_state=sigma2_state,
+                                  seed=seed))
+        fit = fit_mle(model)
+        assert fit.final_p == pytest.approx(2.0 * stats.norm.sf(abs(fit.final_z)), rel=1e-12)
+        assert fit.p_values == pytest.approx(
+            [2.0 * stats.norm.sf(abs(z)) for z in fit.z_stats], rel=1e-12)
 
     def test_non_finite_start_rejected(self, rng):
         # var(y) ~ 1e20 puts the default start at [45.26, 43.74], outside the box
@@ -418,55 +420,6 @@ class TestFitMle:
         result = info.value.result
         assert result.converged is False
         assert all(math.isnan(v) for v in result.robust_se + result.z_stats + result.p_values)
-
-
-def _nelder_mead_gamma_fit(model):
-    """scipy's Nelder-Mead at tight tolerances on fit_mle's concentrated
-    (log q, gamma) objective, from the same start: the gamma fit's oracle,
-    as (log-likelihood, gamma)."""
-    yv, xv = model.y.values, model.x.values
-
-    def neg_ll(z):
-        ll = sspace._profile(yv, xv, z[1], z[0])[0]
-        return -ll if math.isfinite(ll) else math.inf
-
-    start = sspace._default_init(model)
-    res = optimize.minimize(neg_ll, [start.log_var_state - start.log_var_meas, model.gamma],
-                            method="Nelder-Mead",
-                            options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 4000})
-    assert res.success
-    return -res.fun, res.x[1]
-
-
-class TestGammaFit:
-    """The gamma fit is Brent over gamma of the Brent search over log q."""
-
-    @pytest.mark.parametrize("t, sigma2_meas, sigma2_state, seed",
-                             [(543, 0.016, 0.359, seed) for seed in range(8)]
-                             + [(60, 0.1, 0.2, seed) for seed in range(4)])
-    def test_matches_nelder_mead(self, t, sigma2_meas, sigma2_state, seed):
-        model, _ = gen_tvp(TvpDgp(T=t, sigma2_meas=sigma2_meas, sigma2_state=sigma2_state,
-                                  seed=seed))
-        fit = fit_mle(model, options=MleOptions(estimate_gamma=True))
-        ll, gamma = _nelder_mead_gamma_fit(model)
-        assert fit.log_lik >= ll - 1e-9
-        assert abs(fit.gamma - gamma) <= 1e-6
-
-    def test_start_does_not_matter(self):
-        model, _ = gen_tvp(TvpDgp(T=543, sigma2_meas=0.016, sigma2_state=0.359, seed=4))
-        fits = [fit_mle(TvpModel(model.y, model.x, gamma), MleOptions(estimate_gamma=True))
-                for gamma in (0.5, 1.3, 2.0)]
-        for fit in fits[1:]:
-            assert fit.gamma == pytest.approx(fits[0].gamma, abs=1e-6)
-            assert fit.log_lik == pytest.approx(fits[0].log_lik, abs=1e-9)
-
-    @pytest.mark.parametrize("max_iter", [1, 5])
-    def test_capped_fit_names_the_search_that_stopped(self, max_iter):
-        model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.3, seed=16))
-        with pytest.raises(NoConvergence, match="log q search at gamma=1: Maximum number of "
-                                                "iterations exceeded") as info:
-            fit_mle(model, options=MleOptions(max_iter=max_iter, estimate_gamma=True))
-        assert info.value.result.converged is False
 
 
 def _recorded(f):
@@ -549,104 +502,82 @@ class TestBrentPort:
 
 
 class TestSandwichStencil:
-    """The stencil works in phi = (sigma, rho[, gamma]), with sigma = log_var_meas
-    and rho = log_var_state - log_var_meas, and returns theta-coordinates."""
+    """The stencil works in phi = (sigma, rho), with sigma = log_var_meas and
+    rho = log_var_state - log_var_meas, and returns theta-coordinates."""
 
     @staticmethod
     def _full_loglik(model):
-        def fun(t):
-            gamma = t[2] if len(t) > 2 else model.gamma
-            return kalman_filter(
-                TvpModel(model.y, model.x, gamma), VarianceParams(t[0], t[1])).log_lik
-        return fun
+        return lambda t: kalman_filter(model, VarianceParams(t[0], t[1])).log_lik
 
     @staticmethod
     def _obs_terms(model):
         """Per-observation log-likelihood terms from t = 2, as a function of theta."""
         def fun(t):
-            gamma = t[2] if len(t) > 2 else model.gamma
-            out = kalman_filter(TvpModel(model.y, model.x, gamma), VarianceParams(t[0], t[1]))
+            out = kalman_filter(model, VarianceParams(t[0], t[1]))
             v, f = np.asarray(out.innovations[1:]), np.asarray(out.innov_var[1:])
             return -0.5 * (math.log(2.0 * math.pi) + np.log(f) + v * v / f)
         return fun
 
     @staticmethod
     def _stencil(model, at):
-        gamma = at[2] if len(at) > 2 else model.gamma
-        out = kalman_filter(TvpModel(model.y, model.x, gamma), VarianceParams(at[0], at[1]))
+        out = kalman_filter(model, VarianceParams(at[0], at[1]))
         return sspace._sandwich_stencil(model, at, out)
 
     @staticmethod
-    def _points(model, estimate_gamma, gamma_shift):
+    def _points(model):
         """The estimate, and a point away from it where the gradient is not ~0:
-        both log-variances moved by 0.3 and gamma, when estimated, by gamma_shift."""
-        fit = fit_mle(model, options=MleOptions(estimate_gamma=estimate_gamma))
-        theta = [fit.params.log_var_meas, fit.params.log_var_state]
-        shift = [0.3, 0.3]
-        if estimate_gamma:
-            theta.append(fit.gamma)
-            shift.append(gamma_shift)
-        return [np.array(theta), np.array(theta) + shift]
+        both log-variances moved by 0.3."""
+        fit = fit_mle(model)
+        theta = np.array([fit.params.log_var_meas, fit.params.log_var_state])
+        return [theta, theta + 0.3]
 
-    @pytest.mark.parametrize("estimate_gamma", [False, True])
-    def test_matches_plain_central_differences(self, estimate_gamma):
+    def test_matches_plain_central_differences(self):
         model, _ = gen_tvp(TvpDgp(T=300, sigma2_meas=0.05, sigma2_state=0.3, seed=21))
         fun = self._full_loglik(model)
-        for at in self._points(model, estimate_gamma, gamma_shift=0.3):
+        for at in self._points(model):
             hess, scores = self._stencil(model, at)
             ref = _oracles.central_hessian(fun, at)
-            # rho (and gamma) move theta_1 (and theta_2) alone: the same points
-            # and formulas as plain central differences in theta
-            np.testing.assert_array_equal(hess[1:, 1:], ref[1:, 1:])
-            assert scores.shape == (len(model) - 1, len(at))
+            # rho moves theta_1 alone: the same points and formula as plain
+            # central differences in theta
+            assert hess[1, 1] == ref[1, 1]
+            assert scores.shape == (len(model) - 1, 2)
             np.testing.assert_allclose(
-                scores[:, 1:], _oracles.central_gradient(self._obs_terms(model), at)[:, 1:],
+                scores[:, 1], _oracles.central_gradient(self._obs_terms(model), at)[:, 1],
                 rtol=1e-12, atol=0.0)
             # the sigma entries are exact, so the whole Hessian differs from plain
             # central differences only by their error
             np.testing.assert_allclose(hess, ref, rtol=0.0, atol=1e-5 * np.abs(ref).max())
 
-    @pytest.mark.parametrize("estimate_gamma", [False, True])
-    def test_sigma_row_and_column_are_closed_form(self, estimate_gamma):
+    def test_sigma_row_and_column_are_closed_form(self):
         model, _ = gen_tvp(TvpDgp(T=60, sigma2_meas=0.05, sigma2_state=0.3, seed=22))
         yv, xv = model.y.values, model.x.values
-        k = 3 if estimate_gamma else 2
-        a = np.eye(k)
-        a[1, 0] = 1.0  # theta = A phi
+        a = np.array([[1.0, 0.0], [1.0, 1.0]])  # theta = A phi
 
         def sum_v2_f_and_ratios(phi):
             """sum(v^2/F) over t >= 2 and the ratios v_t^2/F_t, from the dense
             joint-Gaussian oracle on the tail after the diffuse step."""
             theta = a @ phi
             vm, vs = math.exp(theta[0]), math.exp(theta[1])
-            gamma = theta[2] if k > 2 else model.gamma
             v, f = _oracles.state_space_innovations(
-                yv[1:], xv[1:], gamma, vm, vs, yv[0] / xv[0], vm / (xv[0] * xv[0]))
+                yv[1:], xv[1:], model.gamma, vm, vs, yv[0] / xv[0], vm / (xv[0] * xv[0]))
             return float(np.sum(v * v / f)), v * v / f
 
-        # gamma moved down, not up: the dense oracle loses accuracy on an
-        # explosive transition
-        for at in self._points(model, estimate_gamma, gamma_shift=-0.1):
+        for at in self._points(model):
             hess, scores = self._stencil(model, at)
             hess_phi, scores_phi = a.T @ hess @ a, scores @ a
             phi = np.linalg.solve(a, at)
             s0, ratios = sum_v2_f_and_ratios(phi)
             np.testing.assert_allclose(scores_phi[:, 0], -0.5 * (1.0 - ratios), rtol=1e-9)
             assert hess_phi[0, 0] == pytest.approx(-0.5 * s0, rel=1e-9)
-            h = 1e-4 * np.maximum(1.0, np.abs(at))
-            for i in range(1, k):
-                step = np.zeros(k)
-                step[i] = h[i]
-                cross = 0.5 * (sum_v2_f_and_ratios(phi + step)[0]
-                               - sum_v2_f_and_ratios(phi - step)[0]) / (2.0 * h[i])
-                assert hess_phi[0, i] == pytest.approx(cross, rel=1e-9)
-                assert hess_phi[i, 0] == hess_phi[0, i]
+            step = np.array([0.0, 1e-4 * max(1.0, abs(at[1]))])
+            cross = 0.5 * (sum_v2_f_and_ratios(phi + step)[0]
+                           - sum_v2_f_and_ratios(phi - step)[0]) / (2.0 * step[1])
+            assert hess_phi[0, 1] == pytest.approx(cross, rel=1e-9)
+            assert hess_phi[1, 0] == hess_phi[0, 1]
 
 
 class TestFitDiagnostics:
-    @pytest.mark.parametrize("estimate_gamma, stencil", [(False, 2), (True, 8)])
-    def test_filter_passes_are_search_estimate_and_stencil(
-            self, monkeypatch, estimate_gamma, stencil):
+    def test_filter_passes_are_search_estimate_and_stencil(self, monkeypatch):
         model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.3, seed=23))
         calls = {"_filter_core": 0, "_profile": 0}
         for name in calls:
@@ -654,9 +585,9 @@ class TestFitDiagnostics:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(sspace, name, counted)
-        fit = fit_mle(model, options=MleOptions(estimate_gamma=estimate_gamma))
-        # one pass per objective evaluation, one at the estimate, the stencil's
-        assert calls["_filter_core"] == calls["_profile"] + 1 + stencil
+        fit = fit_mle(model)
+        # one pass per objective evaluation, one at the estimate, the stencil's 2
+        assert calls["_filter_core"] == calls["_profile"] + 1 + 2
         assert fit.n_filter_passes == calls["_filter_core"]
 
     def test_hessian_condition_number(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special  # oracle only: the package must not import scipy
 
-from tvelast import _dftables
+from tvelast import _dftables, unitroot
 from tvelast.errors import DegenerateDesign, TooShort, UnsupportedCase
 from tvelast.simlab import Ar1Dgp, UnitRootDgp, gen_ar1, gen_unit_root, monte_carlo
 from tvelast.unitroot import (DETERMINISTIC_CASES, MIN_DEFAULT_LAGS_T, AdfSpec, _ndtr, adf,
@@ -57,6 +57,16 @@ class TestApproxPvalue:
             for t in (50, 250, 543):
                 _, c5, _ = critical_values(t, case)
                 assert approx_pvalue(c5, t, case) == pytest.approx(0.05, abs=0.005)
+
+    def test_tabulated_quantiles_return_their_probabilities(self):
+        # at a table row's sample size the grid is that row, and each tabulated
+        # quantile maps to its own probability
+        for case, rows in _dftables.TABLES.items():
+            for inv_t, quantiles in rows[1:]:
+                t = round(1.0 / inv_t)
+                assert 1.0 / t == inv_t
+                for q, p in zip(quantiles, _dftables.PROBS):
+                    assert approx_pvalue(q, t, case) == pytest.approx(p, rel=1e-12, abs=0.0)
 
     def test_deep_left_tail(self):
         assert approx_pvalue(-14.14, 543, "constant+trend") < 1e-4
@@ -165,6 +175,28 @@ class TestAdf:
         assert rows[0] < 25 <= min(rows[1:])
         for seed in range(20):
             assert adf(gen_unit_root(MIN_DEFAULT_LAGS_T, seed=seed)).n_used >= 25
+
+    @pytest.mark.parametrize("offsets, stars", [
+        ((1, 2, 3), "***"),  # just beyond crit_1
+        ((-1, 1, 2), "**"),  # just beyond crit_5
+        ((-2, -1, 1), "*"),  # just beyond crit_10
+        ((-3, -2, -1), ""),  # just inside crit_10
+    ])
+    def test_stars_follow_the_critical_values(self, monkeypatch, offsets, stars):
+        # critical values placed one ulp (offset 1 or -1) or a unit either side of
+        # the statistic; more negative than a critical value rejects at its level
+        s = gen_unit_root(200, 3)
+        stat = adf(s).statistic
+
+        def at(offset):
+            return math.nextafter(stat, math.copysign(math.inf, offset)) + (
+                0.0 if abs(offset) == 1 else offset)
+
+        monkeypatch.setattr(unitroot, "critical_values", lambda t, d: tuple(map(at, offsets)))
+        res = adf(s)
+        assert res.statistic == stat
+        assert (res.crit_1, res.crit_5, res.crit_10) == tuple(map(at, offsets))
+        assert res.stars() == stars
 
     def test_spec_validation(self):
         with pytest.raises(UnsupportedCase):
