@@ -23,8 +23,9 @@ output of `tvelast pipeline`; and, once, the `--format json|csv|text`
 output and the `--dump` file of every `simulate` study at `--reps 10`, at
 its default `--t` and at small ones (SMALL_T; for mle also one at which
 replications fail, so the dump's failed rows are compared), with its
-replications run in one process and again in a pool of 3 (`monte_carlo`'s
-`n_jobs`), plus every command's exit code. A report's `created_at` line is dropped. The two output trees are
+replications run in one process, again split across 3 processes
+(`monte_carlo`'s `n_jobs`) and again at each tree's own default `n_jobs`,
+plus every command's exit code. A report's `created_at` line is dropped. The two output trees are
 then compared file by file. Exit 0 when every file is identical; exit 1
 naming the first file that differs or is missing; exit 2 when a tree fails
 to write its outputs.
@@ -122,14 +123,15 @@ def emit(outdir: Path, indir: Path, n: int) -> None:
         run(f"constant_cpi/ols/{fmt}", ["ols", *flat, "--format", fmt], flat_dir / f"ols.{fmt}")
     run("constant_cpi/pipeline/stdout", ["pipeline", *flat], flat_dir / "pipeline.stdout.json")
     monte_carlo = simlab.monte_carlo
-    for n_jobs in (1, 3):
-        # the CLI has no jobs flag; it calls simlab.monte_carlo through the module
-        simlab.monte_carlo = lambda *a, **kw: monte_carlo(*a, n_jobs=n_jobs, **kw)
+    for n_jobs, suffix in ((1, ""), (3, ".jobs3"), (None, ".default")):
+        # the CLI has no jobs flag; it calls simlab.monte_carlo through the module,
+        # and None leaves the call as the CLI makes it
+        simlab.monte_carlo = monte_carlo if n_jobs is None else (
+            lambda *a, **kw: monte_carlo(*a, n_jobs=n_jobs, **kw))
         for study, small_ts in SMALL_T.items():
             for t in (None, *small_ts):
                 t_args = [] if t is None else ["--t", str(t)]
-                name = (study if t is None else f"{study}.t{t}") + (
-                    "" if n_jobs == 1 else f".jobs{n_jobs}")
+                name = (study if t is None else f"{study}.t{t}") + suffix
                 dump = outdir / "simulate" / f"{name}.dump.csv"
                 dump.parent.mkdir(parents=True, exist_ok=True)
                 for fmt in FORMATS:

@@ -16,6 +16,10 @@ aggregation of replication records is order-independent.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
@@ -295,14 +299,18 @@ STUDIES = {
 
 
 def monte_carlo(estimator: str, dgp, n_reps: int, seed: int,
-                dump_path: str | None = None, n_jobs: int = 1) -> McSummary:
+                dump_path: str | None = None, n_jobs: int | None = None) -> McSummary:
     """Run n_reps independent replications of one estimator study.
 
     The study is STUDIES[type(dgp)], and estimator must be its id. Every
     test study rejects at 5%.
-    Replication r draws from the stream seeded with seed XOR r, and the
-    aggregation only sees records keyed by r, so results are identical
-    whether replications run sequentially or in parallel (n_jobs > 1).
+    Replication r draws from the stream seeded with seed XOR r. n_jobs
+    None splits the replications across the CPUs this process may run on,
+    capped at n_reps; n_jobs=1 runs them all in this process. The split
+    forks (POSIX only, as the old process pool's default context was)
+    n_jobs - 1 children, each running one contiguous block of
+    replications, and joins the records in replication order, so the
+    summary and the dump are identical for every n_jobs.
     Replication failures are counted, not fatal.
     """
     study = STUDIES.get(type(dgp))
@@ -310,17 +318,80 @@ def monte_carlo(estimator: str, dgp, n_reps: int, seed: int,
         raise ValueError(f"estimator {estimator!r} does not take a {type(dgp).__name__}")
     if n_reps < 10:
         raise ValueError("n_reps must be >= 10")
+    if n_jobs is not None and (type(n_jobs) is not int or n_jobs < 1):  # a bool is not a count
+        raise ValueError(f"n_jobs must be None or a positive integer, got {n_jobs!r}")
+    if n_jobs is None:
+        n_jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     seeds = [derive_seed(seed, r) for r in range(n_reps)]
-    if n_jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(_safe_run_one, [dgp] * n_reps, seeds))
-    else:
-        records = [_safe_run_one(dgp, s) for s in seeds]
+    records = _run_split(dgp, seeds, min(n_jobs, n_reps))
     if dump_path:
         _dump_records(dump_path, records)
     return _summarize(estimator, n_reps, records, study.truth(dgp))
+
+
+def _run_split(dgp, seeds: list[int], n_jobs: int) -> list[dict | None]:
+    """The records of every seed, in order, with the seeds cut into n_jobs
+    contiguous blocks: this process runs the first, a forked child each
+    other one. No child outlives the call."""
+    if n_jobs == 1:
+        return [_safe_run_one(dgp, s) for s in seeds]
+    cuts = [len(seeds) * j // n_jobs for j in range(n_jobs + 1)]
+    children = []  # [pid, pipe's read end, first replication, stop]; pid None once reaped
+    try:
+        for first, stop in zip(cuts[1:-1], cuts[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child(write_fd, dgp, seeds[first:stop])  # never returns
+            os.close(write_fd)
+            children.append([pid, os.fdopen(read_fd, "rb"), first, stop])
+        records = [_safe_run_one(dgp, s) for s in seeds[:cuts[1]]]
+        for child in children:
+            pid, pipe, first, stop = child
+            with pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            child[0] = None
+            if status != 0 or not payload:
+                raise RuntimeError(f"replication worker {pid} (replications {first}-{stop - 1}) "
+                                   f"ended with exit status {status} before returning its records")
+            kind, value, trace = pickle.loads(payload)  # written by _child, below
+            if kind == "error":
+                raise value from _ChildTraceback(trace)
+            records.extend(value)
+        return records
+    finally:
+        for pid, pipe, _, _ in children:
+            pipe.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+class _ChildTraceback(Exception):
+    """A child's formatted traceback, raised as the cause of its exception."""
+
+
+def _child(write_fd: int, dgp, seeds: list[int]) -> None:
+    """Run one block in a forked child, write ("records", list, None) or
+    ("error", exception, traceback text) to write_fd and _exit, so no
+    buffered output or atexit handler of the parent runs twice."""
+    status = 1
+    try:
+        try:
+            payload = ("records", [_safe_run_one(dgp, s) for s in seeds], None)
+        except Exception as exc:
+            payload = ("error", exc, traceback.format_exc())
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(pickle.dumps(payload))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _safe_run_one(dgp, rep_seed: int) -> dict | None:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -153,6 +154,21 @@ class TestPathGenerators:
         assert len(y) == len(x) == 100
 
 
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _refuse_replications_and_forks(monkeypatch):
+    import tvelast.simlab as simlab
+
+    def refuse(*args):
+        raise AssertionError("a replication ran or a child was forked")
+
+    monkeypatch.setattr(simlab, "_safe_run_one", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+
+
 class TestMonteCarlo:
     def test_deterministic_summary(self):
         dgp = TvpDgp(T=120, sigma2_meas=0.1, sigma2_state=0.2)
@@ -168,11 +184,49 @@ class TestMonteCarlo:
         assert {type(dgp) for dgp in dgps} == set(STUDIES)  # one DGP per table entry
         for dgp in dgps:
             estimator = STUDIES[type(dgp)].estimator
-            seq, par = (monte_carlo(estimator, dgp, n_reps=12, seed=9, n_jobs=n_jobs,
-                                    dump_path=str(tmp_path / f"{n_jobs}.csv"))
-                        for n_jobs in (1, 3))
-            assert seq.to_json() == par.to_json(), dgp
-            assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "3.csv").read_bytes(), dgp
+            # None is every usable CPU; 20 > n_reps is capped at one replication per process
+            seq, *splits = (monte_carlo(estimator, dgp, n_reps=12, seed=9, n_jobs=n_jobs,
+                                        dump_path=str(tmp_path / f"{n_jobs}.csv"))
+                            for n_jobs in (1, 3, None, 20))
+            _assert_no_child()
+            for n_jobs, split in zip((3, None, 20), splits):
+                assert seq.to_json() == split.to_json(), (dgp, n_jobs)
+                assert ((tmp_path / "1.csv").read_bytes()
+                        == (tmp_path / f"{n_jobs}.csv").read_bytes()), (dgp, n_jobs)
+
+    @pytest.mark.parametrize("failing", [0, 8])  # this process's block, a child's
+    def test_an_exception_is_raised_in_the_caller(self, monkeypatch, failing):
+        import tvelast.simlab as simlab
+
+        run_one, failing_seed = simlab._run_one, derive_seed(9, failing)
+
+        def fail(dgp, rep_seed):
+            if rep_seed == failing_seed:
+                raise KeyError(f"raised in {os.getpid()}")
+            return run_one(dgp, rep_seed)
+
+        monkeypatch.setattr(simlab, "_run_one", fail)
+        with pytest.raises(KeyError) as info:
+            monte_carlo("adf", UnitRootDgp(T=100), n_reps=10, seed=9, n_jobs=2)
+        raised_here = info.value.args[0] == f"raised in {os.getpid()}"
+        assert raised_here == (failing == 0)
+        _assert_no_child()
+
+    def test_a_child_that_exits_early_is_an_error(self, monkeypatch):
+        import tvelast.simlab as simlab
+
+        run_one, failing_seed = simlab._run_one, derive_seed(9, 7)
+
+        def exit_early(dgp, rep_seed):
+            if rep_seed == failing_seed:
+                os._exit(3)
+            return run_one(dgp, rep_seed)
+
+        monkeypatch.setattr(simlab, "_run_one", exit_early)
+        with pytest.raises(RuntimeError, match=r"replication worker \d+ \(replications 5-9\) "
+                                               r"ended with exit status 3 "):
+            monte_carlo("adf", UnitRootDgp(T=100), n_reps=10, seed=9, n_jobs=2)
+        _assert_no_child()
 
     def test_mle_study_fields(self):
         dgp = TvpDgp(T=150, sigma2_meas=0.05, sigma2_state=0.3)
@@ -192,18 +246,7 @@ class TestMonteCarlo:
             monte_carlo("adf", UnitRootDgp(T=100), n_reps=5, seed=1)
 
     def test_bad_study_rejected_before_any_replication(self, monkeypatch):
-        import concurrent.futures
-
-        import tvelast.simlab as simlab
-
-        def no_replication(*args):
-            raise AssertionError("a replication ran")
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool started")
-
-        monkeypatch.setattr(simlab, "_safe_run_one", no_replication)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        _refuse_replications_and_forks(monkeypatch)
 
         def tvp(sigma2_meas=0.1, sigma2_state=0.2):
             return TvpDgp(T=100, sigma2_meas=sigma2_meas, sigma2_state=sigma2_state)
@@ -223,9 +266,15 @@ class TestMonteCarlo:
                 ("mle", lambda: tvp(sigma2_state=math.inf), "sigma2_state must be positive"),
                 ("cusum", lambda: BreakRegressionDgp(T=100, beta2=math.inf),
                  "beta2 must be finite")):
-            for n_jobs in (1, 2):
+            for n_jobs in (1, 2, None):
                 with pytest.raises(ValueError, match=match):
                     monte_carlo(estimator, make_dgp(), n_reps=10, seed=1, n_jobs=n_jobs)
+
+    def test_bad_n_jobs_rejected_before_any_replication(self, monkeypatch):
+        _refuse_replications_and_forks(monkeypatch)
+        for n_jobs in (0, -3, True, False, 2.5, "2"):
+            with pytest.raises(ValueError, match="n_jobs must be None or a positive integer"):
+                monte_carlo("adf", UnitRootDgp(T=100), n_reps=10, seed=1, n_jobs=n_jobs)
 
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):

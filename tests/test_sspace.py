@@ -376,6 +376,20 @@ class TestFitMle:
         assert fit.p_values == pytest.approx(
             [2.0 * stats.norm.sf(abs(z)) for z in fit.z_stats], rel=1e-12)
 
+    def test_estimate_within_the_margin_of_the_bound_raises(self):
+        # scaling y by c moves log_var_meas by 2 log c and leaves log q alone, so
+        # the scaled fit's optimum sits 0.5 above the -40 bound, inside the margin
+        model, _ = gen_tvp(TvpDgp(T=300, sigma2_meas=0.016, sigma2_state=0.359, seed=11))
+        c = math.exp((-39.5 - fit_mle(model).params.log_var_meas) / 2.0)
+        scaled = TvpModel(make_series([c * v for v in model.y.values], model.y.start, "y"),
+                          model.x)
+        with pytest.raises(NoConvergence, match="-39.50 is pinned") as info:
+            fit_mle(scaled)
+        params = info.value.result.params
+        assert params.log_var_meas == pytest.approx(-39.5, abs=1e-6)
+        assert params.log_var_state > sspace._LOG_VAR_MIN + 1.0  # only one estimate is pinned
+        assert info.value.result.converged is False
+
     def test_non_finite_start_rejected(self, rng):
         # var(y) ~ 1e20 puts the default start at [45.26, 43.74], outside the box
         model = _model(1e10 * rng.normal(0, 1, 50), rng.normal(0, 1, 50))
@@ -574,6 +588,34 @@ class TestSandwichStencil:
                            - sum_v2_f_and_ratios(phi - step)[0]) / (2.0 * step[1])
             assert hess_phi[0, 1] == pytest.approx(cross, rel=1e-9)
             assert hess_phi[1, 0] == hess_phi[0, 1]
+
+
+    @pytest.mark.parametrize("t, sigma2_meas, sigma2_state, seed",
+                             [(60, 0.05, 0.3, 22), (60, 0.016, 0.359, 5)])
+    def test_robust_se_is_the_sandwich_of_the_dense_oracle(self, t, sigma2_meas, sigma2_state,
+                                                          seed):
+        # H^-1 (S'S) H^-1 with H and the per-observation scores S taken by plain
+        # central differences of the joint-Gaussian oracle on the tail after
+        # the diffuse month; 1e-4 is above the stencil's own error (7e-6)
+        model, _ = gen_tvp(TvpDgp(T=t, sigma2_meas=sigma2_meas, sigma2_state=sigma2_state,
+                                  seed=seed))
+        fit = fit_mle(model)
+        yv, xv = np.asarray(model.y.values), np.asarray(model.x.values)
+
+        def tail(theta):
+            vm, vs = math.exp(theta[0]), math.exp(theta[1])
+            return yv[1:], xv[1:], model.gamma, vm, vs, yv[0] / xv[0], vm / (xv[0] * xv[0])
+
+        def obs_terms(theta):
+            v, f = _oracles.state_space_innovations(*tail(theta))
+            return -0.5 * (math.log(2.0 * math.pi) + np.log(f) + v * v / f)
+
+        theta = np.array([fit.params.log_var_meas, fit.params.log_var_state])
+        h_inv = np.linalg.inv(_oracles.central_hessian(
+            lambda th: _oracles.state_space_oracle(*tail(th))[0], theta))
+        scores = _oracles.central_gradient(obs_terms, theta)
+        sandwich = h_inv @ scores.T @ scores @ h_inv
+        assert fit.robust_se == pytest.approx(np.sqrt(np.diag(sandwich)), rel=1e-4)
 
 
 class TestFitDiagnostics:
