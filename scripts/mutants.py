@@ -1,0 +1,296 @@
+#!/usr/bin/env python3
+"""Mutation probe: does the test suite catch a broken formula?
+
+    python3 scripts/mutants.py [--only NAME ...] [--tests FILE ...]
+
+MUTANTS is a fixed table of one-line slips in formulas whose results the
+report prints: (name, module, old text, new text, what it breaks). Each
+changes a printed number; none is an algebraic rewrite of the same value.
+The probe copies src/, tests/, scripts/, benchmark/ and pyproject.toml to a
+temporary directory once. For each mutant it replaces the old text, which
+must occur exactly once in src/tvelast/<module>.py, runs `pytest -x` on
+tests/test_<module>.py and tests/test_acceptance.py there (or on the
+--tests files instead), and restores the module. A failing run kills the
+mutant; a passing run lets it survive.
+
+Prints one line per mutant and a count. Exit 0 when every mutant is killed,
+1 when any survives, 2 when a mutant does not apply or pytest could not run.
+A mutant takes from a few seconds to about a minute, so the whole table
+takes several minutes; --only picks mutants by name.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "scripts", "benchmark", "pyproject.toml")
+TIMEOUT_S = 1800
+
+MUTANTS = (
+    # the ML fit's summary statistics
+    ("final-p-sqrt2", "sspace",
+     "final_p=math.erfc(abs(final_z) / math.sqrt(2.0)),",
+     "final_p=math.erfc(abs(final_z) / 2.0),",
+     "final_p is not the two-sided normal tail of final_z"),
+    ("mle-p-sqrt2", "sspace",
+     "pvals = tuple(math.erfc(abs(zi) / math.sqrt(2.0)) for zi in z)",
+     "pvals = tuple(math.erfc(abs(zi) / 2.0) for zi in z)",
+     "the MLE p_values are not the two-sided normal tails of z_stats"),
+    ("hessian-only-se", "sspace",
+     "se = tuple(float(s) for s in np.linalg.norm(scores @ np.linalg.inv(hess), axis=0))",
+     "se = tuple(float(s) for s in np.sqrt(np.diag(-np.linalg.inv(hess))))",
+     "robust_se is the inverse Hessian, not the sandwich"),
+    ("bound-margin-0", "sspace",
+     "_BOUND_MARGIN = 1.0",
+     "_BOUND_MARGIN = 0.0",
+     "an estimate within 1 of the box bound is reported as converged"),
+    ("mle-aic-penalty", "sspace",
+     "aic=(-2.0 * ll + 2.0 * k) / n,",
+     "aic=(-2.0 * ll + k) / n,",
+     "the MLE AIC"),
+    ("mle-sic-log", "sspace",
+     "sic=(-2.0 * ll + k * math.log(n)) / n,",
+     "sic=(-2.0 * ll + k * math.log(n - 1)) / n,",
+     "the MLE Schwarz criterion"),
+    ("mle-hq-loglog", "sspace",
+     "hq=(-2.0 * ll + 2.0 * k * math.log(math.log(n))) / n,",
+     "hq=(-2.0 * ll + 2.0 * k * math.log(n)) / n,",
+     "the MLE Hannan-Quinn criterion"),
+    ("forecast-rmse", "sspace",
+     "forecast_rmse=math.sqrt(out.filt_var[-1] + params.var_state),",
+     "forecast_rmse=math.sqrt(out.filt_var[-1]),",
+     "the one-step forecast's root MSE leaves out the state variance"),
+    ("final-z-var", "sspace",
+     "final_z = final_state / final_rmse if final_rmse > 0 else math.inf",
+     "final_z = final_state / out.filt_var[-1] if final_rmse > 0 else math.inf",
+     "final_z divides by the variance, not the root MSE"),
+    ("pass-count", "sspace",
+     "n_filter_passes=n_evals + 3,",
+     "n_filter_passes=n_evals + 2,",
+     "n_filter_passes misses a pass"),
+    ("hessian-cond-inverted", "sspace",
+     "hessian_cond = float(np.max(np.abs(eig))) / smallest if smallest > 0.0 else math.inf",
+     "hessian_cond = smallest / float(np.max(np.abs(eig))) if smallest > 0.0 else math.inf",
+     "hessian_cond is the reciprocal of the condition number"),
+    ("shock-scale", "sspace",
+     "vals = tuple(v / math.sqrt(f) for v, f in zip(output.innovations, output.innov_var))",
+     "vals = tuple(v / f for v, f in zip(output.innovations, output.innov_var))",
+     "shocks are divided by F_t, not its square root"),
+    # the smoother
+    ("smoother-var-j", "sspace",
+     "sv[t] = output.filt_var[t] + j * j * (sv[t + 1] - pp)",
+     "sv[t] = output.filt_var[t] + j * (sv[t + 1] - pp)",
+     "the smoothed variances use J_t, not J_t^2"),
+    ("smoother-gain", "sspace",
+     "j = output.filt_var[t] / pp if pp > 0.0 else 0.0",
+     "j = output.filt_var[t + 1] / pp if pp > 0.0 else 0.0",
+     "the smoother gain J_t = P_{t|t} / P_{t+1|t} takes the wrong filtered variance"),
+    ("smoother-skips-month-1", "sspace",
+     "for t in range(len(sm) - 2, -1, -1):",
+     "for t in range(len(sm) - 2, 0, -1):",
+     "the diffuse month's smoothed moments are its filtered ones"),
+    ("smoother-mean-pred", "sspace",
+     "sm[t] = output.filt_mean[t] + j * (sm[t + 1] - output.pred_mean[t + 1])",
+     "sm[t] = output.filt_mean[t] + j * (sm[t + 1] - output.filt_mean[t + 1])",
+     "the smoothed means correct by the filtered, not the predicted, mean"),
+    # the one recursion and its diffuse start
+    ("diffuse-p1", "sspace",
+     "p = var_meas / (x1 * x1) if x1 * x1 > 0.0 else math.inf",
+     "p = 1.0 / (x1 * x1) if x1 * x1 > 0.0 else math.inf",
+     "the diffuse P_1 leaves out the measurement variance"),
+    ("diffuse-a1", "sspace",
+     "a = yv[0] / x1",
+     "a = yv[0] * x1",
+     "the diffuse a_1 multiplies by x_1"),
+    ("p-pred-step", "sspace",
+     "p_pred = p + var_state",
+     "p_pred = p + var_state * var_meas",
+     "the predicted variance scales the state variance by the measurement variance"),
+    ("filt-var-update", "sspace",
+     "p = p_pred * (var_meas / f)",
+     "p = p_pred * (xt * xt * p_pred / f)",
+     "the filtered variance is K x P_pred, not (1 - K x) P_pred"),
+    ("filter-gain-x", "sspace",
+     "k = p_pred * xt / f",
+     "k = p_pred / f",
+     "the Kalman gain leaves out x_t"),
+    ("innovation-x", "sspace",
+     "v = yt - xt * a",
+     "v = yt - a",
+     "the innovation leaves out x_t"),
+    ("pred-mean-shift", "sspace",
+     "pred_mean=(0.0, *fm[:-1])",
+     "pred_mean=(0.0, *fm[1:])",
+     "the one-step means are the next month's filtered means"),
+    ("likelihood-terms", "sspace",
+     "return sum_log_f, sum_v2_f, len(yv) - DIFFUSE_MONTHS",
+     "return sum_log_f, sum_v2_f, len(yv)",
+     "the diffuse month is counted as a likelihood term"),
+    ("sigma2-hat-n", "sspace",
+     "log_s2 = math.log(sum_v2_f / n) if sum_v2_f > 0.0 else -math.inf",
+     "log_s2 = math.log(sum_v2_f / (n + 1)) if sum_v2_f > 0.0 else -math.inf",
+     "the concentrated measurement variance divides by T, not T - 1"),
+    # OLS, CUSUM and the recursive path
+    ("ols-loglik-plus-1", "regress",
+     "math.log(ssr / n) + 1.0)",
+     "math.log(ssr / n))",
+     "the OLS log-likelihood, AIC, SIC and HQ leave out the +1"),
+    ("ols-dw-tss", "regress",
+     "dw = float(np.sum(np.diff(resid) ** 2)) / ssr if ssr > 0 else math.nan",
+     "dw = float(np.sum(np.diff(resid) ** 2)) / tss if ssr > 0 else math.nan",
+     "Durbin-Watson divides by the total, not the residual, sum of squares"),
+    ("ols-r2-s2", "regress",
+     "r2 = 1.0 - ssr / tss if tss > 0 else 0.0",
+     "r2 = 1.0 - s2 / tss if tss > 0 else 0.0",
+     "R^2 takes the residual variance, not the SSR"),
+    ("ols-adj-r2-n", "regress",
+     "adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df",
+     "adj_r2 = 1.0 - (1.0 - r2) * n / df",
+     "adjusted R^2 scales by n, not n - 1"),
+    ("cusum-sigma-ddof", "regress",
+     "sigma_w = float(np.std(wv, ddof=1))",
+     "sigma_w = float(np.std(wv, ddof=0))",
+     "the CUSUM scale divides by T - k, not T - k - 1"),
+    ("cusum-band-slope", "regress",
+     "band_hi = [a * (sqrt_n + 2.0 * i / sqrt_n) for i in range(n + 1)]",
+     "band_hi = [a * (sqrt_n + i / sqrt_n) for i in range(n + 1)]",
+     "the CUSUM band grows at half its slope"),
+    ("recursive-band-width", "regress",
+     "bands_lo=tuple((beta - 2.0 * se).tolist()),",
+     "bands_lo=tuple((beta - se).tolist()),",
+     "the recursive lower band is 1 s.e., not 2"),
+    ("recursive-band-dof", "regress",
+     "se = np.sqrt(ssr / (n_used - N_REGRESSORS) / sxx)",
+     "se = np.sqrt(ssr / n_used / sxx)",
+     "the recursive s.e. divides by t, not t - k"),
+    # ADF
+    ("adf-stars-1pct", "unitroot",
+     'if self.reject_at == 0.01:\n            return "***"',
+     'if self.reject_at == 0.01:\n            return "**"',
+     "a 1% rejection prints two stars"),
+    ("adf-pvalue-scale", "unitroot",
+     "z = z_grid[i] + slope * (statistic - q[i])",
+     "z = 1.01 * (z_grid[i] + slope * (statistic - q[i]))",
+     "the ADF p-value's normal quantile is 1% too large"),
+    ("adf-lag-rule", "unitroot",
+     "return int(math.floor(12.0 * (t / 100.0) ** 0.25))",
+     "return int(math.floor(4.0 * (t / 100.0) ** 0.25))",
+     "the default lag cap is Schwert's l4, not l12"),
+    # decades
+    ("decade-boundary", "series",
+     "decade = (first + lo) // 120 * 10",
+     "decade = (first + lo + 1) // 120 * 10",
+     "each decade starts one month early"),
+    ("decade-mean", "series",
+     "mean=math.fsum(s.values[lo:hi]) / (hi - lo),",
+     "mean=math.fsum(s.values[lo:hi]) / (hi - lo + 1),",
+     "the decade mean divides by one month too many"),
+    # the report's sub-sample table and shocks
+    ("subsample-z-sign", "pipeline",
+     "z=fit.final_z, p_value=fit.final_p,",
+     "z=-fit.final_z, p_value=fit.final_p,",
+     "a sub-sample row's z has the wrong sign"),
+    ("subsample-failed-p", "pipeline",
+     "z=math.nan, p_value=math.nan, converged=False)",
+     "z=math.nan, p_value=1.0, converged=False)",
+     "a row whose fit raised prints p 1.0 beside a nan state"),
+    ("shock-burn-in-flag", "pipeline",
+     "(int(i < sspace.DIFFUSE_MONTHS) for i in range(n))",
+     "(int(i <= sspace.DIFFUSE_MONTHS) for i in range(n))",
+     "fig8 flags a month after the diffuse one as burn-in"),
+)
+
+
+def module_path(root: Path, module: str) -> Path:
+    return root / "src" / "tvelast" / f"{module}.py"
+
+
+def check_applies(root: Path) -> list[str]:
+    """Problems with the table: a name used twice, a new text equal to the
+    old, or an old text that does not occur exactly once in its module."""
+    problems, seen = [], set()
+    for name, module, old, new, _ in MUTANTS:
+        if name in seen:
+            problems.append(f"{name}: name used twice")
+        seen.add(name)
+        if old == new:
+            problems.append(f"{name}: the new text is the old text")
+        count = module_path(root, module).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            problems.append(f"{name}: old text occurs {count} times in {module}.py")
+    return problems
+
+
+def run_one(work: Path, mutant, tests: list[str] | None) -> tuple[str, float]:
+    """Apply one mutant in the copy at work, run pytest, restore the module;
+    returns (killed | survived | error, seconds)."""
+    _, module, old, new, _ = mutant
+    path = module_path(work, module)
+    original = path.read_text(encoding="utf-8")
+    path.write_text(original.replace(old, new, 1), encoding="utf-8")
+    files = tests or [f"tests/test_{module}.py", "tests/test_acceptance.py"]
+    # the copy's own src/ (pyproject's pythonpath) is the only tvelast on the path
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # no stale bytecode between mutants of one module
+    t0 = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files],
+            cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        code = proc.returncode
+    except subprocess.TimeoutExpired:
+        code = 1  # a suite that hangs on the mutant has caught it
+    finally:
+        path.write_text(original, encoding="utf-8")
+    verdict = {0: "survived", 1: "killed"}.get(code, "error")
+    return verdict, time.perf_counter() - t0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--only", action="append", metavar="NAME",
+                    help="run only this mutant (repeatable)")
+    ap.add_argument("--tests", action="append", metavar="FILE",
+                    help="run these test files, relative to the repository root, instead of "
+                         "the module's own and test_acceptance.py (repeatable)")
+    args = ap.parse_args(argv)
+    names = {m[0] for m in MUTANTS}
+    unknown = sorted(set(args.only or ()) - names)
+    if unknown:
+        ap.error(f"unknown mutant(s) {unknown}; know {sorted(names)}")
+    problems = check_applies(ROOT)
+    if problems:
+        print("\n".join(problems))
+        return 2
+    chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
+    verdicts = []
+    with tempfile.TemporaryDirectory(prefix="tvelast-mutants-") as tmp:
+        work = Path(tmp)
+        for item in COPIED:
+            src = ROOT / item
+            if src.is_dir():
+                shutil.copytree(src, work / item, ignore=shutil.ignore_patterns(
+                    "__pycache__", ".hypothesis", ".pytest_cache"))
+            else:
+                shutil.copy2(src, work / item)
+        for mutant in chosen:
+            verdict, seconds = run_one(work, mutant, args.tests)
+            verdicts.append(verdict)
+            print(f"{verdict:8} {seconds:6.1f}s  {mutant[0]:22} {mutant[1]}: {mutant[4]}",
+                  flush=True)
+    survived, errors = verdicts.count("survived"), verdicts.count("error")
+    print(f"{len(verdicts)} mutants: {verdicts.count('killed')} killed, {survived} survived, "
+          f"{errors} errors")
+    return 2 if errors else 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -141,7 +141,6 @@ class Report:
     state_paths: StatePaths | None = None
     decades: list[DecadeAverage] | None = None
     shocks: MonthlySeries | None = None
-    shock_burn_in: int = 0
     subsample_table: list[SubSampleRow] | None = None
     skipped: dict[str, str] = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
@@ -181,7 +180,7 @@ class Report:
                 for d in ds
             ]),
             "shocks": _maybe(self.shocks, lambda s: {
-                **_series_dict(s), "n_burn_in": self.shock_burn_in,
+                **_series_dict(s), "n_burn_in": sspace.DIFFUSE_MONTHS,
             }),
             "subsample_table": _maybe(self.subsample_table, lambda rows: [
                 r.to_dict() for r in rows
@@ -265,7 +264,6 @@ def _sspace(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
     report.decades = decade_averages(
         MonthlySeries(dm_y.start, out.filt_mean, name="elasticity_filtered"))
     report.shocks = sspace.innovation_shocks(out)
-    report.shock_burn_in = out.n_diffuse_dropped
 
 
 def _subsample(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
@@ -314,7 +312,8 @@ def subsample_final_states(data: Dataset, growth: tuple[MonthlySeries, MonthlySe
     growth is growth_pair(data, cfg). Each window spans the dataset start
     through the end date, and the growth series is re-demeaned inside the
     window. A failed fit is recorded in its row with converged=False and
-    never aborts the table.
+    never aborts the table: a NoConvergence keeps its best point, and a fit
+    that raised anything else leaves every number of its row nan.
     """
     for e in end_dates:
         if data.start.months_until(e) < 24:
@@ -326,25 +325,20 @@ def subsample_final_states(data: Dataset, growth: tuple[MonthlySeries, MonthlySe
     for e in sorted(end_dates):
         dm_y, _ = demean(window(growth_y, growth_y.start, e))
         dm_x, _ = demean(window(growth_x, growth_x.start, e))
-        fit = None
         try:
             fit = sspace.fit_mle(sspace.TvpModel(dm_y, dm_x), options=cfg.mle)
         except NoConvergence as exc:
             fit = exc.result
-        except TvelastError:
-            fit = None
-        if fit is not None:
+        except TvelastError:  # no best point to keep
             rows.append(SubSampleRow(
-                sample_start=data.start, sample_end=e,
-                final_state=fit.final_state, final_rmse=fit.final_rmse,
-                z=fit.final_z, p_value=fit.final_p, converged=fit.converged,
-            ))
-        else:
-            rows.append(SubSampleRow(
-                sample_start=data.start, sample_end=e,
-                final_state=math.nan, final_rmse=math.nan,
-                z=math.nan, p_value=1.0, converged=False,
-            ))
+                sample_start=data.start, sample_end=e, final_state=math.nan,
+                final_rmse=math.nan, z=math.nan, p_value=math.nan, converged=False))
+            continue
+        rows.append(SubSampleRow(
+            sample_start=data.start, sample_end=e,
+            final_state=fit.final_state, final_rmse=fit.final_rmse,
+            z=fit.final_z, p_value=fit.final_p, converged=fit.converged,
+        ))
     return rows
 
 
@@ -486,7 +480,7 @@ def _emit_fig8(report: Report) -> str:
     n = len(s.values)
     return csv_text(["date", "shock", "in_burn_in"],
                     zip(month_labels(s.start, n), float_texts(s.values),
-                        (int(i < report.shock_burn_in) for i in range(n))))
+                        (int(i < sspace.DIFFUSE_MONTHS) for i in range(n))))
 
 
 def _emit_appendix(report: Report) -> str:

@@ -3,15 +3,15 @@
 The model is the univariate pair
 
     y_t = x_t * alpha_t + mu_t,        mu_t ~ N(0, var_meas)
-    alpha_t = gamma * alpha_{t-1} + eps_t,   eps_t ~ N(0, var_state)
+    alpha_t = alpha_{t-1} + eps_t,     eps_t ~ N(0, var_state)
 
-with gamma fixed at 1 by default, so the coefficient follows a random walk.
-Estimation maximizes the prediction-error-decomposition log-likelihood over
-the two log-variances at the model's gamma. The measurement variance is
-concentrated out: a filter pass with measurement variance 1 and state
-variance q gives its closed-form estimate, so the search is over the
-signal-to-noise ratio log q alone (Brent, a step-for-step port of scipy's,
-so no fit imports scipy). Parameter uncertainty is reported with a
+so the coefficient follows a random walk (a transition coefficient of 1,
+which is part of the model and not estimated). Estimation maximizes the
+prediction-error-decomposition log-likelihood over the two log-variances.
+The measurement variance is concentrated out: a filter pass with
+measurement variance 1 and state variance q gives its closed-form estimate,
+so the search is over the signal-to-noise ratio log q alone (Brent, a
+step-for-step port of scipy's, so no fit imports scipy). Parameter uncertainty is reported with a
 Huber-White sandwich built from the observed Hessian and per-observation
 scores of the full likelihood at the optimum. Scaling both variances scales
 every F_t and leaves every v_t unchanged, so the measurement-scale direction
@@ -21,13 +21,13 @@ takes central differences, 2 filter passes. The fit keeps that pass
 need no pass of their own.
 
 Every pass runs the one recursion, _filter_core, whose only public door is
-kalman_filter; a pass's log-likelihood is its log_lik. By default the
-recursion starts with the exact diffuse step (Koopman 1997; Durbin and
-Koopman 2012, section 5.2): the first observation alone sets a_1 = y_1 / x_1,
+kalman_filter; a pass's log-likelihood is its log_lik. The recursion always
+opens with the exact diffuse step (Koopman 1997; Durbin and Koopman 2012,
+section 5.2): the first observation alone sets a_1 = y_1 / x_1,
 P_1 = var_meas / x_1^2 (DegenerateRegressor if not finite) and adds no
-likelihood term; an ExplicitInit is a proper prior instead. The filtered-
-variance update is P_pred * var_meas / F (algebraically identical to
-(1 - K x) P_pred but free of cancellation).
+likelihood term, so the first DIFFUSE_MONTHS months carry no shock. The
+filtered-variance update is P_pred * var_meas / F (algebraically identical
+to (1 - K x) P_pred but free of cancellation).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ _FD_SCALE = 1e-4  # relative step of the finite differences behind the SEs
 # near-zero divisor; Brent's golden fraction (3 - sqrt 5) / 2 and x tolerances
 _GOLD, _GROW_LIMIT, _BRACKET_MAX_ITER, _VERY_SMALL = 1.618034, 110.0, 1000, 1e-21
 _CG, _XTOL, _MINTOL = 0.3819660, 1.48e-8, 1.0e-11
+DIFFUSE_MONTHS = 1  # months the exact diffuse start absorbs: no likelihood term, shock 0
 
 
 @dataclass(frozen=True)
@@ -75,11 +76,10 @@ class VarianceParams:
 
 @dataclass(frozen=True)
 class TvpModel:
-    """Demeaned observation/regressor pair plus the transition coefficient."""
+    """Demeaned observation/regressor pair."""
 
     y: MonthlySeries
     x: MonthlySeries
-    gamma: float = 1.0
 
     def __post_init__(self):
         if len(self.y) != len(self.x) or self.y.start != self.x.start:
@@ -90,26 +90,15 @@ class TvpModel:
 
 
 @dataclass(frozen=True)
-class ExplicitInit:
-    """Proper prior: alpha_0 ~ N(mean, var)."""
-
-    mean: float
-    var: float
-
-    def __post_init__(self):
-        if self.var < 0:
-            raise ValueError("prior variance must be non-negative")
-
-
-@dataclass(frozen=True)
 class KalmanOutput:
     """Per-period filter moments plus the decomposition log-likelihood.
 
     Index t holds the one-step prediction for observation t, so
-    innovations[t] == y_t - x_t * pred_mean[t] exactly. Together with gamma
-    these moments are all the RTS smoother needs, so kalman_smoother takes
-    the output alone. Under the diffuse start nothing predicts index 0:
-    pred_mean is 0, pred_var = innov_var = inf and the innovation is y_1.
+    innovations[t] == y_t - x_t * pred_mean[t] exactly, and from t = 1 on
+    pred_mean[t] is filt_mean[t - 1]. These moments are all the RTS
+    smoother needs, so kalman_smoother takes the output alone. Nothing
+    predicts the diffuse month, index 0: pred_mean is 0, pred_var =
+    innov_var = inf and the innovation is y_1.
     """
 
     pred_mean: tuple[float, ...]
@@ -119,95 +108,80 @@ class KalmanOutput:
     innovations: tuple[float, ...]
     innov_var: tuple[float, ...]
     log_lik: float
-    n_diffuse_dropped: int
     start: MonthDate
-    gamma: float
 
 
-def _filter_core(yv, xv, gamma, var_meas, var_state, init=None, moments=None):
+def _filter_core(yv, xv, var_meas, var_state, moments=None):
     """The forward recursion, the only one in the module.
 
-    init None starts it with the exact diffuse step (see the module
-    docstring), an ExplicitInit from that prior at t = 1. Returns (sum log
-    F_t, sum v_t^2 / F_t, n) over the n observations that add a term, so the
-    log-likelihood is _loglik of the three. Each step appends to moments,
-    when given, the lists (pred_mean, pred_var, filt_mean, filt_var,
-    innovations, innov_var), the diffuse month as KalmanOutput describes it.
+    It opens with the exact diffuse step (see the module docstring) and
+    predicts a_pred = a, P_pred = P + var_state from t = 2. Returns (sum log
+    F_t, sum v_t^2 / F_t, n) over the n = T - DIFFUSE_MONTHS observations
+    that add a term, so the log-likelihood is _loglik of the three. Each
+    month appends to moments, when given, the lists (pred_var, filt_mean,
+    filt_var, innovations, innov_var), the diffuse month as KalmanOutput
+    describes it.
     """
+    x1 = xv[0]
+    p = var_meas / (x1 * x1) if x1 * x1 > 0.0 else math.inf
+    if p == math.inf:
+        raise DegenerateRegressor(f"first observation of x is {x1!r}: var_meas / x_1^2 is not "
+                                  "finite, so the diffuse start cannot identify the state")
+    a = yv[0] / x1
     store = moments is not None
     if store:
-        pred_mean, pred_var, filt_mean, filt_var, innov, innov_var = moments
-    if init is None:
-        x1 = xv[0]
-        p = var_meas / (x1 * x1) if x1 * x1 > 0.0 else math.inf
-        if p == math.inf:
-            raise DegenerateRegressor(f"first observation of x is {x1!r}: var_meas / x_1^2 is not "
-                                      "finite, so the diffuse start cannot identify the state")
-        a, t0 = yv[0] / x1, 1
-        if store:
-            for column, value in zip(moments, (0.0, math.inf, a, p, yv[0], math.inf)):
-                column.append(value)
-    else:
-        a, p, t0 = init.mean, init.var, 0
+        pred_var, filt_mean, filt_var, innov, innov_var = moments
+        for column, value in zip(moments, (math.inf, a, p, yv[0], math.inf)):
+            column.append(value)
     sum_log_f = 0.0
     sum_v2_f = 0.0
     log = math.log
-    gamma2 = gamma * gamma
-    for yt, xt in zip(yv[t0:], xv[t0:]):
-        a_pred = gamma * a
-        p_pred = gamma2 * p + var_state
+    for yt, xt in zip(yv[DIFFUSE_MONTHS:], xv[DIFFUSE_MONTHS:]):
+        p_pred = p + var_state
         f = xt * xt * p_pred + var_meas
-        v = yt - xt * a_pred
+        v = yt - xt * a
         k = p_pred * xt / f
-        a = a_pred + k * v
+        a += k * v
         p = p_pred * (var_meas / f)
         sum_log_f += log(f)
         sum_v2_f += v * v / f
         if store:
-            pred_mean.append(a_pred)
             pred_var.append(p_pred)
             filt_mean.append(a)
             filt_var.append(p)
             innov.append(v)
             innov_var.append(f)
-    return sum_log_f, sum_v2_f, len(yv) - t0
+    return sum_log_f, sum_v2_f, len(yv) - DIFFUSE_MONTHS
 
 
 def _loglik(sum_log_f: float, sum_v2_f: float, n: int) -> float:
     return -0.5 * (n * _LOG_2PI + sum_log_f + sum_v2_f)
 
 
-def kalman_filter(model: TvpModel, params: VarianceParams,
-                  init: ExplicitInit | None = None) -> KalmanOutput:
-    """Run the forward recursion and return all per-period moments.
-
-    init None is the exact diffuse start; an ExplicitInit is a proper prior.
-    The pass's log-likelihood is the output's log_lik.
-    """
-    moments = ([], [], [], [], [], [])
-    sum_log_f, sum_v2_f, n = _filter_core(model.y.values, model.x.values, model.gamma,
-                                          params.var_meas, params.var_state, init, moments)
-    pm, pv, fm, fv, iv, ivv = moments
+def kalman_filter(model: TvpModel, params: VarianceParams) -> KalmanOutput:
+    """Run the forward recursion from the exact diffuse start and return
+    all per-period moments; the pass's log-likelihood is the output's log_lik."""
+    moments = ([], [], [], [], [])
+    sum_log_f, sum_v2_f, n = _filter_core(model.y.values, model.x.values,
+                                          params.var_meas, params.var_state, moments)
+    pv, fm, fv, iv, ivv = moments
     if not (math.isfinite(fm[-1]) and math.isfinite(fv[-1])):
         raise NonFiniteState("filter recursion produced a non-finite state")
     return KalmanOutput(
-        pred_mean=tuple(pm), pred_var=tuple(pv),
+        pred_mean=(0.0, *fm[:-1]), pred_var=tuple(pv),
         filt_mean=tuple(fm), filt_var=tuple(fv),
         innovations=tuple(iv), innov_var=tuple(ivv),
-        log_lik=_loglik(sum_log_f, sum_v2_f, n),
-        n_diffuse_dropped=len(model) - n,
-        start=model.y.start, gamma=model.gamma,
+        log_lik=_loglik(sum_log_f, sum_v2_f, n), start=model.y.start,
     )
 
 
 def kalman_smoother(output: KalmanOutput) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Fixed-interval (RTS) smoother over a filter pass: (means, variances)."""
-    gamma = output.gamma
     sm = list(output.filt_mean)
     sv = list(output.filt_var)
     for t in range(len(sm) - 2, -1, -1):
         pp = output.pred_var[t + 1]
-        j = output.filt_var[t] * gamma / pp if pp > 0.0 else 0.0
+        j = output.filt_var[t] / pp if pp > 0.0 else 0.0
         sm[t] = output.filt_mean[t] + j * (sm[t + 1] - output.pred_mean[t + 1])
         sv[t] = output.filt_var[t] + j * j * (sv[t + 1] - pp)
     return tuple(sm), tuple(sv)
@@ -216,9 +190,9 @@ def kalman_smoother(output: KalmanOutput) -> tuple[tuple[float, ...], tuple[floa
 def innovation_shocks(output: KalmanOutput) -> MonthlySeries:
     """Standardized innovations v_t / sqrt(F_t), dated like the input.
 
-    The first output.n_diffuse_dropped entries belong to the diffuse
-    burn-in, whose infinite innovation variance makes the shock 0;
-    presentation layers flag them.
+    The first DIFFUSE_MONTHS entries belong to the diffuse month, whose
+    infinite innovation variance makes the shock 0; presentation layers
+    flag them.
     """
     vals = tuple(v / math.sqrt(f) for v, f in zip(output.innovations, output.innov_var))
     return MonthlySeries(output.start, vals, name="shocks")
@@ -237,10 +211,12 @@ class MleOptions:
 class MleResult:
     """Maximum-likelihood estimates in the shape of a state-space summary.
 
-    robust_se / z_stats / p_values are ordered (measurement, state); gamma
-    is the model's, not estimated. The headline final_state is the last
-    filtered mean a_{T|T}; the one-step forecast gamma * a_{T|T} is also
-    reported since the two readings of "final" are both in circulation.
+    robust_se / z_stats / p_values are ordered (measurement, state). The
+    headline final_state is the last filtered mean a_{T|T}; the one-step
+    forecast a_{T+1|T}, the same mean under a random walk with root MSE
+    sqrt(P_{T|T} + var_state), is also reported since the two readings of
+    "final" are both in circulation. to_dict adds the model's fixed
+    transition coefficient as "gamma": 1.0.
     n_iter counts Brent iterations of the log q search. n_filter_passes
     counts every filter pass the fit made (the search, the pass at the
     estimate and the SE stencil), and hessian_cond is the ratio of the
@@ -250,7 +226,6 @@ class MleResult:
     """
 
     params: VarianceParams
-    gamma: float
     robust_se: tuple[float, ...]
     z_stats: tuple[float, ...]
     p_values: tuple[float, ...]
@@ -277,6 +252,7 @@ class MleResult:
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "filter_output"}
         d["params"] = asdict(self.params)
+        d["gamma"] = 1.0
         for key in ("robust_se", "z_stats", "p_values", "loglik_path"):
             d[key] = list(d[key])
         return d
@@ -324,7 +300,7 @@ def _default_init(model: TvpModel) -> VarianceParams:
     return VarianceParams(math.log(vm), math.log(vs))
 
 
-def _profile(yv, xv, gamma: float, log_q: float) -> tuple[float, float, float]:
+def _profile(yv, xv, log_q: float) -> tuple[float, float, float]:
     """Log-likelihood with the measurement variance concentrated out.
 
     One diffuse pass with measurement variance 1 and state variance q gives
@@ -334,7 +310,7 @@ def _profile(yv, xv, gamma: float, log_q: float) -> tuple[float, float, float]:
     box. Returns (log-likelihood, log_var_meas, log_var_state).
     """
     log_q = min(max(log_q, _LOG_VAR_MIN - _LOG_VAR_MAX), _LOG_VAR_MAX - _LOG_VAR_MIN)
-    sum_log_f, sum_v2_f, n = _filter_core(yv, xv, gamma, 1.0, math.exp(log_q))
+    sum_log_f, sum_v2_f, n = _filter_core(yv, xv, 1.0, math.exp(log_q))
     log_s2 = math.log(sum_v2_f / n) if sum_v2_f > 0.0 else -math.inf
     log_s2 = min(max(log_s2, _LOG_VAR_MIN, _LOG_VAR_MIN - log_q),
                  _LOG_VAR_MAX, _LOG_VAR_MAX - log_q)
@@ -343,7 +319,7 @@ def _profile(yv, xv, gamma: float, log_q: float) -> tuple[float, float, float]:
 
 
 def fit_mle(model: TvpModel, options: MleOptions | None = None) -> MleResult:
-    """Estimate the log-variances by ML at the model's gamma.
+    """Estimate the log-variances by ML.
 
     The Brent search over log q starts at the ratio var_state / var_meas of
     _default_init. Raises NoConvergence when the iteration cap is reached,
@@ -372,7 +348,7 @@ def fit_mle(model: TvpModel, options: MleOptions | None = None) -> MleResult:
     def objective(log_q: float) -> float:
         nonlocal n_evals
         n_evals += 1
-        ll, log_vm, log_vs = _profile(yv, xv, model.gamma, log_q)
+        ll, log_vm, log_vs = _profile(yv, xv, log_q)
         if not math.isfinite(ll):
             return math.inf
         if ll > best[0]:
@@ -531,10 +507,9 @@ def _sandwich_stencil(model: TvpModel, theta: np.ndarray,
     def moved(log_var_state: float):
         """Log-likelihood, sum(v^2/F) and the per-observation terms after the
         diffuse month, at log_var_state and the measurement variance of theta."""
-        moments = ([], [], [], [], [], [])
-        sums = _filter_core(yv, xv, model.gamma, var_meas, math.exp(log_var_state),
-                            moments=moments)
-        v, f = np.asarray(moments[4][1:]), np.asarray(moments[5][1:])
+        moments = ([], [], [], [], [])
+        sums = _filter_core(yv, xv, var_meas, math.exp(log_var_state), moments)
+        v, f = np.asarray(moments[3][1:]), np.asarray(moments[4][1:])
         return _loglik(*sums), sums[1], -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
 
     ll_p, s_p, obs_p = moved(theta[1] + h)
@@ -555,7 +530,6 @@ def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int, n_evals: int,
                   path: tuple[float, ...]) -> MleResult:
     """The fit at theta after n_evals objective evaluations; converged is
     False when the Hessian is not negative definite."""
-    gamma = model.gamma
     params = VarianceParams(float(theta[0]), float(theta[1]))
     out = kalman_filter(model, params)
     n = len(model)
@@ -580,7 +554,6 @@ def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int, n_evals: int,
     final_z = final_state / final_rmse if final_rmse > 0 else math.inf
     return MleResult(
         params=params,
-        gamma=gamma,
         robust_se=se,
         z_stats=z,
         p_values=pvals,
@@ -590,8 +563,8 @@ def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int, n_evals: int,
         final_rmse=final_rmse,
         final_z=final_z,
         final_p=math.erfc(abs(final_z) / math.sqrt(2.0)),
-        forecast_state=gamma * final_state,
-        forecast_rmse=math.sqrt(gamma * gamma * out.filt_var[-1] + params.var_state),
+        forecast_state=final_state,
+        forecast_rmse=math.sqrt(out.filt_var[-1] + params.var_state),
         log_lik=ll,
         aic=(-2.0 * ll + 2.0 * k) / n,
         sic=(-2.0 * ll + k * math.log(n)) / n,

@@ -3,6 +3,8 @@
 Everything here recomputes results from definitions (explicit sums, joint
 Gaussian densities, sequential OLS) without touching the library's own
 recursions, so a test that compares the two is a genuine cross-check.
+proper_prior_filter is the one recursion: a start the library does not
+have, against which its diffuse start is checked as a limit.
 """
 
 from __future__ import annotations
@@ -52,28 +54,31 @@ def recursive_residuals_brute(y, x):
     return out
 
 
-def state_space_oracle(yv, xv, gamma, var_meas, var_state, a0, p0):
+def _joint_gaussian(yv, xv, var_meas, var_state, a0, p0):
+    """Means and covariances of the random-walk states alpha_1..alpha_T and of
+    y_1..y_T under a proper N(a0, p0) prior on alpha_0: (mean_a, cov_a,
+    residuals y - E y, cov_y), with Cov(alpha_t, alpha_s) = p0 + var_state
+    * min(t, s)."""
+    yv = np.asarray(yv, dtype=float)
+    xv = np.asarray(xv, dtype=float)
+    steps = np.arange(1, len(yv) + 1)
+    cov_a = p0 + var_state * np.minimum.outer(steps, steps).astype(float)
+    mean_a = np.full(len(yv), float(a0))
+    cov_y = np.outer(xv, xv) * cov_a + var_meas * np.eye(len(yv))
+    return mean_a, cov_a, yv - xv * mean_a, cov_y
+
+
+def state_space_oracle(yv, xv, var_meas, var_state, a0, p0):
     """Exact moments of the TVP model from the joint Gaussian distribution.
 
     Builds the T x T covariance of the states implied by the random-walk
-    (or AR) transition and a proper N(a0, p0) prior, marginalizes to the
+    transition and a proper N(a0, p0) prior on alpha_0, marginalizes to the
     observations, and conditions directly. Returns
     (loglik, filtered_means, filtered_vars, smoothed_means, smoothed_vars).
     """
-    yv = np.asarray(yv, dtype=float)
     xv = np.asarray(xv, dtype=float)
-    T = len(yv)
-    cov_a = np.empty((T, T))
-    for t in range(1, T + 1):
-        for s in range(1, T + 1):
-            acc = gamma ** (t + s) * p0
-            for j in range(1, min(t, s) + 1):
-                acc += var_state * gamma ** (t - j) * gamma ** (s - j)
-            cov_a[t - 1, s - 1] = acc
-    mean_a = np.array([gamma ** t * a0 for t in range(1, T + 1)])
-    mean_y = xv * mean_a
-    cov_y = np.outer(xv, xv) * cov_a + var_meas * np.eye(T)
-    resid = yv - mean_y
+    T = len(xv)
+    mean_a, cov_a, resid, cov_y = _joint_gaussian(yv, xv, var_meas, var_state, a0, p0)
     _, logdet = np.linalg.slogdet(cov_y)
     loglik = -0.5 * (T * math.log(2.0 * math.pi) + logdet
                      + float(resid @ np.linalg.solve(cov_y, resid)))
@@ -95,20 +100,75 @@ def state_space_oracle(yv, xv, gamma, var_meas, var_state, a0, p0):
     return loglik, np.array(filt_m), np.array(filt_v), np.array(sm_m), np.array(sm_v)
 
 
-def state_space_innovations(yv, xv, gamma, var_meas, var_state, a0, p0):
+def smoothed_prior_oracle(yv, xv, var_meas, var_state, a0, p0):
+    """Mean and variance of alpha_0 given y_1..y_T under the N(a0, p0) prior:
+    with c_t = Cov(alpha_0, y_t) = x_t * p0 and S the covariance of y, they are
+    a0 + c' S^-1 (y - x a0) and p0 - c' S^-1 c."""
+    _, _, resid, cov_y = _joint_gaussian(yv, xv, var_meas, var_state, a0, p0)
+    c = np.asarray(xv, dtype=float) * p0
+    return (a0 + float(c @ np.linalg.solve(cov_y, resid)),
+            p0 - float(c @ np.linalg.solve(cov_y, c)))
+
+
+def diffuse_state_space_oracle(yv, xv, var_meas, var_state):
+    """state_space_oracle's five results for the exact diffuse start, over all T months.
+
+    The first month alone gives alpha_1 ~ N(y_1 / x_1, var_meas / x_1^2) and
+    no likelihood term; that is the proper prior of the dense oracle on the
+    tail y_2..y_T, which gives months 2..T. Month 1's filtered moments are
+    that prior, and its smoothed moments condition it on the whole tail
+    (smoothed_prior_oracle).
+    """
+    yv = np.asarray(yv, dtype=float)
+    xv = np.asarray(xv, dtype=float)
+    a1, p1 = yv[0] / xv[0], var_meas / (xv[0] * xv[0])
+    if len(yv) == 1:
+        return 0.0, np.array([a1]), np.array([p1]), np.array([a1]), np.array([p1])
+    ll, fm, fv, sm, sv = state_space_oracle(yv[1:], xv[1:], var_meas, var_state, a1, p1)
+    s1, v1 = smoothed_prior_oracle(yv[1:], xv[1:], var_meas, var_state, a1, p1)
+    return (ll, np.concatenate(([a1], fm)), np.concatenate(([p1], fv)),
+            np.concatenate(([s1], sm)), np.concatenate(([v1], sv)))
+
+
+def state_space_innovations(yv, xv, var_meas, var_state, a0, p0):
     """One-step prediction errors v_t and their variances F_t, t = 1..T.
 
     Each prediction is taken from the previous period's filtered moments of
     state_space_oracle (the prior N(a0, p0) before the first), propagated
-    one step through the transition and the measurement equation.
+    one step through the random walk and the measurement equation.
     """
     yv = np.asarray(yv, dtype=float)
     xv = np.asarray(xv, dtype=float)
-    _, fm, fv, _, _ = state_space_oracle(yv, xv, gamma, var_meas, var_state, a0, p0)
+    _, fm, fv, _, _ = state_space_oracle(yv, xv, var_meas, var_state, a0, p0)
     prev_m = np.concatenate(([a0], fm[:-1]))
     prev_v = np.concatenate(([p0], fv[:-1]))
-    pred_v = gamma * gamma * prev_v + var_state
-    return yv - xv * gamma * prev_m, xv * xv * pred_v + var_meas
+    return yv - xv * prev_m, xv * xv * (prev_v + var_state) + var_meas
+
+
+def proper_prior_filter(yv, xv, var_meas, var_state, a0, p0):
+    """A reference scalar Kalman filter from the proper prior alpha_0 ~ N(a0, p0).
+
+    It has no diffuse month: every observation is predicted and filtered,
+    with the library's operations in the library's order (a_pred = a,
+    P_pred = P + var_state, the gain P_pred x / F and the variance update
+    P_pred * var_meas / F), so as p0 grows its months 2..T approach the
+    library's exact diffuse start. Returns lists (filtered means, filtered
+    variances, innovations, innovation variances), t = 1..T.
+    """
+    a, p = a0, p0
+    fm, fv, vs, fs = [], [], [], []
+    for yt, xt in zip(yv, xv):
+        p_pred = p + var_state
+        f = xt * xt * p_pred + var_meas
+        v = yt - xt * a
+        k = p_pred * xt / f
+        a = a + k * v
+        p = p_pred * (var_meas / f)
+        fm.append(a)
+        fv.append(p)
+        vs.append(v)
+        fs.append(f)
+    return fm, fv, vs, fs
 
 
 def central_gradient(fun, x, scale=1e-4):

@@ -222,11 +222,15 @@ class TestSubsampleFinalStates:
             raise sspace.NonFiniteObjective("forced failure")
 
         monkeypatch.setattr(sspace, "fit_mle", boom)
-        rows = subsample_final_states(data, growth_pair(data, PipelineConfig()),
-                                      [MonthDate(1975, 12)])
-        assert len(rows) == 1
-        assert not rows[0].converged
-        assert math.isnan(rows[0].final_state)
+        report = run_pipeline(data, PipelineConfig(subsample_end_dates=(MonthDate(1975, 12),)),
+                              "subsample")
+        (row,) = report.subsample_table
+        assert not row.converged
+        # a row with no state has no p-value either: null in JSON, nan in CSV
+        assert all(math.isnan(v) for v in (row.final_state, row.final_rmse, row.z, row.p_value))
+        assert json.loads(report.to_json())["subsample_table"][0]["p_value"] is None
+        cells = emit_figure_data(report, "appendixA1").splitlines()[1].split(",")
+        assert cells[2:] == ["nan", "nan", "nan", "nan", "0"]
 
     def test_fit_that_does_not_converge_keeps_its_best_point(self):
         # report-555 pool item 3; one iteration stops every fit short
@@ -284,7 +288,7 @@ class TestEmitFigureData:
         report, _, _ = report_and_inputs
         lines = emit_figure_data(report, "fig8").splitlines()[1:]
         flags = [int(line.split(",")[2]) for line in lines]
-        assert sum(flags) == report.shock_burn_in
+        assert sum(flags) == sspace.DIFFUSE_MONTHS == report.to_dict()["shocks"]["n_burn_in"]
         assert flags[0] == 1
 
     def test_table3_columns(self):

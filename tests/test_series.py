@@ -450,11 +450,17 @@ class TestDecadeAverages:
         assert all(d.mean == 5.0 for d in out)
 
     def test_brute_force_means(self, rng):
-        s = make_series(rng.normal(0, 2, 200), start=MonthDate(1987, 5))
-        for d in decade_averages(s):
-            picked = [v for i, v in enumerate(s.values)
-                      if d.first <= s.date_at(i) <= d.last]
-            assert d.mean == pytest.approx(sum(picked) / len(picked), abs=1e-12)
+        # months grouped by calendar decade one at a time; the starts include
+        # every month of 1979, so one series opens on its decade's last month
+        starts = [(MonthDate(1987, 5), 200)] + [(MonthDate(1979, m), 30) for m in range(1, 13)]
+        for start, n in starts:
+            s = make_series(rng.normal(0, 2, n), start=start)
+            groups = {}
+            for i, v in enumerate(s.values):
+                groups.setdefault(s.date_at(i).year // 10 * 10, []).append((s.date_at(i), v))
+            want = [(f"{decade}s", g[0][0], g[-1][0], math.fsum(v for _, v in g) / len(g))
+                    for decade, g in sorted(groups.items())]
+            assert [(d.label, d.first, d.last, d.mean) for d in decade_averages(s)] == want
 
     def test_partial_decade_flagged(self):
         s = make_series([1.0] * 55, start=MonthDate(1995, 6))

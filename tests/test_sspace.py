@@ -11,7 +11,6 @@ from tvelast.errors import DegenerateRegressor, EmptySeries, NoConvergence, NonF
 from tvelast.series import json_text
 from tvelast.simlab import TvpDgp, derive_seed, gen_tvp
 from tvelast.sspace import (
-    ExplicitInit,
     TvpModel,
     VarianceParams,
     fit_mle,
@@ -24,18 +23,16 @@ import _oracles
 from conftest import make_series
 
 
-def _model(yv, xv, gamma=1.0):
-    return TvpModel(make_series(yv, name="y"), make_series(xv, name="x"), gamma=gamma)
+def _model(yv, xv):
+    return TvpModel(make_series(yv, name="y"), make_series(xv, name="x"))
 
 
 def _random_model(rng, max_t=8):
     t = int(rng.integers(2, max_t + 1))
     return (
-        _model(rng.normal(0, 1, t), rng.normal(0, 1, t), gamma=float(rng.uniform(0.5, 1.0))),
+        _model(rng.normal(0, 1, t), rng.normal(0, 1, t)),
         float(rng.uniform(0.2, 2.0)),  # var_meas
         float(rng.uniform(0.2, 2.0)),  # var_state
-        float(rng.normal()),           # a0
-        float(rng.uniform(0.5, 3.0)),  # p0
     )
 
 
@@ -61,10 +58,6 @@ class TestVarianceParams:
         with pytest.raises(ValueError):
             TvpModel(y, x_short)
 
-    def test_explicit_init_rejects_negative_variance(self):
-        with pytest.raises(ValueError):
-            ExplicitInit(0.0, -1.0)
-
 
 class TestKalmanFilter:
     def test_single_observation_diffuse_algebra(self):
@@ -73,7 +66,7 @@ class TestKalmanFilter:
         out = kalman_filter(_model([y1], [x1]), params)
         assert out.filt_mean[0] == y1 / x1
         assert out.filt_var[0] == 0.5 / (x1 * x1)
-        assert out.n_diffuse_dropped == 1
+        assert out.log_lik == 0.0  # the diffuse month adds no likelihood term
 
     def test_constant_state_reduces_to_running_mean(self, rng):
         t = 80
@@ -85,23 +78,20 @@ class TestKalmanFilter:
 
     def test_matches_joint_gaussian_oracle(self, rng):
         for _ in range(30):
-            model, vm, vs, a0, p0 = _random_model(rng)
-            params = VarianceParams(math.log(vm), math.log(vs))
-            init = ExplicitInit(a0, p0)
-            out = kalman_filter(model, params, init=init)
-            yv = np.asarray(model.y.values)
-            xv = np.asarray(model.x.values)
-            ll, fm, fv, _, _ = _oracles.state_space_oracle(yv, xv, model.gamma, vm, vs, a0, p0)
+            model, vm, vs = _random_model(rng)
+            out = kalman_filter(model, VarianceParams(math.log(vm), math.log(vs)))
+            ll, fm, fv, _, _ = _oracles.diffuse_state_space_oracle(
+                model.y.values, model.x.values, vm, vs)
             assert out.log_lik == pytest.approx(ll, abs=1e-8)
             np.testing.assert_allclose(out.filt_mean, fm, atol=1e-8)
             np.testing.assert_allclose(out.filt_var, fv, atol=1e-8)
 
     def test_innovation_identity(self, rng):
-        model, vm, vs, a0, p0 = _random_model(rng)
-        out = kalman_filter(model, VarianceParams(math.log(vm), math.log(vs)),
-                            init=ExplicitInit(a0, p0))
+        model, vm, vs = _random_model(rng)
+        out = kalman_filter(model, VarianceParams(math.log(vm), math.log(vs)))
         for t in range(len(model)):
             assert out.innovations[t] == model.y.values[t] - model.x.values[t] * out.pred_mean[t]
+        assert out.pred_mean[1:] == out.filt_mean[:-1]  # a random walk predicts no change
 
     def test_variances_positive_after_burn_in(self, rng):
         model, _ = gen_tvp(TvpDgp(T=100, sigma2_meas=0.3, sigma2_state=0.1, seed=4))
@@ -117,10 +107,12 @@ class TestKalmanFilter:
         ref_var = np.asarray(ref.filt_var[1:])
         devs = []
         for k in range(4, 11):
-            out = kalman_filter(model, params, init=ExplicitInit(0.0, 10.0 ** k))
-            dev_mean = np.max(np.abs(np.asarray(out.filt_mean[1:]) - ref_mean)
+            fm, fv, _, _ = _oracles.proper_prior_filter(model.y.values, model.x.values,
+                                                        params.var_meas, params.var_state,
+                                                        0.0, 10.0 ** k)
+            dev_mean = np.max(np.abs(np.asarray(fm[1:]) - ref_mean)
                               / np.maximum(np.abs(ref_mean), 1e-8))
-            dev_var = np.max(np.abs(np.asarray(out.filt_var[1:]) - ref_var) / ref_var)
+            dev_var = np.max(np.abs(np.asarray(fv[1:]) - ref_var) / ref_var)
             devs.append(max(dev_mean, dev_var))
         assert all(b <= a for a, b in zip(devs, devs[1:]))
         assert devs[-1] < 1e-6
@@ -128,17 +120,15 @@ class TestKalmanFilter:
 
 class TestLogLikelihood:
     def test_deterministic(self, rng):
-        model, vm, vs, _, _ = _random_model(rng)
+        model, vm, vs = _random_model(rng)
         params = VarianceParams(math.log(vm), math.log(vs))
         assert kalman_filter(model, params).log_lik == kalman_filter(model, params).log_lik
 
 
 class TestSmoother:
     def test_boundary_equals_filtered(self, rng):
-        model, vm, vs, a0, p0 = _random_model(rng)
-        params = VarianceParams(math.log(vm), math.log(vs))
-        init = ExplicitInit(a0, p0)
-        out = kalman_filter(model, params, init=init)
+        model, vm, vs = _random_model(rng)
+        out = kalman_filter(model, VarianceParams(math.log(vm), math.log(vs)))
         sm, sv = kalman_smoother(out)
         assert sm[-1] == out.filt_mean[-1]
         assert sv[-1] == out.filt_var[-1]
@@ -154,14 +144,11 @@ class TestSmoother:
 
     def test_matches_oracle(self, rng):
         for _ in range(30):
-            model, vm, vs, a0, p0 = _random_model(rng)
-            params = VarianceParams(math.log(vm), math.log(vs))
-            init = ExplicitInit(a0, p0)
-            out = kalman_filter(model, params, init=init)
+            model, vm, vs = _random_model(rng)
+            out = kalman_filter(model, VarianceParams(math.log(vm), math.log(vs)))
             sm, sv = kalman_smoother(out)
-            yv = np.asarray(model.y.values)
-            xv = np.asarray(model.x.values)
-            _, _, _, sm_o, sv_o = _oracles.state_space_oracle(yv, xv, model.gamma, vm, vs, a0, p0)
+            _, _, _, sm_o, sv_o = _oracles.diffuse_state_space_oracle(
+                model.y.values, model.x.values, vm, vs)
             np.testing.assert_allclose(sm, sm_o, atol=1e-8)
             np.testing.assert_allclose(sv, sv_o, atol=1e-8)
 
@@ -179,30 +166,28 @@ _variance = st.floats(0.2, 2.0)
 
 
 @st.composite
-def _small_models(draw):
+def _diffuse_cases(draw):
     t = draw(st.integers(1, 8))
+    x1 = draw(st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)))
     return (
         _model(draw(st.lists(_unit, min_size=t, max_size=t)),
-               draw(st.lists(_unit, min_size=t, max_size=t)),
-               gamma=draw(st.floats(0.5, 1.0))),
+               [x1] + draw(st.lists(_unit, min_size=t - 1, max_size=t - 1))),
         draw(_variance),                 # var_meas
         draw(_variance),                 # var_state
-        draw(st.floats(-2.0, 2.0)),      # a0
-        draw(st.floats(0.5, 3.0)),       # p0
     )
 
 
 class TestAgainstOracleProperty:
     @settings(max_examples=150)
-    @given(_small_models())
+    @given(_diffuse_cases())
     def test_filter_smoother_likelihood_match_joint_gaussian(self, case):
-        model, vm, vs, a0, p0 = case
-        params = VarianceParams(math.log(vm), math.log(vs))
-        init = ExplicitInit(a0, p0)
-        out = kalman_filter(model, params, init=init)
+        # months 2..T against the dense oracle on the tail after the diffuse
+        # month, month 1's smoothed moments against its conditioning on that tail
+        model, vm, vs = case
+        out = kalman_filter(model, VarianceParams(math.log(vm), math.log(vs)))
         sm, sv = kalman_smoother(out)
-        ll, fm, fv, sm_o, sv_o = _oracles.state_space_oracle(
-            model.y.values, model.x.values, model.gamma, vm, vs, a0, p0)
+        ll, fm, fv, sm_o, sv_o = _oracles.diffuse_state_space_oracle(
+            model.y.values, model.x.values, vm, vs)
         assert out.log_lik == pytest.approx(ll, abs=1e-8)
         np.testing.assert_allclose(out.filt_mean, fm, atol=1e-8)
         np.testing.assert_allclose(out.filt_var, fv, atol=1e-8)
@@ -210,44 +195,9 @@ class TestAgainstOracleProperty:
         np.testing.assert_allclose(sv, sv_o, atol=1e-8)
 
 
-@st.composite
-def _diffuse_cases(draw):
-    t = draw(st.integers(2, 8))
-    x1 = draw(st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)))
-    return (
-        _model(draw(st.lists(_unit, min_size=t, max_size=t)),
-               [x1] + draw(st.lists(_unit, min_size=t - 1, max_size=t - 1)),
-               gamma=draw(st.floats(0.5, 1.0))),
-        draw(_variance),                 # var_meas
-        draw(_variance),                 # var_state
-    )
-
-
 class TestDiffuseStart:
-    @settings(max_examples=150)
-    @given(_diffuse_cases())
-    def test_is_the_explicit_start_on_the_tail(self, case):
-        model, vm, vs = case
-        params = VarianceParams(math.log(vm), math.log(vs))
-        yv, xv = model.y.values, model.x.values
-        tail = _model(yv[1:], xv[1:], gamma=model.gamma)
-        a1, p1 = yv[0] / xv[0], params.var_meas / (xv[0] * xv[0])
-        out = kalman_filter(model, params)
-        ref = kalman_filter(tail, params, init=ExplicitInit(a1, p1))
-        assert out.log_lik == ref.log_lik
-        assert out.filt_mean[1:] == ref.filt_mean
-        assert out.filt_var[1:] == ref.filt_var
-        ll, fm, fv, sm_o, sv_o = _oracles.state_space_oracle(
-            yv[1:], xv[1:], model.gamma, params.var_meas, params.var_state, a1, p1)
-        sm, sv = kalman_smoother(out)
-        assert out.log_lik == pytest.approx(ll, abs=1e-8)
-        np.testing.assert_allclose(out.filt_mean[1:], fm, atol=1e-8)
-        np.testing.assert_allclose(out.filt_var[1:], fv, atol=1e-8)
-        np.testing.assert_allclose(sm[1:], sm_o, atol=1e-8)
-        np.testing.assert_allclose(sv[1:], sv_o, atol=1e-8)
-
     def test_diffuse_month_has_no_prediction(self, rng):
-        model, vm, vs, _, _ = _random_model(rng)
+        model, vm, vs = _random_model(rng)
         out = kalman_filter(model, VarianceParams(math.log(vm), math.log(vs)))
         assert (out.pred_mean[0], out.pred_var[0], out.innov_var[0]) == (0.0, math.inf, math.inf)
         assert out.innovations[0] == model.y.values[0]
@@ -280,12 +230,12 @@ class TestInnovationShocks:
         model = _model(2.0 * xv, xv)
         out = kalman_filter(model, VarianceParams(math.log(1e-10), math.log(1e-12)))
         shocks = innovation_shocks(out)
-        assert max(abs(v) for v in shocks.values[out.n_diffuse_dropped:]) < 1e-3
+        assert max(abs(v) for v in shocks.values[sspace.DIFFUSE_MONTHS:]) < 1e-3
 
     def test_calibrated_variance_under_correct_model(self):
         model, _ = gen_tvp(TvpDgp(T=1000, sigma2_meas=0.3, sigma2_state=0.15, seed=12))
         out = kalman_filter(model, VarianceParams(math.log(0.3), math.log(0.15)))
-        vals = np.asarray(innovation_shocks(out).values[out.n_diffuse_dropped:])
+        vals = np.asarray(innovation_shocks(out).values[sspace.DIFFUSE_MONTHS:])
         assert np.var(vals) == pytest.approx(1.0, abs=0.15)
 
 
@@ -346,7 +296,7 @@ class TestFitMle:
         assert fit.final_rmse == math.sqrt(out.filt_var[-1])
         assert fit.final_z == pytest.approx(fit.final_state / fit.final_rmse, rel=1e-12)
         assert 0.0 <= fit.final_p <= 1.0
-        # gamma = 1: the one-step forecast equals the final filtered state
+        # a random walk: the one-step forecast equals the final filtered state
         assert fit.forecast_state == fit.final_state
         assert fit.forecast_rmse > fit.final_rmse
 
@@ -414,12 +364,11 @@ class TestFitMle:
         assert json.loads(json_text(fit.to_dict()))["converged"] is True
 
     @settings(max_examples=60)
-    @given(log_q=st.floats(-8.0, 8.0), gamma=st.floats(0.5, 1.0), seed=st.integers(0, 3))
-    def test_concentrated_loglik_is_the_profile(self, log_q, gamma, seed):
-        base, _ = gen_tvp(TvpDgp(T=150, sigma2_meas=0.2, sigma2_state=0.3, seed=seed))
-        model = TvpModel(base.y, base.x, gamma)
+    @given(log_q=st.floats(-8.0, 8.0), seed=st.integers(0, 3))
+    def test_concentrated_loglik_is_the_profile(self, log_q, seed):
+        model, _ = gen_tvp(TvpDgp(T=150, sigma2_meas=0.2, sigma2_state=0.3, seed=seed))
         yv, xv = model.y.values, model.x.values
-        ll, log_vm, log_vs = sspace._profile(yv, xv, gamma, log_q)
+        ll, log_vm, log_vs = sspace._profile(yv, xv, log_q)
         assert log_vs - log_vm == pytest.approx(log_q, abs=1e-12)
         assert ll == pytest.approx(
             kalman_filter(model, VarianceParams(log_vm, log_vs)).log_lik, abs=1e-9)
@@ -491,7 +440,7 @@ class TestBrentPort:
     def test_profile_likelihood(self, seed, t, xa, max_iter):
         model, _ = gen_tvp(TvpDgp(T=t, sigma2_meas=0.1, sigma2_state=0.2, seed=seed))
         yv, xv = model.y.values, model.x.values
-        self._check(lambda z: -sspace._profile(yv, xv, 1.0, z)[0], xa, max_iter)
+        self._check(lambda z: -sspace._profile(yv, xv, z)[0], xa, max_iter)
 
     def test_constant_function_fails_the_bracket(self):
         assert self._check(lambda x: 3.0, 0.25, 500) == (
@@ -509,7 +458,7 @@ class TestBrentPort:
     def test_bracket_cap_is_no_convergence(self, monkeypatch):
         model, _ = gen_tvp(TvpDgp(T=100, sigma2_meas=0.2, sigma2_state=0.3, seed=19))
         monkeypatch.setattr(sspace, "_profile",
-                            lambda yv, xv, gamma, log_q: (abs(log_q) ** 1.1, 0.0, 0.0))
+                            lambda yv, xv, log_q: (abs(log_q) ** 1.1, 0.0, 0.0))
         with pytest.raises(NoConvergence, match="after 0 iterations: No valid bracket") as info:
             fit_mle(model)
         assert info.value.result.converged is False
@@ -573,7 +522,7 @@ class TestSandwichStencil:
             theta = a @ phi
             vm, vs = math.exp(theta[0]), math.exp(theta[1])
             v, f = _oracles.state_space_innovations(
-                yv[1:], xv[1:], model.gamma, vm, vs, yv[0] / xv[0], vm / (xv[0] * xv[0]))
+                yv[1:], xv[1:], vm, vs, yv[0] / xv[0], vm / (xv[0] * xv[0]))
             return float(np.sum(v * v / f)), v * v / f
 
         for at in self._points(model):
@@ -604,7 +553,7 @@ class TestSandwichStencil:
 
         def tail(theta):
             vm, vs = math.exp(theta[0]), math.exp(theta[1])
-            return yv[1:], xv[1:], model.gamma, vm, vs, yv[0] / xv[0], vm / (xv[0] * xv[0])
+            return yv[1:], xv[1:], vm, vs, yv[0] / xv[0], vm / (xv[0] * xv[0])
 
         def obs_terms(theta):
             v, f = _oracles.state_space_innovations(*tail(theta))
