@@ -196,6 +196,28 @@ class TestAgainstOracleProperty:
 
 
 class TestDiffuseStart:
+    @settings(max_examples=150)
+    @given(_diffuse_cases())
+    def test_is_the_explicit_start_on_the_tail(self, case):
+        # months 2..T of the diffuse pass are a proper-prior filter on the tail
+        # y_2..y_T from alpha_1 ~ N(y_1/x_1, var_meas/x_1^2), bit for bit
+        model, vm, vs = case
+        params = VarianceParams(math.log(vm), math.log(vs))
+        yv, xv = model.y.values, model.x.values
+        a1, p1 = yv[0] / xv[0], params.var_meas / (xv[0] * xv[0])
+        out = kalman_filter(model, params)
+        fm, fv, v, f = _oracles.proper_prior_filter(
+            yv[1:], xv[1:], params.var_meas, params.var_state, a1, p1)
+        assert (out.filt_mean[0], out.filt_var[0]) == (a1, p1)
+        assert list(out.filt_mean[1:]) == fm
+        assert list(out.filt_var[1:]) == fv
+        assert list(out.innovations[1:]) == v
+        assert list(out.innov_var[1:]) == f
+        n = len(yv) - sspace.DIFFUSE_MONTHS
+        ll = -0.5 * (n * math.log(2.0 * math.pi) + sum(math.log(fi) for fi in f)
+                     + sum(vi * vi / fi for vi, fi in zip(v, f)))
+        assert out.log_lik == ll
+
     def test_diffuse_month_has_no_prediction(self, rng):
         model, vm, vs = _random_model(rng)
         out = kalman_filter(model, VarianceParams(math.log(vm), math.log(vs)))
