@@ -98,9 +98,13 @@ MUTANTS = (
      "for t in range(len(sm) - 2, 0, -1):",
      "the diffuse month's smoothed moments are its filtered ones"),
     ("smoother-mean-pred", "sspace",
-     "sm[t] = output.filt_mean[t] + j * (sm[t + 1] - output.pred_mean[t + 1])",
+     "sm[t] = output.filt_mean[t] + j * (sm[t + 1] - output.filt_mean[t])",
      "sm[t] = output.filt_mean[t] + j * (sm[t + 1] - output.filt_mean[t + 1])",
      "the smoothed means correct by the filtered, not the predicted, mean"),
+    ("smoother-pred-var", "sspace",
+     "pp = output.filt_var[t] + output.var_state",
+     "pp = output.filt_var[t]",
+     "the smoother's predicted variance leaves out the state variance"),
     # the one recursion and its diffuse start
     ("diffuse-p1", "sspace",
      "p = var_meas / (x1 * x1) if x1 * x1 > 0.0 else math.inf",
@@ -126,10 +130,6 @@ MUTANTS = (
      "v = yt - xt * a",
      "v = yt - a",
      "the innovation leaves out x_t"),
-    ("pred-mean-shift", "sspace",
-     "pred_mean=(0.0, *fm[:-1])",
-     "pred_mean=(0.0, *fm[1:])",
-     "the one-step means are the next month's filtered means"),
     ("likelihood-terms", "sspace",
      "return sum_log_f, sum_v2_f, len(yv) - DIFFUSE_MONTHS",
      "return sum_log_f, sum_v2_f, len(yv)",
@@ -202,6 +202,10 @@ MUTANTS = (
      "z=math.nan, p_value=math.nan, converged=False)",
      "z=math.nan, p_value=1.0, converged=False)",
      "a row whose fit raised prints p 1.0 beside a nan state"),
+    ("pred-mean-shift", "pipeline",
+     'onestep = ("0.0", *filtered[:-1])',
+     'onestep = ("0.0", *filtered[1:])',
+     "fig5's one-step means are the next month's filtered means"),
     ("shock-burn-in-flag", "pipeline",
      "(int(i < sspace.DIFFUSE_MONTHS) for i in range(n))",
      "(int(i <= sspace.DIFFUSE_MONTHS) for i in range(n))",

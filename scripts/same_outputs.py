@@ -19,16 +19,22 @@ for every input:
 and, once, for a 60-month input whose price index is constant (so the
 OLS fit has no residuals and its log-likelihood, t statistic and p-value
 are inf or nan), the `--format json|csv|text` output of ols and the
-output of `tvelast pipeline`; and, once, the `--format json|csv|text`
-output and the `--dump` file of every `simulate` study at `--reps 10`, at
-its default `--t` and at small ones (SMALL_T; for mle also one at which
-replications fail, so the dump's failed rows are compared), with its
-replications run in one process, again split across 3 processes
-(`monte_carlo`'s `n_jobs`) and again at each tree's own default `n_jobs`,
-plus every command's exit code. A report's `created_at` line is dropped. The two output trees are
-then compared file by file. Exit 0 when every file is identical; exit 1
-naming the first file that differs or is missing; exit 2 when a tree fails
-to write its outputs.
+output of `tvelast pipeline`; and, once, for a 120-month input whose
+first sub-sample window has constant money growth (so that window's fit
+raises DegenerateRegressor and its row is null), the outputs of
+`tvelast pipeline --out`, of the plain `tvelast pipeline` and of
+`subsample --format json|csv|text`, all with DEGENERATE_ARGS; and, once,
+the `--format json|csv|text` output and the `--dump` file of every
+`simulate` study at `--reps 10`, at its default `--t` and at small ones
+(SMALL_T; for mle also one at which replications fail, so the dump's
+failed rows are compared), with its replications run in one process,
+again split across 3 processes (`monte_carlo`'s `n_jobs`) and again at
+each tree's own default `n_jobs`, plus every command's exit code. A
+report's `created_at` line is dropped. The two output trees are then
+compared file by file. Prints the number of identical files, and when any
+file differs or is missing, that number and one path per line. Exit 0
+when every file is identical, 1 when one is not, 2 when a tree fails to
+write its outputs.
 benchmark/plan.py is read, never modified.
 """
 
@@ -52,6 +58,8 @@ FORMATS = ("json", "csv", "text")
 # at mle's T=6, 1 fit of the 10 at seed 0 raises
 SMALL_T = {"mle": (60, 6), "adf-size": (40,), "adf-power": (40,), "cusum-size": (30,),
            "cusum-power": (30,)}
+# the degenerate-window input's run: the first window's money growth is 100.0
+DEGENERATE_ARGS = ("--growth-mode", "pct", "--subsample-ends", "1974-12,1978-12,1980-12")
 
 
 def _load_plan():
@@ -74,10 +82,29 @@ def constant_cpi_csv() -> str:
                                           for i, v in enumerate(m2)])
 
 
+def degenerate_window_csv() -> str:
+    """120 months from 1971-01: m2 exactly doubles every 12 months through
+    1974-12 and is a random walk in logs after that, and cpi is a random
+    walk in logs (numpy seed 2). Its percent growth of 1972-01..1974-12 is
+    exactly 100.0, so the window ending 1974-12 demeans it to zeros."""
+    import numpy as np
+
+    gen = np.random.default_rng(2)
+    cpi = 100.0 * np.exp(np.cumsum(gen.normal(0.004, 0.01, 120)))
+    steps = np.exp(gen.normal(0.006, 0.02, 120)).tolist()
+    m2 = [50.0]
+    for t in range(1, 120):
+        m2.append(2.0 * m2[t - 12] if 12 <= t < 48 else m2[t - 1] * steps[t])
+    return "".join(["date,cpi,m2\n"] + [f"{1971 + i // 12}-{i % 12 + 1:02d},{float(c)!r},{m!r}\n"
+                                          for i, (c, m) in enumerate(zip(cpi, m2))])
+
+
 def write_inputs(indir: Path, n: int) -> None:
-    """Write the first n pool datasets and the constant-cpi input under indir."""
+    """Write the first n pool datasets, the constant-cpi and the
+    degenerate-window input under indir."""
     plan = _load_plan()
     (indir / "constant_cpi.csv").write_text(constant_cpi_csv(), encoding="utf-8")
+    (indir / "degenerate_window.csv").write_text(degenerate_window_csv(), encoding="utf-8")
     for k in range(n):
         (indir / f"dataset_{k:03d}.csv").write_text(plan.dataset_csv(k), encoding="utf-8")
 
@@ -122,6 +149,15 @@ def emit(outdir: Path, indir: Path, n: int) -> None:
     for fmt in FORMATS:
         run(f"constant_cpi/ols/{fmt}", ["ols", *flat, "--format", fmt], flat_dir / f"ols.{fmt}")
     run("constant_cpi/pipeline/stdout", ["pipeline", *flat], flat_dir / "pipeline.stdout.json")
+    deg = ["--input", str(indir / "degenerate_window.csv"), *DEGENERATE_ARGS]
+    deg_dir = outdir / "degenerate_window"
+    run("degenerate_window/pipeline/out", ["pipeline", *deg, "--out", str(deg_dir / "pipeline")])
+    _drop_created_at(deg_dir / "pipeline" / "report.json")
+    run("degenerate_window/pipeline/stdout", ["pipeline", *deg], deg_dir / "pipeline.stdout.json")
+    _drop_created_at(deg_dir / "pipeline.stdout.json")
+    for fmt in FORMATS:
+        run(f"degenerate_window/subsample/{fmt}", ["subsample", *deg, "--format", fmt],
+            deg_dir / f"subsample.{fmt}")
     monte_carlo = simlab.monte_carlo
     for n_jobs, suffix in ((1, ""), (3, ".jobs3"), (None, ".default")):
         # the CLI has no jobs flag; it calls simlab.monte_carlo through the module,
@@ -144,16 +180,20 @@ def emit(outdir: Path, indir: Path, n: int) -> None:
                                             encoding="utf-8")
 
 
-def first_difference(old: Path, new: Path) -> str | None:
-    """The first relative path whose bytes differ or that only one tree holds."""
+def differences(old: Path, new: Path) -> tuple[int, list[str]]:
+    """(number of identical files, the sorted relative paths whose bytes
+    differ or that only one tree holds)."""
     old_files = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
     new_files = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
+    same, differ = 0, []
     for rel in sorted(old_files | new_files):
         if rel not in old_files or rel not in new_files:
-            return f"{rel} (only in {'NEW' if rel in new_files else 'OLD'})"
-        if (old / rel).read_bytes() != (new / rel).read_bytes():
-            return str(rel)
-    return None
+            differ.append(f"{rel} (only in {'NEW' if rel in new_files else 'OLD'})")
+        elif (old / rel).read_bytes() != (new / rel).read_bytes():
+            differ.append(str(rel))
+        else:
+            same += 1
+    return same, differ
 
 
 def main(argv=None) -> int:
@@ -189,12 +229,11 @@ def main(argv=None) -> int:
                 print(f"the {side.upper()} tree failed to write its outputs")
                 return 2
             outs.append(out)
-        diff = first_difference(*outs)
-        n_files = sum(1 for p in outs[0].rglob("*") if p.is_file())
-    if diff is not None:
-        print(f"differs: {diff}")
+        same, differ = differences(*outs)
+    print(f"identical: {same} files")
+    if differ:
+        print(f"differs: {len(differ)} files", *differ, sep="\n")
         return 1
-    print(f"identical: {n_files} files")
     return 0
 
 

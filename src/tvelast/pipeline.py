@@ -40,6 +40,7 @@ from .series import (
 )
 
 MIN_MONTHS_FOR_ADF = 60  # five years of monthly data before unit-root pretests
+SCHEMA_VERSION = 2  # report.json's provenance.schema_version; the unversioned layout is 1
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,6 @@ class SubSampleRow:
 @dataclass(frozen=True)
 class StatePaths:
     start: MonthDate
-    onestep: tuple[float, ...]
     filtered: tuple[float, ...]
     smoothed: tuple[float, ...]
 
@@ -157,9 +157,6 @@ class Report:
                 "x_mean": self.x_mean,
                 "growth_y": _series_dict(self.growth_y),
                 "growth_x": _series_dict(self.growth_x),
-                # a run that stops before the demean stage has growth series only
-                "demeaned_y": _maybe(self.demeaned_y, _series_dict),
-                "demeaned_x": _maybe(self.demeaned_x, _series_dict),
             }),
             "adf_table": _maybe(self.adf_table, lambda rows: [
                 {"variable": r.variable, "form": r.form, **r.result.to_dict()}
@@ -171,7 +168,6 @@ class Report:
             "mle": _maybe(self.mle, lambda m: m.to_dict()),
             "state_paths": _maybe(self.state_paths, lambda p: {
                 "start": str(p.start),
-                "onestep": p.onestep,
                 "filtered": p.filtered,
                 "smoothed": p.smoothed,
             }),
@@ -179,9 +175,7 @@ class Report:
                 {"label": d.label, "first": str(d.first), "last": str(d.last), "mean": d.mean}
                 for d in ds
             ]),
-            "shocks": _maybe(self.shocks, lambda s: {
-                **_series_dict(s), "n_burn_in": sspace.DIFFUSE_MONTHS,
-            }),
+            "shocks": _maybe(self.shocks, _series_dict),
             "subsample_table": _maybe(self.subsample_table, lambda rows: [
                 r.to_dict() for r in rows
             ]),
@@ -209,6 +203,7 @@ def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig(),
         "data_sha256": hashlib.sha256(write_csv(data).encode()).hexdigest(),
         "config_sha256": hashlib.sha256(json_text(cfg.to_dict()).encode()).hexdigest(),
         "created_at": datetime.now(timezone.utc).isoformat(),
+        "schema_version": SCHEMA_VERSION,
         "version": __version__,
     }
     for name in list(_STAGES) if stage is None else _chain(stage):
@@ -260,7 +255,7 @@ def _sspace(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
     report.mle = sspace.fit_mle(sspace.TvpModel(dm_y, report.demeaned_x), options=cfg.mle)
     out = report.mle.filter_output
     smoothed, _ = sspace.kalman_smoother(out)
-    report.state_paths = StatePaths(dm_y.start, out.pred_mean, out.filt_mean, smoothed)
+    report.state_paths = StatePaths(dm_y.start, out.filt_mean, smoothed)
     report.decades = decade_averages(
         MonthlySeries(dm_y.start, out.filt_mean, name="elasticity_filtered"))
     report.shocks = sspace.innovation_shocks(out)
@@ -442,8 +437,9 @@ def _emit_fig3(report: Report) -> str:
     y = _need(report.demeaned_y, "transform", report)
     # statistic index i sits at observation k + i (1-based)
     dates = month_labels(y.start.plus(regress.N_REGRESSORS - 1), len(c.statistic))
+    # report.json holds the statistic but not the bands, so only it is shared
     return csv_text(["date", "cusum", "band_lo", "band_hi"],
-                    zip(dates, *map(float_texts, (c.statistic, c.band_lo, c.band_hi))))
+                    zip(dates, float_texts(c.statistic), c.band_lo, c.band_hi))
 
 
 def _emit_fig4(report: Report) -> str:
@@ -456,9 +452,13 @@ def _emit_fig4(report: Report) -> str:
 
 def _emit_fig5(report: Report) -> str:
     p = _need(report.state_paths, "state_paths", report)
+    filtered = float_texts(p.filtered)
+    # a random walk's one-step mean is last month's filtered mean; nothing
+    # predicts the diffuse month, whose one-step mean is written 0.0
+    onestep = ("0.0", *filtered[:-1])
     return csv_text(["date", "sv1_onestep", "sv1_filtered", "sv1_smoothed"],
-                    zip(month_labels(p.start, len(p.filtered)),
-                        *map(float_texts, (p.onestep, p.filtered, p.smoothed))))
+                    zip(month_labels(p.start, len(filtered)), onestep, filtered,
+                        float_texts(p.smoothed)))
 
 
 def _emit_fig6(report: Report) -> str:

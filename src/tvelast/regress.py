@@ -103,7 +103,8 @@ class CusumResult:
     """Cumulative sum of scaled recursive residuals against linear bands.
 
     Entry i corresponds to t = k + i observations used (the t = k entry is
-    the zero anchor before the first recursive residual).
+    the zero anchor before the first recursive residual). to_dict leaves out
+    the bands, which the significance and the statistic's length fix.
     """
 
     statistic: tuple[float, ...]
@@ -117,8 +118,6 @@ class CusumResult:
     def to_dict(self) -> dict:
         return {
             "statistic": self.statistic,
-            "band_lo": self.band_lo,
-            "band_hi": self.band_hi,
             "significance": self.significance,
             "first_crossing": None if self.first_crossing is None else str(self.first_crossing),
             "stable": self.stable,

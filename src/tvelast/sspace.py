@@ -27,7 +27,9 @@ section 5.2): the first observation alone sets a_1 = y_1 / x_1,
 P_1 = var_meas / x_1^2 (DegenerateRegressor if not finite) and adds no
 likelihood term, so the first DIFFUSE_MONTHS months carry no shock. The
 filtered-variance update is P_pred * var_meas / F (algebraically identical
-to (1 - K x) P_pred but free of cancellation).
+to (1 - K x) P_pred but free of cancellation). A pass keeps no predicted
+moments: a random walk's a_{t+1|t} = a_{t|t} and P_{t+1|t} = P_{t|t} +
+var_state (Durbin and Koopman 2012, section 4.3) follow from the rest.
 """
 
 from __future__ import annotations
@@ -93,20 +95,20 @@ class TvpModel:
 class KalmanOutput:
     """Per-period filter moments plus the decomposition log-likelihood.
 
-    Index t holds the one-step prediction for observation t, so
-    innovations[t] == y_t - x_t * pred_mean[t] exactly, and from t = 1 on
-    pred_mean[t] is filt_mean[t - 1]. These moments are all the RTS
-    smoother needs, so kalman_smoother takes the output alone. Nothing
-    predicts the diffuse month, index 0: pred_mean is 0, pred_var =
-    innov_var = inf and the innovation is y_1.
+    Index t holds month t's filtered moments and its innovation. From t = 1
+    on, the one-step prediction for month t is the random walk's: mean
+    filt_mean[t - 1], so innovations[t] == y_t - x_t * filt_mean[t - 1]
+    exactly, and variance filt_var[t - 1] + var_state, the pass's state
+    variance. These are all the RTS smoother needs, so kalman_smoother
+    takes the output alone. Nothing predicts the diffuse month, index 0:
+    innov_var is inf and the innovation is y_1.
     """
 
-    pred_mean: tuple[float, ...]
-    pred_var: tuple[float, ...]
     filt_mean: tuple[float, ...]
     filt_var: tuple[float, ...]
     innovations: tuple[float, ...]
     innov_var: tuple[float, ...]
+    var_state: float
     log_lik: float
     start: MonthDate
 
@@ -118,9 +120,8 @@ def _filter_core(yv, xv, var_meas, var_state, moments=None):
     predicts a_pred = a, P_pred = P + var_state from t = 2. Returns (sum log
     F_t, sum v_t^2 / F_t, n) over the n = T - DIFFUSE_MONTHS observations
     that add a term, so the log-likelihood is _loglik of the three. Each
-    month appends to moments, when given, the lists (pred_var, filt_mean,
-    filt_var, innovations, innov_var), the diffuse month as KalmanOutput
-    describes it.
+    month appends to moments, when given, the lists (filt_mean, filt_var,
+    innovations, innov_var), the diffuse month as KalmanOutput describes it.
     """
     x1 = xv[0]
     p = var_meas / (x1 * x1) if x1 * x1 > 0.0 else math.inf
@@ -130,8 +131,8 @@ def _filter_core(yv, xv, var_meas, var_state, moments=None):
     a = yv[0] / x1
     store = moments is not None
     if store:
-        pred_var, filt_mean, filt_var, innov, innov_var = moments
-        for column, value in zip(moments, (math.inf, a, p, yv[0], math.inf)):
+        filt_mean, filt_var, innov, innov_var = moments
+        for column, value in zip(moments, (a, p, yv[0], math.inf)):
             column.append(value)
     sum_log_f = 0.0
     sum_v2_f = 0.0
@@ -146,7 +147,6 @@ def _filter_core(yv, xv, var_meas, var_state, moments=None):
         sum_log_f += log(f)
         sum_v2_f += v * v / f
         if store:
-            pred_var.append(p_pred)
             filt_mean.append(a)
             filt_var.append(p)
             innov.append(v)
@@ -161,28 +161,32 @@ def _loglik(sum_log_f: float, sum_v2_f: float, n: int) -> float:
 def kalman_filter(model: TvpModel, params: VarianceParams) -> KalmanOutput:
     """Run the forward recursion from the exact diffuse start and return
     all per-period moments; the pass's log-likelihood is the output's log_lik."""
-    moments = ([], [], [], [], [])
+    moments = ([], [], [], [])
     sum_log_f, sum_v2_f, n = _filter_core(model.y.values, model.x.values,
                                           params.var_meas, params.var_state, moments)
-    pv, fm, fv, iv, ivv = moments
+    fm, fv, iv, ivv = moments
     if not (math.isfinite(fm[-1]) and math.isfinite(fv[-1])):
         raise NonFiniteState("filter recursion produced a non-finite state")
     return KalmanOutput(
-        pred_mean=(0.0, *fm[:-1]), pred_var=tuple(pv),
         filt_mean=tuple(fm), filt_var=tuple(fv),
         innovations=tuple(iv), innov_var=tuple(ivv),
+        var_state=params.var_state,
         log_lik=_loglik(sum_log_f, sum_v2_f, n), start=model.y.start,
     )
 
 
 def kalman_smoother(output: KalmanOutput) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Fixed-interval (RTS) smoother over a filter pass: (means, variances)."""
+    """Fixed-interval (RTS) smoother over a filter pass: (means, variances).
+
+    Its one-step moments, filt_mean[t] and filt_var[t] + var_state, are the
+    operands the filter used, so each is the filter's float bit for bit.
+    """
     sm = list(output.filt_mean)
     sv = list(output.filt_var)
     for t in range(len(sm) - 2, -1, -1):
-        pp = output.pred_var[t + 1]
+        pp = output.filt_var[t] + output.var_state
         j = output.filt_var[t] / pp if pp > 0.0 else 0.0
-        sm[t] = output.filt_mean[t] + j * (sm[t + 1] - output.pred_mean[t + 1])
+        sm[t] = output.filt_mean[t] + j * (sm[t + 1] - output.filt_mean[t])
         sv[t] = output.filt_var[t] + j * j * (sv[t + 1] - pp)
     return tuple(sm), tuple(sv)
 
@@ -212,11 +216,9 @@ class MleResult:
     """Maximum-likelihood estimates in the shape of a state-space summary.
 
     robust_se / z_stats / p_values are ordered (measurement, state). The
-    headline final_state is the last filtered mean a_{T|T}; the one-step
-    forecast a_{T+1|T}, the same mean under a random walk with root MSE
-    sqrt(P_{T|T} + var_state), is also reported since the two readings of
-    "final" are both in circulation. to_dict adds the model's fixed
-    transition coefficient as "gamma": 1.0.
+    headline final_state is the last filtered mean a_{T|T}. Under the
+    random walk it is also the one-step forecast a_{T+1|T}, whose root MSE
+    sqrt(P_{T|T} + var_state) is forecast_rmse.
     n_iter counts Brent iterations of the log q search. n_filter_passes
     counts every filter pass the fit made (the search, the pass at the
     estimate and the SE stencil), and hessian_cond is the ratio of the
@@ -235,7 +237,6 @@ class MleResult:
     final_rmse: float
     final_z: float
     final_p: float
-    forecast_state: float
     forecast_rmse: float
     log_lik: float
     aic: float
@@ -252,7 +253,6 @@ class MleResult:
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "filter_output"}
         d["params"] = asdict(self.params)
-        d["gamma"] = 1.0
         for key in ("robust_se", "z_stats", "p_values", "loglik_path"):
             d[key] = list(d[key])
         return d
@@ -507,9 +507,9 @@ def _sandwich_stencil(model: TvpModel, theta: np.ndarray,
     def moved(log_var_state: float):
         """Log-likelihood, sum(v^2/F) and the per-observation terms after the
         diffuse month, at log_var_state and the measurement variance of theta."""
-        moments = ([], [], [], [], [])
+        moments = ([], [], [], [])
         sums = _filter_core(yv, xv, var_meas, math.exp(log_var_state), moments)
-        v, f = np.asarray(moments[3][1:]), np.asarray(moments[4][1:])
+        v, f = np.asarray(moments[2][1:]), np.asarray(moments[3][1:])
         return _loglik(*sums), sums[1], -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
 
     ll_p, s_p, obs_p = moved(theta[1] + h)
@@ -563,7 +563,6 @@ def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int, n_evals: int,
         final_rmse=final_rmse,
         final_z=final_z,
         final_p=math.erfc(abs(final_z) / math.sqrt(2.0)),
-        forecast_state=final_state,
         forecast_rmse=math.sqrt(out.filt_var[-1] + params.var_state),
         log_lik=ll,
         aic=(-2.0 * ll + 2.0 * k) / n,

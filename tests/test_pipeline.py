@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import json
@@ -126,7 +127,6 @@ class TestEachIntermediateComputedOnce:
     def test_state_paths_are_the_fits_own_pass(self, counted):
         report, _ = counted
         out = report.mle.filter_output
-        assert report.state_paths.onestep == out.pred_mean
         assert report.state_paths.filtered == out.filt_mean
         assert report.state_paths.smoothed == sspace.kalman_smoother(out)[0]
         assert report.shocks == sspace.innovation_shocks(out)
@@ -134,11 +134,58 @@ class TestEachIntermediateComputedOnce:
     def test_mle_serialization_leaves_out_the_pass(self, counted):
         report, _ = counted
         assert set(report.mle.to_dict()) == {
-            "params", "gamma", "robust_se", "z_stats", "p_values", "var_meas", "var_state",
-            "final_state", "final_rmse", "final_z", "final_p", "forecast_state",
-            "forecast_rmse", "log_lik", "aic", "sic", "hq", "n_obs", "n_iter", "n_filter_passes",
+            "params", "robust_se", "z_stats", "p_values", "var_meas", "var_state",
+            "final_state", "final_rmse", "final_z", "final_p", "forecast_rmse",
+            "log_lik", "aic", "sic", "hq", "n_obs", "n_iter", "n_filter_passes",
             "hessian_cond", "converged", "loglik_path",
         }
+
+
+class TestSlimReport:
+    """report.json writes no entry that its other entries fix."""
+
+    def test_changed_sections_hold_exactly_these_keys(self, report_and_inputs):
+        # the mle section's keys: test_mle_serialization_leaves_out_the_pass
+        report, _, _ = report_and_inputs
+        d = json.loads(report.to_json())
+        assert set(d["transform"]) == {"y_mean", "x_mean", "growth_y", "growth_x"}
+        assert set(d["cusum"]) == {
+            "statistic", "significance", "first_crossing", "stable", "sigma_w"}
+        assert set(d["state_paths"]) == {"start", "filtered", "smoothed"}
+        assert set(d["shocks"]) == {"start", "name", "values"}
+        assert set(d["provenance"]) == {
+            "data_sha256", "config_sha256", "created_at", "schema_version", "version"}
+        assert d["provenance"]["schema_version"] == pipeline.SCHEMA_VERSION == 2
+
+    def test_dropped_entries_rebuild_bit_for_bit(self, report_and_inputs, tmp_path):
+        report, _, _ = report_and_inputs
+        write_report(report, tmp_path)
+        d = json.loads((tmp_path / "report.json").read_text())
+
+        def column(name: str, i: int) -> list[str]:
+            with open(tmp_path / name, newline="") as fh:
+                return [row[i] for row in list(csv.reader(fh))[1:]]
+
+        # transform.demeaned_y and demeaned_x: the growth series minus its mean
+        t = d["transform"]
+        for var, demeaned in (("y", report.demeaned_y), ("x", report.demeaned_x)):
+            mean = t[f"{var}_mean"]
+            assert tuple(v - mean for v in t[f"growth_{var}"]["values"]) == demeaned.values
+        # cusum.band_lo and band_hi: +/- a (sqrt n + 2 i / sqrt n), fig3's columns
+        n = len(d["cusum"]["statistic"]) - 1
+        a = regress.CUSUM_BAND_CONSTANTS[d["cusum"]["significance"]]
+        hi = [a * (math.sqrt(n) + 2.0 * i / math.sqrt(n)) for i in range(n + 1)]
+        assert column("fig3_cusum.csv", 3) == [repr(b) for b in hi]
+        assert column("fig3_cusum.csv", 2) == [repr(-b) for b in hi]
+        # state_paths.onestep: fig5 writes 0.0 for the diffuse month, then the
+        # filtered means shifted one month
+        filtered = [repr(v) for v in d["state_paths"]["filtered"]]
+        assert column("fig5_state_path.csv", 2) == filtered
+        assert column("fig5_state_path.csv", 1) == ["0.0", *filtered[:-1]]
+        # mle.forecast_state: a random walk's one-step forecast is its final state
+        assert d["mle"]["final_state"] == d["state_paths"]["filtered"][-1]
+        # mle.gamma is 1 by the model; shocks.n_burn_in is fig8's flag count
+        assert sum(map(int, column("fig8_shocks.csv", 2))) == sspace.DIFFUSE_MONTHS
 
 
 class TestPipelineConfig:
@@ -288,7 +335,7 @@ class TestEmitFigureData:
         report, _, _ = report_and_inputs
         lines = emit_figure_data(report, "fig8").splitlines()[1:]
         flags = [int(line.split(",")[2]) for line in lines]
-        assert sum(flags) == sspace.DIFFUSE_MONTHS == report.to_dict()["shocks"]["n_burn_in"]
+        assert sum(flags) == sspace.DIFFUSE_MONTHS
         assert flags[0] == 1
 
     def test_table3_columns(self):

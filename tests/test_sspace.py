@@ -88,10 +88,16 @@ class TestKalmanFilter:
 
     def test_innovation_identity(self, rng):
         model, vm, vs = _random_model(rng)
-        out = kalman_filter(model, VarianceParams(math.log(vm), math.log(vs)))
-        for t in range(len(model)):
-            assert out.innovations[t] == model.y.values[t] - model.x.values[t] * out.pred_mean[t]
-        assert out.pred_mean[1:] == out.filt_mean[:-1]  # a random walk predicts no change
+        params = VarianceParams(math.log(vm), math.log(vs))
+        out = kalman_filter(model, params)
+        assert out.var_state == params.var_state
+        # a random walk predicts no change: month t's one-step moments are
+        # filt_mean[t - 1] and filt_var[t - 1] + var_state
+        yv, xv = model.y.values, model.x.values
+        for t in range(1, len(model)):
+            assert out.innovations[t] == yv[t] - xv[t] * out.filt_mean[t - 1]
+            pp = out.filt_var[t - 1] + out.var_state
+            assert out.innov_var[t] == xv[t] * xv[t] * pp + params.var_meas
 
     def test_variances_positive_after_burn_in(self, rng):
         model, _ = gen_tvp(TvpDgp(T=100, sigma2_meas=0.3, sigma2_state=0.1, seed=4))
@@ -221,7 +227,7 @@ class TestDiffuseStart:
     def test_diffuse_month_has_no_prediction(self, rng):
         model, vm, vs = _random_model(rng)
         out = kalman_filter(model, VarianceParams(math.log(vm), math.log(vs)))
-        assert (out.pred_mean[0], out.pred_var[0], out.innov_var[0]) == (0.0, math.inf, math.inf)
+        assert out.innov_var[0] == math.inf
         assert out.innovations[0] == model.y.values[0]
         assert innovation_shocks(out).values[0] == 0.0
 
@@ -318,8 +324,6 @@ class TestFitMle:
         assert fit.final_rmse == math.sqrt(out.filt_var[-1])
         assert fit.final_z == pytest.approx(fit.final_state / fit.final_rmse, rel=1e-12)
         assert 0.0 <= fit.final_p <= 1.0
-        # a random walk: the one-step forecast equals the final filtered state
-        assert fit.forecast_state == fit.final_state
         assert fit.forecast_rmse > fit.final_rmse
 
     def test_reparameterization_consistency(self):
