@@ -27,7 +27,10 @@ the parent's quartile spread. Each other end-to-end metric of the change's
 BENCHMARK.json is reported against its bound, as the relative change of the
 median: "within" or "beyond" the bound, or "unresolved" when either side's
 quartile spread exceeds the bound relative to its median and not every
-change run beats every parent run. Nothing else should run on the machine
+change run beats every parent run. Before each pair the script probes the
+host's parallelism (parallelism_probe, stored in the pair and as each
+workload's median), so a gain that needs a second CPU states the
+parallelism it was measured with. Nothing else should run on the machine
 while pairs run.
 """
 
@@ -36,9 +39,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
+import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +52,7 @@ import numpy as np
 SIDES = ("parent", "change")
 EXTRA = ("import_s", "first_op_s")  # medians over a record's fresh-interpreter set-ups
 WIN_SHARE = 0.9
+SPIN_STEPS = 2_000_000  # the probe's pure-Python loop: about 0.1 s on one core
 
 
 def seed_list(text: str) -> list[int]:
@@ -58,6 +65,60 @@ def seed_list(text: str) -> list[int]:
 
 def record_path(checkout: Path, workload: str, seed: int, trace: int) -> Path:
     return checkout / ".bench_work" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
+
+
+def _spin() -> float:
+    start = time.perf_counter()
+    total = 0
+    for i in range(SPIN_STEPS):
+        total += i
+    return time.perf_counter() - start
+
+
+def parallelism_probe() -> float:
+    """Host parallelism: the time of the slower of two spins run at once, each
+    in a forked child, over one spin alone. Near 1 when the host gives each
+    process a CPU of its own, near 2 when the two share one. Both children
+    are reaped before it returns."""
+    alone = _spin()
+    go_read, go_write = os.pipe()
+    pids, pipes = [], []
+    try:
+        for _ in range(2):
+            read_fd, write_fd = os.pipe()
+            pipes.append(read_fd)
+            pid = os.fork()
+            if pid == 0:  # wait for the start, spin, send the time, leave
+                code = 1
+                try:
+                    os.close(go_write)  # so that the parent's close ends the wait
+                    os.read(go_read, 1)
+                    os.write(write_fd, struct.pack("d", _spin()))
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            os.close(write_fd)
+        os.write(go_write, b"go")  # one byte for each child
+        slower = max(struct.unpack("d", os.read(fd, 8))[0] for fd in pipes)
+    finally:
+        for fd in (go_read, go_write, *pipes):
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return slower / alone
+
+
+def probe_path(checkout: Path, workload: str, seed: int) -> Path:
+    return checkout / ".bench_work" / "results" / f"{workload}-seed{seed}-parallelism.json"
+
+
+def read_probe(checkout: Path, workload: str, seed: int) -> float | None:
+    """The parallelism probed before a pair, or None when none was stored."""
+    path = probe_path(checkout, workload, seed)
+    if not path.exists():
+        return None
+    return round(json.loads(path.read_text(encoding="utf-8"))["parallelism"], 4)
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> None:
@@ -162,6 +223,11 @@ def main(argv=None) -> int:
     if not args.assemble_only:
         for workload in args.workload:
             for seed in args.seeds:
+                ratio = parallelism_probe()
+                path = probe_path(dirs["change"], workload, seed)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(json.dumps({"parallelism": ratio}), encoding="utf-8")
+                print(f"{workload} seed {seed}: host parallelism {ratio:.2f}", flush=True)
                 order = SIDES if seed % 2 else SIDES[::-1]
                 for side in order:
                     run(dirs[side], workload, seed, seconds, 0)
@@ -173,14 +239,18 @@ def main(argv=None) -> int:
     for workload in args.workload:
         pairs = []
         for seed in args.seeds:
-            pair = {"seed": seed, "first": "parent" if seed % 2 else "change"}
+            pair = {"seed": seed, "first": "parent" if seed % 2 else "change",
+                    "parallelism": read_probe(dirs["change"], workload, seed)}
             for side in SIDES:
                 pair[side], prov[side] = read(dirs[side], workload, seed, 0)
             pairs.append(pair)
         metrics = [*gated, *EXTRA]
         summary = {m: summarize(pairs, m, gated[m]["better"] if m in gated else "lower")
                    for m in metrics}
-        workloads[workload] = {"pairs": pairs, "summary": summary}
+        ratios = [p["parallelism"] for p in pairs if p["parallelism"] is not None]
+        workloads[workload] = {
+            "parallelism_median": statistics.median(ratios) if ratios else None,
+            "pairs": pairs, "summary": summary}
         if args.trace_seed is not None:
             workloads[workload]["trace_pair"] = {"seed": args.trace_seed, **{
                 side: read(dirs[side], workload, args.trace_seed, 1)[0] for side in SIDES}}
@@ -202,9 +272,12 @@ def main(argv=None) -> int:
                    "parent first on odd seeds and change first on even ones"
                    + (f"; trace pair --trace 1 with seed {args.trace_seed}"
                       if args.trace_seed is not None else "")
-                   + ". import_s and first_op_s are medians over a record's 3 fresh-interpreter "
-                   "set-ups; quartiles are numpy.percentile 25/75 (linear) over a side's runs; "
-                   "a pair is won when the change's value is strictly better."),
+                   + ". Before each pair, parallelism is the time of the slower of two "
+                   "concurrent pure-Python spins (forked) over one spin alone: near 1 with a "
+                   "free second CPU, near 2 without one. import_s and first_op_s are medians "
+                   "over a record's 3 fresh-interpreter set-ups; quartiles are "
+                   "numpy.percentile 25/75 (linear) over a side's runs; a pair is won when "
+                   "the change's value is strictly better."),
         "notes": args.note,
         "workloads": workloads,
     }

@@ -210,6 +210,11 @@ MUTANTS = (
      "(int(i < sspace.DIFFUSE_MONTHS) for i in range(n))",
      "(int(i <= sspace.DIFFUSE_MONTHS) for i in range(n))",
      "fig8 flags a month after the diffuse one as burn-in"),
+    # Monte Carlo summaries
+    ("mc-median-even", "simlab",
+     "median[name] = srt[mid] if len(srt) % 2 else (srt[mid - 1] + srt[mid]) / 2",
+     "median[name] = srt[mid] if len(srt) % 2 else srt[mid]",
+     "an even count's median is the upper middle value, not the mean of the two"),
 )
 
 

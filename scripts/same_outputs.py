@@ -29,12 +29,14 @@ the `--format json|csv|text` output and the `--dump` file of every
 (SMALL_T; for mle also one at which replications fail, so the dump's
 failed rows are compared), with its replications run in one process,
 again split across 3 processes (`monte_carlo`'s `n_jobs`) and again at
-each tree's own default `n_jobs`, plus every command's exit code. A
-report's `created_at` line is dropped. The two output trees are then
-compared file by file. Prints the number of identical files, and when any
-file differs or is missing, that number and one path per line. Exit 0
-when every file is identical, 1 when one is not, 2 when a tree fails to
-write its outputs.
+each tree's own default `n_jobs`, plus every command's exit code. Every
+run's standard error is written beside its standard output, with the input
+and output directories written IN and OUT, so error texts and the paths
+that `--out` prints are compared too. A report's `created_at` line is
+dropped. The two output trees are then compared file by file. Prints the
+number of identical files, and when any file differs or is missing, that
+number and one path per line. Exit 0 when every file is identical, 1 when
+one is not, 2 when a tree fails to write its outputs.
 benchmark/plan.py is read, never modified.
 """
 
@@ -124,40 +126,46 @@ def emit(outdir: Path, indir: Path, n: int) -> None:
     plan = _load_plan()
     exits = {}
 
-    def run(name: str, argv: list[str], stdout_file: Path | None = None) -> None:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+    def run(name: str, argv: list[str]) -> None:
+        """Run the CLI; its stdout goes to outdir/name and its stderr, with
+        the input and output directories written IN and OUT, beside it."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             exits[name] = cli.main(argv)
-        if stdout_file is not None:
-            stdout_file.parent.mkdir(parents=True, exist_ok=True)
-            stdout_file.write_text(buf.getvalue(), encoding="utf-8")
+        path = outdir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(out.getvalue(), encoding="utf-8")
+        path.with_name(path.name + ".stderr").write_text(
+            err.getvalue().replace(str(indir), "IN").replace(str(outdir), "OUT"),
+            encoding="utf-8")
 
     ends = ["--subsample-ends", plan.SUBSAMPLE_ENDS]
     for k in range(n):
-        kdir = outdir / f"k{k:03d}"
+        key = f"k{k:03d}"
+        kdir = outdir / key
         base = ["--input", str(indir / f"dataset_{k:03d}.csv")]
-        run(f"k{k}/pipeline/out", ["pipeline", *base, *ends, "--out", str(kdir / "pipeline")])
+        run(f"{key}/pipeline.out", ["pipeline", *base, *ends, "--out", str(kdir / "pipeline")])
         _drop_created_at(kdir / "pipeline" / "report.json")
-        run(f"k{k}/pipeline/stdout", ["pipeline", *base, *ends], kdir / "pipeline.stdout.json")
+        run(f"{key}/pipeline.stdout.json", ["pipeline", *base, *ends])
         _drop_created_at(kdir / "pipeline.stdout.json")
         for cmd in SINGLE:
             for fmt in FORMATS:
                 argv = [cmd, *base, "--format", fmt, *(ends if cmd == "subsample" else [])]
-                run(f"k{k}/{cmd}/{fmt}", argv, kdir / f"{cmd}.{fmt}")
-        run(f"k{k}/subsample/out", ["subsample", *base, *ends, "--out", str(kdir / "subsample")])
-    flat, flat_dir = ["--input", str(indir / "constant_cpi.csv")], outdir / "constant_cpi"
+                run(f"{key}/{cmd}.{fmt}", argv)
+        run(f"{key}/subsample.out", ["subsample", *base, *ends, "--out", str(kdir / "subsample")])
+    flat = ["--input", str(indir / "constant_cpi.csv")]
     for fmt in FORMATS:
-        run(f"constant_cpi/ols/{fmt}", ["ols", *flat, "--format", fmt], flat_dir / f"ols.{fmt}")
-    run("constant_cpi/pipeline/stdout", ["pipeline", *flat], flat_dir / "pipeline.stdout.json")
+        run(f"constant_cpi/ols.{fmt}", ["ols", *flat, "--format", fmt])
+    run("constant_cpi/pipeline.stdout.json", ["pipeline", *flat])
     deg = ["--input", str(indir / "degenerate_window.csv"), *DEGENERATE_ARGS]
     deg_dir = outdir / "degenerate_window"
-    run("degenerate_window/pipeline/out", ["pipeline", *deg, "--out", str(deg_dir / "pipeline")])
+    run("degenerate_window/pipeline.out", ["pipeline", *deg, "--out", str(deg_dir / "pipeline")])
     _drop_created_at(deg_dir / "pipeline" / "report.json")
-    run("degenerate_window/pipeline/stdout", ["pipeline", *deg], deg_dir / "pipeline.stdout.json")
+    run("degenerate_window/pipeline.stdout.json", ["pipeline", *deg])
     _drop_created_at(deg_dir / "pipeline.stdout.json")
     for fmt in FORMATS:
-        run(f"degenerate_window/subsample/{fmt}", ["subsample", *deg, "--format", fmt],
-            deg_dir / f"subsample.{fmt}")
+        run(f"degenerate_window/subsample.{fmt}", ["subsample", *deg, "--format", fmt])
+    (outdir / "simulate").mkdir(parents=True, exist_ok=True)  # the --dump files' directory
     monte_carlo = simlab.monte_carlo
     for n_jobs, suffix in ((1, ""), (3, ".jobs3"), (None, ".default")):
         # the CLI has no jobs flag; it calls simlab.monte_carlo through the module,
@@ -169,12 +177,10 @@ def emit(outdir: Path, indir: Path, n: int) -> None:
                 t_args = [] if t is None else ["--t", str(t)]
                 name = (study if t is None else f"{study}.t{t}") + suffix
                 dump = outdir / "simulate" / f"{name}.dump.csv"
-                dump.parent.mkdir(parents=True, exist_ok=True)
                 for fmt in FORMATS:
-                    run(f"simulate/{name}/{fmt}",
+                    run(f"simulate/{name}.{fmt}",
                         ["simulate", study, "--reps", "10", *t_args, "--format", fmt,
-                         "--dump", str(dump)],
-                        outdir / "simulate" / f"{name}.{fmt}")
+                         "--dump", str(dump)])
     simlab.monte_carlo = monte_carlo
     (outdir / "exit_codes.json").write_text(json.dumps(exits, indent=1, sort_keys=True),
                                             encoding="utf-8")

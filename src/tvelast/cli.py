@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sspace", help="ML fit of the time-varying-coefficient model")
     add_io(p)
     add_growth(p)
-    p.add_argument("--max-iter", type=int, default=None, help="optimizer iteration cap")
 
     p = sub.add_parser("pipeline", help="run the full battery and write all outputs")
     add_io(p, with_format=False)
@@ -114,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-lags", type=int, default=None)
     p.add_argument("--subsample-ends", default=None,
                    help="comma-separated end months, e.g. 2000-12,2005-12")
-    p.add_argument("--seed", type=int, default=None, help="recorded in provenance")
 
     p = sub.add_parser("subsample", help="expanding-window final-state table")
     add_io(p, with_format=False)
@@ -232,11 +230,7 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise ValueError("config file must hold a JSON object")
-        mle = overrides.get("mle", {})
-        if not isinstance(mle, dict):
-            raise ValueError("config key 'mle' must be an object")
         unknown = set(overrides) - set(settings)
-        unknown |= {f"mle.{k}" for k in set(mle) - set(settings["mle"])}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         settings.update(overrides)
@@ -250,22 +244,16 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
         settings["adf_levels_deterministic"] = args.deterministic_levels
     if getattr(args, "deterministic_diffs", None) is not None:
         settings["adf_diff_deterministic"] = args.deterministic_diffs
-    if getattr(args, "max_iter", None) is not None:
-        settings["mle"]["max_iter"] = args.max_iter
     if getattr(args, "subsample_ends", None) is not None:
         settings["subsample_end_dates"] = [
             part for part in args.subsample_ends.split(",") if part.strip()]
         if not settings["subsample_end_dates"]:
             raise ValueError("--subsample-ends names no month")
-    if getattr(args, "seed", None) is not None:
-        settings["seed"] = args.seed
-    mle = settings.pop("mle")
     ends = settings.pop("subsample_end_dates")
     if not isinstance(ends, list) or not all(isinstance(e, str) for e in ends):
         raise ValueError(f"subsample_end_dates must be a list of 'YYYY-MM' months, got {ends!r}")
     return pipeline.PipelineConfig(
         subsample_end_dates=tuple(MonthDate.parse(e) for e in ends),
-        mle=sspace.MleOptions(**mle),
         **settings,
     )
 

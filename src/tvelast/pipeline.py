@@ -13,7 +13,6 @@ to one JSON document plus fixed-name CSV files per table and figure.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -51,8 +50,6 @@ class PipelineConfig:
     adf_max_lags: int | None = None
     cusum_significance: float = 0.05
     subsample_end_dates: tuple[MonthDate, ...] = ()
-    mle: sspace.MleOptions = sspace.MleOptions()
-    seed: int = 0
 
     def __post_init__(self):
         """Reject a bad setting, naming its key, before any stage runs."""
@@ -72,8 +69,6 @@ class PipelineConfig:
         _require("subsample_end_dates", all(isinstance(d, MonthDate) for d in dates)
                  and all(a < b for a, b in zip(dates, dates[1:])),
                  "strictly increasing months", [str(d) for d in dates])
-        _require("mle", isinstance(self.mle, sspace.MleOptions), "MleOptions", self.mle)
-        _require("seed", type(self.seed) is int, "an integer", self.seed)
         object.__setattr__(self, "subsample_end_dates", dates)
 
     def to_dict(self) -> dict:
@@ -198,6 +193,8 @@ def _series_dict(s: MonthlySeries) -> dict:
 def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig(),
                  stage: str | None = None) -> Report:
     """Run every stage in order, or only `stage` and the chain of stages it needs."""
+    import hashlib  # here, the only hashing, so that simulate and validate never load OpenSSL
+
     report = Report()
     report.provenance = {
         "data_sha256": hashlib.sha256(write_csv(data).encode()).hexdigest(),
@@ -252,7 +249,7 @@ def _stability(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
 
 def _sspace(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
     dm_y = report.demeaned_y
-    report.mle = sspace.fit_mle(sspace.TvpModel(dm_y, report.demeaned_x), options=cfg.mle)
+    report.mle = sspace.fit_mle(sspace.TvpModel(dm_y, report.demeaned_x))
     out = report.mle.filter_output
     smoothed, _ = sspace.kalman_smoother(out)
     report.state_paths = StatePaths(dm_y.start, out.filt_mean, smoothed)
@@ -266,8 +263,7 @@ def _subsample(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
         report.skipped["subsample_table"] = "no end dates configured"
         return
     report.subsample_table = subsample_final_states(
-        data, (report.growth_y, report.growth_x), list(cfg.subsample_end_dates), cfg
-    )
+        data, (report.growth_y, report.growth_x), list(cfg.subsample_end_dates))
 
 
 # stage -> (the stage it needs, a runner (report, data, cfg) that fills its
@@ -300,8 +296,7 @@ def adf_battery(growth_y: MonthlySeries, growth_x: MonthlySeries,
 
 
 def subsample_final_states(data: Dataset, growth: tuple[MonthlySeries, MonthlySeries],
-                           end_dates: list[MonthDate],
-                           cfg: PipelineConfig = PipelineConfig()) -> list[SubSampleRow]:
+                           end_dates: list[MonthDate]) -> list[SubSampleRow]:
     """Expanding-window final states: one ML fit per end date.
 
     growth is growth_pair(data, cfg). Each window spans the dataset start
@@ -321,7 +316,7 @@ def subsample_final_states(data: Dataset, growth: tuple[MonthlySeries, MonthlySe
         dm_y, _ = demean(window(growth_y, growth_y.start, e))
         dm_x, _ = demean(window(growth_x, growth_x.start, e))
         try:
-            fit = sspace.fit_mle(sspace.TvpModel(dm_y, dm_x), options=cfg.mle)
+            fit = sspace.fit_mle(sspace.TvpModel(dm_y, dm_x))
         except NoConvergence as exc:
             fit = exc.result
         except TvelastError:  # no best point to keep

@@ -245,7 +245,9 @@ def _summarize(estimator: str, n_reps: int, records: list[dict | None],
         err = est - true_val
         bias[name] = float(np.mean(err))
         rmse[name] = float(np.sqrt(np.mean(err ** 2)))
-        median[name] = float(np.median(est))
+        srt = sorted(r[name] for r in ok)  # np.median's first call would import numpy.ma
+        mid = len(srt) // 2
+        median[name] = srt[mid] if len(srt) % 2 else (srt[mid - 1] + srt[mid]) / 2
         se_key = name + "_se"
         if se_key in ok[0]:
             ses = np.asarray([r[se_key] for r in ok])

@@ -53,6 +53,9 @@ _FD_SCALE = 1e-4  # relative step of the finite differences behind the SEs
 # near-zero divisor; Brent's golden fraction (3 - sqrt 5) / 2 and x tolerances
 _GOLD, _GROW_LIMIT, _BRACKET_MAX_ITER, _VERY_SMALL = 1.618034, 110.0, 1000, 1e-21
 _CG, _XTOL, _MINTOL = 0.3819660, 1.48e-8, 1.0e-11
+# the fit's Brent iteration cap, scipy's default maxiter: golden sections
+# alone shrink the whole clamped log q range to tolerance in about 60
+_MAX_ITER = 500
 DIFFUSE_MONTHS = 1  # months the exact diffuse start absorbs: no likelihood term, shock 0
 
 
@@ -203,15 +206,6 @@ def innovation_shocks(output: KalmanOutput) -> MonthlySeries:
 
 
 @dataclass(frozen=True)
-class MleOptions:
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if type(self.max_iter) is not int or self.max_iter < 1:  # a bool is not a count
-            raise ValueError(f"mle.max_iter must be a positive integer, got {self.max_iter!r}")
-
-
-@dataclass(frozen=True)
 class MleResult:
     """Maximum-likelihood estimates in the shape of a state-space summary.
 
@@ -318,16 +312,15 @@ def _profile(yv, xv, log_q: float) -> tuple[float, float, float]:
     return ll, log_s2, log_q + log_s2
 
 
-def fit_mle(model: TvpModel, options: MleOptions | None = None) -> MleResult:
+def fit_mle(model: TvpModel) -> MleResult:
     """Estimate the log-variances by ML.
 
     The Brent search over log q starts at the ratio var_state / var_meas of
-    _default_init. Raises NoConvergence when the iteration cap is reached,
+    _default_init. Raises NoConvergence when _MAX_ITER iterations are reached,
     an estimate is pinned at the log-variance box bound, or the observed
     Hessian is not negative definite; the exception carries the best point
     found as .result, with converged=False, so callers can still inspect it.
     """
-    opts = options or MleOptions()
     if len(model) < 3:
         raise EmptySeries("ML needs three observations: the diffuse start absorbs the first, "
                           "and one likelihood term alone is the same at every q")
@@ -357,7 +350,7 @@ def fit_mle(model: TvpModel, options: MleOptions | None = None) -> MleResult:
         return -ll
 
     # a likelihood flat in log q gives no bracket, hence a failure
-    _, _, n_iter, failure = _brent(objective, log_q0, log_q0 + 1.0, opts.max_iter)
+    _, _, n_iter, failure = _brent(objective, log_q0, log_q0 + 1.0, _MAX_ITER)
     problem = None if failure is None else f"no convergence after {n_iter} iterations: {failure}"
     if best[1] is None:
         raise NonFiniteObjective("log-likelihood is non-finite everywhere the search looked")
@@ -378,7 +371,7 @@ def fit_mle(model: TvpModel, options: MleOptions | None = None) -> MleResult:
 
 def _brent(f, xa: float, xb: float, max_iter: int) -> tuple[float, float, int, str | None]:
     """(x, f(x), iterations, failure) of scipy.optimize.minimize_scalar(f,
-    bracket=(xa, xb), method="brent", options={"maxiter": max_iter}).
+    bracket=(xa, xb), method="brent") with its maxiter set to max_iter.
 
     A step-for-step port of scipy's bracket and Brent.optimize: f sees the
     same points in the same order, so the result is the same floats. failure

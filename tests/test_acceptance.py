@@ -214,7 +214,7 @@ def test_criterion_10_ols_definitional_oracle():
 
 def test_criterion_11_pipeline_determinism():
     data = make_dataset(n_months=240, seed=11)
-    cfg = PipelineConfig(subsample_end_dates=(MonthDate(1983, 12), data.end), seed=SEED)
+    cfg = PipelineConfig(subsample_end_dates=(MonthDate(1983, 12), data.end))
     a = run_pipeline(data, cfg)
     b = run_pipeline(data, cfg)
     identical = a.to_json(include_timestamp=False) == b.to_json(include_timestamp=False)

@@ -1,6 +1,9 @@
-"""The claim and bound verdicts of scripts/bench_pairs.py on synthetic pairs."""
+"""The claim and bound verdicts of scripts/bench_pairs.py on synthetic pairs,
+and its host-parallelism probe."""
 
 import importlib.util
+import math
+import os
 from pathlib import Path
 
 import pytest
@@ -81,3 +84,10 @@ class TestBounds:
     def test_fail_counts_per_side(self):
         _, bounds = bench_pairs.verdicts(_workloads(NARROW, NARROW, failed=(0, 2)), GATED, None)
         assert bounds["w/fail_ratio"] == {"parent_failed": 0, "change_failed": 20}
+
+
+def test_parallelism_probe_is_a_positive_ratio_and_leaves_no_child():
+    ratio = bench_pairs.parallelism_probe()
+    assert math.isfinite(ratio) and ratio > 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

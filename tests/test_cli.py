@@ -41,11 +41,12 @@ _BAD_CONFIGS = [
     ({"subsample_end_dates": "1990-12"}, "subsample_end_dates"),
     ({"subsample_end_dates": [1990]}, "subsample_end_dates"),
     ({"subsample_end_dates": ["2000-12", "1990-12"]}, "subsample_end_dates"),
+    # settings that older configs carry: the seed and the fit's whole mle block
     ({"seed": 1.5}, "seed"),
-    ({"mle": {"max_iter": "5"}}, "mle.max_iter"),
-    ({"mle": {"max_iter": 0}}, "mle.max_iter"),
-    ({"mle": {"max_iter": False}}, "mle.max_iter"),
-    ({"mle": {"estimate_gamma": "no"}}, "mle.estimate_gamma"),  # a key older configs carry
+    ({"mle": {"max_iter": "5"}}, "mle"),
+    ({"mle": {"max_iter": 0}}, "mle"),
+    ({"mle": {"max_iter": False}}, "mle"),
+    ({"mle": {"estimate_gamma": "no"}}, "mle"),
 ]
 
 
@@ -109,7 +110,7 @@ class TestExitCodes:
         assert "coef" in json.loads(out)
 
     def test_subcommands_run_only_the_stages_they_need(self, csv_path, monkeypatch):
-        def no_fit(model, options=None):
+        def no_fit(model):
             raise NonFiniteObjective("fit refused")
 
         monkeypatch.setattr(sspace, "fit_mle", no_fit)
@@ -299,18 +300,14 @@ class TestOutputs:
             assert "unknown config keys" in err and key in err, key
 
     def test_unknown_mle_config_keys_rejected(self, csv_path, tmp_path):
-        # grad_tol, rel_tol and fd_scale are keys that older configs carry
+        # grad_tol, rel_tol and fd_scale are keys that older configs carry; the
+        # fit has no settings, so the block is unknown whatever it holds
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mle": {"max_iter": 300, "bogus": 1, "grad_tol": 1e-6,
-                                           "rel_tol": 1e-9, "fd_scale": 1e-4}}))
-        code, _, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
-        assert code == EXIT_USAGE
-        for key in ("mle.bogus", "mle.grad_tol", "mle.rel_tol", "mle.fd_scale"):
-            assert key in err
-        assert "max_iter" not in err
-        cfg.write_text(json.dumps({"mle": 5}))
-        code, _, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
-        assert code == EXIT_USAGE
+        for block in ({"bogus": 1, "grad_tol": 1e-6, "rel_tol": 1e-9, "fd_scale": 1e-4}, 5):
+            cfg.write_text(json.dumps({"mle": block}))
+            code, _, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
+            assert code == EXIT_USAGE
+            assert "unknown config keys: ['mle']" in err
 
     @pytest.mark.parametrize("config, key", _BAD_CONFIGS,
                              ids=[json.dumps(c) for c, _ in _BAD_CONFIGS])
@@ -331,15 +328,17 @@ class TestOutputs:
         code, out, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
         assert code == EXIT_USAGE
         assert out == ""
-        assert "unknown config keys: ['mle.estimate_gamma']" in err
+        assert "unknown config keys: ['mle']" in err
 
-    def test_mle_config_block_applies(self, csv_path, tmp_path):
-        # one iteration cannot finish the likelihood search
+    def test_removed_settings_are_unknown_config_keys(self, csv_path, tmp_path):
+        # the fit's iteration cap is the constant sspace._MAX_ITER, and no stage
+        # draws a random number, so neither is a setting
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mle": {"max_iter": 1}}))
-        code, _, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
-        assert code == EXIT_ESTIMATION
-        assert "no convergence" in err
+        for config, key in (({"mle": {"max_iter": 1}}, "mle"), ({"seed": 5}, "seed")):
+            cfg.write_text(json.dumps(config))
+            code, out, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
+            assert code == EXIT_USAGE and out == ""
+            assert f"unknown config keys: ['{key}']" in err
 
 
 _ENDS = "1980-12,1983-06"
@@ -406,8 +405,14 @@ class TestFlagMapping:
         assert [r["chosen_lags"] for r in rows] == [0] * 4
         assert [r["deterministic"] for r in rows] == ["none", "constant+trend"] * 2
 
-    def test_sspace_iteration_cap_and_gamma(self, csv_path):
-        code, _, err = run_cli(["sspace", "--input", csv_path, "--max-iter", "1"])
+    def test_sspace_iteration_cap_and_gamma(self, csv_path, monkeypatch):
+        # the cap is the constant sspace._MAX_ITER, not a flag
+        code, out, err = run_cli(["sspace", "--input", csv_path, "--max-iter", "1"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unrecognized arguments: --max-iter 1" in err
+        monkeypatch.setattr(sspace, "_MAX_ITER", 1)
+        code, _, err = run_cli(["sspace", "--input", csv_path])
         assert code == EXIT_ESTIMATION
         assert "no convergence after 1 iterations" in err
         # the fit takes the model's gamma; it has no option to estimate it
@@ -416,15 +421,12 @@ class TestFlagMapping:
         assert out == ""
         assert "unrecognized arguments: --estimate-gamma" in err
 
-    def test_pipeline_seed_enters_the_config_hash(self, csv_path):
-        def config_sha(argv):
-            code, out, _ = run_cli(["pipeline", "--input", csv_path] + argv)
-            assert code == EXIT_OK
-            return json.loads(out)["provenance"]["config_sha256"]
-
-        expected = hashlib.sha256(json.dumps(
-            PipelineConfig(seed=5).to_dict(), sort_keys=True).encode()).hexdigest()
-        assert config_sha(["--seed", "5"]) == expected != config_sha([])
+    def test_pipeline_seed_is_refused(self, csv_path):
+        # no stage draws a random number; simulate keeps its --seed
+        code, out, err = run_cli(["pipeline", "--input", csv_path, "--seed", "5"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unrecognized arguments: --seed 5" in err
 
     def test_config_that_is_not_an_object_is_usage_error(self, csv_path, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -545,10 +547,10 @@ class TestStrictJson:
     def test_failed_subsample_window_writes_null(self, csv_path, tmp_path, monkeypatch):
         fit_mle = sspace.fit_mle
 
-        def fail_short_windows(model, options=None):
+        def fail_short_windows(model):
             if len(model) < 150:  # the 1980-12 window; the full sample has 188 months
                 raise NonFiniteObjective("forced failure")
-            return fit_mle(model, options)
+            return fit_mle(model)
 
         monkeypatch.setattr(sspace, "fit_mle", fail_short_windows)
         ends = ["--subsample-ends", "1980-12,1985-12"]
@@ -576,7 +578,7 @@ class TestParserReuse:
             assert run_cli(argv)[0] == EXIT_OK
         assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 1)
 
-    def test_a_seed_is_not_kept_for_the_next_pipeline(self, csv_path):
+    def test_a_cusum_level_is_not_kept_for_the_next_pipeline(self, csv_path):
         def config_sha(argv):
             code, out, _ = run_cli(["pipeline", "--input", csv_path] + argv)
             assert code == EXIT_OK
@@ -584,7 +586,7 @@ class TestParserReuse:
 
         cli._parser.cache_clear()
         first_call = config_sha([])
-        assert config_sha(["--seed", "3"]) != first_call
+        assert config_sha(["--cusum-sig", "0.1"]) != first_call
         assert config_sha([]) == first_call == hashlib.sha256(json.dumps(
             PipelineConfig().to_dict(), sort_keys=True).encode()).hexdigest()
 

@@ -42,7 +42,10 @@ def test_cli_loads_no_scipy():
 
 
 def test_default_fit_and_mle_study_load_no_scipy():
+    # the CLI too: only a report hashes, so simulate loads no OpenSSL (_hashlib),
+    # and a study's medians load no numpy.ma
     modules = _modules_after(
+        "import tvelast.cli\n"
         "from tvelast.simlab import TvpDgp, gen_tvp, monte_carlo\n"
         "from tvelast.sspace import fit_mle\n"
         "dgp = TvpDgp(T=120, sigma2_meas=0.1, sigma2_state=0.2, seed=3)\n"
@@ -50,6 +53,8 @@ def test_default_fit_and_mle_study_load_no_scipy():
         "assert monte_carlo('mle', dgp, 10, 0).n_reps == 10")  # the smallest study
     assert "tvelast.sspace" in modules
     assert _under(modules, "scipy") == []
+    assert _under(modules, "numpy.ma") == []
+    assert "_hashlib" not in modules
 
 
 def test_pipeline_report_loads_no_scipy(tmp_path):

@@ -197,17 +197,16 @@ class TestPipelineConfig:
     def test_default_config_hash_is_pinned(self):
         text = json.dumps(PipelineConfig().to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "536743b4d006a8d2fe4a7b0c2015df6293dbb7baf8016285f5d775f6e4874762")
+            "8aff5e5bd3935991acd349a2b586dd1f84b311931f022774835faa54535844e8")
 
     def test_non_default_config_hash_is_pinned(self):
         cfg = PipelineConfig(
             growth_mode="pct-change", adf_max_lags=3,
             subsample_end_dates=(MonthDate(1990, 12), MonthDate(2000, 12)),
-            mle=sspace.MleOptions(max_iter=7),
         )
         text = json.dumps(cfg.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "41b0bbcc76f22c666a65ffb4fa55ba4aa9c08a8ea181077831e05f618e3c977c")
+            "e2dce980d3eca59c2c7be98b7e97d89735133e40cdf6aa86c9ad9455c88a9efe")
 
 
 class TestSubsampleFinalStates:
@@ -265,7 +264,7 @@ class TestSubsampleFinalStates:
     def test_failed_fit_recorded_not_fatal(self, monkeypatch):
         data = make_dataset(n_months=120, seed=3)
 
-        def boom(model, options=None):
+        def boom(model):
             raise sspace.NonFiniteObjective("forced failure")
 
         monkeypatch.setattr(sspace, "fit_mle", boom)
@@ -279,16 +278,17 @@ class TestSubsampleFinalStates:
         cells = emit_figure_data(report, "appendixA1").splitlines()[1].split(",")
         assert cells[2:] == ["nan", "nan", "nan", "nan", "0"]
 
-    def test_fit_that_does_not_converge_keeps_its_best_point(self):
+    def test_fit_that_does_not_converge_keeps_its_best_point(self, monkeypatch):
         # report-555 pool item 3; one iteration stops every fit short
+        monkeypatch.setattr(sspace, "_MAX_ITER", 1)
         spec = importlib.util.spec_from_file_location(
             "plan", Path(__file__).resolve().parents[1] / "benchmark" / "plan.py")
         plan = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(plan)
         data = parse_csv(plan.dataset_csv(3))
         ends = [MonthDate.parse(e) for e in plan.SUBSAMPLE_ENDS.split(",")]
-        cfg = PipelineConfig(subsample_end_dates=tuple(ends), mle=sspace.MleOptions(max_iter=1))
-        rows = subsample_final_states(data, growth_pair(data, cfg), ends, cfg)
+        cfg = PipelineConfig(subsample_end_dates=tuple(ends))
+        rows = subsample_final_states(data, growth_pair(data, cfg), ends)
         assert [r.sample_end for r in rows] == ends
         for r in rows:
             assert not r.converged

@@ -44,6 +44,21 @@ def test_this_tree_matches_itself():
     assert proc.stdout.startswith("identical: ")
 
 
+def test_each_run_writes_its_stderr_with_the_directories_masked(tmp_path):
+    indir, out = tmp_path / "in", tmp_path / "out"
+    indir.mkdir()
+    same_outputs.write_inputs(indir, 0)
+    same_outputs.emit(out, indir, 0)
+    # the constant-cpi report stops at its pretests, so its message is what compares
+    assert (out / "constant_cpi" / "pipeline.stdout.json.stderr").read_text() == (
+        "tvelast: stage 'adf': every candidate regression is degenerate\n")
+    written = (out / "degenerate_window" / "pipeline.out.stderr").read_text().splitlines()
+    assert "OUT/degenerate_window/pipeline/report.json" in written
+    assert all(line.startswith("OUT/degenerate_window/pipeline/") for line in written)
+    assert (out / "degenerate_window" / "pipeline.out").read_text() == ""
+    assert (out / "simulate" / "mle.json.stderr").read_text() == ""
+
+
 def test_the_constant_cpi_input_is_the_strict_json_tests_data():
     # tests/test_cli.py TestStrictJson.test_ols_on_constant_cpi_writes_null
     data = make_dataset(n_months=60, seed=1)

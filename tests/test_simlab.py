@@ -11,6 +11,7 @@ from tvelast.simlab import (
     SplitMix64,
     TvpDgp,
     UnitRootDgp,
+    _summarize,
     derive_seed,
     gen_ar1,
     gen_break_regression,
@@ -235,6 +236,13 @@ class TestMonteCarlo:
         assert all(0.0 <= c <= 1.0 for c in out.coverage95.values())
         assert out.rejection_rate is None
         assert out.n_failed + out.n_reps - out.n_failed == 20
+
+    @pytest.mark.parametrize("n_ok", [9, 10])
+    def test_median_is_numpys_at_odd_and_even_counts(self, n_ok):
+        est = np.random.default_rng(n_ok).normal(size=n_ok).tolist()
+        records = [{"k": v} for v in est] + [None]  # a failed replication has no estimate
+        summary = _summarize("mle", n_ok + 1, records, {"k": 0.0})
+        assert summary.median["k"] == float(np.median(est))
 
     def test_adf_study_rejection_field(self):
         out = monte_carlo("adf", UnitRootDgp(T=100), n_reps=50, seed=3)

@@ -307,6 +307,17 @@ class TestFitMle:
         with pytest.raises(NoConvergence):
             fit_mle(model)
 
+    def test_iteration_cap_is_no_convergence_with_the_best_point(self, monkeypatch):
+        model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.4, seed=10))
+        monkeypatch.setattr(sspace, "_MAX_ITER", 1)
+        with pytest.raises(NoConvergence) as info:
+            fit_mle(model)
+        assert str(info.value) == ("no convergence after 1 iterations: "
+                                   "Maximum number of iterations exceeded")
+        best = info.value.result
+        assert best.converged is False and best.n_iter == 1
+        assert best.log_lik == pytest.approx(best.loglik_path[-1], abs=1e-9)
+
     def test_information_criteria_convention(self):
         model, _ = gen_tvp(TvpDgp(T=150, sigma2_meas=0.1, sigma2_state=0.1, seed=13))
         fit = fit_mle(model)
