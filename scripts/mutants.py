@@ -5,7 +5,8 @@
 
 MUTANTS is a fixed table of one-line slips in formulas whose results the
 report prints: (name, module, old text, new text, what it breaks). Each
-changes a printed number; none is an algebraic rewrite of the same value.
+changes a printed number; the one algebraic rewrite of the same value,
+ols-r2-tss-cancels, changes it by cancellation.
 The probe copies src/, tests/, scripts/, benchmark/ and pyproject.toml to a
 temporary directory once. For each mutant it replaces the old text, which
 must occur exactly once in src/tvelast/<module>.py, runs `pytest -x` on
@@ -134,6 +135,10 @@ MUTANTS = (
      "return sum_log_f, sum_v2_f, len(yv) - DIFFUSE_MONTHS",
      "return sum_log_f, sum_v2_f, len(yv)",
      "the diffuse month is counted as a likelihood term"),
+    ("fit-min-len", "sspace",
+     "if len(model) < 3:",
+     "if len(model) <= 3:",
+     "the ML fit refuses its 3-observation minimum"),
     ("sigma2-hat-n", "sspace",
      "log_s2 = math.log(sum_v2_f / n) if sum_v2_f > 0.0 else -math.inf",
      "log_s2 = math.log(sum_v2_f / (n + 1)) if sum_v2_f > 0.0 else -math.inf",
@@ -159,6 +164,22 @@ MUTANTS = (
      "sigma_w = float(np.std(wv, ddof=1))",
      "sigma_w = float(np.std(wv, ddof=0))",
      "the CUSUM scale divides by T - k, not T - k - 1"),
+    ("cusum-1pct-constant", "regress",
+     "0.01: 1.143,",
+     "0.01: 2.143,",
+     "the 1% CUSUM band constant does not solve the crossing probability"),
+    ("cusum-zero-sigma", "regress",
+     "if sigma_w > 0:",
+     "if sigma_w >= 0:",
+     "an exact fit's CUSUM statistic is 0 / 0"),
+    ("ols-r2-tss-cancels", "regress",
+     "tss = float((yv - yv.mean()) @ (yv - yv.mean()))",
+     "tss = float((yv + yv.mean()) @ (yv - yv.mean()))",
+     "R^2's total sum of squares cancels sum(y^2) against n * mean^2"),
+    ("recursive-min-len", "regress",
+     "yv, xv = _check_pair(y, x, min_len=N_REGRESSORS + 1)\n    sxx, sxy, syy",
+     "yv, xv = _check_pair(y, x, min_len=N_REGRESSORS + 2)\n    sxx, sxy, syy",
+     "the recursive path refuses its 2-observation minimum"),
     ("cusum-band-slope", "regress",
      "band_hi = [a * (sqrt_n + 2.0 * i / sqrt_n) for i in range(n + 1)]",
      "band_hi = [a * (sqrt_n + i / sqrt_n) for i in range(n + 1)]",
@@ -210,6 +231,15 @@ MUTANTS = (
      "(int(i < sspace.DIFFUSE_MONTHS) for i in range(n))",
      "(int(i <= sspace.DIFFUSE_MONTHS) for i in range(n))",
      "fig8 flags a month after the diffuse one as burn-in"),
+    # the simulation stream
+    ("stream-counter-0", "simlab",
+     "np.arange(1, n + 1, dtype=_U64)",
+     "np.arange(0, n, dtype=_U64)",
+     "the stream starts at output 0, not 1"),
+    ("box-muller-sin", "simlab",
+     "r * np.sin(theta)",
+     "r * np.cos(theta)",
+     "each pair's second normal is its first again"),
     # Monte Carlo summaries
     ("mc-median-even", "simlab",
      "median[name] = srt[mid] if len(srt) % 2 else (srt[mid - 1] + srt[mid]) / 2",

@@ -27,9 +27,12 @@ raises DegenerateRegressor and its row is null), the outputs of
 the `--format json|csv|text` output and the `--dump` file of every
 `simulate` study at `--reps 10`, at its default `--t` and at small ones
 (SMALL_T; for mle also one at which replications fail, so the dump's
-failed rows are compared), with its replications run in one process,
-again split across 3 processes (`monte_carlo`'s `n_jobs`) and again at
-each tree's own default `n_jobs`, plus every command's exit code. Every
+failed rows are compared; for the cusum studies also an odd one), with
+its replications run in one process, again split across 3 processes and
+again across this host's own CPU set, plus every command's exit code.
+`monte_carlo` splits the replications across the CPU set that
+`os.sched_getaffinity` reports, so the 1- and 3-CPU runs patch that call
+in the emitting process. Every
 run's standard error is written beside its standard output, with the input
 and output directories written IN and OUT, so error texts and the paths
 that `--out` prints are compared too. A report's `created_at` line is
@@ -52,14 +55,16 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 SINGLE = ("validate", "adf", "ols", "cusum", "recursive", "sspace", "subsample")
 FORMATS = ("json", "csv", "text")
 # each simulate study, with a small --t near its estimator's shortest sample;
-# at mle's T=6, 1 fit of the 10 at seed 0 raises
-SMALL_T = {"mle": (60, 6), "adf-size": (40,), "adf-power": (40,), "cusum-size": (30,),
-           "cusum-power": (30,)}
+# at mle's T=6, 1 fit of the 10 at seed 0 raises; an odd T draws an odd
+# number of normals for each of the break regression's two series
+SMALL_T = {"mle": (60, 6), "adf-size": (40,), "adf-power": (40,), "cusum-size": (30, 31),
+           "cusum-power": (30, 31)}
 # the degenerate-window input's run: the first window's money growth is 100.0
 DEGENERATE_ARGS = ("--growth-mode", "pct", "--subsample-ends", "1974-12,1978-12,1980-12")
 
@@ -121,7 +126,7 @@ def _drop_created_at(path: Path) -> None:
 
 def emit(outdir: Path, indir: Path, n: int) -> None:
     """Write every output of the tvelast found first on sys.path under outdir."""
-    from tvelast import cli, simlab
+    from tvelast import cli
 
     plan = _load_plan()
     exits = {}
@@ -166,22 +171,20 @@ def emit(outdir: Path, indir: Path, n: int) -> None:
     for fmt in FORMATS:
         run(f"degenerate_window/subsample.{fmt}", ["subsample", *deg, "--format", fmt])
     (outdir / "simulate").mkdir(parents=True, exist_ok=True)  # the --dump files' directory
-    monte_carlo = simlab.monte_carlo
-    for n_jobs, suffix in ((1, ""), (3, ".jobs3"), (None, ".default")):
-        # the CLI has no jobs flag; it calls simlab.monte_carlo through the module,
-        # and None leaves the call as the CLI makes it
-        simlab.monte_carlo = monte_carlo if n_jobs is None else (
-            lambda *a, **kw: monte_carlo(*a, n_jobs=n_jobs, **kw))
-        for study, small_ts in SMALL_T.items():
-            for t in (None, *small_ts):
-                t_args = [] if t is None else ["--t", str(t)]
-                name = (study if t is None else f"{study}.t{t}") + suffix
-                dump = outdir / "simulate" / f"{name}.dump.csv"
-                for fmt in FORMATS:
-                    run(f"simulate/{name}.{fmt}",
-                        ["simulate", study, "--reps", "10", *t_args, "--format", fmt,
-                         "--dump", str(dump)])
-    simlab.monte_carlo = monte_carlo
+    for n_cpus, suffix in ((1, ""), (3, ".jobs3"), (None, ".default")):
+        # the CLI has no jobs flag; None leaves this host's own CPU set
+        cpus = contextlib.nullcontext() if n_cpus is None else mock.patch.object(
+            os, "sched_getaffinity", lambda pid, n=n_cpus: set(range(n)), create=True)
+        with cpus:
+            for study, small_ts in SMALL_T.items():
+                for t in (None, *small_ts):
+                    t_args = [] if t is None else ["--t", str(t)]
+                    name = (study if t is None else f"{study}.t{t}") + suffix
+                    dump = outdir / "simulate" / f"{name}.dump.csv"
+                    for fmt in FORMATS:
+                        run(f"simulate/{name}.{fmt}",
+                            ["simulate", study, "--reps", "10", *t_args, "--format", fmt,
+                             "--dump", str(dump)])
     (outdir / "exit_codes.json").write_text(json.dumps(exits, indent=1, sort_keys=True),
                                             encoding="utf-8")
 

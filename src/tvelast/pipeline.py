@@ -504,20 +504,15 @@ FIGURE_FILES = {which: fname for which, (fname, _) in _FIGURES.items()}
 
 
 def adf_table_text(rows: list[AdfTableRow]) -> str:
-    """Aligned text block in the shape of a levels/first-difference table."""
+    """Aligned text block in the shape of a levels/first-difference table:
+    rows are adf_battery's, a level row then its first difference's."""
     lines = [f"{'Variable':24}{'Levels':>12}{'p-value':>10}{'First Diff.':>14}{'p-value':>10}"]
-    by_var: dict[str, dict[str, unitroot.AdfResult]] = {}
-    for r in rows:
-        by_var.setdefault(r.variable, {})[r.form] = r.result
-    for var, forms in by_var.items():
-        lev = forms.get("level")
-        dif = forms.get("first_difference")
+    for level, diff in zip(rows[0::2], rows[1::2]):
+        lev, dif = level.result, diff.result
         lines.append(
-            f"{var:24}"
-            f"{lev.statistic if lev else math.nan:>12.5f}"
-            f"{lev.p_value_approx if lev else math.nan:>10.4f}"
-            f"{dif.statistic if dif else math.nan:>14.5f}"
-            f"{(dif.p_value_approx if dif else math.nan):>9.4f}{dif.stars() if dif else '':<3}"
+            f"{level.variable:24}"
+            f"{lev.statistic:>12.5f}{lev.p_value_approx:>10.4f}"
+            f"{dif.statistic:>14.5f}{dif.p_value_approx:>9.4f}{dif.stars():<3}"
         )
     crit = rows[0].result
     lines.append(

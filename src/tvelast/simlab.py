@@ -43,62 +43,22 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def _mix64_scalar(z: int) -> int:
-    with np.errstate(over="ignore"):
-        return int(_mix64(np.array([z], dtype=_U64))[0])
+def _stream(seed: int, n: int) -> np.ndarray:
+    """Outputs k = 1..n of the stream for seed, as uint64: the recipe above,
+    with base = mix64(seed + GAMMA) scrambled once so that nearby seeds do
+    not sample the mixer on overlapping neighborhoods."""
+    base = _mix64(np.array([(seed + _GAMMA) & 0xFFFFFFFFFFFFFFFF], dtype=_U64))
+    return _mix64(base + np.arange(1, n + 1, dtype=_U64) * _U64(_GAMMA))
 
 
-class SplitMix64:
-    """Counter-mode SplitMix64 stream; draws advance an integer counter.
-
-    Output k of the stream for a given seed is
-
-        mix64(base + k * GAMMA)   with   base = mix64(seed + GAMMA)
-
-    where mix64 is the published SplitMix64 finalizer. Scrambling the seed
-    into the base once means numerically adjacent seeds (0, 1, 2, ...)
-    start at unrelated points of the state space; without it, streams for
-    nearby seeds sample the mixer on overlapping neighborhoods and show
-    measurable cross-stream correlation.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = seed & 0xFFFFFFFFFFFFFFFF
-        self._base = int(_mix64_scalar((self.seed + _GAMMA) & 0xFFFFFFFFFFFFFFFF))
-        self._counter = 0
-        self._pending_normal: float | None = None
-
-    def _raw(self, n: int) -> np.ndarray:
-        ks = np.arange(self._counter + 1, self._counter + n + 1, dtype=_U64)
-        self._counter += n
-        with np.errstate(over="ignore"):
-            return _mix64(_U64(self._base) + ks * _U64(_GAMMA))
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """n uniforms on the open interval (0, 1), 53-bit resolution."""
-        return ((self._raw(n) >> _U64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-
-    def normals(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller on consecutive uniform pairs.
-
-        An odd draw leaves half a pair pending for the next call, so the
-        stream of normals is a pure function of (seed, draws so far).
-        """
-        lead = []
-        if self._pending_normal is not None and n > 0:
-            lead = [self._pending_normal]
-            self._pending_normal = None
-        need = n - len(lead)
-        pairs = (need + 1) // 2
-        u = self.uniforms(2 * pairs)
-        r = np.sqrt(-2.0 * np.log(u[0::2]))
-        theta = 2.0 * math.pi * u[1::2]
-        z = np.empty(2 * pairs)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        if need % 2 == 1:
-            self._pending_normal = float(z[-1])
-        return np.concatenate([lead, z[:need]])
+def _normals(seed: int, n: int) -> np.ndarray:
+    """The first n standard normals for seed: Box-Muller on consecutive pairs
+    of 53-bit uniforms on (0, 1), the cosine of each pair first. A generator
+    makes one call, so each replication is a pure function of its seed."""
+    u = ((_stream(seed, n + n % 2) >> _U64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u[0::2]))
+    theta = 2.0 * math.pi * u[1::2]
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1).ravel()[:n]
 
 
 def derive_seed(master: int, replication: int) -> int:
@@ -129,8 +89,7 @@ class TvpDgp:
 
 def gen_tvp(dgp: TvpDgp) -> tuple[sspace.TvpModel, MonthlySeries]:
     """Simulate (y, x) from the TVP model; returns the model and true state."""
-    # one draw of 3T normals is the three draws of T, in order
-    x, steps, noise = SplitMix64(dgp.seed).normals(3 * dgp.T).reshape(3, dgp.T)
+    x, steps, noise = _normals(dgp.seed, 3 * dgp.T).reshape(3, dgp.T)
     alpha = np.cumsum(math.sqrt(dgp.sigma2_state) * steps)
     y = x * alpha + math.sqrt(dgp.sigma2_meas) * noise
     model = sspace.TvpModel(
@@ -144,7 +103,7 @@ def gen_unit_root(T: int, seed: int = 0) -> MonthlySeries:
     """Gaussian random walk with unit-variance steps, X_0 = 0, length T."""
     if T < 25:
         raise ValueError("T must be >= 25")
-    steps = SplitMix64(seed).normals(T)
+    steps = _normals(seed, T)
     return MonthlySeries(_DEFAULT_START, tuple(np.cumsum(steps)), name="random_walk")
 
 
@@ -152,7 +111,7 @@ def gen_ar1(T: int, phi: float, seed: int = 0) -> MonthlySeries:
     """Stationary Gaussian AR(1) path of length T, unit-variance innovations."""
     if T < 25:
         raise ValueError("T must be >= 25")
-    z = SplitMix64(seed).normals(T + 1)
+    z = _normals(seed, T + 1)
     x = np.empty(T)
     prev = z[0] / math.sqrt(1.0 - phi ** 2)  # stationary start
     for t in range(T):
@@ -177,9 +136,8 @@ class BreakRegressionDgp:
 
 
 def gen_break_regression(dgp: BreakRegressionDgp, seed: int) -> tuple[MonthlySeries, MonthlySeries]:
-    rng = SplitMix64(seed)
-    x = 1.5 + 0.5 * rng.normals(dgp.T)
-    e = rng.normals(dgp.T)
+    z, e = _normals(seed, 2 * dgp.T).reshape(2, dgp.T)
+    x = 1.5 + 0.5 * z
     beta = np.where(np.arange(dgp.T) < dgp.T // 2, 1.0, dgp.beta2)
     y = beta * x + e
     return (MonthlySeries(_DEFAULT_START, tuple(y), name="y"),
@@ -301,18 +259,18 @@ STUDIES = {
 
 
 def monte_carlo(estimator: str, dgp, n_reps: int, seed: int,
-                dump_path: str | None = None, n_jobs: int | None = None) -> McSummary:
+                dump_path: str | None = None) -> McSummary:
     """Run n_reps independent replications of one estimator study.
 
     The study is STUDIES[type(dgp)], and estimator must be its id. Every
     test study rejects at 5%.
-    Replication r draws from the stream seeded with seed XOR r. n_jobs
-    None splits the replications across the CPUs this process may run on,
-    capped at n_reps; n_jobs=1 runs them all in this process. The split
-    forks (POSIX only, as the old process pool's default context was)
-    n_jobs - 1 children, each running one contiguous block of
+    Replication r draws from the stream seeded with seed XOR r. The
+    replications are split across the CPUs this process may run on
+    (os.sched_getaffinity; 1 where it is missing), capped at n_reps: one
+    CPU runs them all in this process. The split forks (POSIX only) one
+    child per further CPU, each running one contiguous block of
     replications, and joins the records in replication order, so the
-    summary and the dump are identical for every n_jobs.
+    summary and the dump are identical for every CPU set.
     Replication failures are counted, not fatal.
     """
     study = STUDIES.get(type(dgp))
@@ -320,24 +278,21 @@ def monte_carlo(estimator: str, dgp, n_reps: int, seed: int,
         raise ValueError(f"estimator {estimator!r} does not take a {type(dgp).__name__}")
     if n_reps < 10:
         raise ValueError("n_reps must be >= 10")
-    if n_jobs is not None and (type(n_jobs) is not int or n_jobs < 1):  # a bool is not a count
-        raise ValueError(f"n_jobs must be None or a positive integer, got {n_jobs!r}")
-    if n_jobs is None:
-        n_jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     seeds = [derive_seed(seed, r) for r in range(n_reps)]
-    records = _run_split(dgp, seeds, min(n_jobs, n_reps))
+    records = _run_split(dgp, seeds, min(n_cpus, n_reps))
     if dump_path:
         _dump_records(dump_path, records)
     return _summarize(estimator, n_reps, records, study.truth(dgp))
 
 
-def _run_split(dgp, seeds: list[int], n_jobs: int) -> list[dict | None]:
-    """The records of every seed, in order, with the seeds cut into n_jobs
+def _run_split(dgp, seeds: list[int], n_blocks: int) -> list[dict | None]:
+    """The records of every seed, in order, with the seeds cut into n_blocks
     contiguous blocks: this process runs the first, a forked child each
     other one. No child outlives the call."""
-    if n_jobs == 1:
+    if n_blocks == 1:
         return [_safe_run_one(dgp, s) for s in seeds]
-    cuts = [len(seeds) * j // n_jobs for j in range(n_jobs + 1)]
+    cuts = [len(seeds) * j // n_blocks for j in range(n_blocks + 1)]
     children = []  # [pid, pipe's read end, first replication, stop]; pid None once reaped
     try:
         for first, stop in zip(cuts[1:-1], cuts[2:]):

@@ -98,6 +98,14 @@ class TestOls:
         assert res.ssr == 0.0
         assert math.isnan(res.dw)
 
+    def test_r2_stays_accurate_when_the_mean_of_y_dwarfs_its_spread(self, rng):
+        # R^2 centres y itself: sum(y^2) - n * mean^2, the same value in exact
+        # arithmetic, cancels away most digits of a y whose mean is 1e6
+        xv = rng.normal(1e6, 1.0, 50)
+        yv = xv + rng.normal(0.0, 1.0, 50)
+        res = ols_no_intercept(*_pair(yv, xv))
+        assert res.r2 == pytest.approx(_oracles.ols_brute(yv, xv)["r2"], rel=1e-9)
+
     def test_degenerate_regressor(self):
         y, x = _pair([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
         with pytest.raises(DegenerateRegressor):
@@ -172,6 +180,18 @@ class TestRecursiveResiduals:
 
 
 class TestRecursiveCoefficients:
+    def test_two_observations_give_one_estimate(self):
+        # the minimum: k + 1 = 2 observations leave one residual degree of freedom
+        yv, xv = [1.0, 3.0], [1.0, 2.0]
+        path = recursive_coefficients(*_pair(yv, xv))
+        full = ols_no_intercept(*_pair(yv, xv))
+        assert path.start_index == 2
+        assert path.coefs == (full.coef,)
+        assert path.bands_lo[0] == pytest.approx(full.coef - 2.0 * full.std_err, rel=1e-12)
+        assert path.bands_hi[0] == pytest.approx(full.coef + 2.0 * full.std_err, rel=1e-12)
+        with pytest.raises(LengthMismatch):
+            recursive_coefficients(*_pair(yv[:1], xv[:1]))
+
     def test_noiseless_flat_path(self, rng):
         xv = rng.normal(0.5, 1, 30)
         path = recursive_coefficients(*_pair(3.0 * xv, xv))
@@ -214,6 +234,32 @@ class TestCusum:
         res = cusum(*_pair(yv, xv), significance=0.05)
         assert res.band_hi[0] == 9.48
         assert res.band_lo[0] == -9.48
+
+    @pytest.mark.parametrize("significance", sorted(CUSUM_BAND_CONSTANTS))
+    def test_band_constant_solves_the_crossing_probability(self, rng, significance):
+        # Brown, Durbin & Evans (1975): the band constant a solves
+        # Q(3a) + exp(-4a^2) (1 - Q(a)) = significance / 2, Q the normal upper
+        # tail; the published constants are its roots to three decimals
+        def upper_tail(z):
+            return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+        lo, hi = 0.5, 2.0  # the left side falls from above 0.05 to below 0.005
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            crossing = upper_tail(3.0 * mid) + math.exp(-4.0 * mid * mid) * (1.0 - upper_tail(mid))
+            lo, hi = (mid, hi) if crossing > significance / 2.0 else (lo, mid)
+        xv = rng.normal(1, 1, 101)
+        res = cusum(*_pair(xv + rng.normal(0, 1, 101), xv), significance=significance)
+        assert res.band_hi[0] / 10.0 == pytest.approx(round(lo, 3), abs=1e-12)  # sqrt(T - k) = 10
+
+    def test_exact_fit_has_a_zero_statistic_and_is_stable(self):
+        # every recursive residual is exactly 0, so sigma_w is 0 and the
+        # statistic stays at 0 rather than 0 / 0
+        xv = [1.0, 2.0, 3.0, 4.0, 5.0]
+        res = cusum(*_pair([2.0 * v for v in xv], xv))
+        assert res.sigma_w == 0.0
+        assert res.statistic == (0.0,) * 5
+        assert res.stable and res.first_crossing is None
 
     def test_bands_symmetric_and_affine(self, rng):
         xv = rng.normal(1, 1, 80)

@@ -8,9 +8,10 @@ import pytest
 from tvelast.simlab import (
     Ar1Dgp,
     BreakRegressionDgp,
-    SplitMix64,
     TvpDgp,
     UnitRootDgp,
+    _normals,
+    _stream,
     _summarize,
     derive_seed,
     gen_ar1,
@@ -21,48 +22,48 @@ from tvelast.simlab import (
 )
 
 
+_MASK = 2 ** 64 - 1
+
+
+def _published_mix64(z):
+    """The SplitMix64 finalizer of Steele, Lea & Flood in Python ints."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
 class TestSplitMix64:
     def test_finalizer_matches_published_sequence(self):
         # the canonical splitmix64 stream for state 0 is the finalizer
         # applied to successive multiples of GAMMA (Steele, Lea & Flood;
         # also the xoshiro seeding test vectors)
-        from tvelast.simlab import _GAMMA, _mix64_scalar
-        got = [_mix64_scalar((k * _GAMMA) & (2 ** 64 - 1)) for k in range(1, 6)]
-        assert got == [
+        from tvelast.simlab import _GAMMA, _mix64
+        got = [int(v) for v in _mix64(np.arange(1, 6, dtype=np.uint64) * np.uint64(_GAMMA))]
+        want = [
             0xE220A8397B1DCDAF,
             0x6E789E6AA1B965F4,
             0x06C45D188009454F,
             0xF88BB8A8724C81EC,
             0x1B39896A51A8749B,
         ]
+        assert got == want
+        assert [_published_mix64((k * _GAMMA) & _MASK) for k in range(1, 6)] == want
 
     def test_stream_construction_recipe(self):
-        # output k = mix64(mix64(seed + GAMMA) + k * GAMMA), frozen here so
-        # a refactor cannot silently change every downstream stream
-        from tvelast.simlab import _GAMMA, _mix64_scalar
-        mask = 2 ** 64 - 1
-        for seed in (0, 1, 20250809, mask):
-            base = _mix64_scalar((seed + _GAMMA) & mask)
-            want = [_mix64_scalar((base + k * _GAMMA) & mask) for k in range(1, 4)]
-            got = [int(v) for v in SplitMix64(seed)._raw(3)]
-            assert got == want
-
-    def test_uniforms_open_interval(self):
-        u = SplitMix64(123).uniforms(10000)
-        assert np.all(u > 0.0) and np.all(u < 1.0)
-        assert abs(np.mean(u) - 0.5) < 0.01
+        # output k = mix64(mix64(seed + GAMMA) + k * GAMMA) for k = 1, 2, ...,
+        # frozen here so a refactor cannot silently change every downstream stream
+        from tvelast.simlab import _GAMMA
+        for seed in (0, 1, 20250809, _MASK):
+            base = _published_mix64((seed + _GAMMA) & _MASK)
+            want = [_published_mix64((base + k * _GAMMA) & _MASK) for k in range(1, 4)]
+            assert [int(v) for v in _stream(seed, 3)] == want
 
     def test_normals_moments(self):
-        z = SplitMix64(456).normals(200000)
+        z = _normals(456, 200001)  # odd, so the last pair's sine is dropped
+        assert len(z) == 200001
+        assert np.all(np.isfinite(z))  # no uniform is 0, whose log is -inf
         assert abs(np.mean(z)) < 0.01
         assert abs(np.std(z) - 1.0) < 0.01
-
-    def test_counter_continuation_matches_one_shot(self):
-        a = SplitMix64(9)
-        first = a.normals(7)
-        second = a.normals(5)
-        both = SplitMix64(9).normals(12)
-        np.testing.assert_array_equal(np.concatenate([first, second]), both)
 
     def test_derive_seed_is_xor(self):
         assert derive_seed(0b1100, 0b1010) == 0b0110
@@ -170,6 +171,11 @@ def _refuse_replications_and_forks(monkeypatch):
     monkeypatch.setattr(os, "fork", refuse)
 
 
+def _use_cpus(monkeypatch, n):
+    """Make this process's CPU set, which sets monte_carlo's split, n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 class TestMonteCarlo:
     def test_deterministic_summary(self):
         dgp = TvpDgp(T=120, sigma2_meas=0.1, sigma2_state=0.2)
@@ -177,7 +183,7 @@ class TestMonteCarlo:
         b = monte_carlo("mle", dgp, n_reps=10, seed=42)
         assert a.to_json() == b.to_json()
 
-    def test_parallel_matches_sequential(self, tmp_path):
+    def test_parallel_matches_sequential(self, monkeypatch, tmp_path):
         from tvelast.simlab import STUDIES
 
         dgps = (TvpDgp(T=100, sigma2_meas=0.1, sigma2_state=0.2), UnitRootDgp(T=100),
@@ -185,15 +191,29 @@ class TestMonteCarlo:
         assert {type(dgp) for dgp in dgps} == set(STUDIES)  # one DGP per table entry
         for dgp in dgps:
             estimator = STUDIES[type(dgp)].estimator
-            # None is every usable CPU; 20 > n_reps is capped at one replication per process
-            seq, *splits = (monte_carlo(estimator, dgp, n_reps=12, seed=9, n_jobs=n_jobs,
-                                        dump_path=str(tmp_path / f"{n_jobs}.csv"))
-                            for n_jobs in (1, 3, None, 20))
-            _assert_no_child()
-            for n_jobs, split in zip((3, None, 20), splits):
-                assert seq.to_json() == split.to_json(), (dgp, n_jobs)
+            runs = {}
+            # None is this host's own CPU set; 20 > n_reps is capped at one replication per process
+            for n_cpus in (1, 3, None, 20):
+                with monkeypatch.context() as patch:
+                    if n_cpus is not None:
+                        _use_cpus(patch, n_cpus)
+                    runs[n_cpus] = monte_carlo(estimator, dgp, n_reps=12, seed=9,
+                                               dump_path=str(tmp_path / f"{n_cpus}.csv"))
+                _assert_no_child()
+            for n_cpus in (3, None, 20):
+                assert runs[1].to_json() == runs[n_cpus].to_json(), (dgp, n_cpus)
                 assert ((tmp_path / "1.csv").read_bytes()
-                        == (tmp_path / f"{n_jobs}.csv").read_bytes()), (dgp, n_jobs)
+                        == (tmp_path / f"{n_cpus}.csv").read_bytes()), (dgp, n_cpus)
+
+    def test_one_cpu_runs_every_replication_in_this_process(self, monkeypatch):
+        _use_cpus(monkeypatch, 1)
+
+        def refuse():
+            raise AssertionError("a child was forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        out = monte_carlo("adf", UnitRootDgp(T=100), n_reps=10, seed=3)
+        assert out.n_reps == 10 and out.n_failed == 0
 
     @pytest.mark.parametrize("failing", [0, 8])  # this process's block, a child's
     def test_an_exception_is_raised_in_the_caller(self, monkeypatch, failing):
@@ -207,8 +227,9 @@ class TestMonteCarlo:
             return run_one(dgp, rep_seed)
 
         monkeypatch.setattr(simlab, "_run_one", fail)
+        _use_cpus(monkeypatch, 3)
         with pytest.raises(KeyError) as info:
-            monte_carlo("adf", UnitRootDgp(T=100), n_reps=10, seed=9, n_jobs=2)
+            monte_carlo("adf", UnitRootDgp(T=100), n_reps=10, seed=9)
         raised_here = info.value.args[0] == f"raised in {os.getpid()}"
         assert raised_here == (failing == 0)
         _assert_no_child()
@@ -224,9 +245,10 @@ class TestMonteCarlo:
             return run_one(dgp, rep_seed)
 
         monkeypatch.setattr(simlab, "_run_one", exit_early)
-        with pytest.raises(RuntimeError, match=r"replication worker \d+ \(replications 5-9\) "
+        _use_cpus(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match=r"replication worker \d+ \(replications 6-9\) "
                                                r"ended with exit status 3 "):
-            monte_carlo("adf", UnitRootDgp(T=100), n_reps=10, seed=9, n_jobs=2)
+            monte_carlo("adf", UnitRootDgp(T=100), n_reps=10, seed=9)
         _assert_no_child()
 
     def test_mle_study_fields(self):
@@ -274,15 +296,10 @@ class TestMonteCarlo:
                 ("mle", lambda: tvp(sigma2_state=math.inf), "sigma2_state must be positive"),
                 ("cusum", lambda: BreakRegressionDgp(T=100, beta2=math.inf),
                  "beta2 must be finite")):
-            for n_jobs in (1, 2, None):
+            for n_cpus in (1, 3, 20):
+                _use_cpus(monkeypatch, n_cpus)
                 with pytest.raises(ValueError, match=match):
-                    monte_carlo(estimator, make_dgp(), n_reps=10, seed=1, n_jobs=n_jobs)
-
-    def test_bad_n_jobs_rejected_before_any_replication(self, monkeypatch):
-        _refuse_replications_and_forks(monkeypatch)
-        for n_jobs in (0, -3, True, False, 2.5, "2"):
-            with pytest.raises(ValueError, match="n_jobs must be None or a positive integer"):
-                monte_carlo("adf", UnitRootDgp(T=100), n_reps=10, seed=1, n_jobs=n_jobs)
+                    monte_carlo(estimator, make_dgp(), n_reps=10, seed=1)
 
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):

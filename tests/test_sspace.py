@@ -278,6 +278,18 @@ class TestFitMle:
             with pytest.raises(EmptySeries, match="three observations"):
                 fit_mle(model)
 
+    def test_three_observations_are_fitted(self):
+        # the minimum: two likelihood terms after the diffuse month; a fit may
+        # stop short of convergence there, but the series is not refused
+        for r in range(10):
+            model, _ = gen_tvp(TvpDgp(T=3, sigma2_meas=0.016, sigma2_state=0.359,
+                                      seed=derive_seed(0, r)))
+            try:
+                fit = fit_mle(model)
+            except NoConvergence as exc:
+                fit = exc.result
+            assert fit.n_obs == 3
+
     def test_recovers_known_variances(self):
         model, _ = gen_tvp(TvpDgp(T=543, sigma2_meas=0.016, sigma2_state=0.359, seed=7))
         fit = fit_mle(model)
