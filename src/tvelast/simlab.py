@@ -51,11 +51,17 @@ def _stream(seed: int, n: int) -> np.ndarray:
     return _mix64(base + np.arange(1, n + 1, dtype=_U64) * _U64(_GAMMA))
 
 
+def _uniforms(seed: int, n: int) -> np.ndarray:
+    """The first n uniforms for seed: the top 53 bits of each output, centred
+    in its cell so every value lies in the open interval (0, 1)."""
+    return ((_stream(seed, n) >> _U64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
 def _normals(seed: int, n: int) -> np.ndarray:
     """The first n standard normals for seed: Box-Muller on consecutive pairs
-    of 53-bit uniforms on (0, 1), the cosine of each pair first. A generator
-    makes one call, so each replication is a pure function of its seed."""
-    u = ((_stream(seed, n + n % 2) >> _U64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    of _uniforms, the cosine of each pair first. A generator makes one call,
+    so each replication is a pure function of its seed."""
+    u = _uniforms(seed, n + n % 2)
     r = np.sqrt(-2.0 * np.log(u[0::2]))
     theta = 2.0 * math.pi * u[1::2]
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1).ravel()[:n]

@@ -12,6 +12,7 @@ from tvelast.simlab import (
     UnitRootDgp,
     _normals,
     _stream,
+    _uniforms,
     _summarize,
     derive_seed,
     gen_ar1,
@@ -57,6 +58,11 @@ class TestSplitMix64:
             base = _published_mix64((seed + _GAMMA) & _MASK)
             want = [_published_mix64((base + k * _GAMMA) & _MASK) for k in range(1, 4)]
             assert [int(v) for v in _stream(seed, 3)] == want
+
+    def test_uniforms_open_interval(self):
+        u = _uniforms(123, 10000)
+        assert np.all(u > 0.0) and np.all(u < 1.0)
+        assert abs(np.mean(u) - 0.5) < 0.01
 
     def test_normals_moments(self):
         z = _normals(456, 200001)  # odd, so the last pair's sine is dropped
