@@ -12,6 +12,8 @@ for every input:
 
 - `tvelast pipeline --out`: report.json and every table and figure CSV;
 - the standard output of the plain `tvelast pipeline`;
+- for the first input only, both of those again without
+  `--subsample-ends`, so the empty sub-sample table is compared;
 - the `--format json|csv|text` output of validate, adf, ols, cusum,
   recursive, sspace and subsample;
 - the file `subsample --out` writes;
@@ -35,10 +37,9 @@ again across this host's own CPU set, plus every command's exit code.
 in the emitting process. Every
 run's standard error is written beside its standard output, with the input
 and output directories written IN and OUT, so error texts and the paths
-that `--out` prints are compared too. A report's `created_at` line is
-dropped. The two output trees are then compared file by file. Prints the
-number of identical files, and when any file differs or is missing, that
-number and one path per line. Exit 0 when every file is identical, 1 when
+that `--out` prints are compared too. The two output trees are then
+compared file by file. Prints the number of identical files, and when any
+file differs or is missing, that number and one path per line. Exit 0 when every file is identical, 1 when
 one is not, 2 when a tree fails to write its outputs.
 benchmark/plan.py is read, never modified.
 """
@@ -116,14 +117,6 @@ def write_inputs(indir: Path, n: int) -> None:
         (indir / f"dataset_{k:03d}.csv").write_text(plan.dataset_csv(k), encoding="utf-8")
 
 
-def _drop_created_at(path: Path) -> None:
-    if path.exists():
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text("".join(
-            line for line in lines if not line.lstrip().startswith('"created_at"')),
-            encoding="utf-8")
-
-
 def emit(outdir: Path, indir: Path, n: int) -> None:
     """Write every output of the tvelast found first on sys.path under outdir."""
     from tvelast import cli
@@ -150,9 +143,11 @@ def emit(outdir: Path, indir: Path, n: int) -> None:
         kdir = outdir / key
         base = ["--input", str(indir / f"dataset_{k:03d}.csv")]
         run(f"{key}/pipeline.out", ["pipeline", *base, *ends, "--out", str(kdir / "pipeline")])
-        _drop_created_at(kdir / "pipeline" / "report.json")
         run(f"{key}/pipeline.stdout.json", ["pipeline", *base, *ends])
-        _drop_created_at(kdir / "pipeline.stdout.json")
+        if k == 0:
+            run(f"{key}/pipeline_no_ends.out",
+                ["pipeline", *base, "--out", str(kdir / "pipeline_no_ends")])
+            run(f"{key}/pipeline_no_ends.stdout.json", ["pipeline", *base])
         for cmd in SINGLE:
             for fmt in FORMATS:
                 argv = [cmd, *base, "--format", fmt, *(ends if cmd == "subsample" else [])]
@@ -165,9 +160,7 @@ def emit(outdir: Path, indir: Path, n: int) -> None:
     deg = ["--input", str(indir / "degenerate_window.csv"), *DEGENERATE_ARGS]
     deg_dir = outdir / "degenerate_window"
     run("degenerate_window/pipeline.out", ["pipeline", *deg, "--out", str(deg_dir / "pipeline")])
-    _drop_created_at(deg_dir / "pipeline" / "report.json")
     run("degenerate_window/pipeline.stdout.json", ["pipeline", *deg])
-    _drop_created_at(deg_dir / "pipeline.stdout.json")
     for fmt in FORMATS:
         run(f"degenerate_window/subsample.{fmt}", ["subsample", *deg, "--format", fmt])
     (outdir / "simulate").mkdir(parents=True, exist_ok=True)  # the --dump files' directory

@@ -19,7 +19,7 @@ import sys
 
 from . import __version__, pipeline, regress, simlab, sspace, unitroot
 from .errors import DataError, EstimationError, StageError, TvelastError
-from .series import CsvSchema, MonthDate, json_text, parse_csv, row_csv
+from .series import MonthDate, json_text, parse_csv, row_csv
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -169,9 +169,8 @@ def main(argv=None) -> int:
 
 
 def _load(args):
-    schema = CsvSchema(date=args.date_col, y=args.y_col, x=args.x_col)
     with open(args.input, "rb") as fh:
-        return parse_csv(fh, schema)
+        return parse_csv(fh, date=args.date_col, y=args.y_col, x=args.x_col)
 
 
 def _cmd_validate(args) -> int:
@@ -227,7 +226,10 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
     settings = pipeline.PipelineConfig().to_dict()
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
+            try:
+                overrides = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ValueError(f"config file {args.config!r}: {exc}") from None
         if not isinstance(overrides, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = set(overrides) - set(settings)

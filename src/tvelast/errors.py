@@ -102,4 +102,4 @@ class StageError(TvelastError):
 
 
 class SectionMissing(TvelastError):
-    """A report section required for the requested output was skipped."""
+    """A report section required for the requested output was not computed."""

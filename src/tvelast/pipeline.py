@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
 
 from . import __version__, regress, sspace, unitroot
 from .errors import NoConvergence, OutOfRange, SectionMissing, StageError, TooShort, TvelastError
@@ -39,7 +38,7 @@ from .series import (
 )
 
 MIN_MONTHS_FOR_ADF = 60  # five years of monthly data before unit-root pretests
-SCHEMA_VERSION = 2  # report.json's provenance.schema_version; the unversioned layout is 1
+SCHEMA_VERSION = 3  # report.json's provenance.schema_version; the unversioned layout is 1
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ class StatePaths:
 
 @dataclass
 class Report:
-    """All pipeline outputs; absent sections carry a reason in `skipped`."""
+    """All pipeline outputs; a section is None only when its stage did not run."""
 
     growth_y: MonthlySeries | None = None
     growth_x: MonthlySeries | None = None
@@ -137,15 +136,11 @@ class Report:
     decades: list[DecadeAverage] | None = None
     shocks: MonthlySeries | None = None
     subsample_table: list[SubSampleRow] | None = None
-    skipped: dict[str, str] = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
-    def to_dict(self, include_timestamp: bool = True) -> dict:
+    def to_dict(self) -> dict:
         # float columns are the sections' own tuples, not copies, so that
         # write_report's figure CSVs reuse the texts report.json made
-        prov = dict(self.provenance)
-        if not include_timestamp:
-            prov.pop("created_at", None)
         return {
             "transform": _maybe(self.growth_y, lambda _: {
                 "y_mean": self.y_mean,
@@ -174,12 +169,11 @@ class Report:
             "subsample_table": _maybe(self.subsample_table, lambda rows: [
                 r.to_dict() for r in rows
             ]),
-            "skipped": dict(sorted(self.skipped.items())),
-            "provenance": prov,
+            "provenance": dict(self.provenance),
         }
 
-    def to_json(self, include_timestamp: bool = True) -> str:
-        return json_text(self.to_dict(include_timestamp), indent=2)
+    def to_json(self) -> str:
+        return json_text(self.to_dict(), indent=2)
 
 
 def _maybe(section, render):
@@ -199,7 +193,6 @@ def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig(),
     report.provenance = {
         "data_sha256": hashlib.sha256(write_csv(data).encode()).hexdigest(),
         "config_sha256": hashlib.sha256(json_text(cfg.to_dict()).encode()).hexdigest(),
-        "created_at": datetime.now(timezone.utc).isoformat(),
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
     }
@@ -259,9 +252,6 @@ def _sspace(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
 
 
 def _subsample(report: Report, data: Dataset, cfg: PipelineConfig) -> None:
-    if not cfg.subsample_end_dates:
-        report.skipped["subsample_table"] = "no end dates configured"
-        return
     report.subsample_table = subsample_final_states(
         data, (report.growth_y, report.growth_x), list(cfg.subsample_end_dates))
 
@@ -343,10 +333,12 @@ def emit_figure_data(report: Report, which: str) -> str:
 
 
 def write_report(report: Report, outdir) -> list[str]:
-    """Write report.json plus every available table/figure CSV; returns paths.
+    """Write report.json plus every table/figure CSV; returns their paths.
 
-    A float column that report.json and a figure CSV both hold is formatted
-    once, and the texts are dropped when the call ends.
+    The report is a full run's: a section that a single-stage run left
+    unset raises SectionMissing. A float column that report.json and a
+    figure CSV both hold is formatted once, and the texts are dropped when
+    the call ends.
     """
     from pathlib import Path
 
@@ -356,11 +348,7 @@ def write_report(report: Report, outdir) -> list[str]:
         path = out / "report.json"
         path.write_text(report.to_json(), encoding="utf-8")
         written = [str(path)]
-        for which in _FIGURES:
-            try:
-                written.append(write_figure(report, which, out))
-            except SectionMissing:
-                continue
+        written += [write_figure(report, which, out) for which in _FIGURES]
     return written
 
 
@@ -376,15 +364,14 @@ def write_figure(report: Report, which: str, outdir) -> str:
     return str(path)
 
 
-def _need(section, name: str, report: Report):
+def _need(section, name: str):
     if section is None:
-        reason = report.skipped.get(name, "stage did not run")
-        raise SectionMissing(f"section {name!r} unavailable: {reason}")
+        raise SectionMissing(f"section {name!r} unavailable: stage did not run")
     return section
 
 
 def _emit_table1(report: Report) -> str:
-    rows = _need(report.adf_table, "adf_table", report)
+    rows = _need(report.adf_table, "adf_table")
     return csv_text(
         ["variable", "form", "statistic", "p_value", "chosen_lags",
          "crit_1", "crit_5", "crit_10", "reject_at", "n_used"],
@@ -396,11 +383,11 @@ def _emit_table1(report: Report) -> str:
 
 
 def _emit_table2(report: Report) -> str:
-    return row_csv(_need(report.ols, "ols", report).to_dict())
+    return row_csv(_need(report.ols, "ols").to_dict())
 
 
 def _emit_table3(report: Report) -> str:
-    m = _need(report.mle, "mle", report)
+    m = _need(report.mle, "mle")
 
     def coef(i: int, name: str, value: float) -> dict:
         return {name: value, f"{name}_se": m.robust_se[i], f"{name}_z": m.z_stats[i],
@@ -428,8 +415,8 @@ def _emit_table3(report: Report) -> str:
 
 
 def _emit_fig3(report: Report) -> str:
-    c = _need(report.cusum, "cusum", report)
-    y = _need(report.demeaned_y, "transform", report)
+    c = _need(report.cusum, "cusum")
+    y = _need(report.demeaned_y, "transform")
     # statistic index i sits at observation k + i (1-based)
     dates = month_labels(y.start.plus(regress.N_REGRESSORS - 1), len(c.statistic))
     # report.json holds the statistic but not the bands, so only it is shared
@@ -438,15 +425,15 @@ def _emit_fig3(report: Report) -> str:
 
 
 def _emit_fig4(report: Report) -> str:
-    r = _need(report.recursive, "recursive", report)
-    y = _need(report.demeaned_y, "transform", report)
+    r = _need(report.recursive, "recursive")
+    y = _need(report.demeaned_y, "transform")
     dates = month_labels(y.start.plus(r.start_index - 1), len(r.coefs))
     return csv_text(["date", "coef", "band_lo", "band_hi"],
                     zip(dates, *map(float_texts, (r.coefs, r.bands_lo, r.bands_hi))))
 
 
 def _emit_fig5(report: Report) -> str:
-    p = _need(report.state_paths, "state_paths", report)
+    p = _need(report.state_paths, "state_paths")
     filtered = float_texts(p.filtered)
     # a random walk's one-step mean is last month's filtered mean; nothing
     # predicts the diffuse month, whose one-step mean is written 0.0
@@ -457,13 +444,13 @@ def _emit_fig5(report: Report) -> str:
 
 
 def _emit_fig6(report: Report) -> str:
-    ds = _need(report.decades, "decades", report)
+    ds = _need(report.decades, "decades")
     rows = [[d.label, str(d.first), str(d.last), d.mean] for d in ds]
     return csv_text(["decade", "first", "last", "mean"], rows)
 
 
 def _emit_fig7(report: Report) -> str:
-    rows = _need(report.subsample_table, "subsample_table", report)
+    rows = _need(report.subsample_table, "subsample_table")
     return csv_text(
         ["sample_end", "final_state"],
         [[str(r.sample_end), r.final_state] for r in rows],
@@ -471,7 +458,7 @@ def _emit_fig7(report: Report) -> str:
 
 
 def _emit_fig8(report: Report) -> str:
-    s = _need(report.shocks, "shocks", report)
+    s = _need(report.shocks, "shocks")
     n = len(s.values)
     return csv_text(["date", "shock", "in_burn_in"],
                     zip(month_labels(s.start, n), float_texts(s.values),
@@ -479,7 +466,7 @@ def _emit_fig8(report: Report) -> str:
 
 
 def _emit_appendix(report: Report) -> str:
-    rows = _need(report.subsample_table, "subsample_table", report)
+    rows = _need(report.subsample_table, "subsample_table")
     return csv_text(
         ["sample_start", "sample_end", "final_state", "final_rmse", "z", "p_value", "converged"],
         [[str(r.sample_start), str(r.sample_end), r.final_state, r.final_rmse,

@@ -155,27 +155,18 @@ class DecadeAverage:
     mean: float
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for CSV ingestion.
-
-    When y/x are None the first and second non-date columns are used, in
-    header order; when only one is named, the other is the first non-date
-    column it does not name.
-    """
-
-    date: str = "date"
-    y: str | None = None
-    x: str | None = None
-
-
-def parse_csv(source, schema: CsvSchema = CsvSchema()) -> Dataset:
+def parse_csv(source, *, date: str = "date", y: str | None = None,
+              x: str | None = None) -> Dataset:
     """Parse a header-ed CSV of monthly levels into an aligned Dataset.
 
     `source` may be a path (an os.PathLike such as pathlib.Path), a text or
     byte stream, bytes, or CSV text: a str is always the text, never a file
-    name. Rows are sorted ascending by date before validation; months must
-    then be consecutive, unique, and every level strictly positive.
+    name. `date`, `y` and `x` name the date, price-index and money-stock
+    columns. When y/x are None the first and second non-date columns are
+    used, in header order; when only one is named, the other is the first
+    non-date column it does not name. Rows are sorted ascending by date
+    before validation; months must then be consecutive, unique, and every
+    level strictly positive.
     """
     records = _csv_rows(_read_text(source))
     try:
@@ -184,12 +175,12 @@ def parse_csv(source, schema: CsvSchema = CsvSchema()) -> Dataset:
         raise MissingValue("empty CSV: no header row") from None
     header = [h.strip() for h in header]
 
-    date_idx = _find_column(header, schema.date)
+    date_idx = _find_column(header, date)
     value_cols = [i for i in range(len(header)) if i != date_idx]
     if len(value_cols) < 2:
         raise MissingValue("need at least two numeric columns besides the date")
-    y_idx = _find_column(header, schema.y) if schema.y else None
-    x_idx = _find_column(header, schema.x) if schema.x else None
+    y_idx = _find_column(header, y) if y else None
+    x_idx = _find_column(header, x) if x else None
     if y_idx is not None and y_idx == x_idx:
         raise MissingValue(f"column {header[y_idx]!r} is named for both y and x")
     unnamed = (i for i in value_cols if i not in (y_idx, x_idx))
@@ -230,9 +221,8 @@ def parse_csv(source, schema: CsvSchema = CsvSchema()) -> Dataset:
                     f"gap between {MonthDate.from_index(a)} and {MonthDate.from_index(b)}")
 
     start = MonthDate.from_index(first)
-    y = MonthlySeries(start, ys, name=header[y_idx])
-    x = MonthlySeries(start, xs, name=header[x_idx])
-    return Dataset(y_raw=y, x_raw=x)
+    return Dataset(y_raw=MonthlySeries(start, ys, name=header[y_idx]),
+                   x_raw=MonthlySeries(start, xs, name=header[x_idx]))
 
 
 def write_csv(dataset: Dataset) -> str:

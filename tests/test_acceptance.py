@@ -217,14 +217,14 @@ def test_criterion_11_pipeline_determinism():
     cfg = PipelineConfig(subsample_end_dates=(MonthDate(1983, 12), data.end))
     a = run_pipeline(data, cfg)
     b = run_pipeline(data, cfg)
-    identical = a.to_json(include_timestamp=False) == b.to_json(include_timestamp=False)
+    identical = a.to_json() == b.to_json()
     last = a.subsample_table[-1]
     headline_match = (last.final_state == a.mle.final_state
                       and last.final_rmse == a.mle.final_rmse
                       and last.z == a.mle.final_z
                       and last.p_value == a.mle.final_p)
     ok = identical and headline_match
-    _report(11, ok, f"byte-identical reports ex-timestamp: {identical}; "
+    _report(11, ok, f"byte-identical reports: {identical}; "
                     f"full-span sub-sample row equals headline MLE exactly: {headline_match}")
 
 

@@ -253,6 +253,19 @@ class TestOutputs:
         payload = json.loads(out)
         assert payload["ols"] is not None
 
+    @pytest.mark.parametrize("ends", [[], ["--subsample-ends", "1980-12,1985-12"]],
+                             ids=["no-end-dates", "end-dates"])
+    def test_pipeline_out_is_the_same_tree_on_every_run(self, csv_path, tmp_path, ends):
+        trees = []
+        for side in ("a", "b"):
+            code, _, _ = run_cli(["pipeline", "--input", csv_path, *ends,
+                                  "--out", str(tmp_path / side)])
+            assert code == EXIT_OK
+            trees.append({p.name: p.read_bytes() for p in (tmp_path / side).iterdir()})
+        assert set(trees[0]) == set(trees[1]) == {"report.json", *FIGURE_FILES.values()}
+        for name in trees[0]:
+            assert trees[0][name] == trees[1][name], name
+
     def test_subsample_csv(self, csv_path):
         code, out, _ = run_cli(["subsample", "--input", csv_path,
                                 "--subsample-ends", "1980-12,1983-06", "--format", "csv"])
@@ -435,6 +448,17 @@ class TestFlagMapping:
         assert code == EXIT_USAGE
         assert out == ""
         assert "config file must hold a JSON object" in err
+
+    @pytest.mark.parametrize("content", [b"{cusum_significance: 0.1}", b'{"a": "\xff"}'],
+                             ids=["not-json", "not-utf8"])
+    def test_config_that_does_not_decode_names_its_file(self, csv_path, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        code, out, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"tvelast: config file {str(cfg)!r}: ")
+        assert err.count("\n") == 1
 
 
 class TestSubsampleAndSimulateFormats:

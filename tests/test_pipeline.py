@@ -43,17 +43,16 @@ class TestRunPipeline:
         for key in ("transform", "adf_table", "ols", "cusum", "recursive", "mle",
                     "state_paths", "decades", "shocks", "subsample_table"):
             assert d[key] is not None, key
-        assert report.skipped == {}
 
-    def test_skipped_sections_carry_reason(self, dataset):
+    def test_no_end_dates_gives_an_empty_subsample_table(self, dataset):
         report = run_pipeline(dataset, PipelineConfig())
-        assert report.subsample_table is None
-        assert "subsample_table" in report.skipped
+        assert report.subsample_table == []
+        assert report.to_dict()["subsample_table"] == []
 
-    def test_determinism_excluding_timestamp(self, report_and_inputs):
+    def test_determinism(self, report_and_inputs):
         report, data, cfg = report_and_inputs
         again = run_pipeline(data, cfg)
-        assert report.to_json(include_timestamp=False) == again.to_json(include_timestamp=False)
+        assert report.to_json() == again.to_json()
 
     def test_short_dataset_fails_at_adf_stage(self):
         data = make_dataset(n_months=59)
@@ -84,7 +83,7 @@ class TestRunPipeline:
         report, _, _ = report_and_inputs
         assert len(report.provenance["data_sha256"]) == 64
         assert len(report.provenance["config_sha256"]) == 64
-        assert "created_at" in report.provenance
+        assert "created_at" not in report.provenance
 
     def test_growth_mode_flag_respected(self, dataset):
         cfg = PipelineConfig(growth_mode="pct-change")
@@ -154,8 +153,8 @@ class TestSlimReport:
         assert set(d["state_paths"]) == {"start", "filtered", "smoothed"}
         assert set(d["shocks"]) == {"start", "name", "values"}
         assert set(d["provenance"]) == {
-            "data_sha256", "config_sha256", "created_at", "schema_version", "version"}
-        assert d["provenance"]["schema_version"] == pipeline.SCHEMA_VERSION == 2
+            "data_sha256", "config_sha256", "schema_version", "version"}
+        assert d["provenance"]["schema_version"] == pipeline.SCHEMA_VERSION == 3
 
     def test_dropped_entries_rebuild_bit_for_bit(self, report_and_inputs, tmp_path):
         report, _, _ = report_and_inputs
@@ -353,9 +352,10 @@ class TestEmitFigureData:
                 fit.to_dict()["params"][c], fit.robust_se[i], fit.z_stats[i], fit.p_values[i]]
 
     def test_section_missing(self, dataset):
-        report = run_pipeline(dataset, PipelineConfig())
-        with pytest.raises(SectionMissing):
-            emit_figure_data(report, "fig7")
+        report = run_pipeline(dataset, PipelineConfig(), "ols")
+        with pytest.raises(SectionMissing, match="section 'state_paths' unavailable: "
+                                                 "stage did not run"):
+            emit_figure_data(report, "fig5")
 
     def test_unknown_figure_id(self, report_and_inputs):
         report, _, _ = report_and_inputs
@@ -382,12 +382,16 @@ class TestWriteReport:
             if name.endswith(".csv"):
                 assert "(" not in text, name
 
-    def test_skipped_sections_not_written(self, dataset, tmp_path):
+    def test_no_end_dates_writes_every_name_with_header_only_subsample_files(
+            self, dataset, tmp_path):
         report = run_pipeline(dataset, PipelineConfig())
         written = write_report(report, tmp_path)
         names = {p.split("/")[-1] for p in written}
-        assert "fig7_subsample.csv" not in names
-        assert "appendixA1_subsamples.csv" not in names
+        assert names == {"report.json", *FIGURE_FILES.values()}
+        assert len(written) == 11
+        assert (tmp_path / "fig7_subsample.csv").read_text() == "sample_end,final_state\n"
+        assert (tmp_path / "appendixA1_subsamples.csv").read_text() == (
+            "sample_start,sample_end,final_state,final_rmse,z,p_value,converged\n")
 
 
 class TestWriteReportFloatTexts:

@@ -16,7 +16,6 @@ from tvelast.errors import (
 )
 from tvelast import series
 from tvelast.series import (
-    CsvSchema,
     Dataset,
     MonthDate,
     MonthlySeries,
@@ -97,20 +96,21 @@ class TestParseCsv:
 
     def test_named_columns(self):
         text = "date,skip,m2,cpi\n1971-01,9,50,100\n1971-02,9,51,101\n"
-        ds = parse_csv(text, CsvSchema(y="cpi", x="m2"))
+        ds = parse_csv(text, y="cpi", x="m2")
         assert ds.y_raw.values == (100.0, 101.0)
         assert ds.x_raw.values == (50.0, 51.0)
+        assert parse_csv(text.replace("date", "month", 1), date="month", y="cpi", x="m2") == ds
 
     def test_one_named_column_leaves_the_other_to_the_rest(self):
         text = "date,cpi,m2\n1971-01,100,50\n1971-02,101,51\n"
-        ds = parse_csv(text, CsvSchema(y="m2"))
+        ds = parse_csv(text, y="m2")
         assert (ds.y_raw.name, ds.x_raw.name) == ("m2", "cpi")
-        ds = parse_csv(text, CsvSchema(x="cpi"))
+        ds = parse_csv(text, x="cpi")
         assert (ds.y_raw.name, ds.x_raw.name) == ("m2", "cpi")
         with pytest.raises(MissingValue, match="'m2' is named for both y and x"):
-            parse_csv(text, CsvSchema(y="m2", x="M2"))
+            parse_csv(text, y="m2", x="M2")
         with pytest.raises(MissingValue, match="no 'm3' column"):
-            parse_csv(text, CsvSchema(y="m3"))
+            parse_csv(text, y="m3")
 
     def test_roundtrip_identity(self):
         for seed in range(5):
