@@ -124,17 +124,25 @@ MUTANTS = (
      "p = p_pred * (xt * xt * p_pred / f)",
      "the filtered variance is K x P_pred, not (1 - K x) P_pred"),
     ("filter-gain-x", "sspace",
-     "k = p_pred * xt / f",
-     "k = p_pred / f",
+     "a += xp * g",
+     "a += p_pred * g",
      "the Kalman gain leaves out x_t"),
     ("innovation-x", "sspace",
      "v = yt - xt * a",
      "v = yt - a",
      "the innovation leaves out x_t"),
     ("likelihood-terms", "sspace",
-     "return sum_log_f, sum_v2_f, len(yv) - DIFFUSE_MONTHS",
-     "return sum_log_f, sum_v2_f, len(yv)",
+     "return sum_log_f + log(prod), sum_v2_f, len(yv) - DIFFUSE_MONTHS",
+     "return sum_log_f + log(prod), sum_v2_f, len(yv)",
      "the diffuse month is counted as a likelihood term"),
+    ("log-f-flush-drops-prod", "sspace",
+     "sum_log_f += log(prod) + log(f)",
+     "sum_log_f += log(f)",
+     "a flush of the running product of F_t drops the product's log"),
+    ("log-f-drops-last-prod", "sspace",
+     "return sum_log_f + log(prod), sum_v2_f, len(yv) - DIFFUSE_MONTHS",
+     "return sum_log_f, sum_v2_f, len(yv) - DIFFUSE_MONTHS",
+     "the sum of log F_t drops the F_t since the last flush"),
     ("fit-min-len", "sspace",
      "if len(model) < 3:",
      "if len(model) <= 3:",

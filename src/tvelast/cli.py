@@ -196,7 +196,8 @@ def _cmd_validate(args) -> int:
 def _cmd_section(args) -> int:
     """Run one pipeline stage and print its Report section: JSON, figure CSV or text."""
     stage, section, which, render = _SECTIONS[args.command]
-    report = pipeline.run_pipeline(_load(args), _pipeline_config(args), stage)
+    cfg = _pipeline_config(args)  # a usage error goes before a data error
+    report = pipeline.run_pipeline(_load(args), cfg, stage)
     if getattr(args, "out", None):
         print(pipeline.write_figure(report, which, args.out), file=sys.stderr)
     elif args.format in ("json", None):  # subsample's --format defaults to None
@@ -226,16 +227,17 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
     settings = pipeline.PipelineConfig().to_dict()
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            try:
+            try:  # every error of the file names it: decoding, shape, keys, values
                 overrides = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                if not isinstance(overrides, dict):
+                    raise ValueError("config file must hold a JSON object")
+                unknown = set(overrides) - set(settings)
+                if unknown:
+                    raise ValueError(f"unknown config keys: {sorted(unknown)}")
+                settings.update(overrides)
+                _config(settings)
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
                 raise ValueError(f"config file {args.config!r}: {exc}") from None
-        if not isinstance(overrides, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = set(overrides) - set(settings)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(overrides)
     if args.growth_mode is not None:
         settings["growth_mode"] = _GROWTH_MODES[args.growth_mode]
     if getattr(args, "cusum_sig", None) is not None:
@@ -251,19 +253,21 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
             part for part in args.subsample_ends.split(",") if part.strip()]
         if not settings["subsample_end_dates"]:
             raise ValueError("--subsample-ends names no month")
-    ends = settings.pop("subsample_end_dates")
+    return _config(settings)
+
+
+def _config(settings: dict) -> pipeline.PipelineConfig:
+    """The PipelineConfig of to_dict()-shaped settings; ValueError on a bad value."""
+    ends = settings["subsample_end_dates"]
     if not isinstance(ends, list) or not all(isinstance(e, str) for e in ends):
         raise ValueError(f"subsample_end_dates must be a list of 'YYYY-MM' months, got {ends!r}")
-    return pipeline.PipelineConfig(
-        subsample_end_dates=tuple(MonthDate.parse(e) for e in ends),
-        **settings,
-    )
+    return pipeline.PipelineConfig(**dict(
+        settings, subsample_end_dates=tuple(MonthDate.parse(e) for e in ends)))
 
 
 def _cmd_pipeline(args) -> int:
-    data = _load(args)
-    cfg = _pipeline_config(args)
-    report = pipeline.run_pipeline(data, cfg)
+    cfg = _pipeline_config(args)  # a usage error goes before a data error
+    report = pipeline.run_pipeline(_load(args), cfg)
     if args.out:
         written = pipeline.write_report(report, args.out)
         for path in written:

@@ -30,6 +30,13 @@ filtered-variance update is P_pred * var_meas / F (algebraically identical
 to (1 - K x) P_pred but free of cancellation). A pass keeps no predicted
 moments: a random walk's a_{t+1|t} = a_{t|t} and P_{t+1|t} = P_{t|t} +
 var_state (Durbin and Koopman 2012, section 4.3) follow from the rest.
+
+A pass takes no log per month. It keeps the running product of the F_t and
+adds the product's log to sum log F_t only before the next factor would
+take it out of (2^-256, 2^256), and once at the end. Each product rounds
+once, 2^-53 in log F; each log and each addition rounds relative to the
+sum, so the sum lies within 2^-50 (sum |log F_t| + n) of the exact sum of
+the logs, which the tests check.
 """
 
 from __future__ import annotations
@@ -57,6 +64,9 @@ _CG, _XTOL, _MINTOL = 0.3819660, 1.48e-8, 1.0e-11
 # alone shrink the whole clamped log q range to tolerance in about 60
 _MAX_ITER = 500
 DIFFUSE_MONTHS = 1  # months the exact diffuse start absorbs: no likelihood term, shock 0
+# the open range of the filter's running product of F_t; log(prod) joins the
+# sum of log F_t before a factor would take the product out of it
+_PROD_MIN, _PROD_MAX = 2.0 ** -256, 2.0 ** 256
 
 
 @dataclass(frozen=True)
@@ -125,6 +135,13 @@ def _filter_core(yv, xv, var_meas, var_state, moments=None):
     that add a term, so the log-likelihood is _loglik of the three. Each
     month appends to moments, when given, the lists (filt_mean, filt_var,
     innovations, innov_var), the diffuse month as KalmanOutput describes it.
+
+    g = v / F serves both the state update a + (x P_pred) g and v^2 / F =
+    v g. sum log F_t comes from the running product prod of the F_t: when
+    prod * F_t would leave (_PROD_MIN, _PROD_MAX), log(prod) + log(F_t) is
+    added and prod restarts at 1, so no single F_t overflows or underflows
+    it; a nan or inf F_t always lands there and propagates through log.
+    The sum is within 2^-50 (sum |log F_t| + n) of the exact one.
     """
     x1 = xv[0]
     p = var_meas / (x1 * x1) if x1 * x1 > 0.0 else math.inf
@@ -139,22 +156,29 @@ def _filter_core(yv, xv, var_meas, var_state, moments=None):
             column.append(value)
     sum_log_f = 0.0
     sum_v2_f = 0.0
-    log = math.log
+    prod = 1.0  # the F_t since the last flush into sum_log_f
+    lo, hi, log = _PROD_MIN, _PROD_MAX, math.log
     for yt, xt in zip(yv[DIFFUSE_MONTHS:], xv[DIFFUSE_MONTHS:]):
         p_pred = p + var_state
-        f = xt * xt * p_pred + var_meas
+        xp = xt * p_pred
+        f = xt * xp + var_meas
         v = yt - xt * a
-        k = p_pred * xt / f
-        a += k * v
+        g = v / f
+        a += xp * g
         p = p_pred * (var_meas / f)
-        sum_log_f += log(f)
-        sum_v2_f += v * v / f
+        sum_v2_f += v * g
+        nxt = prod * f
+        if lo < nxt < hi:
+            prod = nxt
+        else:  # also a nan, inf or non-positive F_t, which log propagates or rejects
+            sum_log_f += log(prod) + log(f)
+            prod = 1.0
         if store:
             filt_mean.append(a)
             filt_var.append(p)
             innov.append(v)
             innov_var.append(f)
-    return sum_log_f, sum_v2_f, len(yv) - DIFFUSE_MONTHS
+    return sum_log_f + log(prod), sum_v2_f, len(yv) - DIFFUSE_MONTHS
 
 
 def _loglik(sum_log_f: float, sum_v2_f: float, n: int) -> float:

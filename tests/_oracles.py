@@ -150,19 +150,20 @@ def proper_prior_filter(yv, xv, var_meas, var_state, a0, p0):
 
     It has no diffuse month: every observation is predicted and filtered,
     with the library's operations in the library's order (a_pred = a,
-    P_pred = P + var_state, the gain P_pred x / F and the variance update
-    P_pred * var_meas / F), so as p0 grows its months 2..T approach the
-    library's exact diffuse start. Returns lists (filtered means, filtered
-    variances, innovations, innovation variances), t = 1..T.
+    P_pred = P + var_state, F = x (x P_pred) + var_meas, the update
+    a + (x P_pred) (v / F) and the variance update P_pred * var_meas / F),
+    so as p0 grows its months 2..T approach the library's exact diffuse
+    start. Returns lists (filtered means, filtered variances, innovations,
+    innovation variances), t = 1..T.
     """
     a, p = a0, p0
     fm, fv, vs, fs = [], [], [], []
     for yt, xt in zip(yv, xv):
         p_pred = p + var_state
-        f = xt * xt * p_pred + var_meas
+        xp = xt * p_pred
+        f = xt * xp + var_meas
         v = yt - xt * a
-        k = p_pred * xt / f
-        a = a + k * v
+        a = a + xp * (v / f)
         p = p_pred * (var_meas / f)
         fm.append(a)
         fv.append(p)

@@ -460,6 +460,37 @@ class TestFlagMapping:
         assert err.startswith(f"tvelast: config file {str(cfg)!r}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("content, message", [
+        ("[1]", "config file must hold a JSON object"),
+        ('{"seed": 1}', "unknown config keys: ['seed']"),
+        ('{"growth_mode": "ratio"}', "growth_mode must be one of"),
+    ], ids=["not-an-object", "unknown-key", "bad-value"])
+    def test_every_config_error_names_its_file(self, csv_path, tmp_path, content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code, out, err = run_cli(["pipeline", "--input", csv_path, "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"tvelast: config file {str(cfg)!r}: {message}"), err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--config", "CFG"],
+        ["cusum", "--cusum-sig", "0.2"],
+        ["subsample", "--subsample-ends", ","],
+    ], ids=["pipeline-config", "section-flag", "subsample-ends"])
+    def test_settings_are_read_before_the_data(self, tmp_path, argv):
+        # a header-only CSV is a data error (exit 1), but a usage error comes first
+        data = tmp_path / "empty.csv"
+        data.write_text("date,cpi,m2\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+        code, out, err = run_cli([a.replace("CFG", str(cfg)) for a in argv]
+                                 + ["--input", str(data)])
+        assert code == EXIT_USAGE, err
+        assert out == ""
+        assert "CSV has no data rows" not in err
+
 
 class TestSubsampleAndSimulateFormats:
     ENDS = ["--subsample-ends", "1980-12,1983-06"]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import optimize, stats
 
 from tvelast import sspace
@@ -97,7 +97,7 @@ class TestKalmanFilter:
         for t in range(1, len(model)):
             assert out.innovations[t] == yv[t] - xv[t] * out.filt_mean[t - 1]
             pp = out.filt_var[t - 1] + out.var_state
-            assert out.innov_var[t] == xv[t] * xv[t] * pp + params.var_meas
+            assert out.innov_var[t] == xv[t] * (xv[t] * pp) + params.var_meas
 
     def test_variances_positive_after_burn_in(self, rng):
         model, _ = gen_tvp(TvpDgp(T=100, sigma2_meas=0.3, sigma2_state=0.1, seed=4))
@@ -201,6 +201,78 @@ class TestAgainstOracleProperty:
         np.testing.assert_allclose(sv, sv_o, atol=1e-8)
 
 
+def _log_f_bound(logs):
+    """How far the filter's sum of log F_t may lie from the exact sum of logs.
+
+    Each month's product rounds once, a relative 2^-53, which is 2^-53 in
+    log F whatever F_t is; each log and each addition of a flush rounds
+    relative to the sum. 2^-50 (sum |log F_t| + n) covers both with room.
+    """
+    return 2.0 ** -50 * (math.fsum(map(abs, logs)) + len(logs))
+
+
+def _sum_log_f(yv, xv, var_meas, var_state):
+    """(the pass's sum log F_t, the F_t of the months after the diffuse one)."""
+    moments = ([], [], [], [])
+    sum_log_f, _, _ = sspace._filter_core(yv, xv, var_meas, var_state, moments)
+    return sum_log_f, moments[3][1:]
+
+
+def _powers_of_ten(lo, hi):
+    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(
+        lambda sk: sk[0] * 10.0 ** sk[1])
+
+
+@st.composite
+def _extreme_cases(draw):
+    """Variances e^[-40, 40], a tiny x_1 (so a huge P_1) and x_t up to 1e20
+    either way, so that F_t spans hundreds of binary orders both ways."""
+    t = draw(st.integers(2, 12))
+    return ([draw(st.floats(-1e3, 1e3)) for _ in range(t)],
+            [draw(_powers_of_ten(-100.0, 0.0))] + draw(
+                st.lists(_powers_of_ten(-20.0, 20.0), min_size=t - 1, max_size=t - 1)),
+            math.exp(draw(st.floats(-40.0, 40.0))), math.exp(draw(st.floats(-40.0, 40.0))))
+
+
+class TestLogFAccumulator:
+    # F_t of about 1 + 5e-8: the products' rounding, not the logs, is the error
+    @example(([0.5] * 7, [1.0] + [1.065e-4] * 6, 1.0, 1.065))
+    @settings(max_examples=300)
+    @given(_extreme_cases())
+    def test_matches_the_exact_sum_of_logs(self, case):
+        sum_log_f, f = _sum_log_f(*case)
+        logs = [math.log(fi) for fi in f]
+        assert abs(sum_log_f - math.fsum(logs)) <= _log_f_bound(logs)
+
+    @pytest.mark.parametrize("x, var_meas, var_state, direction", [
+        ([1e-100] + [1e20] * 29, math.exp(40.0), math.exp(40.0), 1),
+        ([1.0] + [1e-20] * 29, math.exp(-40.0), math.exp(-40.0), -1),
+    ], ids=["up", "down"])
+    def test_flushes_before_the_product_leaves_double_range(self, x, var_meas, var_state,
+                                                            direction):
+        # the product of these F_t is far outside double range (|log| > 745),
+        # so unflushed it would be inf or 0; the sum stays exact to the bound
+        sum_log_f, f = _sum_log_f([1.0] * len(x), x, var_meas, var_state)
+        logs = [math.log(fi) for fi in f]
+        assert direction * math.fsum(logs) > 1000.0
+        assert all(direction * lf > 0.0 for lf in logs)
+        assert abs(sum_log_f - math.fsum(logs)) <= _log_f_bound(logs)
+
+    @pytest.mark.parametrize("bad, expected", [(math.nan, math.nan), (math.inf, math.inf),
+                                               (1e200, math.inf)])
+    @pytest.mark.parametrize("month", [1, 3, 5])
+    def test_a_nan_or_inf_factor_propagates(self, bad, expected, month):
+        # x_t = 1e200 squares to inf: F_t is inf, and the states after it are nan
+        x = [1.0, 2.0, 0.5, 1.5, 0.7, 1.2]
+        x[month] = bad
+        sum_log_f, f = _sum_log_f([0.3, -0.2, 0.4, 0.1, -0.5, 0.2], x, 0.5, 0.2)
+        assert math.isnan(f[month - 1]) or f[month - 1] == math.inf
+        if math.isnan(expected):
+            assert math.isnan(sum_log_f)
+        else:
+            assert sum_log_f == expected
+
+
 class TestDiffuseStart:
     @settings(max_examples=150)
     @given(_diffuse_cases())
@@ -220,9 +292,16 @@ class TestDiffuseStart:
         assert list(out.innovations[1:]) == v
         assert list(out.innov_var[1:]) == f
         n = len(yv) - sspace.DIFFUSE_MONTHS
-        ll = -0.5 * (n * math.log(2.0 * math.pi) + sum(math.log(fi) for fi in f)
-                     + sum(vi * vi / fi for vi, fi in zip(v, f)))
-        assert out.log_lik == ll
+        sum_v2_f = 0.0
+        for vi, fi in zip(v, f):
+            sum_v2_f += vi * (vi / fi)
+        logs = [math.log(fi) for fi in f]
+        terms = (n * math.log(2.0 * math.pi), math.fsum(logs), sum_v2_f)
+        # sum log F_t from the running product is within _log_f_bound of the
+        # exact sum, and each side's two additions round once each
+        tol = 0.5 * (_log_f_bound(logs) + 2.0 ** -51 * (terms[0] + math.fsum(map(abs, logs))
+                                                        + terms[2]))
+        assert abs(out.log_lik - -0.5 * (terms[0] + terms[1] + terms[2])) <= tol
 
     def test_diffuse_month_has_no_prediction(self, rng):
         model, vm, vs = _random_model(rng)
