@@ -46,8 +46,8 @@ MUTANTS = (
      "pvals = tuple(math.erfc(abs(zi) / 2.0) for zi in z)",
      "the MLE p_values are not the two-sided normal tails of z_stats"),
     ("hessian-only-se", "sspace",
-     "se = tuple(float(s) for s in np.linalg.norm(scores @ np.linalg.inv(hess), axis=0))",
-     "se = tuple(float(s) for s in np.sqrt(np.diag(-np.linalg.inv(hess))))",
+     "se = tuple(math.sqrt(float(c @ c)) / det for c in cols)",
+     "se = (math.sqrt(-d / det), math.sqrt(-a / det))",
      "robust_se is the inverse Hessian, not the sandwich"),
     ("bound-margin-0", "sspace",
      "_BOUND_MARGIN = 1.0",
@@ -78,8 +78,8 @@ MUTANTS = (
      "n_filter_passes=n_evals + 2,",
      "n_filter_passes misses a pass"),
     ("hessian-cond-inverted", "sspace",
-     "hessian_cond = float(np.max(np.abs(eig))) / smallest if smallest > 0.0 else math.inf",
-     "hessian_cond = smallest / float(np.max(np.abs(eig))) if smallest > 0.0 else math.inf",
+     "hessian_cond = largest / smallest if smallest != 0.0 else math.inf",
+     "hessian_cond = smallest / largest if smallest != 0.0 else math.inf",
      "hessian_cond is the reciprocal of the condition number"),
     ("shock-scale", "sspace",
      "vals = tuple(v / math.sqrt(f) for v, f in zip(output.innovations, output.innov_var))",
@@ -108,20 +108,20 @@ MUTANTS = (
      "the smoother's predicted variance leaves out the state variance"),
     # the one recursion and its diffuse start
     ("diffuse-p1", "sspace",
-     "p = var_meas / (x1 * x1) if x1 * x1 > 0.0 else math.inf",
      "p = 1.0 / (x1 * x1) if x1 * x1 > 0.0 else math.inf",
-     "the diffuse P_1 leaves out the measurement variance"),
+     "p = 1.0 / abs(x1) if x1 * x1 > 0.0 else math.inf",
+     "the diffuse P_1 is 1 / |x_1|, not 1 / x_1^2"),
     ("diffuse-a1", "sspace",
      "a = yv[0] / x1",
      "a = yv[0] * x1",
      "the diffuse a_1 multiplies by x_1"),
     ("p-pred-step", "sspace",
-     "p_pred = p + var_state",
-     "p_pred = p + var_state * var_meas",
-     "the predicted variance scales the state variance by the measurement variance"),
+     "p_pred = p + q",
+     "p_pred = p",
+     "the predicted variance leaves out the state variance"),
     ("filt-var-update", "sspace",
-     "p = p_pred * (var_meas / f)",
-     "p = p_pred * (xt * xt * p_pred / f)",
+     "p = p_pred / f",
+     "p = p_pred * (xp * xt / f)",
      "the filtered variance is K x P_pred, not (1 - K x) P_pred"),
     ("filter-gain-x", "sspace",
      "a += xp * g",
@@ -139,10 +139,31 @@ MUTANTS = (
      "sum_log_f += log(prod) + log(f)",
      "sum_log_f += log(f)",
      "a flush of the running product of F_t drops the product's log"),
+    ("log-f-never-flushes", "sspace",
+     "if nxt < hi:",
+     "if True:",
+     "the running product of F_t is never flushed, so it overflows"),
     ("log-f-drops-last-prod", "sspace",
      "return sum_log_f + log(prod), sum_v2_f, len(yv) - DIFFUSE_MONTHS",
      "return sum_log_f, sum_v2_f, len(yv) - DIFFUSE_MONTHS",
      "the sum of log F_t drops the F_t since the last flush"),
+    # the scaling of the unit pass to the measurement variance
+    ("loglik-drops-n-log-var-meas", "sspace",
+     "(sum_log_f + n * log_var_meas)",
+     "sum_log_f",
+     "the log-likelihood leaves out n log var_meas of the scaled sum log F_t"),
+    ("filt-var-unscaled", "sspace",
+     "fv = tuple([p * var_meas for p in fv])",
+     "fv = tuple(fv)",
+     "kalman_filter's filtered variances stay at unit scale"),
+    ("innov-var-unscaled", "sspace",
+     "innov_var=tuple([f * var_meas for f in ivv])",
+     "innov_var=tuple(ivv)",
+     "kalman_filter's innovation variances stay at unit scale"),
+    ("stencil-f-unscaled", "sspace",
+     "np.asarray(moments[3][1:]) * var_meas",
+     "np.asarray(moments[3][1:])",
+     "the stencil's per-observation scores take unit-scale F_t"),
     ("fit-min-len", "sspace",
      "if len(model) < 3:",
      "if len(model) <= 3:",

@@ -22,21 +22,28 @@ need no pass of their own.
 
 Every pass runs the one recursion, _filter_core, whose only public door is
 kalman_filter; a pass's log-likelihood is its log_lik. The recursion always
-opens with the exact diffuse step (Koopman 1997; Durbin and Koopman 2012,
-section 5.2): the first observation alone sets a_1 = y_1 / x_1,
-P_1 = var_meas / x_1^2 (DegenerateRegressor if not finite) and adds no
+runs at measurement variance 1 and state variance q = var_state / var_meas,
+the concentrated diffuse likelihood's scale (Durbin and Koopman 2012,
+section 2.10.2): scaling both variances by var_meas scales every P_t and
+F_t by var_meas and leaves every a_t and v_t unchanged, so kalman_filter
+multiplies the filtered and innovation variances by var_meas, adds n log
+var_meas to sum log F_t and divides sum v_t^2 / F_t by var_meas. The
+recursion always opens with the exact diffuse step (Koopman 1997; Durbin
+and Koopman 2012, section 5.2): the first observation alone sets a_1 =
+y_1 / x_1, P_1 = 1 / x_1^2 (DegenerateRegressor if not finite) and adds no
 likelihood term, so the first DIFFUSE_MONTHS months carry no shock. The
-filtered-variance update is P_pred * var_meas / F (algebraically identical
-to (1 - K x) P_pred but free of cancellation). A pass keeps no predicted
+filtered-variance update is P_pred / F (algebraically identical to
+(1 - K x) P_pred but free of cancellation). A pass keeps no predicted
 moments: a random walk's a_{t+1|t} = a_{t|t} and P_{t+1|t} = P_{t|t} +
 var_state (Durbin and Koopman 2012, section 4.3) follow from the rest.
 
-A pass takes no log per month. It keeps the running product of the F_t and
-adds the product's log to sum log F_t only before the next factor would
-take it out of (2^-256, 2^256), and once at the end. Each product rounds
-once, 2^-53 in log F; each log and each addition rounds relative to the
-sum, so the sum lies within 2^-50 (sum |log F_t| + n) of the exact sum of
-the logs, which the tests check.
+A pass takes no log per month. At unit scale every F_t = x_t^2 P_pred + 1
+is at least 1, so the running product of the F_t only grows; the pass adds
+the product's log to sum log F_t only before the next factor would take it
+to 2^256 or past, and once at the end. Each product rounds once, 2^-53 in
+log F; each log and each addition rounds relative to the sum, so the sum
+lies within 2^-50 (sum |log F_t| + n) of the exact sum of the logs, which
+the tests check.
 """
 
 from __future__ import annotations
@@ -57,16 +64,28 @@ _BOUND_MARGIN = 1.0  # estimates closer than this to a bound are not trusted
 _FD_SCALE = 1e-4  # relative step of the finite differences behind the SEs
 # scipy.optimize's constants, which _brent ports: the bracket's growth factor
 # (1 + sqrt 5) / 2, its largest parabolic step in widths, iteration cap and
-# near-zero divisor; Brent's golden fraction (3 - sqrt 5) / 2 and x tolerances
+# near-zero divisor; Brent's golden fraction (3 - sqrt 5) / 2 and absolute x
+# tolerance
 _GOLD, _GROW_LIMIT, _BRACKET_MAX_ITER, _VERY_SMALL = 1.618034, 110.0, 1000, 1e-21
-_CG, _XTOL, _MINTOL = 0.3819660, 1.48e-8, 1.0e-11
+_CG, _MINTOL = 0.3819660, 1.0e-11
+# Brent's relative x tolerance, set at the objective's resolution. scipy's
+# default, sqrt(eps) = 1.48e-8, assumes |f| ~ f'' x^2. Rounding hides a minimum
+# of f within d = sqrt(2 eps |f| / f'') (Press et al. 2007, section 10.2): a
+# step d moves f by f'' d^2 / 2 = eps |f|. Both |f| and f'' grow with T; in
+# log q their ratio is 12-14 on simulated fits at T = 30-543 and 45-66 on
+# report fits at T = 543 (|f| ~ 1150-1280, f'' ~ 18-28), so d is 0.7e-7 to
+# 1.7e-7 at |log q| of 3 to 5: 2e-8 to 4e-8 relative. Brent's last parabolic
+# steps read f within a few d, so the stop sits a few d out: scaling the
+# objective by 1 + 2 ulp moved the pass count of 43, 19, 2 and 0 of 60
+# simulated fits at 1.48e-8, 3e-8, 5e-8 and 1e-7.
+_XTOL = 1e-7
 # the fit's Brent iteration cap, scipy's default maxiter: golden sections
 # alone shrink the whole clamped log q range to tolerance in about 60
 _MAX_ITER = 500
 DIFFUSE_MONTHS = 1  # months the exact diffuse start absorbs: no likelihood term, shock 0
-# the open range of the filter's running product of F_t; log(prod) joins the
-# sum of log F_t before a factor would take the product out of it
-_PROD_MIN, _PROD_MAX = 2.0 ** -256, 2.0 ** 256
+# the filter's running product of F_t >= 1 stays below this; log(prod) joins
+# the sum of log F_t before a factor would take the product to it
+_PROD_MAX = 2.0 ** 256
 
 
 @dataclass(frozen=True)
@@ -126,27 +145,29 @@ class KalmanOutput:
     start: MonthDate
 
 
-def _filter_core(yv, xv, var_meas, var_state, moments=None):
-    """The forward recursion, the only one in the module.
+def _filter_core(yv, xv, q, moments=None):
+    """The forward recursion at measurement variance 1 and state variance q,
+    the only one in the module.
 
-    It opens with the exact diffuse step (see the module docstring) and
-    predicts a_pred = a, P_pred = P + var_state from t = 2. Returns (sum log
-    F_t, sum v_t^2 / F_t, n) over the n = T - DIFFUSE_MONTHS observations
-    that add a term, so the log-likelihood is _loglik of the three. Each
-    month appends to moments, when given, the lists (filt_mean, filt_var,
-    innovations, innov_var), the diffuse month as KalmanOutput describes it.
+    It opens with the exact diffuse step, P_1 = 1 / x_1^2 (see the module
+    docstring), and predicts a_pred = a, P_pred = P + q from t = 2. Returns
+    (sum log F_t, sum v_t^2 / F_t, n) over the n = T - DIFFUSE_MONTHS
+    observations that add a term; kalman_filter scales them to a measurement
+    variance. Each month appends to moments, when given, the lists
+    (filt_mean, filt_var, innovations, innov_var) at unit scale, the diffuse
+    month as KalmanOutput describes it.
 
     g = v / F serves both the state update a + (x P_pred) g and v^2 / F =
-    v g. sum log F_t comes from the running product prod of the F_t: when
-    prod * F_t would leave (_PROD_MIN, _PROD_MAX), log(prod) + log(F_t) is
-    added and prod restarts at 1, so no single F_t overflows or underflows
-    it; a nan or inf F_t always lands there and propagates through log.
+    v g. sum log F_t comes from the running product prod of the F_t, each at
+    least 1: when prod * F_t would reach _PROD_MAX, log(prod) + log(F_t) is
+    added and prod restarts at 1, so no single F_t overflows it; a nan or
+    inf F_t always lands there and propagates through log.
     The sum is within 2^-50 (sum |log F_t| + n) of the exact one.
     """
     x1 = xv[0]
-    p = var_meas / (x1 * x1) if x1 * x1 > 0.0 else math.inf
+    p = 1.0 / (x1 * x1) if x1 * x1 > 0.0 else math.inf
     if p == math.inf:
-        raise DegenerateRegressor(f"first observation of x is {x1!r}: var_meas / x_1^2 is not "
+        raise DegenerateRegressor(f"first observation of x is {x1!r}: 1 / x_1^2 is not "
                                   "finite, so the diffuse start cannot identify the state")
     a = yv[0] / x1
     store = moments is not None
@@ -157,20 +178,20 @@ def _filter_core(yv, xv, var_meas, var_state, moments=None):
     sum_log_f = 0.0
     sum_v2_f = 0.0
     prod = 1.0  # the F_t since the last flush into sum_log_f
-    lo, hi, log = _PROD_MIN, _PROD_MAX, math.log
+    hi, log = _PROD_MAX, math.log
     for yt, xt in zip(yv[DIFFUSE_MONTHS:], xv[DIFFUSE_MONTHS:]):
-        p_pred = p + var_state
+        p_pred = p + q
         xp = xt * p_pred
-        f = xt * xp + var_meas
+        f = xt * xp + 1.0
         v = yt - xt * a
         g = v / f
         a += xp * g
-        p = p_pred * (var_meas / f)
+        p = p_pred / f
         sum_v2_f += v * g
         nxt = prod * f
-        if lo < nxt < hi:
+        if nxt < hi:
             prod = nxt
-        else:  # also a nan, inf or non-positive F_t, which log propagates or rejects
+        else:  # also a nan or inf F_t, which log propagates
             sum_log_f += log(prod) + log(f)
             prod = 1.0
         if store:
@@ -181,32 +202,40 @@ def _filter_core(yv, xv, var_meas, var_state, moments=None):
     return sum_log_f + log(prod), sum_v2_f, len(yv) - DIFFUSE_MONTHS
 
 
-def _loglik(sum_log_f: float, sum_v2_f: float, n: int) -> float:
-    return -0.5 * (n * _LOG_2PI + sum_log_f + sum_v2_f)
+def _loglik(sums, log_var_meas: float) -> float:
+    """The log-likelihood of a unit pass's sums (sum log F_t, sum v_t^2 / F_t,
+    n) at measurement variance e^log_var_meas, which scales every F_t."""
+    sum_log_f, sum_v2_f, n = sums
+    return -0.5 * (n * _LOG_2PI + (sum_log_f + n * log_var_meas)
+                   + sum_v2_f / math.exp(log_var_meas))
 
 
 def kalman_filter(model: TvpModel, params: VarianceParams) -> KalmanOutput:
     """Run the forward recursion from the exact diffuse start and return
-    all per-period moments; the pass's log-likelihood is the output's log_lik."""
+    all per-period moments; the pass's log-likelihood is the output's log_lik.
+
+    One unit pass at q = var_state / var_meas, scaled by var_meas."""
+    var_meas = params.var_meas
     moments = ([], [], [], [])
-    sum_log_f, sum_v2_f, n = _filter_core(model.y.values, model.x.values,
-                                          params.var_meas, params.var_state, moments)
+    sums = _filter_core(model.y.values, model.x.values,
+                        math.exp(params.log_var_state - params.log_var_meas), moments)
     fm, fv, iv, ivv = moments
+    fv = tuple([p * var_meas for p in fv])
     if not (math.isfinite(fm[-1]) and math.isfinite(fv[-1])):
         raise NonFiniteState("filter recursion produced a non-finite state")
     return KalmanOutput(
-        filt_mean=tuple(fm), filt_var=tuple(fv),
-        innovations=tuple(iv), innov_var=tuple(ivv),
+        filt_mean=tuple(fm), filt_var=fv,
+        innovations=tuple(iv), innov_var=tuple([f * var_meas for f in ivv]),
         var_state=params.var_state,
-        log_lik=_loglik(sum_log_f, sum_v2_f, n), start=model.y.start,
+        log_lik=_loglik(sums, params.log_var_meas), start=model.y.start,
     )
 
 
 def kalman_smoother(output: KalmanOutput) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Fixed-interval (RTS) smoother over a filter pass: (means, variances).
 
-    Its one-step moments, filt_mean[t] and filt_var[t] + var_state, are the
-    operands the filter used, so each is the filter's float bit for bit.
+    Its one-step moments are filt_mean[t], the filter's own float, and
+    filt_var[t] + var_state, the filter's var_meas (P_t + q) up to rounding.
     """
     sm = list(output.filt_mean)
     sv = list(output.filt_var)
@@ -321,19 +350,19 @@ def _default_init(model: TvpModel) -> VarianceParams:
 def _profile(yv, xv, log_q: float) -> tuple[float, float, float]:
     """Log-likelihood with the measurement variance concentrated out.
 
-    One diffuse pass with measurement variance 1 and state variance q gives
-    sigma2_hat = sum(v^2/F) / n, the maximizing measurement variance for that
-    q. Both are kept inside the box that bounds each log-variance, so this
-    is the 2-D likelihood maximized over the measurement variance on the
-    box. Returns (log-likelihood, log_var_meas, log_var_state).
+    One unit pass at state variance q gives sigma2_hat = sum(v^2/F) / n, the
+    maximizing measurement variance for that q. Both are kept inside the box
+    that bounds each log-variance, so this is the 2-D likelihood maximized
+    over the measurement variance on the box. Returns (log-likelihood,
+    log_var_meas, log_var_state).
     """
     log_q = min(max(log_q, _LOG_VAR_MIN - _LOG_VAR_MAX), _LOG_VAR_MAX - _LOG_VAR_MIN)
-    sum_log_f, sum_v2_f, n = _filter_core(yv, xv, 1.0, math.exp(log_q))
+    sums = _filter_core(yv, xv, math.exp(log_q))
+    _, sum_v2_f, n = sums
     log_s2 = math.log(sum_v2_f / n) if sum_v2_f > 0.0 else -math.inf
     log_s2 = min(max(log_s2, _LOG_VAR_MIN, _LOG_VAR_MIN - log_q),
                  _LOG_VAR_MAX, _LOG_VAR_MAX - log_q)
-    ll = _loglik(sum_log_f + n * log_s2, sum_v2_f * math.exp(-log_s2), n)
-    return ll, log_s2, log_q + log_s2
+    return _loglik(sums, log_s2), log_s2, log_q + log_s2
 
 
 def fit_mle(model: TvpModel) -> MleResult:
@@ -513,21 +542,23 @@ def _sandwich_stencil(model: TvpModel, theta: np.ndarray,
     leaves every v_t unchanged, so the sigma direction is closed form: score
     -(1 - v_t^2/F_t)/2 and curvature -sum(v^2/F)/2 from out, and the cross
     term is sum(v^2/F)'s derivative in rho over 2. Only rho takes central
-    differences, with step h = _FD_SCALE * max(1, |log_var_state|): the
-    passes at rho +/- h give the rho-rho entry, the cross term and the rho
-    scores. That is 2 filter passes.
+    differences, with step h = _FD_SCALE * max(1, |log_var_state|): the unit
+    passes at rho +/- h, scaled like kalman_filter's, give the rho-rho entry,
+    the cross term and the rho scores. That is 2 filter passes.
     """
     yv, xv = model.y.values, model.x.values
-    var_meas = math.exp(theta[0])
+    log_var_meas = theta[0]
+    var_meas = math.exp(log_var_meas)
     h = _FD_SCALE * max(1.0, abs(theta[1]))
 
     def moved(log_var_state: float):
         """Log-likelihood, sum(v^2/F) and the per-observation terms after the
         diffuse month, at log_var_state and the measurement variance of theta."""
         moments = ([], [], [], [])
-        sums = _filter_core(yv, xv, var_meas, math.exp(log_var_state), moments)
-        v, f = np.asarray(moments[2][1:]), np.asarray(moments[3][1:])
-        return _loglik(*sums), sums[1], -0.5 * (_LOG_2PI + np.log(f) + v * v / f)
+        sums = _filter_core(yv, xv, math.exp(log_var_state - log_var_meas), moments)
+        v, f = np.asarray(moments[2][1:]), np.asarray(moments[3][1:]) * var_meas
+        return (_loglik(sums, log_var_meas), sums[1] / var_meas,
+                -0.5 * (_LOG_2PI + np.log(f) + v * v / f))
 
     ll_p, s_p, obs_p = moved(theta[1] + h)
     ll_m, s_m, obs_m = moved(theta[1] - h)
@@ -554,13 +585,19 @@ def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int, n_evals: int,
     ll = out.log_lik
 
     hess, scores = _sandwich_stencil(model, theta, out)
-    eig = np.linalg.eigvalsh(hess)
-    negative_definite = bool(np.all(eig < 0.0))
-    smallest = float(np.min(np.abs(eig)))
-    hessian_cond = float(np.max(np.abs(eig))) / smallest if smallest > 0.0 else math.inf
+    # the symmetric 2x2 [[a, b], [b, d]] has eigenvalues mid -/+ r; a nan
+    # entry makes them nan, which is not negative definite
+    a, b, d = float(hess[0, 0]), float(hess[0, 1]), float(hess[1, 1])
+    mid, r = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
+    negative_definite = mid + r < 0.0
+    largest, smallest = abs(mid) + r, abs(abs(mid) - r)
+    hessian_cond = largest / smallest if smallest != 0.0 else math.inf
     if negative_definite:
-        # sandwich H^-1 (S'S) H^-1, as column norms of S H^-1 so it stays >= 0
-        se = tuple(float(s) for s in np.linalg.norm(scores @ np.linalg.inv(hess), axis=0))
+        # sandwich H^-1 (S'S) H^-1, as column norms of S H^-1 so it stays >= 0,
+        # with H^-1 = [[d, -b], [-b, a]] / det and det the eigenvalues' product
+        det = (mid - r) * (mid + r)
+        cols = (scores[:, 0] * d - scores[:, 1] * b, scores[:, 1] * a - scores[:, 0] * b)
+        se = tuple(math.sqrt(float(c @ c)) / det for c in cols)
         z = tuple(float(theta[i]) / se[i] if se[i] > 0 else math.inf for i in range(k))
         pvals = tuple(math.erfc(abs(zi) / math.sqrt(2.0)) for zi in z)
     else:

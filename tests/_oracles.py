@@ -151,10 +151,11 @@ def proper_prior_filter(yv, xv, var_meas, var_state, a0, p0):
     It has no diffuse month: every observation is predicted and filtered,
     with the library's operations in the library's order (a_pred = a,
     P_pred = P + var_state, F = x (x P_pred) + var_meas, the update
-    a + (x P_pred) (v / F) and the variance update P_pred * var_meas / F),
-    so as p0 grows its months 2..T approach the library's exact diffuse
-    start. Returns lists (filtered means, filtered variances, innovations,
-    innovation variances), t = 1..T.
+    a + (x P_pred) (v / F) and the variance update P_pred var_meas / F, at
+    var_meas = 1 the library's unit-scale P_pred / F), so as p0 grows its
+    months 2..T approach the library's exact diffuse start. Returns lists
+    (filtered means, filtered variances, innovations, innovation
+    variances), t = 1..T.
     """
     a, p = a0, p0
     fm, fv, vs, fs = [], [], [], []
@@ -164,7 +165,7 @@ def proper_prior_filter(yv, xv, var_meas, var_state, a0, p0):
         f = xt * xp + var_meas
         v = yt - xt * a
         a = a + xp * (v / f)
-        p = p_pred * (var_meas / f)
+        p = p_pred * var_meas / f
         fm.append(a)
         fv.append(p)
         vs.append(v)

@@ -1,10 +1,12 @@
-"""What importing the package loads, checked in a fresh interpreter."""
+"""What importing the package loads and sets, checked in a fresh interpreter."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from tvelast.series import MonthDate, write_csv
 
@@ -13,14 +15,24 @@ from conftest import make_dataset
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _modules_after(statement):
-    """Names in sys.modules after running `statement` in a new interpreter."""
+def _run(code, **env_changes):
+    """The stdout of `code` run in a new interpreter that finds this src/;
+    an env_changes value of None unsets that variable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def _modules_after(statement):
+    """Names in sys.modules after running `statement` in a new interpreter."""
     code = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    return json.loads(proc.stdout)
+    return json.loads(_run(code))
 
 
 def _under(modules, package):
@@ -67,3 +79,11 @@ def test_pipeline_report_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "report.json").is_file()
     assert "tvelast.unitroot" in modules and "tvelast.regress" in modules
     assert _under(modules, "scipy") == []
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")], ids=["unset", "explicit"])
+def test_openblas_runs_one_thread_unless_told_otherwise(given, expected):
+    # tvelast sets the variable before any of its modules loads numpy, which
+    # reads it once; an explicit setting wins
+    code = "import os, tvelast\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _run(code, OPENBLAS_NUM_THREADS=given).strip() == expected

@@ -23,6 +23,9 @@ import _oracles
 from conftest import make_series
 
 
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
 def _model(yv, xv):
     return TvpModel(make_series(yv, name="y"), make_series(xv, name="x"))
 
@@ -92,12 +95,16 @@ class TestKalmanFilter:
         out = kalman_filter(model, params)
         assert out.var_state == params.var_state
         # a random walk predicts no change: month t's one-step moments are
-        # filt_mean[t - 1] and filt_var[t - 1] + var_state
+        # filt_mean[t - 1] and, in the unit pass at q = var_state / var_meas
+        # that kalman_filter scales by var_meas, P_{t-1} + q
         yv, xv = model.y.values, model.x.values
+        q = math.exp(params.log_var_state - params.log_var_meas)
+        _, p, _, f = _unit_moments(yv, xv, q)
         for t in range(1, len(model)):
             assert out.innovations[t] == yv[t] - xv[t] * out.filt_mean[t - 1]
-            pp = out.filt_var[t - 1] + out.var_state
-            assert out.innov_var[t] == xv[t] * (xv[t] * pp) + params.var_meas
+            pp = p[t - 1] + q
+            assert f[t] == xv[t] * (xv[t] * pp) + 1.0
+            assert p[t] == pp / f[t]
 
     def test_variances_positive_after_burn_in(self, rng):
         model, _ = gen_tvp(TvpDgp(T=100, sigma2_meas=0.3, sigma2_state=0.1, seed=4))
@@ -211,10 +218,32 @@ def _log_f_bound(logs):
     return 2.0 ** -50 * (math.fsum(map(abs, logs)) + len(logs))
 
 
-def _sum_log_f(yv, xv, var_meas, var_state):
-    """(the pass's sum log F_t, the F_t of the months after the diffuse one)."""
+def _loglik_bound(unit_logs, log_var_meas, v2_f):
+    """How far a pass's log_lik may lie from -1/2 (n log 2 pi + sum log F_t +
+    n log_var_meas + sum v_t^2 / F_t), with F_t the unit pass's and v2_f the
+    scaled terms v_t^2 / (F_t var_meas).
+
+    The unit pass's sum log F_t is within _log_f_bound; the scaling and the
+    three additions round once each relative to their terms, and the sum of
+    v^2 / F at most n + 2 times relative to itself. 2^-50 covers each.
+    """
+    n = len(unit_logs)
+    return 0.5 * (_log_f_bound(unit_logs) + 2.0 ** -50 * (
+        n * (_LOG_2PI + abs(log_var_meas)) + math.fsum(map(abs, unit_logs))
+        + (n + 2) * math.fsum(v2_f)))
+
+
+def _unit_moments(yv, xv, q):
+    """(filt_mean, filt_var, innovations, innov_var) of the unit pass at q."""
     moments = ([], [], [], [])
-    sum_log_f, _, _ = sspace._filter_core(yv, xv, var_meas, var_state, moments)
+    sspace._filter_core(yv, xv, q, moments)
+    return moments
+
+
+def _sum_log_f(yv, xv, q):
+    """(the unit pass's sum log F_t, the F_t of the months after the diffuse one)."""
+    moments = ([], [], [], [])
+    sum_log_f, _, _ = sspace._filter_core(yv, xv, q, moments)
     return sum_log_f, moments[3][1:]
 
 
@@ -225,37 +254,47 @@ def _powers_of_ten(lo, hi):
 
 @st.composite
 def _extreme_cases(draw):
-    """Variances e^[-40, 40], a tiny x_1 (so a huge P_1) and x_t up to 1e20
-    either way, so that F_t spans hundreds of binary orders both ways."""
+    """Log-variances in [-40, 40], a tiny x_1 (so a huge P_1) and x_t up to
+    1e20 either way, so that F_t spans hundreds of binary orders:
+    (y, x, log_var_meas, log_var_state)."""
     t = draw(st.integers(2, 12))
     return ([draw(st.floats(-1e3, 1e3)) for _ in range(t)],
             [draw(_powers_of_ten(-100.0, 0.0))] + draw(
                 st.lists(_powers_of_ten(-20.0, 20.0), min_size=t - 1, max_size=t - 1)),
-            math.exp(draw(st.floats(-40.0, 40.0))), math.exp(draw(st.floats(-40.0, 40.0))))
+            draw(st.floats(-40.0, 40.0)), draw(st.floats(-40.0, 40.0)))
+
+
+def _unit_q(case):
+    """The unit pass's (y, x, q) of an _extreme_cases case."""
+    yv, xv, log_vm, log_vs = case
+    return yv, xv, math.exp(log_vs - log_vm)
 
 
 class TestLogFAccumulator:
     # F_t of about 1 + 5e-8: the products' rounding, not the logs, is the error
-    @example(([0.5] * 7, [1.0] + [1.065e-4] * 6, 1.0, 1.065))
+    @example(([0.5] * 7, [1.0] + [1.065e-4] * 6, 0.0, math.log(1.065)))
     @settings(max_examples=300)
     @given(_extreme_cases())
     def test_matches_the_exact_sum_of_logs(self, case):
-        sum_log_f, f = _sum_log_f(*case)
+        sum_log_f, f = _sum_log_f(*_unit_q(case))
         logs = [math.log(fi) for fi in f]
         assert abs(sum_log_f - math.fsum(logs)) <= _log_f_bound(logs)
 
-    @pytest.mark.parametrize("x, var_meas, var_state, direction", [
-        ([1e-100] + [1e20] * 29, math.exp(40.0), math.exp(40.0), 1),
-        ([1.0] + [1e-20] * 29, math.exp(-40.0), math.exp(-40.0), -1),
-    ], ids=["up", "down"])
-    def test_flushes_before_the_product_leaves_double_range(self, x, var_meas, var_state,
-                                                            direction):
-        # the product of these F_t is far outside double range (|log| > 745),
-        # so unflushed it would be inf or 0; the sum stays exact to the bound
-        sum_log_f, f = _sum_log_f([1.0] * len(x), x, var_meas, var_state)
+    @settings(max_examples=300)
+    @given(_extreme_cases())
+    def test_every_unit_factor_is_at_least_one(self, case):
+        # F_t = x_t^2 P_pred + 1 with P_pred >= 0, so the running product only
+        # grows and one bound guards it
+        _, f = _sum_log_f(*_unit_q(case))
+        assert all(fi >= 1.0 for fi in f)
+
+    @pytest.mark.parametrize("x", [[1e-100] + [1e20] * 29], ids=["up"])
+    def test_flushes_before_the_product_leaves_double_range(self, x):
+        # the product of these F_t is far outside double range (log > 745),
+        # so unflushed it would be inf; the sum stays exact to the bound
+        sum_log_f, f = _sum_log_f([1.0] * len(x), x, 1.0)
         logs = [math.log(fi) for fi in f]
-        assert direction * math.fsum(logs) > 1000.0
-        assert all(direction * lf > 0.0 for lf in logs)
+        assert math.fsum(logs) > 1000.0
         assert abs(sum_log_f - math.fsum(logs)) <= _log_f_bound(logs)
 
     @pytest.mark.parametrize("bad, expected", [(math.nan, math.nan), (math.inf, math.inf),
@@ -265,7 +304,7 @@ class TestLogFAccumulator:
         # x_t = 1e200 squares to inf: F_t is inf, and the states after it are nan
         x = [1.0, 2.0, 0.5, 1.5, 0.7, 1.2]
         x[month] = bad
-        sum_log_f, f = _sum_log_f([0.3, -0.2, 0.4, 0.1, -0.5, 0.2], x, 0.5, 0.2)
+        sum_log_f, f = _sum_log_f([0.3, -0.2, 0.4, 0.1, -0.5, 0.2], x, 0.4)
         assert math.isnan(f[month - 1]) or f[month - 1] == math.inf
         if math.isnan(expected):
             assert math.isnan(sum_log_f)
@@ -273,35 +312,65 @@ class TestLogFAccumulator:
             assert sum_log_f == expected
 
 
+class TestKalmanFilterScale:
+    @settings(max_examples=300)
+    @given(_extreme_cases())
+    def test_is_the_unit_pass_scaled_by_the_measurement_variance(self, case):
+        # moments bit for bit; log_lik is the scaled pass's exact one to the
+        # accumulator bound
+        yv, xv, log_vm, log_vs = case
+        params = VarianceParams(log_vm, log_vs)
+        out = kalman_filter(_model(yv, xv), params)
+        fm, fv, v, f = _unit_moments(*_unit_q(case))
+        vm = params.var_meas
+        assert out.filt_mean == tuple(fm) and out.innovations == tuple(v)
+        assert out.filt_var == tuple(p * vm for p in fv)
+        assert out.innov_var == tuple(fi * vm for fi in f)
+        n = len(yv) - sspace.DIFFUSE_MONTHS
+        logs = [math.log(fi) for fi in f[1:]]
+        v2_f = [vi * vi / fi / vm for vi, fi in zip(v[1:], f[1:])]
+        exact = -0.5 * math.fsum([n * _LOG_2PI, n * log_vm, *logs, *v2_f])
+        assert abs(out.log_lik - exact) <= _loglik_bound(logs, log_vm, v2_f)
+
+    def test_a_first_regressor_that_only_the_scale_overflows_is_not_degenerate(self):
+        # 1 / x_1^2 = 1e306 is finite and var_meas / x_1^2 is not: the unit
+        # pass opens from the finite one, so neither the filter nor the fit,
+        # whose estimate here is pinned at the bound, raises DegenerateRegressor
+        base, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.3, sigma2_state=0.1, seed=5))
+        model = _model(base.y.values, (1e-153,) + base.x.values[1:])
+        out = kalman_filter(model, VarianceParams(40.0, 0.0))
+        assert out.filt_var[0] == math.inf
+        assert all(map(math.isfinite, out.filt_var[1:] + out.filt_mean + (out.log_lik,)))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NoConvergence) as info:
+            fit_mle(model)
+        assert math.isfinite(info.value.result.log_lik)
+
+
 class TestDiffuseStart:
     @settings(max_examples=150)
     @given(_diffuse_cases())
     def test_is_the_explicit_start_on_the_tail(self, case):
         # months 2..T of the diffuse pass are a proper-prior filter on the tail
-        # y_2..y_T from alpha_1 ~ N(y_1/x_1, var_meas/x_1^2), bit for bit
+        # y_2..y_T from alpha_1 ~ N(y_1/x_1, 1/x_1^2) at unit scale, bit for
+        # bit after the scaling by var_meas
         model, vm, vs = case
         params = VarianceParams(math.log(vm), math.log(vs))
+        vm = params.var_meas
         yv, xv = model.y.values, model.x.values
-        a1, p1 = yv[0] / xv[0], params.var_meas / (xv[0] * xv[0])
+        a1, p1 = yv[0] / xv[0], 1.0 / (xv[0] * xv[0])
         out = kalman_filter(model, params)
         fm, fv, v, f = _oracles.proper_prior_filter(
-            yv[1:], xv[1:], params.var_meas, params.var_state, a1, p1)
-        assert (out.filt_mean[0], out.filt_var[0]) == (a1, p1)
+            yv[1:], xv[1:], 1.0, math.exp(params.log_var_state - params.log_var_meas), a1, p1)
+        assert (out.filt_mean[0], out.filt_var[0]) == (a1, p1 * vm)
         assert list(out.filt_mean[1:]) == fm
-        assert list(out.filt_var[1:]) == fv
+        assert list(out.filt_var[1:]) == [p * vm for p in fv]
         assert list(out.innovations[1:]) == v
-        assert list(out.innov_var[1:]) == f
+        assert list(out.innov_var[1:]) == [fi * vm for fi in f]
         n = len(yv) - sspace.DIFFUSE_MONTHS
-        sum_v2_f = 0.0
-        for vi, fi in zip(v, f):
-            sum_v2_f += vi * (vi / fi)
         logs = [math.log(fi) for fi in f]
-        terms = (n * math.log(2.0 * math.pi), math.fsum(logs), sum_v2_f)
-        # sum log F_t from the running product is within _log_f_bound of the
-        # exact sum, and each side's two additions round once each
-        tol = 0.5 * (_log_f_bound(logs) + 2.0 ** -51 * (terms[0] + math.fsum(map(abs, logs))
-                                                        + terms[2]))
-        assert abs(out.log_lik - -0.5 * (terms[0] + terms[1] + terms[2])) <= tol
+        v2_f = [vi * vi / fi / vm for vi, fi in zip(v, f)]
+        exact = -0.5 * math.fsum([n * _LOG_2PI, n * params.log_var_meas, *logs, *v2_f])
+        assert abs(out.log_lik - exact) <= _loglik_bound(logs, params.log_var_meas, v2_f)
 
     def test_diffuse_month_has_no_prediction(self, rng):
         model, vm, vs = _random_model(rng)
@@ -310,7 +379,7 @@ class TestDiffuseStart:
         assert out.innovations[0] == model.y.values[0]
         assert innovation_shocks(out).values[0] == 0.0
 
-    # 1e-170 squares to zero; 1e-155 squares to a subnormal, so var_meas / x_1^2 overflows
+    # 1e-170 squares to zero; 1e-155 squares to a subnormal, so 1 / x_1^2 overflows
     @pytest.mark.parametrize("x1", [0.0, 1e-170, 1e-155])
     def test_degenerate_first_regressor_raises(self, x1):
         base, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.3, sigma2_state=0.1, seed=5))
@@ -501,7 +570,8 @@ class TestFitMle:
         assert ll == pytest.approx(
             kalman_filter(model, VarianceParams(log_vm, log_vs)).log_lik, abs=1e-9)
 
-    @pytest.mark.parametrize("hessian", [np.eye(2), np.diag([-1.0, 1.0])])
+    @pytest.mark.parametrize("hessian", [np.eye(2), np.diag([-1.0, 1.0]),
+                                         np.full((2, 2), math.nan)])
     def test_hessian_not_negative_definite_raises(self, monkeypatch, hessian):
         model, _ = gen_tvp(TvpDgp(T=100, sigma2_meas=0.2, sigma2_state=0.3, seed=19))
         monkeypatch.setattr(sspace, "_sandwich_stencil",
@@ -524,9 +594,10 @@ def _recorded(f):
 
 
 def _brent_oracle(f, xa, max_iter):
-    """scipy's search that sspace._brent ports, as (x, f(x), nit, failure)."""
+    """scipy's search that sspace._brent ports, at the port's x tolerance, as
+    (x, f(x), nit, failure)."""
     res = optimize.minimize_scalar(f, bracket=(xa, xa + 1.0), method="brent",
-                                   options={"maxiter": max_iter})
+                                   tol=sspace._XTOL, options={"maxiter": max_iter})
     return res.x, res.fun, res.nit, None if res.success else res.message.strip()
 
 
@@ -696,6 +767,32 @@ class TestSandwichStencil:
 
 
 class TestFitDiagnostics:
+    def test_pass_count_ignores_the_objectives_last_bits(self, monkeypatch):
+        # Brent stops at the objective's resolution: a 2-ulp change of every
+        # objective value moves no fit's pass count
+        models = [gen_tvp(TvpDgp(T=t, sigma2_meas=0.016, sigma2_state=0.359,
+                                 seed=derive_seed(91, r)))[0]
+                  for t in (120, 543) for r in range(10)]
+
+        def passes():
+            counts = []
+            for model in models:
+                try:
+                    counts.append(fit_mle(model).n_filter_passes)
+                except NoConvergence as exc:
+                    counts.append(exc.result.n_filter_passes)
+            return counts
+
+        before = passes()
+        profile = sspace._profile
+
+        def nudged(yv, xv, log_q):
+            ll, log_vm, log_vs = profile(yv, xv, log_q)
+            return ll * (1.0 + 4.4e-16), log_vm, log_vs
+
+        monkeypatch.setattr(sspace, "_profile", nudged)
+        assert passes() == before
+
     def test_filter_passes_are_search_estimate_and_stencil(self, monkeypatch):
         model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.3, seed=23))
         calls = {"_filter_core": 0, "_profile": 0}
@@ -713,9 +810,13 @@ class TestFitDiagnostics:
         model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.3, seed=23))
         fit = fit_mle(model)
         theta = np.array([fit.params.log_var_meas, fit.params.log_var_state])
-        eig = np.abs(np.linalg.eigvalsh(
-            sspace._sandwich_stencil(model, theta, fit.filter_output)[0]))
-        assert fit.hessian_cond == eig.max() / eig.min()
+        hess = sspace._sandwich_stencil(model, theta, fit.filter_output)[0]
+        # the eigenvalues of [[a, b], [b, d]] are mid -/+ hypot((a - d) / 2, b)
+        mid = 0.5 * (hess[0, 0] + hess[1, 1])
+        r = math.hypot(0.5 * (hess[0, 0] - hess[1, 1]), hess[0, 1])
+        assert fit.hessian_cond == (abs(mid) + r) / abs(abs(mid) - r)
+        eig = np.abs(np.linalg.eigvalsh(hess))
+        assert fit.hessian_cond == pytest.approx(eig.max() / eig.min(), rel=1e-12, abs=0.0)
         assert fit.hessian_cond >= 1.0
         d = fit.to_dict()
         assert (d["n_filter_passes"], d["hessian_cond"]) == (fit.n_filter_passes, fit.hessian_cond)
