@@ -260,6 +260,19 @@ MUTANTS = (
      "(int(i < sspace.DIFFUSE_MONTHS) for i in range(n))",
      "(int(i <= sspace.DIFFUSE_MONTHS) for i in range(n))",
      "fig8 flags a month after the diffuse one as burn-in"),
+    # report.json's writer
+    ("cusum-keeps-bands", "pipeline",
+     '_entry(c, drop=("band_lo", "band_hi"))',
+     "_entry(c)",
+     "report.json's cusum section writes the bands that its other entries fix"),
+    ("month-not-text", "pipeline",
+     "str(v) if isinstance(v := getattr(section, f.name), MonthDate) else v",
+     "v if isinstance(v := getattr(section, f.name), MonthDate) else v",
+     "a month in report.json is not written as its YYYY-MM text"),
+    ("mle-params-flat", "pipeline",
+     '**_entry(m, drop=("filter_output",)), "params": _entry(m.params)}',
+     '**_entry(m, drop=("filter_output", "params")), **_entry(m.params)}',
+     "mle.params' log-variances sit at the top of the mle section"),
     # the simulation stream
     ("stream-counter-0", "simlab",
      "np.arange(1, n + 1, dtype=_U64)",

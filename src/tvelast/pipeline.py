@@ -8,13 +8,16 @@ fit's own filter pass, and the expanding sub-sample table on the same
 growth series. Each stage is one entry of _STAGES, and a single-stage CLI
 subcommand runs its stage and the stages it needs. Every failure is
 re-raised annotated with the stage that produced it. The Report serializes
-to one JSON document plus fixed-name CSV files per table and figure.
+to one JSON document plus fixed-name CSV files per table and figure. This
+module writes every report.json key: Report.to_dict, beside SCHEMA_VERSION,
+turns each section's result dataclass into its entry, and the result types
+of the other modules have no serializer of their own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__, regress, sspace, unitroot
 from .errors import NoConvergence, OutOfRange, SectionMissing, StageError, TooShort, TvelastError
@@ -98,17 +101,6 @@ class SubSampleRow:
     p_value: float
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "sample_start": str(self.sample_start),
-            "sample_end": str(self.sample_end),
-            "final_state": self.final_state,
-            "final_rmse": self.final_rmse,
-            "z": self.z,
-            "p_value": self.p_value,
-            "converged": self.converged,
-        }
-
 
 @dataclass(frozen=True)
 class StatePaths:
@@ -139,36 +131,27 @@ class Report:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        # float columns are the sections' own tuples, not copies, so that
-        # write_report's figure CSVs reuse the texts report.json made
+        """The report.json document; each section's drop list sits beside it."""
         return {
             "transform": _maybe(self.growth_y, lambda _: {
                 "y_mean": self.y_mean,
                 "x_mean": self.x_mean,
-                "growth_y": _series_dict(self.growth_y),
-                "growth_x": _series_dict(self.growth_x),
+                "growth_y": _entry(self.growth_y),
+                "growth_x": _entry(self.growth_x),
             }),
             "adf_table": _maybe(self.adf_table, lambda rows: [
-                {"variable": r.variable, "form": r.form, **r.result.to_dict()}
-                for r in rows
+                {"variable": r.variable, "form": r.form, **_entry(r.result)} for r in rows
             ]),
-            "ols": _maybe(self.ols, lambda o: o.to_dict()),
-            "cusum": _maybe(self.cusum, lambda c: c.to_dict()),
-            "recursive": _maybe(self.recursive, lambda r: r.to_dict()),
-            "mle": _maybe(self.mle, lambda m: m.to_dict()),
-            "state_paths": _maybe(self.state_paths, lambda p: {
-                "start": str(p.start),
-                "filtered": p.filtered,
-                "smoothed": p.smoothed,
-            }),
-            "decades": _maybe(self.decades, lambda ds: [
-                {"label": d.label, "first": str(d.first), "last": str(d.last), "mean": d.mean}
-                for d in ds
-            ]),
-            "shocks": _maybe(self.shocks, _series_dict),
-            "subsample_table": _maybe(self.subsample_table, lambda rows: [
-                r.to_dict() for r in rows
-            ]),
+            "ols": _maybe(self.ols, _entry),
+            # the significance and the statistic's length fix the bands
+            "cusum": _maybe(self.cusum, lambda c: _entry(c, drop=("band_lo", "band_hi"))),
+            "recursive": _maybe(self.recursive, _entry),
+            "mle": _maybe(self.mle, lambda m: {
+                **_entry(m, drop=("filter_output",)), "params": _entry(m.params)}),
+            "state_paths": _maybe(self.state_paths, _entry),
+            "decades": _maybe(self.decades, lambda ds: list(map(_entry, ds))),
+            "shocks": _maybe(self.shocks, _entry),
+            "subsample_table": _maybe(self.subsample_table, lambda rows: list(map(_entry, rows))),
             "provenance": dict(self.provenance),
         }
 
@@ -180,8 +163,13 @@ def _maybe(section, render):
     return None if section is None else render(section)
 
 
-def _series_dict(s: MonthlySeries) -> dict:
-    return {"start": str(s.start), "name": s.name, "values": s.values}
+def _entry(section, drop: tuple[str, ...] = ()) -> dict:
+    """A result dataclass's report.json entry: its fields by name, less those
+    in drop, with a MonthDate written as its text. A float tuple goes out as
+    the section's own object, not a copy, so that write_report's figure CSVs
+    reuse the texts report.json made for it (series.shared_float_texts)."""
+    return {f.name: str(v) if isinstance(v := getattr(section, f.name), MonthDate) else v
+            for f in fields(section) if f.name not in drop}
 
 
 def run_pipeline(data: Dataset, cfg: PipelineConfig = PipelineConfig(),
@@ -383,7 +371,7 @@ def _emit_table1(report: Report) -> str:
 
 
 def _emit_table2(report: Report) -> str:
-    return row_csv(_need(report.ols, "ols").to_dict())
+    return row_csv(_entry(_need(report.ols, "ols")))
 
 
 def _emit_table3(report: Report) -> str:

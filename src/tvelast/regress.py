@@ -10,7 +10,7 @@ and Evans (1975).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +41,6 @@ class OlsResult:
     hq: float
     dw: float
     n_obs: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def to_text(self) -> str:
         rows = [
@@ -85,14 +82,6 @@ class RecursivePath:
     bands_lo: tuple[float, ...]
     bands_hi: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "start_index": self.start_index,
-            "coefs": self.coefs,
-            "bands_lo": self.bands_lo,
-            "bands_hi": self.bands_hi,
-        }
-
     def to_text(self) -> str:
         return (f"recursive coefficients over {len(self.coefs)} expanding samples; "
                 f"final {self.coefs[-1]:.6f} [{self.bands_lo[-1]:.6f}, {self.bands_hi[-1]:.6f}]")
@@ -103,8 +92,9 @@ class CusumResult:
     """Cumulative sum of scaled recursive residuals against linear bands.
 
     Entry i corresponds to t = k + i observations used (the t = k entry is
-    the zero anchor before the first recursive residual). to_dict leaves out
-    the bands, which the significance and the statistic's length fix.
+    the zero anchor before the first recursive residual). report.json
+    (pipeline.Report.to_dict) leaves out the bands, which the significance
+    and the statistic's length fix.
     """
 
     statistic: tuple[float, ...]
@@ -114,15 +104,6 @@ class CusumResult:
     first_crossing: MonthDate | None
     stable: bool
     sigma_w: float
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "significance": self.significance,
-            "first_crossing": None if self.first_crossing is None else str(self.first_crossing),
-            "stable": self.stable,
-            "sigma_w": self.sigma_w,
-        }
 
     def to_text(self) -> str:
         return (f"CUSUM at {self.significance:.0%}: "

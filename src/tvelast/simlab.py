@@ -296,8 +296,6 @@ def _run_split(dgp, seeds: list[int], n_blocks: int) -> list[dict | None]:
     """The records of every seed, in order, with the seeds cut into n_blocks
     contiguous blocks: this process runs the first, a forked child each
     other one. No child outlives the call."""
-    if n_blocks == 1:
-        return [_safe_run_one(dgp, s) for s in seeds]
     cuts = [len(seeds) * j // n_blocks for j in range(n_blocks + 1)]
     children = []  # [pid, pipe's read end, first replication, stop]; pid None once reaped
     try:

@@ -49,7 +49,7 @@ the tests check.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -271,7 +271,7 @@ class MleResult:
     estimate and the SE stencil), and hessian_cond is the ratio of the
     largest to the smallest |eigenvalue| of the observed Hessian in the
     coordinates of robust_se. filter_output is the filter pass at the
-    estimate; it is not serialized.
+    estimate; report.json (pipeline.Report.to_dict) leaves it out.
     """
 
     params: VarianceParams
@@ -296,13 +296,6 @@ class MleResult:
     converged: bool
     filter_output: KalmanOutput = field(repr=False, compare=False)
     loglik_path: tuple[float, ...] = field(repr=False, default=())
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "filter_output"}
-        d["params"] = asdict(self.params)
-        for key in ("robust_se", "z_stats", "p_values", "loglik_path"):
-            d[key] = list(d[key])
-        return d
 
     def to_text(self) -> str:
         lines = [

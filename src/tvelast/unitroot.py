@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +70,6 @@ class AdfResult:
     reject_at: float | None
     n_used: int
     deterministic: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def stars(self) -> str:
         if self.reject_at == 0.01:

@@ -27,6 +27,13 @@ from tvelast.simlab import TvpDgp, gen_tvp
 from conftest import make_dataset
 
 
+# every MleResult field but filter_output, the pass behind state_paths and shocks
+_MLE_KEYS = {
+    "params", "robust_se", "z_stats", "p_values", "var_meas", "var_state", "final_state",
+    "final_rmse", "final_z", "final_p", "forecast_rmse", "log_lik", "aic", "sic", "hq",
+    "n_obs", "n_iter", "n_filter_passes", "hessian_cond", "converged", "loglik_path"}
+
+
 @pytest.fixture(scope="module")
 def report_and_inputs():
     data = make_dataset(n_months=240, seed=42)
@@ -132,25 +139,44 @@ class TestEachIntermediateComputedOnce:
 
     def test_mle_serialization_leaves_out_the_pass(self, counted):
         report, _ = counted
-        assert set(report.mle.to_dict()) == {
-            "params", "robust_se", "z_stats", "p_values", "var_meas", "var_state",
-            "final_state", "final_rmse", "final_z", "final_p", "forecast_rmse",
-            "log_lik", "aic", "sic", "hq", "n_obs", "n_iter", "n_filter_passes",
-            "hessian_cond", "converged", "loglik_path",
-        }
+        assert set(report.to_dict()["mle"]) == _MLE_KEYS
 
 
 class TestSlimReport:
     """report.json writes no entry that its other entries fix."""
 
-    def test_changed_sections_hold_exactly_these_keys(self, report_and_inputs):
-        # the mle section's keys: test_mle_serialization_leaves_out_the_pass
+    def test_every_section_holds_exactly_these_keys(self, report_and_inputs):
+        # report.json is written from the sections' fields, so a new field of a
+        # result type would enter schema 3 unless this test names it
         report, _, _ = report_and_inputs
         d = json.loads(report.to_json())
+        assert set(d) == {"transform", "adf_table", "ols", "cusum", "recursive", "mle",
+                          "state_paths", "decades", "shocks", "subsample_table", "provenance"}
         assert set(d["transform"]) == {"y_mean", "x_mean", "growth_y", "growth_x"}
+        for var in ("growth_y", "growth_x"):
+            assert set(d["transform"][var]) == {"start", "name", "values"}
+        assert len(d["adf_table"]) == 4
+        for row in d["adf_table"]:
+            assert set(row) == {
+                "variable", "form", "statistic", "chosen_lags", "crit_1", "crit_5", "crit_10",
+                "p_value_approx", "reject_at", "n_used", "deterministic"}
+        assert set(d["ols"]) == {
+            "coef", "std_err", "t_stat", "p_value", "r2", "adj_r2", "se_regression", "ssr",
+            "log_lik", "aic", "sic", "hq", "dw", "n_obs"}
         assert set(d["cusum"]) == {
             "statistic", "significance", "first_crossing", "stable", "sigma_w"}
+        assert set(d["recursive"]) == {"start_index", "coefs", "bands_lo", "bands_hi"}
+        assert set(d["mle"]) == _MLE_KEYS
+        assert set(d["mle"]["params"]) == {"log_var_meas", "log_var_state"}
         assert set(d["state_paths"]) == {"start", "filtered", "smoothed"}
+        assert d["decades"]
+        for row in d["decades"]:
+            assert set(row) == {"label", "first", "last", "mean"}
+        assert len(d["subsample_table"]) == 3
+        for row in d["subsample_table"]:
+            assert set(row) == {
+                "sample_start", "sample_end", "final_state", "final_rmse", "z", "p_value",
+                "converged"}
         assert set(d["shocks"]) == {"start", "name", "values"}
         assert set(d["provenance"]) == {
             "data_sha256", "config_sha256", "schema_version", "version"}
@@ -349,7 +375,8 @@ class TestEmitFigureData:
             "log_lik", "aic", "sic", "hq", "n_obs", "n_iter", "converged"]
         for i, c in enumerate(coefs):
             assert [float(cells[f"{c}{s}"]) for s in ("", "_se", "_z", "_p")] == [
-                fit.to_dict()["params"][c], fit.robust_se[i], fit.z_stats[i], fit.p_values[i]]
+                Report(mle=fit).to_dict()["mle"]["params"][c], fit.robust_se[i],
+                fit.z_stats[i], fit.p_values[i]]
 
     def test_section_missing(self, dataset):
         report = run_pipeline(dataset, PipelineConfig(), "ols")

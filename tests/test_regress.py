@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps  # oracle only: the package must not import scipy.stats
 
 from tvelast.errors import DegenerateRegressor, LengthMismatch
+from tvelast.pipeline import Report
 from tvelast.regress import (
     CUSUM_BAND_CONSTANTS,
     _t_two_sided_tail,
@@ -14,7 +15,7 @@ from tvelast.regress import (
     recursive_coefficients,
     recursive_residuals,
 )
-from tvelast.series import MonthDate, json_text
+from tvelast.series import MonthDate
 
 import _oracles
 from conftest import make_series
@@ -138,7 +139,7 @@ class TestOls:
         import json
         xv = rng.normal(0, 1, 20)
         res = ols_no_intercept(*_pair(xv * 2, xv))
-        assert json.loads(json_text(res.to_dict()))["coef"] == res.coef
+        assert json.loads(Report(ols=res).to_json())["ols"]["coef"] == res.coef
         assert "Durbin-Watson" in res.to_text()
 
 
