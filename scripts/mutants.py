@@ -190,37 +190,41 @@ MUTANTS = (
      "adj_r2 = 1.0 - (1.0 - r2) * n / df",
      "adjusted R^2 scales by n, not n - 1"),
     ("cusum-sigma-ddof", "regress",
-     "sigma_w = float(np.std(wv, ddof=1))",
-     "sigma_w = float(np.std(wv, ddof=0))",
+     "for v in w) / (n - 1))",
+     "for v in w) / n)",
      "the CUSUM scale divides by T - k, not T - k - 1"),
     ("cusum-1pct-constant", "regress",
      "0.01: 1.143,",
      "0.01: 2.143,",
      "the 1% CUSUM band constant does not solve the crossing probability"),
     ("cusum-zero-sigma", "regress",
-     "if sigma_w > 0:",
-     "if sigma_w >= 0:",
+     "if sigma_w > 0 else",
+     "if sigma_w >= 0 else",
      "an exact fit's CUSUM statistic is 0 / 0"),
     ("ols-r2-tss-cancels", "regress",
      "tss = float((yv - yv.mean()) @ (yv - yv.mean()))",
      "tss = float((yv + yv.mean()) @ (yv - yv.mean()))",
      "R^2's total sum of squares cancels sum(y^2) against n * mean^2"),
     ("recursive-min-len", "regress",
-     "yv, xv = _check_pair(y, x, min_len=N_REGRESSORS + 1)\n    sxx, sxy, syy",
-     "yv, xv = _check_pair(y, x, min_len=N_REGRESSORS + 2)\n    sxx, sxy, syy",
+     "_check_pair(y, x, min_len=N_REGRESSORS + 1)",
+     "_check_pair(y, x, min_len=N_REGRESSORS + 2)",
      "the recursive path refuses its 2-observation minimum"),
     ("cusum-band-slope", "regress",
      "band_hi = [a * (sqrt_n + 2.0 * i / sqrt_n) for i in range(n + 1)]",
      "band_hi = [a * (sqrt_n + i / sqrt_n) for i in range(n + 1)]",
      "the CUSUM band grows at half its slope"),
     ("recursive-band-width", "regress",
-     "bands_lo=tuple((beta - 2.0 * se).tolist()),",
-     "bands_lo=tuple((beta - se).tolist()),",
+     "bands_lo.append(bt - 2.0 * se)",
+     "bands_lo.append(bt - se)",
      "the recursive lower band is 1 s.e., not 2"),
     ("recursive-band-dof", "regress",
-     "se = np.sqrt(ssr / (n_used - N_REGRESSORS) / sxx)",
-     "se = np.sqrt(ssr / n_used / sxx)",
+     "se = math.sqrt(ssr / (t - N_REGRESSORS) * pt)",
+     "se = math.sqrt(ssr / t * pt)",
      "the recursive s.e. divides by t, not t - k"),
+    ("recursive-text-final", "regress",
+     "final {self.coefs[-1]:.6f}",
+     "final {self.coefs[-2]:.6f}",
+     "the recursive path's text reports the second-to-last estimate as the final one"),
     # ADF
     ("adf-stars-1pct", "unitroot",
      'if self.reject_at == 0.01:\n            return "***"',

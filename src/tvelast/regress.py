@@ -5,15 +5,22 @@ The regression of interest is y_t = coef * x_t + e_t on demeaned series
 statistics, this module provides the recursive residuals, the recursive
 coefficient path, and the cumulative-sum stability test of Brown, Durbin
 and Evans (1975).
+
+The three read the state-space filter's one recursion: at state variance
+q = 0 its exact-diffuse unit pass is recursive least squares. From month 2
+its v_t / sqrt(F_t) is the recursive residual w_t, its filtered mean the
+OLS slope on the first t observations and its filtered variance 1 / S_xx,t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
+from . import sspace
 from .errors import DegenerateRegressor, LengthMismatch
 from .series import MonthDate, MonthlySeries
 
@@ -111,12 +118,12 @@ class CusumResult:
                    else f"unstable; first crossing {self.first_crossing}"))
 
 
-def _check_pair(y: MonthlySeries, x: MonthlySeries, min_len: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair(y: MonthlySeries, x: MonthlySeries, min_len: int) -> tuple[tuple, tuple]:
     if len(y) != len(x):
         raise LengthMismatch(f"y has {len(y)} observations, x has {len(x)}")
     if len(y) < min_len:
         raise LengthMismatch(f"need at least {min_len} observations, got {len(y)}")
-    return np.asarray(y.values), np.asarray(x.values)
+    return y.values, x.values
 
 
 _CF_EPS = 1e-16  # a continued-fraction step this close to 1 ends the evaluation
@@ -178,7 +185,7 @@ def ols_no_intercept(y: MonthlySeries, x: MonthlySeries) -> OlsResult:
     per-observation convention (-2*loglik + penalty) / n so values are
     directly comparable across sample sizes.
     """
-    yv, xv = _check_pair(y, x, min_len=2)
+    yv, xv = map(np.asarray, _check_pair(y, x, min_len=2))
     n = len(yv)
     sxx = float(xv @ xv)
     if sxx == 0.0:
@@ -211,32 +218,28 @@ def ols_no_intercept(y: MonthlySeries, x: MonthlySeries) -> OlsResult:
     )
 
 
-def _expanding_sums(yv: np.ndarray, xv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Running sums (S_xx, S_xy, S_yy) over the first t observations, t = 1..T.
+def _q0_pass(y: MonthlySeries, x: MonthlySeries) -> tuple[list[float], list[float], list[float]]:
+    """(w_t, beta_t, 1 / S_xx,t) for t = 2..T from the q = 0 unit filter pass.
 
-    np.cumsum adds left to right, so entry t - 1 is the sum a sequential
-    loop would hold after t observations. S_xx never decreases, so a
-    positive first entry makes every prefix sum positive.
+    A first x that squares to zero raises DegenerateRegressor at its start.
     """
-    sxx = np.cumsum(xv * xv)
-    if sxx[0] == 0.0:
-        raise DegenerateRegressor(
-            "first observation of x squares to zero (zero or underflow); recursion cannot start")
-    return sxx, np.cumsum(xv * yv), np.cumsum(yv * yv)
+    yv, xv = _check_pair(y, x, min_len=N_REGRESSORS + 1)
+    moments = ([], [], [], [])
+    sspace._filter_core(yv, xv, 0.0, moments)
+    beta, p, v, f = (m[sspace.DIFFUSE_MONTHS:] for m in moments)
+    return [vt / math.sqrt(ft) for vt, ft in zip(v, f)], beta, p
 
 
 def recursive_residuals(y: MonthlySeries, x: MonthlySeries) -> MonthlySeries:
     """Standardized one-step-ahead prediction errors from expanding OLS.
 
     w_t = (y_t - x_t * beta_{t-1}) / sqrt(1 + x_t^2 / S_{t-1}) where
-    S_{t-1} = sum of x_s^2 over s < t, for t = 2..T. Under a stable model
-    with iid N(0, sigma^2) errors the w_t are iid N(0, sigma^2).
+    S_{t-1} = sum of x_s^2 over s < t, for t = 2..T: the q = 0 pass's
+    v_t / sqrt(F_t). Under a stable model with iid N(0, sigma^2) errors the
+    w_t are iid N(0, sigma^2).
     """
-    yv, xv = _check_pair(y, x, min_len=N_REGRESSORS + 1)
-    sxx, sxy, _ = _expanding_sums(yv, xv)
-    beta = sxy[:-1] / sxx[:-1]
-    w = (yv[1:] - xv[1:] * beta) / np.sqrt(1.0 + xv[1:] * xv[1:] / sxx[:-1])
-    return MonthlySeries(y.start.plus(N_REGRESSORS), tuple(w.tolist()), name="recursive_residuals")
+    w, _, _ = _q0_pass(y, x)
+    return MonthlySeries(y.start.plus(N_REGRESSORS), tuple(w), name="recursive_residuals")
 
 
 def recursive_coefficients(y: MonthlySeries, x: MonthlySeries) -> RecursivePath:
@@ -244,48 +247,45 @@ def recursive_coefficients(y: MonthlySeries, x: MonthlySeries) -> RecursivePath:
 
     The first entry uses k+1 = 2 observations (the earliest sample with a
     residual degree of freedom); the last equals the full-sample estimate.
+    beta_t is the q = 0 pass's filtered mean and its s.e. is
+    sqrt(SSR_t / (t - k) * p_t), with SSR_t the running sum of w_s^2 (the
+    prefix fit's SSR, without cancellation) and p_t = 1 / S_xx,t.
     """
-    yv, xv = _check_pair(y, x, min_len=N_REGRESSORS + 1)
-    sxx, sxy, syy = (s[1:] for s in _expanding_sums(yv, xv))
-    beta = sxy / sxx
-    ssr = np.maximum(syy - beta * sxy, 0.0)
-    n_used = np.arange(N_REGRESSORS + 1, len(yv) + 1)
-    se = np.sqrt(ssr / (n_used - N_REGRESSORS) / sxx)
-    return RecursivePath(
-        start_index=N_REGRESSORS + 1,
-        coefs=tuple(beta.tolist()),
-        bands_lo=tuple((beta - 2.0 * se).tolist()),
-        bands_hi=tuple((beta + 2.0 * se).tolist()),
-    )
+    w, beta, p = _q0_pass(y, x)
+    bands_lo, bands_hi = [], []
+    ssr = 0.0
+    for t, (wt, bt, pt) in enumerate(zip(w, beta, p), start=N_REGRESSORS + 1):
+        ssr += wt * wt
+        se = math.sqrt(ssr / (t - N_REGRESSORS) * pt)
+        bands_lo.append(bt - 2.0 * se)
+        bands_hi.append(bt + 2.0 * se)
+    return RecursivePath(start_index=N_REGRESSORS + 1, coefs=tuple(beta),
+                         bands_lo=tuple(bands_lo), bands_hi=tuple(bands_hi))
 
 
 def cusum(y: MonthlySeries, x: MonthlySeries, significance: float = 0.05) -> CusumResult:
     """CUSUM stability test on the cumulated scaled recursive residuals.
 
     W_t = sum of w_s (s <= t) divided by the sample standard deviation of
-    the recursive residuals (denominator T-k-1). The boundaries are
-    +/- a * [sqrt(T-k) + 2*(t-k)/sqrt(T-k)] with a the Brown-Durbin-Evans
-    constant for the chosen significance level; a crossing anywhere rejects
-    parameter stability.
+    the recursive residuals (denominator T-k-1), the w_t of the q = 0 pass.
+    The boundaries are +/- a * [sqrt(T-k) + 2*(t-k)/sqrt(T-k)] with a the
+    Brown-Durbin-Evans constant for the chosen significance level; a
+    crossing anywhere rejects parameter stability.
     """
     if significance not in CUSUM_BAND_CONSTANTS:
         raise ValueError(
             f"significance must be one of {sorted(CUSUM_BAND_CONSTANTS)}, got {significance}"
         )
-    w = recursive_residuals(y, x)
-    wv = np.asarray(w.values)
-    n = len(wv)  # T - k
+    w, _, _ = _q0_pass(y, x)
+    n = len(w)  # T - k
     if n < 2:
         raise LengthMismatch("need at least two recursive residuals for CUSUM")
-    sigma_w = float(np.std(wv, ddof=1))
+    mean = math.fsum(w) / n
+    sigma_w = math.sqrt(math.fsum((v - mean) * (v - mean) for v in w) / (n - 1))
     a = CUSUM_BAND_CONSTANTS[significance]
     sqrt_n = math.sqrt(n)
     # index i corresponds to t - k = i, with the zero anchor at i = 0
-    stat = [0.0]
-    if sigma_w > 0:
-        stat.extend(float(v) for v in np.cumsum(wv) / sigma_w)
-    else:
-        stat.extend([0.0] * n)
+    stat = [0.0, *(s / sigma_w for s in accumulate(w))] if sigma_w > 0 else [0.0] * (n + 1)
     band_hi = [a * (sqrt_n + 2.0 * i / sqrt_n) for i in range(n + 1)]
     band_lo = [-b for b in band_hi]
 
@@ -295,12 +295,6 @@ def cusum(y: MonthlySeries, x: MonthlySeries, significance: float = 0.05) -> Cus
             # entry i is the residual at observation k + i (1-based)
             first_crossing = y.start.plus(N_REGRESSORS + i - 1)
             break
-    return CusumResult(
-        statistic=tuple(stat),
-        band_lo=tuple(band_lo),
-        band_hi=tuple(band_hi),
-        significance=significance,
-        first_crossing=first_crossing,
-        stable=first_crossing is None,
-        sigma_w=sigma_w,
-    )
+    return CusumResult(statistic=tuple(stat), band_lo=tuple(band_lo), band_hi=tuple(band_hi),
+                       significance=significance, first_crossing=first_crossing,
+                       stable=first_crossing is None, sigma_w=sigma_w)

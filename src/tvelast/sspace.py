@@ -221,6 +221,9 @@ def kalman_filter(model: TvpModel, params: VarianceParams) -> KalmanOutput:
                         math.exp(params.log_var_state - params.log_var_meas), moments)
     fm, fv, iv, ivv = moments
     fv = tuple([p * var_meas for p in fv])
+    if fv[0] == math.inf:  # 1 / x_1^2 is finite, var_meas / x_1^2 overflows
+        raise DegenerateRegressor(f"first observation of x is {model.x.values[0]!r}: var_meas / "
+                                  "x_1^2 is not finite, so the diffuse start cannot identify the state")
     if not (math.isfinite(fm[-1]) and math.isfinite(fv[-1])):
         raise NonFiniteState("filter recursion produced a non-finite state")
     return KalmanOutput(

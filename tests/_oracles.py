@@ -14,6 +14,7 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -52,6 +53,36 @@ def recursive_residuals_brute(y, x):
         err = y[t] - x[t] * beta
         out.append(err / math.sqrt(1.0 + x[t] * x[t] / sxx))
     return out
+
+
+def recursive_path_exact(y, x, prec=200):
+    """The recursive path and CUSUM at prec bits, from prefix sums.
+
+    Each float converts to mpmath exactly, and every prefix fit is taken
+    from its own sums S_xx, S_xy and S_yy, with SSR_t = S_yy - S_xy^2 / S_xx,
+    so nothing is shared with a filter recursion. Returns mpf lists, t =
+    2..T: the recursive residuals w, the coefficients beta, the +/-2 s.e.
+    band half-widths 2 sqrt(SSR_t / (t - 1) / S_xx,t), and the CUSUM
+    statistic cumsum(w) / sd(w, ddof 1), without its zero anchor.
+    """
+    with mpmath.workprec(prec):
+        y = [mpmath.mpf(float(v)) for v in y]
+        x = [mpmath.mpf(float(v)) for v in x]
+        sxx, sxy, syy = x[0] * x[0], x[0] * y[0], y[0] * y[0]
+        w, beta, half = [], [], []
+        for t in range(1, len(y)):
+            b_prev = sxy / sxx
+            w.append((y[t] - x[t] * b_prev) / mpmath.sqrt(1 + x[t] * x[t] / sxx))
+            sxx, sxy, syy = sxx + x[t] * x[t], sxy + x[t] * y[t], syy + y[t] * y[t]
+            beta.append(sxy / sxx)
+            half.append(2 * mpmath.sqrt((syy - sxy * sxy / sxx) / t / sxx))
+        mean = mpmath.fsum(w) / len(w)
+        sd = mpmath.sqrt(mpmath.fsum((v - mean) ** 2 for v in w) / (len(w) - 1))
+        stat, total = [], mpmath.mpf(0)
+        for v in w:
+            total += v
+            stat.append(total / sd)
+        return w, beta, half, stat
 
 
 def _joint_gaussian(yv, xv, var_meas, var_state, a0, p0):

@@ -1,12 +1,15 @@
+import importlib.util
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps  # oracle only: the package must not import scipy.stats
 
 from tvelast.errors import DegenerateRegressor, LengthMismatch
-from tvelast.pipeline import Report
+from tvelast.pipeline import PipelineConfig, Report, run_pipeline
 from tvelast.regress import (
     CUSUM_BAND_CONSTANTS,
     _t_two_sided_tail,
@@ -15,10 +18,10 @@ from tvelast.regress import (
     recursive_coefficients,
     recursive_residuals,
 )
-from tvelast.series import MonthDate
+from tvelast.series import MonthDate, parse_csv
 
 import _oracles
-from conftest import make_series
+from conftest import make_dataset, make_series
 
 
 def _pair(yv, xv):
@@ -181,6 +184,27 @@ class TestRecursiveResiduals:
 
 
 class TestRecursiveCoefficients:
+    def test_text_reports_the_full_sample_estimate_and_band(self):
+        # y = (1, 3, 2), x = (1, 2, 1): beta = 9/6 and SSR = 14 - 81/6 = 1/2,
+        # so the s.e. is sqrt(1/2 / 2 / 6) and the band 1.5 -/+ 2 sqrt(1/24)
+        path = recursive_coefficients(*_pair([1.0, 3.0, 2.0], [1.0, 2.0, 1.0]))
+        assert path.to_text() == ("recursive coefficients over 2 expanding samples; "
+                                  "final 1.500000 [1.091752, 1.908248]")
+
+    @pytest.mark.parametrize("noise", [1e-6, 1e-9])
+    def test_near_exact_fit_keeps_its_bands(self, noise):
+        # y = 2x + noise: SSR_t is a sum of squared recursive residuals, not
+        # S_yy - beta S_xy, which cancels all but the noise's last few digits
+        gen = np.random.default_rng(17)
+        xv = gen.normal(0.0, 1.0, 200)
+        yv = 2.0 * xv + noise * gen.normal(0.0, 1.0, 200)
+        path = recursive_coefficients(*_pair(yv, xv))
+        for i, (lo, hi) in enumerate(zip(path.bands_lo, path.bands_hi)):
+            se = (hi - lo) / 4.0
+            assert se > 0.0
+            assert se == pytest.approx(_oracles.ols_brute(yv[:i + 2], xv[:i + 2])["std_err"],
+                                       rel=1e-5)
+
     def test_two_observations_give_one_estimate(self):
         # the minimum: k + 1 = 2 observations leave one residual degree of freedom
         yv, xv = [1.0, 3.0], [1.0, 2.0]
@@ -313,6 +337,59 @@ class TestCusum:
         y, x = _pair(rng.normal(0, 1, 30), rng.normal(1, 1, 30))
         with pytest.raises(ValueError):
             cusum(y, x, significance=0.025)
+
+
+def _plan():
+    spec = importlib.util.spec_from_file_location(
+        "plan", Path(__file__).resolve().parents[1] / "benchmark" / "plan.py")
+    plan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plan)
+    return plan
+
+
+_EPS = 2.0 ** -52
+# Worst errors against the 200-bit oracle, in eps times each quantity's data
+# scale, over these three inputs and report-555 pool inputs 0-9, and the
+# budget the test holds each to:
+#   quantity      scale                          worst   budget
+#   w             ||y||                          0.52      4
+#   beta_t        sqrt(S_yy,t / S_xx,t)          4.5      16
+#   half-width    |half-width|                   9.7      32
+#   statistic     sqrt(T - 1)                    30       64
+# A half-width taken from S_yy - beta S_xy cancels: that route's worst was
+# 281 eps on the pool, and 193 on the pool input below.
+_BUDGETS = {"w": 4.0, "beta": 16.0, "half": 32.0, "statistic": 64.0}
+
+
+@pytest.mark.parametrize("source", ["make_dataset-72", "make_dataset-132", "pool-1"])
+def test_stability_paths_meet_their_budgets_against_200_bits(source):
+    if source == "pool-1":
+        data = parse_csv(_plan().dataset_csv(1))  # a report-555 input, T = 543
+    else:
+        data = make_dataset(n_months=int(source.rsplit("-", 1)[1]), seed=3)  # T = 60, 120
+    report = run_pipeline(data, PipelineConfig(), "stability")
+    y, x = report.demeaned_y, report.demeaned_x
+    w = recursive_residuals(y, x).values
+    path, stat = report.recursive, report.cusum.statistic[1:]
+    w_ex, beta_ex, half_ex, stat_ex = _oracles.recursive_path_exact(y.values, x.values)
+    with mpmath.workprec(200):
+        mp = mpmath.mpf
+        y_norm = mpmath.sqrt(mpmath.fsum(mp(v) ** 2 for v in y.values))
+        syy = [mp(v) ** 2 for v in y.values]
+        sxx = [mp(v) ** 2 for v in x.values]
+        for t in range(1, len(syy)):
+            syy[t] += syy[t - 1]
+            sxx[t] += sxx[t - 1]
+        errors = {
+            "w": max(abs(mp(a) - b) / y_norm for a, b in zip(w, w_ex)),
+            "beta": max(abs(mp(a) - b) / mpmath.sqrt(sy / sx)
+                        for a, b, sy, sx in zip(path.coefs, beta_ex, syy[1:], sxx[1:])),
+            "half": max(abs((mp(hi) - mp(lo)) / 2 - h) / h
+                        for lo, hi, h in zip(path.bands_lo, path.bands_hi, half_ex)),
+            "statistic": max(abs(mp(a) - b) for a, b in zip(stat, stat_ex)) / mpmath.sqrt(len(w)),
+        }
+    over = {k: float(e) / _EPS for k, e in errors.items() if e > _BUDGETS[k] * _EPS}
+    assert not over, f"errors in eps x scale over their budgets {_BUDGETS}: {over}"
 
 
 def _scaled_draw(seed, t, log_sx, log_sy):
