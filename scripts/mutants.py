@@ -234,6 +234,14 @@ MUTANTS = (
      "z = z_grid[i] + slope * (statistic - q[i])",
      "z = 1.01 * (z_grid[i] + slope * (statistic - q[i]))",
      "the ADF p-value's normal quantile is 1% too large"),
+    ("adf-t-sign", "unitroot",
+     "math.copysign(1.0, r_ll) * r_ly",
+     "r_ly",
+     "the ADF t-ratio drops the sign of R_ll, so its sign follows the QR's"),
+    ("adf-t-dof", "unitroot",
+     "math.sqrt(n_used - k)",
+     "math.sqrt(n_used - k + 1)",
+     "the ADF t-ratio's residual variance divides by n - k + 1, not n - k"),
     ("adf-lag-rule", "unitroot",
      "return int(math.floor(12.0 * (t / 100.0) ** 0.25))",
      "return int(math.floor(4.0 * (t / 100.0) ** 0.25))",

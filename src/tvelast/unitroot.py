@@ -8,11 +8,13 @@ and the statistic is the t-ratio on X_{t-1}; the null of a unit root is
 rejected for sufficiently negative values. Lag order is chosen by
 minimizing the Schwarz criterion over 0..max_lags on a common sample
 trimmed for the largest candidate, then the final regression is refit at
-the chosen order on its own maximal sample. The candidates are nested, so
-every candidate's SSR comes from one QR of the widest augmented design
-on the common sample; a candidate is skipped as degenerate when the
-smallest |R_ii| of its columns is at most _RANK_RTOL times the largest
-(the R-diagonal rule), or when its SSR is not positive.
+the chosen order on its own maximal sample. Every regression reads one QR
+of [X y] under one rank rule: a design is degenerate when the smallest
+|R_ii| of its columns is at most _RANK_RTOL times the largest (the
+R-diagonal rule). The candidates are nested, so every candidate's SSR
+comes from one QR of the widest design on the common sample, and a
+candidate is also skipped when its SSR is not positive. The final design
+puts the lagged level last, so its t-ratio is read off the last rows of R.
 
 Critical values and approximate p-values interpolate embedded quantile
 tables of the Dickey-Fuller t-ratio (see _dftables.py and
@@ -27,6 +29,7 @@ values, comfortably inside the +/-0.02 documented target.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -98,7 +101,7 @@ MIN_DEFAULT_LAGS_T = next(t for t in itertools.count(_MIN_TABLE_T)
                           if t - 1 - _lag_cap(t, None) >= _MIN_TABLE_T)
 
 
-def _interp_quantiles(case: str, t: int) -> np.ndarray:
+def _interp_quantiles(case: str, t: int) -> tuple[float, ...]:
     """Quantile grid for sample size t, linear in 1/T between table rows."""
     if case not in TABLES:
         raise UnsupportedCase(f"no table for deterministic case {case!r}")
@@ -109,19 +112,14 @@ def _interp_quantiles(case: str, t: int) -> np.ndarray:
     for (lo_inv, lo_q), (hi_inv, hi_q) in zip(rows, rows[1:]):
         if lo_inv <= inv <= hi_inv:
             w = (inv - lo_inv) / (hi_inv - lo_inv)
-            lo = np.asarray(lo_q)
-            return lo + w * (np.asarray(hi_q) - lo)
-    return np.asarray(rows[-1][1])
+            return tuple(lo + w * (hi - lo) for lo, hi in zip(lo_q, hi_q))
+    return rows[-1][1]
 
 
 def critical_values(t: int, deterministic: str) -> tuple[float, float, float]:
     """(1%, 5%, 10%) critical values of the DF t-ratio for sample size t."""
     q = _interp_quantiles(deterministic, t)
-    return (
-        float(q[PROBS.index(0.01)]),
-        float(q[PROBS.index(0.05)]),
-        float(q[PROBS.index(0.10)]),
-    )
+    return q[PROBS.index(0.01)], q[PROBS.index(0.05)], q[PROBS.index(0.10)]
 
 
 def approx_pvalue(statistic: float, t: int, deterministic: str) -> float:
@@ -141,11 +139,11 @@ def approx_pvalue(statistic: float, t: int, deterministic: str) -> float:
     elif statistic >= q[-1]:
         i, j = len(q) - 2, len(q) - 1
     else:
-        j = int(np.searchsorted(q, statistic))
+        j = bisect.bisect_left(q, statistic)
         i = j - 1
     slope = (z_grid[j] - z_grid[i]) / (q[j] - q[i])
     z = z_grid[i] + slope * (statistic - q[i])
-    return _ndtr(float(z))
+    return _ndtr(z)
 
 
 def _ndtr(z: float) -> float:
@@ -178,19 +176,13 @@ def _design(x: np.ndarray, p: int, n_rows: int, deterministic: str) -> tuple[np.
     return np.column_stack(cols), y
 
 
-def _fit(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """OLS via SVD with an explicit rank check; returns (beta, ssr, xtx_inv_diag)."""
-    n, k = design.shape
-    if n <= k:
-        raise TooShort(f"only {n} usable observations for {k} regressors")
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    if s[-1] <= _RANK_RTOL * s[0]:
-        raise DegenerateDesign("regressors are collinear (rank-deficient design)")
-    beta = vt.T @ ((u.T @ y) / s)
-    resid = y - design @ beta
-    ssr = float(resid @ resid)
-    xtx_inv_diag = np.einsum("ji,j->i", vt ** 2, 1.0 / s ** 2)
-    return beta, ssr, xtx_inv_diag
+def _qr(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R of one QR of [design y], and the R-diagonal rule's flags: full_rank[k - 1]
+    holds when the smallest |R_ii| of the first k columns exceeds _RANK_RTOL
+    times the largest."""
+    r = np.linalg.qr(np.column_stack((design, y)), mode="r")
+    diag = np.abs(np.diagonal(r)[:-1])
+    return r, np.minimum.accumulate(diag) > _RANK_RTOL * np.maximum.accumulate(diag)
 
 
 def _select_lags(x: np.ndarray, max_lags: int, deterministic: str) -> int:
@@ -199,16 +191,13 @@ def _select_lags(x: np.ndarray, max_lags: int, deterministic: str) -> int:
     The candidate designs share their rows and differ only by trailing lag
     columns, so one QR of the widest design with y appended gives them all:
     with R's last column r, the candidate with k regressors has
-    SSR = sum(r[k:]**2). Candidate k is skipped as degenerate when the
-    smallest |R_ii| of its first k columns is at most _RANK_RTOL times the
-    largest.
+    SSR = sum(r[k:]**2), and it is skipped as degenerate when its first k
+    columns fail the R-diagonal rule.
     """
     n_common = len(x) - 1 - max_lags  # trimmed for the largest candidate order
     design, y = _design(x, max_lags, n_common, deterministic)
     k_widest = design.shape[1]  # adf's length gate leaves n_common > k_widest
-    r = np.linalg.qr(np.column_stack((design, y)), mode="r")
-    diag = np.abs(np.diagonal(r)[:-1])
-    full_rank = np.minimum.accumulate(diag) > _RANK_RTOL * np.maximum.accumulate(diag)
+    r, full_rank = _qr(design, y)
     tail_ssr = np.cumsum(r[::-1, -1] ** 2)[::-1]  # tail_ssr[k] = sum(r[k:, -1]**2)
     chosen = 0
     best_sic = math.inf
@@ -240,14 +229,20 @@ def adf(s: MonthlySeries, spec: AdfSpec = AdfSpec()) -> AdfResult:
     chosen = _select_lags(x, max_lags, spec.deterministic)
     n_used = t_len - 1 - chosen
     design, y = _design(x, chosen, n_used, spec.deterministic)
-    beta, ssr, xtx_inv_diag = _fit(design, y)
-    k = design.shape[1]
-    level_pos = k - 1 - chosen  # lagged level sits before the lagged differences
-    s2 = ssr / (n_used - k)
-    se = math.sqrt(s2 * xtx_inv_diag[level_pos])
-    if se == 0.0 or not math.isfinite(se):
+    k = design.shape[1]  # n_used > k, as n_common > k_widest in the search
+    lv = k - 1 - chosen  # _design puts the lagged level before the lagged differences
+    r, full_rank = _qr(np.column_stack((design[:, :lv], design[:, lv + 1:], design[:, lv])), y)
+    if not full_rank[-1]:
+        raise DegenerateDesign("regressors are collinear (rank-deficient design)")
+    # with the level last, its coefficient is R_ly / R_ll, its (X'X)^-1 entry
+    # 1 / R_ll^2 and the SSR R_yy^2
+    r_ll, r_ly = r[-2, -2:].tolist()
+    r_yy = abs(float(r[-1, -1]))
+    if r_yy == 0.0:
         raise DegenerateDesign("zero residual variance: the t-ratio is unbounded")
-    statistic = float(beta[level_pos]) / se
+    statistic = math.copysign(1.0, r_ll) * r_ly * math.sqrt(n_used - k) / r_yy
+    if not math.isfinite(statistic):
+        raise DegenerateDesign("the t-ratio is not finite")
 
     crit = critical_values(n_used, spec.deterministic)
     p_val = approx_pvalue(statistic, n_used, spec.deterministic)

@@ -310,6 +310,36 @@ def adf_brute(values, deterministic, max_lags=None, rtol=1e-9):
     return chosen, float(beta[level_pos]) / se
 
 
+def adf_t_exact(values, deterministic, chosen, prec=200):
+    """The ADF t-ratio on the lagged level at order chosen, at prec bits.
+
+    Each value converts to mpmath exactly, and the differences, the final
+    regression's design on its maximal sample (dependent differences
+    t = chosen + 1 .. T - 1, trend t), the normal equations X'X b = X'y and
+    the residuals are all taken at prec bits, so nothing is shared with a
+    float64 factorization. Returns an mpf.
+    """
+    with mpmath.workprec(prec):
+        x = [mpmath.mpf(float(v)) for v in values]
+        rows, y = [], []
+        for t in range(chosen + 1, len(x)):
+            row = [mpmath.mpf(1)] if deterministic in ("constant", "constant+trend") else []
+            if deterministic == "constant+trend":
+                row.append(mpmath.mpf(t))
+            row.append(x[t - 1])
+            row.extend(x[t - j] - x[t - j - 1] for j in range(1, chosen + 1))
+            rows.append(row)
+            y.append(x[t] - x[t - 1])
+        n, k = len(rows), len(rows[0])
+        cols = list(zip(*rows))
+        xtx = mpmath.matrix([[mpmath.fdot(a, b) for b in cols] for a in cols])
+        xtx_inv = mpmath.inverse(xtx)
+        beta = xtx_inv * mpmath.matrix([mpmath.fdot(a, y) for a in cols])
+        ssr = mpmath.fsum((yt - mpmath.fdot(row, beta)) ** 2 for row, yt in zip(rows, y))
+        level = k - 1 - chosen
+        return beta[level] / mpmath.sqrt(ssr / (n - k) * xtx_inv[level, level])
+
+
 def csv_text_reference(header, rows):
     """The per-cell CSV writer the package used before series.csv_text:
     csv.writer with "\n" line ends, every float cell passed as repr(float(c))."""

@@ -3,9 +3,10 @@ import math
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special  # oracle only: the package must not import scipy
 
@@ -124,10 +125,16 @@ class TestAdf:
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), shift=st.floats(-1e3, 1e3),
            log10_scale=st.floats(-3.0, 3.0), negate=st.booleans(),
-           deterministic=st.sampled_from(["none", "constant", "constant+trend"]))
-    def test_location_scale_invariance(self, seed, shift, log10_scale, negate, deterministic):
+           deterministic=st.sampled_from(["none", "constant", "constant+trend"]),
+           kind=st.sampled_from(["unit_root", "ma_differenced"]))
+    @example(seed=0, shift=1e3, log10_scale=-3.0, negate=False,
+             deterministic="constant+trend", kind="ma_differenced")
+    def test_location_scale_invariance(self, seed, shift, log10_scale, negate, deterministic, kind):
         # a constant absorbs a shift; every case is invariant to a nonzero scale
-        s = gen_unit_root(300, seed=seed)
+        if kind == "unit_root":
+            s = gen_unit_root(300, seed=seed)
+        else:  # over-differenced AR(1): long lag orders on a nearly collinear design
+            s = make_series(np.diff(gen_ar1(301, 0.5, seed=seed).values))
         scale = (-1.0 if negate else 1.0) * 10.0 ** log10_scale
         if deterministic == "none":
             shift = 0.0
@@ -136,6 +143,17 @@ class TestAdf:
         res = adf(moved, AdfSpec(deterministic=deterministic))
         assert res.statistic == pytest.approx(base.statistic, rel=1e-8)
         assert res.chosen_lags == base.chosen_lags
+
+    def test_a_shifted_over_differenced_series_keeps_its_result(self):
+        # 1000 + 1e-3 v: the shift and the trend leave the level column nearly
+        # collinear with the constant, which the lag search's rank rule accepts
+        spec = AdfSpec(deterministic="constant+trend")
+        for seed in range(40):
+            v = np.diff(gen_ar1(301, 0.5, seed=seed).values)
+            base = adf(make_series(v), spec)
+            res = adf(make_series(1000.0 + 1e-3 * v), spec)
+            assert res.chosen_lags == base.chosen_lags
+            assert res.statistic == pytest.approx(base.statistic, rel=1e-8)
 
     def test_lag_selection_deterministic(self):
         s = gen_ar1(400, 0.7, seed=9)
@@ -205,8 +223,22 @@ class TestAdf:
             AdfSpec(max_lags=-1)
 
 
+# Relative error budgets of the statistic against _oracles.adf_t_exact (200
+# bits): well-conditioned designs, and the collinear test's two families.
+# Near is ill-conditioned: a one-ulp change of its values moves the exact
+# statistic by 6e-7 to 3e-3 relative.
+_ADF_BUDGETS = {"well": 4e-15, "exact": 1e-12, "near": 1e-3}
+
+
+def _relative_error(statistic, values, deterministic, chosen):
+    exact = _oracles.adf_t_exact(values, deterministic, chosen)
+    with mpmath.workprec(200):
+        return float(abs((mpmath.mpf(statistic) - exact) / exact))
+
+
 class TestLagSearch:
-    """The one-QR lag search against one SVD fit per candidate order."""
+    """The one-QR lag search against one SVD fit per candidate order, and the
+    statistic against a 200-bit oracle."""
 
     @settings(max_examples=150)
     @given(t_len=st.integers(60, 600), seed=st.integers(0, 2 ** 32 - 1),
@@ -223,7 +255,21 @@ class TestLagSearch:
         res = adf(make_series(values), AdfSpec(deterministic, max_lags))
         chosen, statistic = _oracles.adf_brute(values, deterministic, max_lags)
         assert res.chosen_lags == chosen
-        assert res.statistic == statistic
+        assert res.statistic == pytest.approx(statistic, rel=1e-11)
+
+    @pytest.mark.parametrize("t_len, kind, deterministic", [
+        (60, "ar1", "constant"), (120, "unit_root", "constant+trend"), (200, "ma_differenced", "none"),
+    ])
+    def test_statistic_meets_its_budget_against_200_bits(self, t_len, kind, deterministic):
+        if kind == "ar1":
+            values = gen_ar1(t_len, 0.5, seed=1).values
+        elif kind == "unit_root":
+            values = gen_unit_root(t_len, seed=2).values
+        else:
+            values = np.diff(gen_ar1(t_len + 1, 0.5, seed=3).values)
+        res = adf(make_series(values), AdfSpec(deterministic))
+        error = _relative_error(res.statistic, values, deterministic, res.chosen_lags)
+        assert error <= _ADF_BUDGETS["well"]
 
     @pytest.mark.parametrize("deterministic", DETERMINISTIC_CASES)
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "near"])
@@ -256,9 +302,10 @@ class TestLagSearch:
         assert all(r < 1e-12 for r in ratios[first_collinear:])
 
         res = adf(make_series(values), AdfSpec(deterministic, max_lags))
-        chosen, statistic = _oracles.adf_brute(values, deterministic, max_lags)
+        chosen, _ = _oracles.adf_brute(values, deterministic, max_lags)
         assert res.chosen_lags == chosen < first_collinear
-        assert res.statistic == statistic
+        error = _relative_error(res.statistic, values, deterministic, chosen)
+        assert error <= _ADF_BUDGETS["exact" if exact else "near"]
         if not exact:
             unskipped, _ = _oracles.adf_brute(values, deterministic, max_lags, rtol=0.0)
             assert unskipped >= first_collinear
