@@ -178,8 +178,8 @@ MUTANTS = (
      "math.log(ssr / n))",
      "the OLS log-likelihood, AIC, SIC and HQ leave out the +1"),
     ("ols-dw-tss", "regress",
-     "dw = float(np.sum(np.diff(resid) ** 2)) / ssr if ssr > 0 else math.nan",
-     "dw = float(np.sum(np.diff(resid) ** 2)) / tss if ssr > 0 else math.nan",
+     "for a, b in zip(resid, resid[1:])) / ssr",
+     "for a, b in zip(resid, resid[1:])) / tss",
      "Durbin-Watson divides by the total, not the residual, sum of squares"),
     ("ols-r2-s2", "regress",
      "r2 = 1.0 - ssr / tss if tss > 0 else 0.0",
@@ -202,8 +202,8 @@ MUTANTS = (
      "if sigma_w >= 0 else",
      "an exact fit's CUSUM statistic is 0 / 0"),
     ("ols-r2-tss-cancels", "regress",
-     "tss = float((yv - yv.mean()) @ (yv - yv.mean()))",
-     "tss = float((yv + yv.mean()) @ (yv - yv.mean()))",
+     "tss = math.fsum((v - ybar) * (v - ybar) for v in yv)",
+     "tss = math.fsum((v + ybar) * (v - ybar) for v in yv)",
      "R^2's total sum of squares cancels sum(y^2) against n * mean^2"),
     ("recursive-min-len", "regress",
      "_check_pair(y, x, min_len=N_REGRESSORS + 1)",

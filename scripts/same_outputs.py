@@ -21,17 +21,22 @@ for every input:
 and, once, for a 60-month input whose price index is constant (so the
 OLS fit has no residuals and its log-likelihood, t statistic and p-value
 are inf or nan), the `--format json|csv|text` output of ols and the
-output of `tvelast pipeline`; and, once, for a 120-month input whose
-first sub-sample window has constant money growth (so that window's fit
-raises DegenerateRegressor and its row is null), the outputs of
-`tvelast pipeline --out`, of the plain `tvelast pipeline` and of
-`subsample --format json|csv|text`, all with DEGENERATE_ARGS; and, once,
-the `--format json|csv|text` output and the `--dump` file of every
-`simulate` study at `--reps 10`, at its default `--t` and at small ones
-(SMALL_T; for mle also one at which replications fail, so the dump's
-failed rows are compared; for the cusum studies also an odd one), with
-its replications run in one process, again split across 3 processes and
-again across this host's own CPU set, plus every command's exit code.
+output of `tvelast pipeline`. That pipeline stops at stage adf (every
+candidate regression is degenerate, exit 2), so its run compares an
+error text and an exit code, not a report with null OLS fields. The runs
+that do print inf and nan fields (null in JSON) are this input's `ols
+--format json|csv|text` and the null sub-sample rows of the next input:
+once, for a 120-month input whose first sub-sample window has constant
+money growth (so that window's fit raises DegenerateRegressor and its row
+is null), the outputs of `tvelast pipeline --out`, of the plain `tvelast
+pipeline` and of `subsample --format json|csv|text`, all with
+DEGENERATE_ARGS; and, once, the `--format json|csv|text` output and the
+`--dump` file of every `simulate` study at `--reps 10`, at its default
+`--t` and at small ones (SMALL_T; for mle also one at which replications
+fail, so the dump's failed rows are compared; for the cusum studies also
+an odd one), with its replications run in one process, again split
+across 3 processes and again across this host's own CPU set, plus every
+command's exit code.
 `monte_carlo` splits the replications across the CPU set that
 `os.sched_getaffinity` reports, so the 1- and 3-CPU runs patch that call
 in the emitting process. Every

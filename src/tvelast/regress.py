@@ -4,7 +4,8 @@ The regression of interest is y_t = coef * x_t + e_t on demeaned series
 (demeaning upstream replaces the constant). Alongside the usual summary
 statistics, this module provides the recursive residuals, the recursive
 coefficient path, and the cumulative-sum stability test of Brown, Durbin
-and Evans (1975).
+and Evans (1975). All of it is plain float arithmetic, each whole-sample
+sum a correctly rounded math.fsum, so no result depends on a BLAS kernel.
 
 The three read the state-space filter's one recursion: at state variance
 q = 0 its exact-diffuse unit pass is recursive least squares. From month 2
@@ -17,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-
-import numpy as np
+from operator import mul
 
 from . import sspace
 from .errors import DegenerateRegressor, LengthMismatch
@@ -185,14 +185,14 @@ def ols_no_intercept(y: MonthlySeries, x: MonthlySeries) -> OlsResult:
     per-observation convention (-2*loglik + penalty) / n so values are
     directly comparable across sample sizes.
     """
-    yv, xv = map(np.asarray, _check_pair(y, x, min_len=2))
+    yv, xv = _check_pair(y, x, min_len=2)
     n = len(yv)
-    sxx = float(xv @ xv)
+    sxx = math.fsum(map(mul, xv, xv))
     if sxx == 0.0:
         raise DegenerateRegressor("regressor is identically zero")
-    coef = float(xv @ yv) / sxx
-    resid = yv - coef * xv
-    ssr = float(resid @ resid)
+    coef = math.fsum(map(mul, xv, yv)) / sxx
+    resid = [yt - coef * xt for yt, xt in zip(yv, xv)]
+    ssr = math.fsum(map(mul, resid, resid))
     df = n - N_REGRESSORS
     s2 = ssr / df
     std_err = math.sqrt(s2 / sxx)
@@ -203,14 +203,16 @@ def ols_no_intercept(y: MonthlySeries, x: MonthlySeries) -> OlsResult:
     else:
         t_stat = math.nan  # y is identically zero: no evidence either way
     p_value = _t_two_sided_tail(t_stat, df)
-    tss = float((yv - yv.mean()) @ (yv - yv.mean()))
+    ybar = math.fsum(yv) / n
+    tss = math.fsum((v - ybar) * (v - ybar) for v in yv)
     r2 = 1.0 - ssr / tss if tss > 0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df
     log_lik = -0.5 * n * (math.log(2.0 * math.pi) + math.log(ssr / n) + 1.0) if ssr > 0 else math.inf
     aic = (-2.0 * log_lik + 2.0 * N_REGRESSORS) / n
     sic = (-2.0 * log_lik + N_REGRESSORS * math.log(n)) / n
     hq = (-2.0 * log_lik + 2.0 * N_REGRESSORS * math.log(math.log(n))) / n
-    dw = float(np.sum(np.diff(resid) ** 2)) / ssr if ssr > 0 else math.nan  # 0/0
+    dw = (math.fsum((b - a) * (b - a) for a, b in zip(resid, resid[1:])) / ssr
+          if ssr > 0 else math.nan)  # 0/0
     return OlsResult(
         coef=coef, std_err=std_err, t_stat=t_stat, p_value=p_value,
         r2=r2, adj_r2=adj_r2, se_regression=math.sqrt(s2), ssr=ssr,

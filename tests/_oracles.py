@@ -41,6 +41,45 @@ def ols_brute(y, x):
     }
 
 
+def ols_exact(y, x, prec=200):
+    """Every OlsResult field but n_obs at prec bits, from the definitions.
+
+    Each float converts to mpmath exactly, and S_xx, S_xy, the residuals,
+    SSR, the mean and the total sum of squares, the Durbin-Watson sum and
+    the logs are all taken at prec bits, so nothing is shared with a
+    float64 sum. The p-value is the regularized incomplete beta
+    I_z(df/2, 1/2) at z = df / (df + t^2). Returns a dict of mpf; the fit
+    must have residuals (SSR > 0).
+    """
+    with mpmath.workprec(prec):
+        y = [mpmath.mpf(float(v)) for v in y]
+        x = [mpmath.mpf(float(v)) for v in x]
+        n = len(y)
+        df = n - 1
+        sxx = mpmath.fdot(x, x)
+        coef = mpmath.fdot(x, y) / sxx
+        resid = [a - coef * b for a, b in zip(y, x)]
+        ssr = mpmath.fdot(resid, resid)
+        s2 = ssr / df
+        std_err = mpmath.sqrt(s2 / sxx)
+        t_stat = coef / std_err
+        p_value = mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0,
+                                 df / (df + t_stat * t_stat), regularized=True)
+        ybar = mpmath.fsum(y) / n
+        tss = mpmath.fsum((v - ybar) ** 2 for v in y)
+        r2 = 1 - ssr / tss
+        log_lik = -mpmath.mpf(n) / 2 * (mpmath.log(2 * mpmath.pi) + mpmath.log(ssr / n) + 1)
+        return {
+            "coef": coef, "std_err": std_err, "t_stat": t_stat, "p_value": p_value,
+            "r2": r2, "adj_r2": 1 - (1 - r2) * (n - 1) / df,
+            "se_regression": mpmath.sqrt(s2), "ssr": ssr, "log_lik": log_lik,
+            "aic": (-2 * log_lik + 2) / n,
+            "sic": (-2 * log_lik + mpmath.log(n)) / n,
+            "hq": (-2 * log_lik + 2 * mpmath.log(mpmath.log(n))) / n,
+            "dw": mpmath.fsum((b - a) ** 2 for a, b in zip(resid, resid[1:])) / ssr,
+        }
+
+
 def recursive_residuals_brute(y, x):
     """Recursive residuals via a fresh OLS fit on every prefix."""
     y = [float(v) for v in y]

@@ -50,6 +50,9 @@ def test_cli_loads_no_scipy():
     modules = _modules_after("import tvelast.cli")
     assert "tvelast.cli" in modules
     assert "numpy" in modules
+    # benchmark/ops.py's mc-mle op reads sys.modules["tvelast.simlab"] after
+    # importing only tvelast.cli, so cli must keep loading simlab at its top
+    assert "tvelast.simlab" in modules
     assert _under(modules, "scipy") == []
 
 

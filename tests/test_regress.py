@@ -1,5 +1,10 @@
+import dataclasses
 import importlib.util
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -390,6 +395,73 @@ def test_stability_paths_meet_their_budgets_against_200_bits(source):
         }
     over = {k: float(e) / _EPS for k, e in errors.items() if e > _BUDGETS[k] * _EPS}
     assert not over, f"errors in eps x scale over their budgets {_BUDGETS}: {over}"
+
+
+# Worst relative errors of ols_no_intercept against the 200-bit oracle, in
+# eps (r2 and adj_r2: absolute, in eps), on this test's three inputs and
+# over report-555 pool inputs 0-23, and the budget, the first power of 2 at
+# least twice the worst of the four columns (margin: budget / that worst):
+#   field           T=60  T=120  pool 1  pool 0-23   budget  margin
+#   coef            0.03   0.20    0.19    0.87         2     2.3
+#   std_err         0.02   0.08    0.24    0.66         2     3.0
+#   t_stat          0.37   0.45    0.05    0.98         2     2.0
+#   p_value         22.7  172.9   383.3   817.2      2048     2.5
+#   r2, adj_r2      0.21   0.26    0.37    0.55         2     3.6
+#   se_regression   0.02   0.34    0.51    0.51         2     3.9
+#   ssr             0.14   0.27    0.47    0.48         1     2.1
+#   log_lik         0.03   0.93    0.69    0.78         2     2.2
+#   aic             0.31   0.67    0.56    0.72         2     2.8
+#   sic             0.57   0.46    1.00    1.14         4     3.5
+#   hq              0.32   1.27    0.24    0.52         4     3.1
+#   dw              0.27   0.78    0.46    0.95         2     2.1
+# The p-value's error is the incomplete beta's and grows with t (pool t is
+# 10-40).
+_OLS_BUDGETS = {"coef": 2.0, "std_err": 2.0, "t_stat": 2.0, "p_value": 2048.0, "r2": 2.0,
+                "adj_r2": 2.0, "se_regression": 2.0, "ssr": 1.0, "log_lik": 2.0, "aic": 2.0,
+                "sic": 4.0, "hq": 4.0, "dw": 2.0}
+
+
+@pytest.mark.parametrize("source", ["make_dataset-72", "make_dataset-132", "pool-1"])
+def test_ols_fields_meet_their_budgets_against_200_bits(source):
+    if source == "pool-1":
+        data = parse_csv(_plan().dataset_csv(1))  # a report-555 input, T = 543
+    else:
+        data = make_dataset(n_months=int(source.rsplit("-", 1)[1]), seed=3)  # T = 60, 120
+    report = run_pipeline(data, PipelineConfig(), "ols")
+    exact = _oracles.ols_exact(report.demeaned_y.values, report.demeaned_x.values)
+    assert set(exact) == {f.name for f in dataclasses.fields(report.ols)} - {"n_obs"}
+    with mpmath.workprec(200):
+        errors = {k: abs(mpmath.mpf(getattr(report.ols, k)) - v) / (1 if k.endswith("r2") else abs(v))
+                  for k, v in exact.items()}
+    over = {k: float(e) / _EPS for k, e in errors.items() if e > _OLS_BUDGETS[k] * _EPS}
+    assert not over, f"errors in eps over their budgets {_OLS_BUDGETS}: {over}"
+
+
+def _section_csvs(path, **env_changes):
+    """The `--format csv` outputs of tvelast ols, cusum and recursive on the
+    input at path, from one new interpreter run with env_changes added."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **env_changes,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("from tvelast import cli\n"
+            "for cmd in ('ols', 'cusum', 'recursive'):\n"
+            f"    assert cli.main([cmd, '--input', {str(path)!r}, '--format', 'csv']) == 0\n")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          check=True).stdout
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.machine() != "x86_64"
+                    or "avx2" not in Path("/proc/cpuinfo").read_text(),
+                    reason="OPENBLAS_CORETYPE=Haswell needs an x86-64 Linux CPU with AVX2")
+def test_table2_and_the_stability_paths_do_not_depend_on_the_blas_kernel(tmp_path):
+    # a BLAS dot product gives pool input 1's table2 other last bits under
+    # OpenBLAS's Haswell kernels than under an AVX-512 CPU's own; the variable
+    # acts only on the child process
+    path = tmp_path / "pool-1.csv"
+    path.write_text(_plan().dataset_csv(1))
+    plain = _section_csvs(path)
+    assert plain.count(b"\n") > 1000  # all three sections were written
+    assert _section_csvs(path, OPENBLAS_CORETYPE="Haswell") == plain
 
 
 def _scaled_draw(seed, t, log_sx, log_sy):
