@@ -46,7 +46,7 @@ MUTANTS = (
      "pvals = tuple(math.erfc(abs(zi) / 2.0) for zi in z)",
      "the MLE p_values are not the two-sided normal tails of z_stats"),
     ("hessian-only-se", "sspace",
-     "se = tuple(math.sqrt(float(c @ c)) / det for c in cols)",
+     "se = tuple(math.sqrt(math.fsum(map(mul, c, c))) / det for c in cols)",
      "se = (math.sqrt(-d / det), math.sqrt(-a / det))",
      "robust_se is the inverse Hessian, not the sandwich"),
     ("bound-margin-0", "sspace",
@@ -161,8 +161,8 @@ MUTANTS = (
      "innov_var=tuple(ivv)",
      "kalman_filter's innovation variances stay at unit scale"),
     ("stencil-f-unscaled", "sspace",
-     "np.asarray(moments[3][1:]) * var_meas",
-     "np.asarray(moments[3][1:])",
+     "(vp * vp / fp - vm * vm / fm) / var_meas",
+     "(vp * vp / fp - vm * vm / fm)",
      "the stencil's per-observation scores take unit-scale F_t"),
     ("fit-min-len", "sspace",
      "if len(model) < 3:",

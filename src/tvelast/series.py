@@ -12,6 +12,7 @@ import io
 import math
 import os
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -359,6 +360,21 @@ def yoy_growth(s: MonthlySeries, mode: str = "log-diff") -> MonthlySeries:
         raise DataError(
             f"{s.name or 'series'} growth at {s.date_at(i + 12)} overflows: "
             f"{vals[i + 12]!r} against {vals[i]!r} twelve months before"
+        )
+    # Every later sum of squares or products over these n values stays below
+    # 16 n^2 G^2 when |growth| <= G: demeaning leaves each value within 2G and
+    # a mean-corrected one within 4G; an OLS residual is within sqrt(sum y^2)
+    # <= 2G sqrt(n), as is a recursive residual (their squares sum to the OLS
+    # SSR), so the largest sums, of n squared differences of two residuals
+    # (the Durbin-Watson numerator and the CUSUM scale), are at most
+    # n (4G sqrt(n))^2. G = sqrt(max / 2) / (4n) keeps them, and every
+    # partial sum of an fsum, within half the float range.
+    bound = math.sqrt(sys.float_info.max / 2.0) / (4 * len(out))
+    if max(map(abs, out)) > bound:
+        i = next(i for i, g in enumerate(out) if abs(g) > bound)
+        raise DataError(
+            f"{s.name or 'series'} growth at {s.date_at(i + 12)} is {out[i]!r}, beyond "
+            f"+/-{bound:.3g}, the largest whose sums of squares over {len(out)} months are finite"
         )
     suffix = "_yoy" if mode == "log-diff" else "_yoy_pct"
     return MonthlySeries(s.start.plus(12), out, name=s.name + suffix)

@@ -11,14 +11,15 @@ prediction-error-decomposition log-likelihood over the two log-variances.
 The measurement variance is concentrated out: a filter pass with
 measurement variance 1 and state variance q gives its closed-form estimate,
 so the search is over the signal-to-noise ratio log q alone (Brent, a
-step-for-step port of scipy's, so no fit imports scipy). Parameter uncertainty is reported with a
-Huber-White sandwich built from the observed Hessian and per-observation
-scores of the full likelihood at the optimum. Scaling both variances scales
-every F_t and leaves every v_t unchanged, so the measurement-scale direction
-of both is closed form in the fit's own pass at the estimate; only log q
-takes central differences, 2 filter passes. The fit keeps that pass
-(MleResult.filter_output), so the state paths, the smoother and the shocks
-need no pass of their own.
+step-for-step port of scipy's, so no fit imports scipy). Parameter
+uncertainty is reported with a Huber-White sandwich built from the observed
+Hessian and per-observation scores of the full likelihood at the optimum.
+Scaling both variances scales every F_t and leaves every v_t unchanged, so
+the measurement-scale direction of both is closed form in the fit's own
+pass at the estimate; only log q takes central differences, 2 filter
+passes. The fit keeps that pass (MleResult.filter_output), so the state
+paths, the smoother and the shocks need no pass of their own. All of it is
+plain floats and math.fsum, so no result depends on a BLAS or numpy kernel.
 
 Every pass runs the one recursion, _filter_core, whose only public door is
 kalman_filter; a pass's log-likelihood is its log_lik. The recursion always
@@ -50,8 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from operator import mul
 
 from .errors import (
     DegenerateRegressor, EmptySeries, NoConvergence, NonFiniteObjective, NonFiniteState)
@@ -331,8 +331,7 @@ class MleResult:
 
 
 def _default_init(model: TvpModel) -> VarianceParams:
-    vy = float(np.var(np.asarray(model.y.values)))
-    vx = float(np.var(np.asarray(model.x.values)))
+    vy, vx = _variance(model.y.values), _variance(model.x.values)
     vm = max(0.5 * vy, 1e-6)
     vs = max(0.1 * vy / max(vx, 1e-12), 1e-6)
     if not (math.isfinite(vm) and math.isfinite(vs)):
@@ -341,6 +340,15 @@ def _default_init(model: TvpModel) -> VarianceParams:
             "so the likelihood has no finite starting point"
         )
     return VarianceParams(math.log(vm), math.log(vs))
+
+
+def _variance(values) -> float:
+    """Population variance from two fsums; inf when a sum overflows."""
+    try:
+        mean = math.fsum(values) / len(values)
+        return math.fsum((v - mean) * (v - mean) for v in values) / len(values)
+    except OverflowError:
+        return math.inf
 
 
 def _profile(yv, xv, log_q: float) -> tuple[float, float, float]:
@@ -403,10 +411,9 @@ def fit_mle(model: TvpModel) -> MleResult:
     problem = None if failure is None else f"no convergence after {n_iter} iterations: {failure}"
     if best[1] is None:
         raise NonFiniteObjective("log-likelihood is non-finite everywhere the search looked")
-    theta = np.asarray(best[1], dtype=float)
-    result = _build_result(model, theta, n_iter, n_evals, tuple(path))
+    result = _build_result(model, best[1], n_iter, n_evals, tuple(path))
     if problem is None:
-        for v in theta:
+        for v in best[1]:
             if v < _LOG_VAR_MIN + _BOUND_MARGIN or v > _LOG_VAR_MAX - _BOUND_MARGIN:
                 problem = (f"log-variance estimate {v:.2f} is pinned at the parameter bound; "
                            "the variance is not identified on this data")
@@ -527,8 +534,7 @@ def _brent(f, xa: float, xb: float, max_iter: int) -> tuple[float, float, int, s
     return x, fx, it, None if it < max_iter else "Maximum number of iterations exceeded"
 
 
-def _sandwich_stencil(model: TvpModel, theta: np.ndarray,
-                      out: KalmanOutput) -> tuple[np.ndarray, np.ndarray]:
+def _sandwich_stencil(model: TvpModel, theta: tuple[float, float], out: KalmanOutput):
     """Observed Hessian and per-observation scores of the full log-likelihood.
 
     theta = (log_var_meas, log_var_state) and out is the filter pass at
@@ -540,50 +546,49 @@ def _sandwich_stencil(model: TvpModel, theta: np.ndarray,
     term is sum(v^2/F)'s derivative in rho over 2. Only rho takes central
     differences, with step h = _FD_SCALE * max(1, |log_var_state|): the unit
     passes at rho +/- h, scaled like kalman_filter's, give the rho-rho entry,
-    the cross term and the rho scores. That is 2 filter passes.
+    the cross term and the rho scores. That is 2 filter passes, in plain
+    floats and fsum; log 2 pi and log var_meas cancel from a rho score, so it
+    takes one log(F+ / F-) per month. Returns ((a, b), (b, d)) and two lists.
     """
     yv, xv = model.y.values, model.x.values
-    log_var_meas = theta[0]
+    log_var_meas, log_var_state = theta
     var_meas = math.exp(log_var_meas)
-    h = _FD_SCALE * max(1.0, abs(theta[1]))
+    h = _FD_SCALE * max(1.0, abs(log_var_state))
 
     def moved(log_var_state: float):
-        """Log-likelihood, sum(v^2/F) and the per-observation terms after the
-        diffuse month, at log_var_state and the measurement variance of theta."""
+        """Log-likelihood, sum(v^2/F) and the unit v_t, F_t after the diffuse
+        month, at log_var_state and the measurement variance of theta."""
         moments = ([], [], [], [])
         sums = _filter_core(yv, xv, math.exp(log_var_state - log_var_meas), moments)
-        v, f = np.asarray(moments[2][1:]), np.asarray(moments[3][1:]) * var_meas
-        return (_loglik(sums, log_var_meas), sums[1] / var_meas,
-                -0.5 * (_LOG_2PI + np.log(f) + v * v / f))
+        return _loglik(sums, log_var_meas), sums[1] / var_meas, moments[2][1:], moments[3][1:]
 
-    ll_p, s_p, obs_p = moved(theta[1] + h)
-    ll_m, s_m, obs_m = moved(theta[1] - h)
-    v, f = np.asarray(out.innovations[1:]), np.asarray(out.innov_var[1:])
-    v2_f = v * v / f
-    h_ss = -0.5 * v2_f.sum()
+    ll_p, s_p, v_p, f_p = moved(log_var_state + h)
+    ll_m, s_m, v_m, f_m = moved(log_var_state - h)
+    score_r = [-(math.log(fp / fm) + (vp * vp / fp - vm * vm / fm) / var_meas) / (4.0 * h)
+               for vp, fp, vm, fm in zip(v_p, f_p, v_m, f_m)]
+    v2_f = [v * v / f for v, f in zip(out.innovations[1:], out.innov_var[1:])]
+    h_ss = -0.5 * math.fsum(v2_f)
     h_rr = (ll_p - 2.0 * out.log_lik + ll_m) / (h * h)
     h_sr = 0.5 * (s_p - s_m) / (2.0 * h)
-    score_r = (obs_p - obs_m) / (2.0 * h)
     # phi = B theta with B = [[1, 0], [-1, 1]], so the theta-Hessian is B' H B
     # and the theta-scores S B
-    hess = np.array([[(h_ss - h_sr) - (h_sr - h_rr), h_sr - h_rr], [h_sr - h_rr, h_rr]])
-    return hess, np.column_stack((-0.5 * (1.0 - v2_f) - score_r, score_r))
+    hess = ((h_ss - h_sr) - (h_sr - h_rr), h_sr - h_rr), (h_sr - h_rr, h_rr)
+    return hess, ([-0.5 * (1.0 - q) - r for q, r in zip(v2_f, score_r)], score_r)
 
 
-def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int, n_evals: int,
+def _build_result(model: TvpModel, theta: tuple[float, float], n_iter: int, n_evals: int,
                   path: tuple[float, ...]) -> MleResult:
     """The fit at theta after n_evals objective evaluations; converged is
     False when the Hessian is not negative definite."""
-    params = VarianceParams(float(theta[0]), float(theta[1]))
+    params = VarianceParams(*theta)
     out = kalman_filter(model, params)
     n = len(model)
     k = len(theta)
     ll = out.log_lik
 
-    hess, scores = _sandwich_stencil(model, theta, out)
-    # the symmetric 2x2 [[a, b], [b, d]] has eigenvalues mid -/+ r; a nan
-    # entry makes them nan, which is not negative definite
-    a, b, d = float(hess[0, 0]), float(hess[0, 1]), float(hess[1, 1])
+    # the symmetric 2x2 Hessian [[a, b], [b, d]] has eigenvalues mid -/+ r; a
+    # nan entry makes them nan, which is not negative definite
+    ((a, b), (_, d)), scores = _sandwich_stencil(model, theta, out)
     mid, r = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
     negative_definite = mid + r < 0.0
     largest, smallest = abs(mid) + r, abs(abs(mid) - r)
@@ -592,9 +597,9 @@ def _build_result(model: TvpModel, theta: np.ndarray, n_iter: int, n_evals: int,
         # sandwich H^-1 (S'S) H^-1, as column norms of S H^-1 so it stays >= 0,
         # with H^-1 = [[d, -b], [-b, a]] / det and det the eigenvalues' product
         det = (mid - r) * (mid + r)
-        cols = (scores[:, 0] * d - scores[:, 1] * b, scores[:, 1] * a - scores[:, 0] * b)
-        se = tuple(math.sqrt(float(c @ c)) / det for c in cols)
-        z = tuple(float(theta[i]) / se[i] if se[i] > 0 else math.inf for i in range(k))
+        cols = ([s * d - t * b for s, t in zip(*scores)], [t * a - s * b for s, t in zip(*scores)])
+        se = tuple(math.sqrt(math.fsum(map(mul, c, c))) / det for c in cols)
+        z = tuple(t / s if s > 0 else math.inf for t, s in zip(theta, se))
         pvals = tuple(math.erfc(abs(zi) / math.sqrt(2.0)) for zi in z)
     else:
         se = z = pvals = (math.nan,) * k

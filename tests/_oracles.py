@@ -124,6 +124,69 @@ def recursive_path_exact(y, x, prec=200):
         return w, beta, half, stat
 
 
+def _unit_innovations_exact(y, x, q):
+    """The innovations v_t and variances F_t, t = 2..T, of the random walk at
+    measurement variance 1 and state variance q from the exact diffuse start
+    (a_1 = y_1 / x_1, P_1 = 1 / x_1^2), in the textbook update P - K x P."""
+    a, p = y[0] / x[0], 1 / (x[0] * x[0])
+    v, f = [], []
+    for yt, xt in zip(y[1:], x[1:]):
+        p_pred = p + q
+        ft = xt * xt * p_pred + 1
+        k = p_pred * xt / ft
+        vt = yt - xt * a
+        a, p = a + k * vt, p_pred - k * xt * p_pred
+        v.append(vt)
+        f.append(ft)
+    return v, f
+
+
+def sandwich_exact(yv, xv, theta, prec=200):
+    """robust_se, z_stats, hessian_cond and log_lik of sspace's sandwich
+    stencil at theta = (log_var_meas, log_var_state), at prec bits.
+
+    The same estimator as the package's, so only its rounding differs: in
+    phi = (sigma, rho) = (log_var_meas, log_var_state - log_var_meas), the
+    unit passes at rho and rho +/- h, with the package's float step h =
+    1e-4 max(1, |log_var_state|), give the closed-form sigma entries, the
+    second-difference rho-rho entry, the central-difference cross term and
+    rho scores; B = [[1, 0], [-1, 1]] maps them to theta, and each SE is a
+    column norm of S H^-1. Returns a dict of mpf tuples and mpfs.
+    """
+    h = 1e-4 * max(1.0, abs(float(theta[1])))
+    with mpmath.workprec(prec):
+        mp = mpmath.mpf
+        y = [mp(float(v)) for v in yv]
+        x = [mp(float(v)) for v in xv]
+        lvm, lvs, h = mp(float(theta[0])), mp(float(theta[1])), mp(h)
+        vm, n = mpmath.exp(lvm), len(y) - 1
+
+        def unit(rho):
+            v, f = _unit_innovations_exact(y, x, mpmath.exp(rho))
+            ll = -(n * mpmath.log(2 * mpmath.pi) + mpmath.fsum(map(mpmath.log, f)) + n * lvm
+                   + mpmath.fsum(a * a / b for a, b in zip(v, f)) / vm) / 2
+            return ll, v, f
+
+        (ll0, v0, f0), (llp, vp, fp), (llm, vm_, fm) = (unit(lvs - lvm + d) for d in (0, h, -h))
+        v2_f = [a * a / (b * vm) for a, b in zip(v0, f0)]
+        h_ss = -mpmath.fsum(v2_f) / 2
+        h_rr = (llp - 2 * ll0 + llm) / (h * h)
+        s_p = mpmath.fsum(a * a / b for a, b in zip(vp, fp)) / vm
+        s_m = mpmath.fsum(a * a / b for a, b in zip(vm_, fm)) / vm
+        h_sr = (s_p - s_m) / (4 * h)
+        score_r = [-(mpmath.log(f1 / f2) + (v1 * v1 / f1 - v2 * v2 / f2) / vm) / (4 * h)
+                   for v1, f1, v2, f2 in zip(vp, fp, vm_, fm)]
+        score_s = [-(1 - r2) / 2 - r for r2, r in zip(v2_f, score_r)]
+        a, b, d = h_ss - 2 * h_sr + h_rr, h_sr - h_rr, h_rr
+        det = a * d - b * b
+        se = tuple(mpmath.sqrt(mpmath.fsum(c * c for c in col)) / det for col in (
+            [s * d - r * b for s, r in zip(score_s, score_r)],
+            [r * a - s * b for s, r in zip(score_s, score_r)]))
+        mid, rad = (a + d) / 2, mpmath.sqrt(((a - d) / 2) ** 2 + b * b)
+        return {"robust_se": se, "z_stats": (lvm / se[0], lvs / se[1]),
+                "hessian_cond": (abs(mid) + rad) / abs(abs(mid) - rad), "log_lik": ll0}
+
+
 def _joint_gaussian(yv, xv, var_meas, var_state, a0, p0):
     """Means and covariances of the random-walk states alpha_1..alpha_T and of
     y_1..y_T under a proper N(a0, p0) prior on alpha_0: (mean_a, cov_a,

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -28,6 +31,15 @@ def make_dataset(n_months=200, seed=42, start=MonthDate(1971, 1)):
         MonthlySeries(start, tuple(float(v) for v in 100.0 * np.exp(zc)), "cpi"),
         MonthlySeries(start, tuple(float(v) for v in 50.0 * np.exp(zm)), "m2"),
     )
+
+
+def pool_csv(k):
+    """The CSV text of the benchmark's report-555 pool input k (555 months)."""
+    spec = importlib.util.spec_from_file_location(
+        "plan", Path(__file__).resolve().parents[1] / "benchmark" / "plan.py")
+    plan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plan)
+    return plan.dataset_csv(k)
 
 
 @pytest.fixture

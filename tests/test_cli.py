@@ -133,6 +133,21 @@ class TestExitCodes:
             assert code == EXIT_DATA, command
             assert "overflows" in err
 
+    @pytest.mark.parametrize("level", [1e152, 1e306])
+    def test_growth_whose_sums_overflow_is_data_error(self, tmp_path, level):
+        # a money level alternating 1 and level every 12 months: its pct growth
+        # 100 (level - 1) is finite, but a sum of its squares is not
+        path = tmp_path / "huge_growth.csv"
+        rows = [f"{1971 + i // 12}-{i % 12 + 1:02d},{100.0 + i!r},"
+                f"{1.0 if i // 12 % 2 == 0 else level!r}" for i in range(72)]
+        path.write_text("date,cpi,m2\n" + "\n".join(rows) + "\n")
+        for command in ("ols", "sspace"):
+            code, out, err = run_cli([command, "--input", str(path), "--growth-mode", "pct"])
+            assert code == EXIT_DATA, (command, err)
+            assert out == ""
+            assert err.startswith("tvelast: stage 'transform': m2 growth at 1972-01 is ")
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_bad_csv_cells_are_data_errors(self, tmp_path):
         cases = {
             "nan.csv": b"date,cpi,m2\n1971-01,nan,1\n1971-02,2,2\n",

@@ -46,6 +46,13 @@ def test_bare_package_loads_no_numerics():
     assert _under(modules, "scipy") == []
 
 
+def test_fit_and_ols_modules_load_no_numpy():
+    # table2 and table3 are plain floats and math.fsum, free of BLAS and numpy kernels
+    modules = _modules_after("import tvelast.sspace, tvelast.regress")
+    assert "tvelast.sspace" in modules and "tvelast.regress" in modules
+    assert _under(modules, "numpy") == []
+
+
 def test_cli_loads_no_scipy():
     modules = _modules_after("import tvelast.cli")
     assert "tvelast.cli" in modules

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import math
 import os
 import platform
@@ -26,7 +25,7 @@ from tvelast.regress import (
 from tvelast.series import MonthDate, parse_csv
 
 import _oracles
-from conftest import make_dataset, make_series
+from conftest import make_dataset, make_series, pool_csv
 
 
 def _pair(yv, xv):
@@ -344,14 +343,6 @@ class TestCusum:
             cusum(y, x, significance=0.025)
 
 
-def _plan():
-    spec = importlib.util.spec_from_file_location(
-        "plan", Path(__file__).resolve().parents[1] / "benchmark" / "plan.py")
-    plan = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(plan)
-    return plan
-
-
 _EPS = 2.0 ** -52
 # Worst errors against the 200-bit oracle, in eps times each quantity's data
 # scale, over these three inputs and report-555 pool inputs 0-9, and the
@@ -369,7 +360,7 @@ _BUDGETS = {"w": 4.0, "beta": 16.0, "half": 32.0, "statistic": 64.0}
 @pytest.mark.parametrize("source", ["make_dataset-72", "make_dataset-132", "pool-1"])
 def test_stability_paths_meet_their_budgets_against_200_bits(source):
     if source == "pool-1":
-        data = parse_csv(_plan().dataset_csv(1))  # a report-555 input, T = 543
+        data = parse_csv(pool_csv(1))  # a report-555 input, T = 543
     else:
         data = make_dataset(n_months=int(source.rsplit("-", 1)[1]), seed=3)  # T = 60, 120
     report = run_pipeline(data, PipelineConfig(), "stability")
@@ -424,7 +415,7 @@ _OLS_BUDGETS = {"coef": 2.0, "std_err": 2.0, "t_stat": 2.0, "p_value": 2048.0, "
 @pytest.mark.parametrize("source", ["make_dataset-72", "make_dataset-132", "pool-1"])
 def test_ols_fields_meet_their_budgets_against_200_bits(source):
     if source == "pool-1":
-        data = parse_csv(_plan().dataset_csv(1))  # a report-555 input, T = 543
+        data = parse_csv(pool_csv(1))  # a report-555 input, T = 543
     else:
         data = make_dataset(n_months=int(source.rsplit("-", 1)[1]), seed=3)  # T = 60, 120
     report = run_pipeline(data, PipelineConfig(), "ols")
@@ -438,13 +429,13 @@ def test_ols_fields_meet_their_budgets_against_200_bits(source):
 
 
 def _section_csvs(path, **env_changes):
-    """The `--format csv` outputs of tvelast ols, cusum and recursive on the
-    input at path, from one new interpreter run with env_changes added."""
+    """The `--format csv` outputs of tvelast ols, cusum, recursive and sspace
+    on the input at path, from one new interpreter run with env_changes added."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, **env_changes,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("from tvelast import cli\n"
-            "for cmd in ('ols', 'cusum', 'recursive'):\n"
+            "for cmd in ('ols', 'cusum', 'recursive', 'sspace'):\n"
             f"    assert cli.main([cmd, '--input', {str(path)!r}, '--format', 'csv']) == 0\n")
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           check=True).stdout
@@ -453,14 +444,15 @@ def _section_csvs(path, **env_changes):
 @pytest.mark.skipif(platform.system() != "Linux" or platform.machine() != "x86_64"
                     or "avx2" not in Path("/proc/cpuinfo").read_text(),
                     reason="OPENBLAS_CORETYPE=Haswell needs an x86-64 Linux CPU with AVX2")
-def test_table2_and_the_stability_paths_do_not_depend_on_the_blas_kernel(tmp_path):
-    # a BLAS dot product gives pool input 1's table2 other last bits under
-    # OpenBLAS's Haswell kernels than under an AVX-512 CPU's own; the variable
-    # acts only on the child process
+def test_table2_table3_and_the_stability_paths_do_not_depend_on_the_blas_kernel(tmp_path):
+    # a BLAS dot product gives pool input 1's table2 and table3 other last bits
+    # under OpenBLAS's Haswell kernels than under an AVX-512 CPU's own; the
+    # variable acts only on the child process
     path = tmp_path / "pool-1.csv"
-    path.write_text(_plan().dataset_csv(1))
+    path.write_text(pool_csv(1))
     plain = _section_csvs(path)
-    assert plain.count(b"\n") > 1000  # all three sections were written
+    assert plain.count(b"\n") > 1000  # all four sections were written
+    assert b"log_var_state" in plain
     assert _section_csvs(path, OPENBLAS_CORETYPE="Haswell") == plain
 
 

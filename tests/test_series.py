@@ -389,6 +389,13 @@ class TestYoyGrowth:
             yoy_growth(s, "pct-change")
         assert str(caught.value) == ("m2 growth at 2000-12 overflows: "
                                      "1e+300 against 1e-300 twelve months before")
+        # finite growth whose squares, summed over the 8 months, would not be
+        s = MonthlySeries(MonthDate(1999, 11), tuple([1.0] * 12 + [1e152] * 3 + [1.0] * 5), "m2")
+        with pytest.raises(DataError) as caught:
+            yoy_growth(s, "pct-change")
+        assert str(caught.value) == ("m2 growth at 2000-11 is 1e+154, beyond +/-2.96e+152, "
+                                     "the largest whose sums of squares over 8 months are finite")
+        assert yoy_growth(s).values[0] == pytest.approx(100.0 * 152 * math.log(10.0))
 
 
 class TestDemean:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +9,8 @@ from scipy import optimize, stats
 from tvelast import regress, sspace
 
 from tvelast.errors import DegenerateRegressor, EmptySeries, NoConvergence, NonFiniteObjective
-from tvelast.pipeline import Report
+from tvelast.pipeline import PipelineConfig, Report, run_pipeline
+from tvelast.series import parse_csv
 from tvelast.simlab import TvpDgp, derive_seed, gen_tvp
 from tvelast.sspace import (
     TvpModel,
@@ -20,7 +22,7 @@ from tvelast.sspace import (
 )
 
 import _oracles
-from conftest import make_series
+from conftest import make_dataset, make_series, pool_csv
 
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -584,6 +586,11 @@ class TestFitMle:
         huge = _model(rng.normal(0, 1e160, 50), rng.normal(0, 1, 50))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteObjective):
             fit_mle(huge)
+        # same-sign values near 1e307: the sum of y overflows, which reads as an
+        # infinite variance, not as fsum's OverflowError
+        same_sign = _model(rng.uniform(1e307, 1.5e307, 50), rng.normal(0, 1, 50))
+        with pytest.raises(NonFiniteObjective, match="sample variance of y is inf"):
+            fit_mle(same_sign)
 
     def test_robust_se_positive(self):
         model, _ = gen_tvp(TvpDgp(T=250, sigma2_meas=0.1, sigma2_state=0.2, seed=17))
@@ -720,8 +727,14 @@ class TestSandwichStencil:
 
     @staticmethod
     def _stencil(model, at):
-        out = kalman_filter(model, VarianceParams(at[0], at[1]))
-        return sspace._sandwich_stencil(model, at, out)
+        """The stencil at theta = at, as a 2x2 array and a (T - 1) x 2 array;
+        it returns plain floats, a nested 2x2 tuple and two score lists."""
+        theta = tuple(map(float, at))
+        hess, scores = sspace._sandwich_stencil(
+            model, theta, kalman_filter(model, VarianceParams(*theta)))
+        assert {type(v) for row in hess for v in row} == {float}
+        assert {type(v) for column in scores for v in column} == {float}
+        return np.array(hess), np.column_stack(scores)
 
     @staticmethod
     def _points(model):
@@ -741,9 +754,14 @@ class TestSandwichStencil:
             # central differences in theta
             assert hess[1, 1] == ref[1, 1]
             assert scores.shape == (len(model) - 1, 2)
+            # the reference differences whole terms, each rounded to an eps of
+            # its size, over 2h; the stencil's one log(F+ / F-) per month does
+            # not, so the two agree to the reference's rounding (worst 0.74 of it)
+            terms = self._obs_terms(model)(at)
+            rounding = np.finfo(float).eps * np.abs(terms).max() / (2e-4 * max(1.0, abs(at[1])))
             np.testing.assert_allclose(
                 scores[:, 1], _oracles.central_gradient(self._obs_terms(model), at)[:, 1],
-                rtol=1e-12, atol=0.0)
+                rtol=0.0, atol=4.0 * rounding)
             # the sigma entries are exact, so the whole Hessian differs from plain
             # central differences only by their error
             np.testing.assert_allclose(hess, ref, rtol=0.0, atol=1e-5 * np.abs(ref).max())
@@ -804,6 +822,46 @@ class TestSandwichStencil:
         assert fit.robust_se == pytest.approx(np.sqrt(np.diag(sandwich)), rel=1e-4)
 
 
+_EPS = 2.0 ** -52
+# Relative errors of the fit's sandwich fields against _oracles.sandwich_exact
+# at the fit's own theta (the same stencil at 200 bits), on this test's three
+# inputs and the worst over report-555 pool inputs 0-23, and the budget
+# (margin: budget / that worst); z_stats' errors are robust_se's:
+#   field              T=60     T=120    pool 1   pool 0-23   budget   margin
+#   robust_se sigma    1.0e-10  4.5e-9   7.1e-8   3.8e-7      1e-6     2.7
+#   robust_se rho      2.6e-10  1.4e-8   1.8e-7   8.5e-7      2e-6     2.3
+#   hessian_cond       2.2e-10  1.1e-8   1.6e-7   7.3e-7      2e-6     2.7
+#   log_lik, in eps    0.29     0.18     0.66     1.22        4 eps    3.3
+# The SE error is rounding, and the rho-rho second difference carries it: a
+# few eps of |log_lik| ~ 1200 over h^2 ~ 1e-7 put h_rr off by 1.3-2.4e-7 on
+# pool inputs 1, 2 and 5. It is the order of the stencil's own truncation
+# error, so the budgets are relative errors near 1e-6, not a few eps.
+_SANDWICH_BUDGETS = {"robust_se": (1e-6, 2e-6), "z_stats": (1e-6, 2e-6),
+                     "hessian_cond": 2e-6, "log_lik": 4.0 * _EPS}
+
+
+@pytest.mark.parametrize("source", ["make_dataset-72", "make_dataset-132", "pool-1"])
+def test_sandwich_meets_its_budgets_against_200_bits(source):
+    if source == "pool-1":
+        data = parse_csv(pool_csv(1))  # a report-555 input, T = 543
+    else:
+        data = make_dataset(n_months=int(source.rsplit("-", 1)[1]), seed=1)  # T = 60, 120
+    report = run_pipeline(data, PipelineConfig(), "sspace")
+    fit = report.mle
+    exact = _oracles.sandwich_exact(report.demeaned_y.values, report.demeaned_x.values,
+                                    (fit.params.log_var_meas, fit.params.log_var_state))
+    over = {}
+    with mpmath.workprec(200):
+        for name, budget in _SANDWICH_BUDGETS.items():
+            got, want = getattr(fit, name), exact[name]
+            pairs = zip(got, want, budget) if isinstance(got, tuple) else [(got, want, budget)]
+            for i, (g, w, b) in enumerate(pairs):
+                error = float(abs(mpmath.mpf(g) - w) / abs(w))
+                if error > b:
+                    over[f"{name}[{i}]"] = (error, b)
+    assert not over, f"relative errors over their budgets: {over}"
+
+
 class TestFitDiagnostics:
     def test_pass_count_ignores_the_objectives_last_bits(self, monkeypatch):
         # Brent stops at the objective's resolution: a 2-ulp change of every
@@ -848,7 +906,7 @@ class TestFitDiagnostics:
         model, _ = gen_tvp(TvpDgp(T=200, sigma2_meas=0.05, sigma2_state=0.3, seed=23))
         fit = fit_mle(model)
         theta = np.array([fit.params.log_var_meas, fit.params.log_var_state])
-        hess = sspace._sandwich_stencil(model, theta, fit.filter_output)[0]
+        hess = np.array(sspace._sandwich_stencil(model, theta, fit.filter_output)[0])
         # the eigenvalues of [[a, b], [b, d]] are mid -/+ hypot((a - d) / 2, b)
         mid = 0.5 * (hess[0, 0] + hess[1, 1])
         r = math.hypot(0.5 * (hess[0, 0] - hess[1, 1]), hess[0, 1])
